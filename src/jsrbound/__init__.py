@@ -69,16 +69,13 @@ from .irreducibility import (
     CrosscheckReport,
     burnside_irreducible,
     chi_measure,
+    invariant_subspace_search_2d,
     lemma1_crosscheck,
     reach_products,
     reach_set,
     sphere_profile,
 )
-from .oracle import (
-    OracleInterval,
-    brute_force_interval,
-    invariant_subspace_search_2d,
-)
+from .oracle import OracleInterval, brute_force_interval
 
 __version__ = "0.1.0"
 

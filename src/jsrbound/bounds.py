@@ -18,7 +18,7 @@ from .core import (
     MatrixSet,
     NormKind,
     Word,
-    enumerate_products,
+    _product_chunks,
     max_over_products,
     operator_norms,
     spectral_radii,
@@ -192,10 +192,9 @@ def zero_radius_test(
 
     Zero radius is equivalent to every length-d product vanishing, with d
     the dimension.  Entries are compared against a tolerance scaled by the
-    largest input magnitude; the scan stops at the first nonzero product.
+    largest input magnitude; the scan stops at the first block holding a
+    nonzero product.
     """
     tol = 1e-12 * (1.0 + mset.max_entry())
-    for _, prod in enumerate_products(mset, mset.dim, max_words):
-        if np.max(np.abs(prod)) > tol:
-            return False
-    return True
+    return not any(np.max(np.abs(block)) > tol
+                   for _, block in _product_chunks(mset, mset.dim, max_words))

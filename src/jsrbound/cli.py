@@ -47,6 +47,9 @@ _GAMMA_WARNING = (
 _CHI_UNCERTIFIED_WARNING = (
     "irreducibility not certified at this mesh (certified_lower = 0)"
 )
+_PRESCALE_WARNING = (
+    "results were computed on the pre-scaled set and scaled back"
+)
 
 
 def _read_input(path: str) -> tuple[MatrixSet, str]:
@@ -175,19 +178,20 @@ def _default_p(args_p: int | None, dim: int) -> int:
     return args_p if args_p is not None else max(1, dim - 1)
 
 
-def _prescaled(mset: MatrixSet, factor: float | None) -> MatrixSet:
+def _prescaled(mset: MatrixSet,
+               factor: float | None) -> tuple[MatrixSet, float, list[str]]:
+    """The working set, the factor scaling results back, and its warning."""
     if factor is None:
-        return mset
+        return mset, 1.0, []
     if factor <= 0:
         raise InputFormatError("--prescale must be positive")
-    return mset.scaled(1.0 / factor)
+    return mset.scaled(1.0 / factor), factor, [_PRESCALE_WARNING]
 
 
 def _run_bound(args) -> dict:
     mset, digest = _read_input(args.input)
     kind = _norm_kind(args.norm)
-    factor = args.prescale if args.prescale is not None else 1.0
-    working = _prescaled(mset, args.prescale)
+    working, factor, prescale_warnings = _prescaled(mset, args.prescale)
     warnings: list[str] = []
     reports = _bounds.sandwich(working, args.n_max, kind, args.max_words)
     out_reports = []
@@ -208,10 +212,7 @@ def _run_bound(args) -> dict:
         ]
         result["trace_estimates"] = traces
         warnings.append(_TRACE_WARNING)
-    if args.prescale is not None:
-        warnings.append(
-            "results were computed on the pre-scaled set and scaled back"
-        )
+    warnings += prescale_warnings
     params = {
         "norm": kind.value,
         "n_max": args.n_max,
@@ -225,19 +226,13 @@ def _run_bound(args) -> dict:
 def _run_oracle(args) -> dict:
     mset, digest = _read_input(args.input)
     kind = _norm_kind(args.norm)
-    factor = args.prescale if args.prescale is not None else 1.0
-    working = _prescaled(mset, args.prescale)
+    working, factor, warnings = _prescaled(mset, args.prescale)
     interval = _oracle.brute_force_interval(
         working, args.n_max, kind, args.max_words
     )
     doc = interval.to_dict()
     doc["lower"] *= factor
     doc["upper"] *= factor
-    warnings = []
-    if args.prescale is not None:
-        warnings.append(
-            "results were computed on the pre-scaled set and scaled back"
-        )
     params = {
         "norm": kind.value,
         "n_max": args.n_max,
@@ -371,7 +366,7 @@ def _run_example(args) -> dict:
 
 def _run_zero_test(args) -> dict:
     mset, digest = _read_input(args.input)
-    working = _prescaled(mset, args.prescale)
+    working, _, _ = _prescaled(mset, args.prescale)
     is_zero = _bounds.zero_radius_test(working, args.max_words)
     params = {"prescale": args.prescale, "max_words": args.max_words}
     return _envelope("zero-test", digest, params, {"zero_radius": is_zero}, [])
@@ -379,8 +374,7 @@ def _run_zero_test(args) -> dict:
 
 def _run_kronecker(args) -> dict:
     mset, digest = _read_input(args.input)
-    factor = args.prescale if args.prescale is not None else 1.0
-    working = _prescaled(mset, args.prescale)
+    working, factor, warnings = _prescaled(mset, args.prescale)
     lower, upper = _bounds.kronecker_bounds(working, args.n, args.max_kron_dim)
     result = {
         "n": args.n,
@@ -388,11 +382,6 @@ def _run_kronecker(args) -> dict:
         "upper": upper * factor,
         "ratio": mset.r ** (1.0 / args.n),
     }
-    warnings = []
-    if args.prescale is not None:
-        warnings.append(
-            "results were computed on the pre-scaled set and scaled back"
-        )
     params = {
         "n": args.n,
         "max_kron_dim": args.max_kron_dim,

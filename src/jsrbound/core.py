@@ -4,11 +4,17 @@ A matrix set is a finite collection of real d x d matrices.  Everything in
 this package reduces to scanning the products A_{i_n} ... A_{i_2} A_{i_1}
 over index words (i_1, ..., i_n); the word lists the factor applied first
 on the right, so word (1, 2) denotes the product A_2 A_1.
+
+One engine, ``_product_chunks``, produces those products: it builds the
+table of head products (the first factors applied) and extends each head
+by a batched left-multiplication into a block of consecutive words, so
+every scan sees the same numbers in the same lexicographic order.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -28,10 +34,8 @@ DEFAULT_WORD_BUDGET = 1 << 24
 # Entry magnitude beyond which products are considered at risk of overflow.
 OVERFLOW_LIMIT = 1e150
 
-# Product stacks are materialized only below this many float entries;
-# larger enumerations stream through fixed-size chunks instead.
-_MATERIALIZE_ENTRY_LIMIT = 1 << 22
-_STREAM_CHUNK = 8192
+# Largest block of product entries held in memory at once.
+_CHUNK_FLOATS = 1 << 22
 
 Word = tuple[int, ...]
 
@@ -291,28 +295,57 @@ def _check_overflow(block: np.ndarray) -> None:
         )
 
 
+def _extend(mats: np.ndarray, block: np.ndarray, levels: int) -> np.ndarray:
+    """Left-multiply every product in ``block`` by ``levels`` more factors.
+
+    Appending index t to the product at position j lands at j * r + t, so
+    word order is kept.  Every level passes the overflow guard.
+    """
+    d = mats.shape[-1]
+    _check_overflow(block)
+    for _ in range(levels):
+        block = np.einsum("tab,jbc->jtac", mats, block).reshape(-1, d, d)
+        _check_overflow(block)
+    return block
+
+
+def _product_chunks(
+    mset: MatrixSet, n: int, max_words: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start_index, block) pairs covering all length-n words in order.
+
+    A word splits into a head of k digits, the factors applied first, and
+    a tail of t = n - k digits, with t the largest length (at least 1)
+    whose r^t products fit in _CHUNK_FLOATS entries.  Each length-k head
+    product is extended by t levels into one block of r^t consecutive
+    words; when all r^n products fit (k = 0) there is a single block.
+    """
+    _check_word_budget(mset, n, max_words)
+    mats = mset.stacked()
+    r, d = mset.r, mset.dim
+    tail = n
+    while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
+        tail -= 1
+    if tail == n:
+        yield 0, _extend(mats, mats, n - 1)
+        return
+    heads = _extend(mats, mats, n - tail - 1)
+    for h in range(heads.shape[0]):
+        yield h * r ** tail, _extend(mats, heads[h:h + 1], tail)
+
+
 def enumerate_products(
     mset: MatrixSet, n: int, max_words: int = DEFAULT_WORD_BUDGET
 ) -> Iterator[tuple[Word, np.ndarray]]:
     """Yield (word, product) for every length-n word in lexicographic order.
 
-    Depth-first with the running prefix product carried down, so memory
-    stays at O(n d^2) regardless of r^n.
+    A per-word view of the chunked engine: memory stays at one block of
+    products regardless of r^n.
     """
-    _check_word_budget(mset, n, max_words)
-    members = mset.members
-    word = [0] * n
-
-    def walk(depth: int, prefix: np.ndarray):
-        _check_overflow(prefix)
-        if depth == n:
-            yield tuple(word), prefix
-            return
-        for t, m in enumerate(members, start=1):
-            word[depth] = t
-            yield from walk(depth + 1, m @ prefix)
-
-    yield from walk(0, np.eye(mset.dim))
+    words = itertools.product(range(1, mset.r + 1), repeat=n)
+    for _, block in _product_chunks(mset, n, max_words):
+        for prod in block:
+            yield next(words), prod
 
 
 def product_stack(
@@ -321,42 +354,15 @@ def product_stack(
     """All length-n products as an (r^n, d, d) array in word order."""
     required = _check_word_budget(mset, n, max_words)
     d = mset.dim
-    if required * d * d > _MATERIALIZE_ENTRY_LIMIT:
+    if required * d * d > _CHUNK_FLOATS:
         raise BudgetExceededError(
             f"materializing {required} products of dimension {d} exceeds the "
             "in-memory limit; use enumerate_products instead",
             required=required,
-            budget=_MATERIALIZE_ENTRY_LIMIT // (d * d),
+            budget=_CHUNK_FLOATS // (d * d),
         )
-    mats = mset.stacked()
-    stack = mats.copy()
-    for _ in range(n - 1):
-        # Appending index t to word j lands at position j * r + t.
-        stack = np.einsum("tab,jbc->jtac", mats, stack).reshape(-1, d, d)
-        _check_overflow(stack)
-    _check_overflow(stack)
+    [(_, stack)] = _product_chunks(mset, n, max_words)
     return stack
-
-
-def _product_chunks(
-    mset: MatrixSet, n: int, max_words: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, stack_chunk) pairs covering all length-n words."""
-    required = _check_word_budget(mset, n, max_words)
-    d = mset.dim
-    if required * d * d <= _MATERIALIZE_ENTRY_LIMIT:
-        yield 0, product_stack(mset, n, max_words)
-        return
-    buf: list[np.ndarray] = []
-    start = 0
-    for _, prod in enumerate_products(mset, n, max_words):
-        buf.append(prod)
-        if len(buf) == _STREAM_CHUNK:
-            yield start, np.stack(buf)
-            start += len(buf)
-            buf = []
-    if buf:
-        yield start, np.stack(buf)
 
 
 def max_over_products(

@@ -443,7 +443,8 @@ def halton_directions(d: int, count: int) -> np.ndarray:
 # Deterministic local refinement on a sphere
 
 
-def _tangent_frame(x: np.ndarray) -> list[np.ndarray]:
+def _offset_ring(x: np.ndarray) -> list[np.ndarray]:
+    """Unit tangent steps at x: 2 along the circle, 8 around a 3-d point."""
     unit = x / np.linalg.norm(x)
     axis = int(np.argmin(np.abs(unit)))
     e = np.zeros_like(unit)
@@ -451,9 +452,10 @@ def _tangent_frame(x: np.ndarray) -> list[np.ndarray]:
     t1 = e - np.dot(e, unit) * unit
     t1 /= np.linalg.norm(t1)
     if len(x) == 2:
-        return [t1]
+        return [t1, -t1]
     t2 = np.cross(unit, t1)
-    return [t1, t2]
+    return [np.cos(k * np.pi / 4.0) * t1 + np.sin(k * np.pi / 4.0) * t2
+            for k in range(8)]
 
 
 def refine_minimum(value_fn, x0: np.ndarray, v0: float, kind: NormKind,
@@ -467,14 +469,7 @@ def refine_minimum(value_fn, x0: np.ndarray, v0: float, kind: NormKind,
     x = np.asarray(x0, dtype=float)
     best = float(v0)
     h = float(step)
-    dirs = _tangent_frame(x)
-    if len(dirs) == 1:
-        offsets = [dirs[0], -dirs[0]]
-    else:
-        offsets = []
-        for k in range(8):
-            ang = k * np.pi / 4.0
-            offsets.append(np.cos(ang) * dirs[0] + np.sin(ang) * dirs[1])
+    offsets = _offset_ring(x)
     for _ in range(max_rounds):
         if h < min_step:
             break
@@ -484,14 +479,7 @@ def refine_minimum(value_fn, x0: np.ndarray, v0: float, kind: NormKind,
         if float(vals[j]) < best:
             x = cand[j]
             best = float(vals[j])
-            dirs = _tangent_frame(x)
-            if len(dirs) == 1:
-                offsets = [dirs[0], -dirs[0]]
-            else:
-                offsets = []
-                for k in range(8):
-                    ang = k * np.pi / 4.0
-                    offsets.append(np.cos(ang) * dirs[0] + np.sin(ang) * dirs[1])
+            offsets = _offset_ring(x)
         else:
             h *= 0.5
     return x, best

@@ -271,35 +271,38 @@ class BurnsideReport:
     status: str
 
 
-def _common_real_eigendirection_2d(mset: MatrixSet) -> np.ndarray | None:
-    """A direction spanning a common invariant line, or None."""
-    base = None
-    for m in mset.members:
+def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
+    """A unit vector spanning a common invariant line of a planar set.
+
+    Candidate lines are the real eigendirections of the first member that
+    is not a multiple of the identity (any line is invariant under a
+    scalar member).  Returns None when no common line exists.
+    """
+    if mset.dim != 2:
+        raise ValueError("this search is specific to d = 2")
+
+    def is_scalar(m: np.ndarray) -> bool:
         scale = float(np.max(np.abs(m))) or 1.0
-        if np.max(np.abs(m - (np.trace(m) / 2.0) * np.eye(2))) > 1e-12 * scale:
-            base = m
-            break
-    if base is None:
-        # Every member is a multiple of the identity: any line works.
-        return np.array([1.0, 0.0])
-    eigs = np.linalg.eigvals(base)
-    candidates = []
-    for lam in eigs:
-        if abs(lam.imag) > 1e-9 * (1.0 + abs(lam)):
-            continue
-        shifted = base - lam.real * np.eye(2)
-        _, _, vt = np.linalg.svd(shifted)
-        candidates.append(vt[-1])
-    for v in candidates:
-        ok = True
+        return np.max(np.abs(m - (np.trace(m) / 2.0) * np.eye(2))) \
+            <= 1e-12 * scale
+
+    def invariant_under_all(v: np.ndarray) -> bool:
         for m in mset.members:
             w = m @ v
             crossed = abs(w[0] * v[1] - w[1] * v[0])
-            if crossed > 1e-9 * (1.0 + float(np.linalg.norm(w))):
-                ok = False
-                break
-        if ok:
-            return v
+            if crossed > 1e-9 * (1.0 + float(np.hypot(w[0], w[1]))):
+                return False
+        return True
+
+    anchor = next((m for m in mset.members if not is_scalar(m)), None)
+    if anchor is None:
+        return np.array([1.0, 0.0])
+    for lam in np.linalg.eigvals(anchor):
+        if abs(lam.imag) > 1e-9 * (1.0 + abs(lam)):
+            continue
+        v = np.linalg.svd(anchor - lam.real * np.eye(2))[2][-1]
+        if invariant_under_all(v):
+            return v / np.hypot(v[0], v[1])
     return None
 
 
@@ -346,7 +349,7 @@ def burnside_detail(mset: MatrixSet) -> BurnsideReport:
     if rank == dd:
         return BurnsideReport(irreducible=True, rank=rank, status="irreducible")
     if d == 2:
-        if _common_real_eigendirection_2d(mset) is None:
+        if invariant_subspace_search_2d(mset) is None:
             return BurnsideReport(irreducible=True, rank=rank,
                                   status="irreducible")
         return BurnsideReport(irreducible=False, rank=rank, status="reducible")
@@ -436,6 +439,7 @@ __all__ = [
     "chi_measure",
     "burnside_detail",
     "burnside_irreducible",
+    "invariant_subspace_search_2d",
     "lemma1_crosscheck",
     "inscribed_radius",
 ]

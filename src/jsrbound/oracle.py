@@ -4,7 +4,7 @@ Everything here recomputes results from first principles with its own
 product bookkeeping: levels of products are materialized list-by-list
 (memory-heavy on purpose), norms come from direct column/row sums or a
 full SVD, and eigenvalues from the dense solver.  Nothing is shared with
-the streaming enumeration used by the main modules, so agreement between
+the chunked product engine used by the main modules, so agreement between
 the two routes is meaningful evidence.
 """
 
@@ -105,45 +105,3 @@ def brute_force_interval(
         witness_upper=witness_upper,
     )
 
-
-def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
-    """A unit vector spanning a common invariant line of a planar set.
-
-    Candidate lines are the real eigendirections of the first member that
-    is not a multiple of the identity (any line is invariant under a
-    scalar member).  Returns None when no common line exists.
-    """
-    if mset.dim != 2:
-        raise ValueError("this search is specific to d = 2")
-
-    def is_scalar(m: np.ndarray) -> bool:
-        scale = float(np.max(np.abs(m))) or 1.0
-        return np.max(np.abs(m - (np.trace(m) / 2.0) * np.eye(2))) \
-            <= 1e-12 * scale
-
-    def invariant_under_all(v: np.ndarray) -> bool:
-        for m in mset.members:
-            w = m @ v
-            crossed = abs(w[0] * v[1] - w[1] * v[0])
-            if crossed > 1e-9 * (1.0 + float(np.hypot(w[0], w[1]))):
-                return False
-        return True
-
-    anchor = None
-    for m in mset.members:
-        if not is_scalar(m):
-            anchor = m
-            break
-    if anchor is None:
-        return np.array([1.0, 0.0])
-    candidates = []
-    for lam in np.linalg.eigvals(anchor):
-        if abs(lam.imag) > 1e-9 * (1.0 + abs(lam)):
-            continue
-        shifted = anchor - lam.real * np.eye(2)
-        _, _, vt = np.linalg.svd(shifted)
-        candidates.append(vt[-1])
-    for v in candidates:
-        if invariant_under_all(v):
-            return v / np.hypot(v[0], v[1])
-    return None

@@ -28,3 +28,9 @@ DIAGONAL_PAIR = MatrixSet.from_arrays(
 )
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+@pytest.fixture
+def small_chunks(monkeypatch) -> None:
+    """Shrink the engine's block to 64 floats so every size is chunked."""
+    monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)

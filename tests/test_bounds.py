@@ -7,6 +7,7 @@ from jsrbound import (
     BudgetExceededError,
     MatrixSet,
     NormKind,
+    OverflowRiskError,
     gelfand_upper,
     kronecker_bounds,
     sandwich,
@@ -14,6 +15,7 @@ from jsrbound import (
     trace_estimate,
     zero_radius_test,
 )
+from jsrbound.core import _product_chunks
 
 from .conftest import GOLDEN_PAIR, PHI, QUARTER_TURN, random_set
 
@@ -190,3 +192,56 @@ class TestZeroRadius:
         assert zero_radius_test(NILPOTENT.scaled(1e-8)) is True
         assert zero_radius_test(NILPOTENT.scaled(1e6)) is True
         assert zero_radius_test(GOLDEN_PAIR.scaled(0.5)) is False
+
+
+def _unit(d: int, i: int, j: int) -> np.ndarray:
+    e = np.zeros((d, d))
+    e[i, j] = 1.0
+    return e
+
+
+class TestChunkedScans:
+    """Scans over a shrunk engine block (64 floats) behave as one block."""
+
+    def test_overflow_in_a_later_block_keeps_partial(self, monkeypatch):
+        ms = MatrixSet.from_arrays([1e-20 * np.eye(2), 1e27 * np.eye(2)])
+        with pytest.raises(OverflowRiskError) as whole:
+            sandwich(ms, 8, NormKind.L2)
+        monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+        # 4 floats per word: length-6 words come in 4 blocks of 2^4 words,
+        # and only the last head, (2, 2), reaches 1e27^6 > OVERFLOW_LIMIT
+        chunks = _product_chunks(ms, 6, 1 << 20)
+        assert [next(chunks)[0] for _ in range(3)] == [0, 16, 32]
+        with pytest.raises(OverflowRiskError):
+            next(chunks)
+        with pytest.raises(OverflowRiskError) as chunked:
+            sandwich(ms, 8, NormKind.L2)
+        partial = chunked.value.partial
+        assert [rep.n for rep in partial] == [1, 2, 3, 4, 5]
+        assert [rep.to_dict() for rep in partial] == \
+            [rep.to_dict() for rep in whole.value.partial]
+
+    def test_zero_radius_verdicts_match_one_block(self, rng, monkeypatch):
+        sets = [
+            NILPOTENT,
+            GOLDEN_PAIR,
+            MatrixSet.from_arrays([_unit(2, 0, 1), _unit(2, 1, 0)]),
+            *(MatrixSet.from_arrays(np.triu(rng.uniform(-1, 1, (3, d, d)),
+                                            k=1)) for d in (3, 4)),
+            random_set(rng, 3, 3),
+        ]
+        whole = [zero_radius_test(ms) for ms in sets]
+        assert whole == [True, False, False, True, True, False]
+        monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+        assert [zero_radius_test(ms) for ms in sets] == whole
+
+    def test_zero_radius_first_nonzero_in_a_late_block(self, small_chunks):
+        # E12, E23, E33 in d = 3: 9 blocks of 3 words, one per pair of
+        # first factors; only words starting E33 then E23 or E33 survive
+        ms = MatrixSet.from_arrays([_unit(3, 0, 1), _unit(3, 1, 2),
+                                    _unit(3, 2, 2)])
+        blocks = [b for _, b in _product_chunks(ms, 3, 1 << 20)]
+        assert len(blocks) == 9
+        nonzero = [k for k, b in enumerate(blocks) if np.max(np.abs(b)) > 0]
+        assert nonzero[0] == 7
+        assert zero_radius_test(ms) is False

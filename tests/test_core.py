@@ -12,6 +12,7 @@ from jsrbound import (
     NormKind,
     OverflowRiskError,
     as_matrix,
+    brute_force_interval,
     enumerate_products,
     load_matrix_set,
     matrix_set_norm,
@@ -23,7 +24,13 @@ from jsrbound import (
     spectral_radius,
     word_from_index,
 )
-from jsrbound.core import operator_norms, product_stack, vector_norm
+from jsrbound.core import (
+    _product_chunks,
+    operator_norms,
+    product_stack,
+    spectral_radii,
+    vector_norm,
+)
 
 from .conftest import GOLDEN_PAIR, QUARTER_TURN, random_set
 
@@ -239,6 +246,71 @@ class TestEnumeration:
             list(enumerate_products(GOLDEN_PAIR, 10, max_words=100))
         assert info.value.required == 1024
         assert info.value.budget == 100
+
+
+class TestChunkedEngine:
+    """The engine with its block shrunk, against the one-block result."""
+
+    def test_blocks_concatenate_to_the_one_block_stack(self, rng,
+                                                       monkeypatch):
+        sets = [random_set(rng, d, r) for d in (1, 2, 3) for r in (1, 2, 3)]
+        whole = {(id(ms), n): product_stack(ms, n)
+                 for ms in sets for n in range(1, 6)}
+        monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+        for ms in sets:
+            for n in range(1, 6):
+                chunks = list(_product_chunks(ms, n, 1 << 20))
+                starts = np.cumsum([0] + [b.shape[0] for _, b in chunks])
+                assert [s for s, _ in chunks] == list(starts[:-1])
+                stacked = np.concatenate([b for _, b in chunks])
+                assert stacked.tobytes() == whole[(id(ms), n)].tobytes()
+
+    def test_several_blocks_when_shrunk(self, small_chunks):
+        ms = random_set(np.random.default_rng(3), 2, 3)
+        chunks = list(_product_chunks(ms, 5, 1 << 20))
+        # 3^2 * 4 floats fit in 64, 3^3 * 4 do not: 27 heads of 9 words
+        assert len(chunks) == 27
+        assert all(b.shape == (9, 2, 2) for _, b in chunks)
+        with pytest.raises(BudgetExceededError):
+            product_stack(ms, 5)
+
+    def test_enumerate_products_across_blocks(self, small_chunks, rng):
+        ms = random_set(rng, 2, 2)
+        pairs = list(enumerate_products(ms, 6))
+        assert [w for w, _ in pairs] == [word_from_index(j, 2, 6)
+                                         for j in range(64)]
+        for word, prod in pairs:
+            np.testing.assert_allclose(prod, product_of_word(ms, word),
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_max_over_products_matches_one_block_and_oracle(self, rng,
+                                                            monkeypatch):
+        cases = [(random_set(rng, d, r), kind)
+                 for d, r in ((2, 2), (2, 3), (3, 2)) for kind in NormKind]
+        metrics = {kind: [lambda s, k=kind: operator_norms(s, k),
+                          spectral_radii] for kind in NormKind}
+        whole = [[max_over_products(ms, n, metrics[kind])
+                  for n in range(1, 6)] for ms, kind in cases]
+        monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+        for (ms, kind), expect in zip(cases, whole):
+            got = [max_over_products(ms, n, metrics[kind])
+                   for n in range(1, 6)]
+            assert got == expect
+            # best n-th roots over n = 1..5 against the independent oracle
+            uppers = [norm ** (1.0 / n) for n, ((norm, _), _) in
+                      enumerate(got, start=1)]
+            lowers = [rho ** (1.0 / n) for n, (_, (rho, _)) in
+                      enumerate(got, start=1)]
+            oracle = brute_force_interval(ms, 5, kind)
+            assert oracle.upper == pytest.approx(min(uppers), rel=1e-12)
+            assert oracle.lower == pytest.approx(max(lowers), rel=1e-12)
+            assert got[int(np.argmin(uppers))][0][1] == oracle.witness_upper
+            # rho(P^2) = rho(P)^2 ties lower witnesses of different lengths,
+            # so the oracle's lower witness is checked by its value only
+            word = oracle.witness_lower
+            rho = spectral_radius(product_of_word(ms, word))
+            assert rho ** (1.0 / len(word)) == pytest.approx(max(lowers),
+                                                             rel=1e-12)
 
 
 class TestSetNorm:

@@ -11,6 +11,7 @@ from jsrbound import (
     burnside_irreducible,
     chi_measure,
     inscribed_radius,
+    invariant_subspace_search_2d,
     lemma1_crosscheck,
     reach_products,
     reach_set,
@@ -195,6 +196,31 @@ class TestBurnside:
     def test_wrapper(self):
         assert burnside_irreducible(GOLDEN_PAIR) is True
         assert burnside_irreducible(DIAGONAL_PAIR) is False
+
+
+class TestInvariantLineSearch:
+    def test_diagonal_pair_finds_axis(self):
+        line = invariant_subspace_search_2d(DIAGONAL_PAIR)
+        assert line is not None
+        assert abs(line[0]) == pytest.approx(1.0)
+        assert line[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_rotation_has_none(self):
+        assert invariant_subspace_search_2d(QUARTER_TURN) is None
+
+    def test_golden_pair_has_none(self):
+        # A1's eigendirection (1,0) maps to (1,1) under A2, leaving the line
+        assert invariant_subspace_search_2d(GOLDEN_PAIR) is None
+
+    def test_triangular_pair(self):
+        ms = MatrixSet.from_arrays([[[1.0, 1.0], [0.0, 2.0]],
+                                    [[3.0, 1.0], [0.0, 1.0]]])
+        line = invariant_subspace_search_2d(ms)
+        assert line is not None
+        for m in ms.members:
+            image = np.asarray(m) @ line
+            cross = image[0] * line[1] - image[1] * line[0]
+            assert cross == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCrosscheck:

@@ -8,11 +8,10 @@ from jsrbound import (
     MatrixSet,
     NormKind,
     brute_force_interval,
-    invariant_subspace_search_2d,
     sandwich,
 )
 
-from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN, random_set
+from .conftest import GOLDEN_PAIR, QUARTER_TURN, random_set
 
 
 class TestBruteForceInterval:
@@ -71,27 +70,3 @@ class TestAgreementWithSandwich:
         assert interval.witness_lower == (1,)
         assert reports[0].witness_lower == (1,)
 
-
-class TestInvariantLineSearch:
-    def test_diagonal_pair_finds_axis(self):
-        line = invariant_subspace_search_2d(DIAGONAL_PAIR)
-        assert line is not None
-        assert abs(line[0]) == pytest.approx(1.0)
-        assert line[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_rotation_has_none(self):
-        assert invariant_subspace_search_2d(QUARTER_TURN) is None
-
-    def test_golden_pair_has_none(self):
-        # A1's eigendirection (1,0) maps to (1,1) under A2, leaving the line
-        assert invariant_subspace_search_2d(GOLDEN_PAIR) is None
-
-    def test_triangular_pair(self):
-        ms = MatrixSet.from_arrays([[[1.0, 1.0], [0.0, 2.0]],
-                                    [[3.0, 1.0], [0.0, 1.0]]])
-        line = invariant_subspace_search_2d(ms)
-        assert line is not None
-        for m in ms.members:
-            image = np.asarray(m) @ line
-            cross = image[0] * line[1] - image[1] * line[0]
-            assert cross == pytest.approx(0.0, abs=1e-9)
