@@ -12,12 +12,27 @@ point pairs (2-d) or point triples (3-d).  Every facet normal appears
 among the candidates and every candidate ratio upper-bounds the radius,
 so both routes agree exactly; the sweep form vectorizes across many point
 configurations at once.
+
+The sweep (``radius_profile``) keeps the points of s base points in
+per-coordinate planes: plane a is the (s, m) array of the a-th coordinates
+of the m points G x.  Candidate normals are planes of the same kind, one
+(s, C) array per coordinate, built component by component (edge
+differences, then the cross product in 3-d), and their dual norms and
+support dot products are elementwise sums over the coordinates in one
+fixed order: x, y in 2-d and (u_x p_x + u_z p_z) + u_y p_y in 3-d for
+the dot products, (x + y) + z for the dual norms.  Every value therefore
+depends on its own base point only, whatever the block it is evaluated
+in, and matches the einsum formulation of the sweep bit for bit.  Blocks
+of base points are float-sized: a block holds as many points as keep
+points x candidates within _BLOCK_FLOATS, where C = 2 C(m,2) in 2-d and
+4 C(m,3) in 3-d.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -160,106 +175,136 @@ def support_radius_upper(points: np.ndarray, kind: NormKind,
 # Vectorized radius evaluation across many base points
 
 
-@lru_cache(maxsize=None)
-def _pair_candidates(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index/sign arrays for 2-d candidate normals over m base points.
+# Largest number of (point, candidate normal) pairs swept at once.
+_BLOCK_FLOATS = 1 << 18
 
-    Candidates are perpendiculars of differences sigma_j p_j - sigma_i p_i;
-    the sign pattern (-,-) duplicates (+,+) up to global flip and is left
-    out, as are antipodal pairs (an edge between p and -p would put the
-    origin on the hull boundary, which only happens in flat cases already
-    handled by the zero-offset path).
+# Order in which sums over the coordinates are taken (the points G x and
+# the support dot products): x, y in 2-d and x, z, y in 3-d, which is
+# the order of numpy's einsum for these contractions.
+_SUM_ORDER = {1: (0,), 2: (0, 1), 3: (0, 2, 1)}
+
+# Edge p_j + sign * p_i for both signs; p_j + (-p_i) is p_j - p_i exactly.
+_EDGE_SIGNS = np.array([-1.0, 1.0])[:, None]
+
+
+@lru_cache(maxsize=None)
+def _index_tuples(m: int, k: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of all k-subsets of m base points, one array per slot."""
+    rows = np.array(list(combinations(range(m), k)), dtype=np.intp)
+    return tuple(rows.reshape(-1, k).T)
+
+
+def _candidate_count(m: int, d: int) -> int:
+    """Candidate normals per base point: 2 C(m,2) in 2-d, 4 C(m,3) in 3-d."""
+    if d == 1:
+        return m
+    if d == 2:
+        return 2 * comb(m, 2)
+    return 4 * comb(m, 3)
+
+
+def _planes(prods: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Coordinate planes of the points: plane a is the (s, m) array of (G x)_a."""
+    d = prods.shape[-1]
+    first, *rest = _SUM_ORDER[d]
+    planes = np.empty((d, xs.shape[0], prods.shape[0]))
+    for a in range(d):
+        np.multiply(xs[:, first, None], prods[None, :, a, first], out=planes[a])
+        for b in rest:
+            planes[a] += xs[:, b, None] * prods[None, :, a, b]
+    return planes
+
+
+def _radius_values_2d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Candidates: perpendiculars (e_y, -e_x) of the edges p_j -+ p_i.
+
+    The pattern -p_j -+ p_i repeats these up to a global sign, and
+    antipodal pairs (an edge between p and -p) would put the origin on the
+    hull boundary, which only happens in flat cases already handled by the
+    zero-offset path.
     """
-    ii, jj, ss = [], [], []
-    for i, j in combinations(range(m), 2):
-        for sign_j in (1.0, -1.0):
-            ii.append(i)
-            jj.append(j)
-            ss.append(sign_j)
-    return (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
-            np.array(ss))
-
-
-@lru_cache(maxsize=None)
-def _triple_candidates(m: int) -> tuple[np.ndarray, ...]:
-    """Index/sign arrays for 3-d candidate normals over m base points."""
-    ia, ib, ic, sb, sc = [], [], [], [], []
-    for a, b, c in combinations(range(m), 3):
-        for sign_b in (1.0, -1.0):
-            for sign_c in (1.0, -1.0):
-                ia.append(a)
-                ib.append(b)
-                ic.append(c)
-                sb.append(sign_b)
-                sc.append(sign_c)
-    return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
-            np.array(ic, dtype=np.intp), np.array(sb), np.array(sc))
-
-
-def _radius_values_2d(pts: np.ndarray, kind: NormKind) -> np.ndarray:
-    s, m, _ = pts.shape
+    _, s, m = planes.shape
     if m < 2:
         return np.zeros(s)
-    ii, jj, sj = _pair_candidates(m)
-    diff = sj[None, :, None] * pts[:, jj, :] - pts[:, ii, :]
-    normals = np.stack([diff[..., 1], -diff[..., 0]], axis=-1)
-    return _support_minimum(pts, normals, kind, degree=1)
+    i, j = _index_tuples(m, 2)
+    edges = planes[:, :, None, j] + _EDGE_SIGNS * planes[:, :, None, i]
+    normals = np.empty_like(edges)
+    normals[0] = edges[1]
+    np.negative(edges[0], out=normals[1])
+    return _support_minimum(planes, normals.reshape(2, s, -1), kind, degree=1)
 
 
-def _radius_values_3d(pts: np.ndarray, kind: NormKind) -> np.ndarray:
-    s, m, _ = pts.shape
+def _radius_values_3d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Candidates: cross products of the edges p_b -+ p_a and p_c -+ p_a.
+
+    Negating p_b or p_c flips the normal, so the four sign patterns of
+    each triple give the planes through every choice of its signed points.
+    """
+    _, s, m = planes.shape
     if m < 3:
         return np.zeros(s)
-    ia, ib, ic, sb, sc = _triple_candidates(m)
-    e1 = sb[None, :, None] * pts[:, ib, :] - pts[:, ia, :]
-    e2 = sc[None, :, None] * pts[:, ic, :] - pts[:, ia, :]
-    normals = np.cross(e1, e2)
-    return _support_minimum(pts, normals, kind, degree=2)
+    ia, ib, ic = _index_tuples(m, 3)
+    at = planes[:, :, None, ia]
+    e = (planes[:, :, None, ib] + _EDGE_SIGNS * at)[:, :, :, None, :]
+    f = (planes[:, :, None, ic] + _EDGE_SIGNS * at)[:, :, None, :, :]
+    normals = np.empty((3, s, 2, 2, ia.size))
+    for a, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(e[p], f[q], out=normals[a])
+        normals[a] -= e[q] * f[p]
+    return _support_minimum(planes, normals.reshape(3, s, -1), kind, degree=2)
 
 
-def _support_minimum(pts: np.ndarray, normals: np.ndarray, kind: NormKind,
-                     degree: int) -> np.ndarray:
+def _support_minimum(planes: np.ndarray, normals: np.ndarray,
+                     kind: NormKind, degree: int) -> np.ndarray:
     """min over candidate normals of max_i |u . p_i| / dual_norm(u)."""
-    m = pts.shape[1]
-    scale = np.max(np.abs(pts), axis=(1, 2))
+    first, *rest = _SUM_ORDER[planes.shape[0]]
+    scale = np.max(np.abs(planes), axis=(0, 2))
     # Normals are degree-1 (2-d) or degree-2 (3-d) in the point entries.
     floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** degree
-    duals = vector_norms(normals, dual_kind(kind))
-    support = np.zeros(normals.shape[:2])
-    for i in range(m):
-        np.maximum(support,
-                   np.abs(np.einsum("sca,sa->sc", normals, pts[:, i, :])),
-                   out=support)
-    ratios = np.where(duals > floor[:, None], support / np.where(
-        duals > 0, duals, 1.0), np.inf)
+    support = np.zeros_like(normals[0])
+    dot = np.empty_like(support)
+    term = np.empty_like(support)
+    for i in range(planes.shape[2]):
+        np.multiply(normals[first], planes[first, :, i, None], out=dot)
+        for a in rest:
+            np.multiply(normals[a], planes[a, :, i, None], out=term)
+            dot += term
+        np.abs(dot, out=dot)
+        np.maximum(support, dot, out=support)
+    duals = vector_norms(np.moveaxis(normals, 0, -1), dual_kind(kind))
+    ratios = np.full_like(support, np.inf)
+    np.divide(support, duals, out=ratios, where=duals > floor[:, None])
     out = np.min(ratios, axis=1)
     return np.where(np.isfinite(out), out, 0.0)
 
 
 def radius_profile(products: np.ndarray, xs: np.ndarray,
-                   kind: NormKind, chunk: int = 8192) -> np.ndarray:
+                   kind: NormKind) -> np.ndarray:
     """Inscribed radius of conv({±G x}) for each base point x.
 
     ``products`` is an (m, d, d) stack applied to every row of ``xs``.
     Matches inscribed_radius(reach points of x) exactly for d in {1, 2, 3}.
+    Each value depends on its own row only: blocks of rows are sized so
+    that points x candidates stay within _BLOCK_FLOATS, and splitting the
+    rows differently gives the same bits.
     """
     prods = np.asarray(products, dtype=float)
     pts_all = np.asarray(xs, dtype=float)
-    d = prods.shape[-1]
+    m, d = prods.shape[0], prods.shape[-1]
     if d not in (1, 2, 3):
         raise UnsupportedDimensionError(
             f"exact radius profiles are available for d in {{1, 2, 3}}, got d={d}"
         )
+    rows = max(1, _BLOCK_FLOATS // max(1, _candidate_count(m, d)))
     out = np.empty(pts_all.shape[0])
-    for lo in range(0, pts_all.shape[0], chunk):
-        block = pts_all[lo:lo + chunk]
-        pts = np.einsum("mab,sb->sma", prods, block)
+    for lo in range(0, pts_all.shape[0], rows):
+        planes = _planes(prods, pts_all[lo:lo + rows])
         if d == 1:
-            out[lo:lo + chunk] = np.max(np.abs(pts[..., 0]), axis=1)
+            out[lo:lo + rows] = np.max(np.abs(planes[0]), axis=1)
         elif d == 2:
-            out[lo:lo + chunk] = _radius_values_2d(pts, kind)
+            out[lo:lo + rows] = _radius_values_2d(planes, kind)
         else:
-            out[lo:lo + chunk] = _radius_values_3d(pts, kind)
+            out[lo:lo + rows] = _radius_values_3d(planes, kind)
     return out
 
 
@@ -443,8 +488,13 @@ def halton_directions(d: int, count: int) -> np.ndarray:
 # Deterministic local refinement on a sphere
 
 
-def _offset_ring(x: np.ndarray) -> list[np.ndarray]:
-    """Unit tangent steps at x: 2 along the circle, 8 around a 3-d point."""
+# cos(k pi/4) and sin(k pi/4): the 8 step directions around a 3-d point.
+_RING_COS = np.array([np.cos(k * np.pi / 4.0) for k in range(8)])[:, None]
+_RING_SIN = np.array([np.sin(k * np.pi / 4.0) for k in range(8)])[:, None]
+
+
+def _offset_ring(x: np.ndarray) -> np.ndarray:
+    """Unit tangent steps at x as rows: 2 along the circle, 8 around a 3-d point."""
     unit = x / np.linalg.norm(x)
     axis = int(np.argmin(np.abs(unit)))
     e = np.zeros_like(unit)
@@ -452,34 +502,48 @@ def _offset_ring(x: np.ndarray) -> list[np.ndarray]:
     t1 = e - np.dot(e, unit) * unit
     t1 /= np.linalg.norm(t1)
     if len(x) == 2:
-        return [t1, -t1]
-    t2 = np.cross(unit, t1)
-    return [np.cos(k * np.pi / 4.0) * t1 + np.sin(k * np.pi / 4.0) * t2
-            for k in range(8)]
+        return np.stack([t1, -t1])
+    (u0, u1, u2), (v0, v1, v2) = unit.tolist(), t1.tolist()
+    t2 = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    return _RING_COS * t1 + _RING_SIN * t2
 
 
-def refine_minimum(value_fn, x0: np.ndarray, v0: float, kind: NormKind,
+def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
                    step: float, min_step: float = 1e-13,
-                   max_rounds: int = 200) -> tuple[np.ndarray, float]:
-    """Pattern search for a local minimum on the kind-unit sphere.
+                   max_rounds: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep pattern search for local minima on the kind-unit sphere.
 
-    value_fn maps an (s, d) block of unit vectors to (s,) values.  The step
-    halves whenever no neighbor improves; fully deterministic.
+    ``x0`` is a (k, d) stack of starts and ``v0`` their (k,) values;
+    value_fn maps an (s, d) block of unit vectors to (s,) values, each
+    depending on its own row only.  Every start runs the same search: a
+    round evaluates the ring of neighbors at the start's own step, moves
+    to the best of them if it improves on the current value and halves
+    the step otherwise, and the start stops once its step is below
+    ``min_step``.  The round counter is shared: each round makes one
+    value_fn call on the stacked rings of the starts still running, and
+    no start runs more than ``max_rounds`` rounds.  Every start ends where
+    it would end alone.  Returns the (k, d) end points and their (k,)
+    values; fully deterministic.
     """
-    x = np.asarray(x0, dtype=float)
-    best = float(v0)
-    h = float(step)
-    offsets = _offset_ring(x)
+    xs = np.array(x0, dtype=float)
+    best = np.array(v0, dtype=float)
+    k, d = xs.shape
+    steps = np.full(k, float(step))
+    rings = np.stack([_offset_ring(x) for x in xs])
     for _ in range(max_rounds):
-        if h < min_step:
+        live = np.flatnonzero(steps >= min_step)
+        if live.size == 0:
             break
-        cand = kind_normalize(np.stack([x + h * o for o in offsets]), kind)
-        vals = value_fn(cand)
-        j = int(np.argmin(vals))
-        if float(vals[j]) < best:
-            x = cand[j]
-            best = float(vals[j])
-            offsets = _offset_ring(x)
-        else:
-            h *= 0.5
-    return x, best
+        cand = kind_normalize(
+            xs[live, None, :] + steps[live, None, None] * rings[live], kind)
+        vals = value_fn(cand.reshape(-1, d)).reshape(live.size, -1)
+        pick = np.argmin(vals, axis=1)
+        low = vals[np.arange(live.size), pick]
+        moved = low < best[live]
+        steps[live[~moved]] *= 0.5
+        for row in np.flatnonzero(moved):
+            j = live[row]
+            xs[j] = cand[row, pick[row]]
+            best[j] = low[row]
+            rings[j] = _offset_ring(xs[j])
+    return xs, best

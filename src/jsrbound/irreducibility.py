@@ -78,6 +78,34 @@ class ChiEstimate:
         }
 
 
+class _DedupStack:
+    """Arrays kept in offer order, skipping near-duplicates of kept ones.
+
+    A candidate is a duplicate when some kept array is within
+    _POINT_DEDUP_TOL * (1 + max|candidate|) of it in every entry; one
+    numpy reduction compares it against all kept arrays at once.
+    """
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self._buf = np.empty((16, *shape))
+        self._count = 0
+
+    def offer(self, cand: np.ndarray) -> bool:
+        kept = self._buf[:self._count]
+        tol = _POINT_DEDUP_TOL * (1.0 + float(np.max(np.abs(cand))))
+        gaps = np.max(np.abs(cand - kept), axis=tuple(range(1, kept.ndim)))
+        if not np.all(gaps > tol):
+            return False
+        if self._count == self._buf.shape[0]:
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[self._count] = cand
+        self._count += 1
+        return True
+
+    def stack(self) -> np.ndarray:
+        return self._buf[:self._count].copy()
+
+
 def reach_products(
     mset: MatrixSet, p: int, max_words: int = DEFAULT_WORD_BUDGET
 ) -> np.ndarray:
@@ -97,21 +125,20 @@ def reach_products(
             budget=max_words,
         )
     d = mset.dim
-    kept: list[np.ndarray] = [np.eye(d)]
+    kept = _DedupStack((d, d))
+    kept.offer(np.eye(d))
     frontier: list[np.ndarray] = [np.eye(d)]
     for _ in range(p):
         fresh: list[np.ndarray] = []
         for base in frontier:
             for m in mset.members:
                 cand = m @ base
-                tol = _POINT_DEDUP_TOL * (1.0 + float(np.max(np.abs(cand))))
-                if all(np.max(np.abs(cand - old)) > tol for old in kept):
-                    kept.append(cand)
+                if kept.offer(cand):
                     fresh.append(cand)
         frontier = fresh
         if not frontier:
             break
-    return np.stack(kept)
+    return kept.stack()
 
 
 def reach_set(
@@ -124,12 +151,10 @@ def reach_set(
     prods = reach_products(mset, p, max_words)
     raw = prods @ base
     raw = np.concatenate([raw, -raw], axis=0)
-    kept: list[np.ndarray] = []
+    kept = _DedupStack(base.shape)
     for pt in raw:
-        tol = _POINT_DEDUP_TOL * (1.0 + float(np.max(np.abs(pt))))
-        if all(np.max(np.abs(pt - old)) > tol for old in kept):
-            kept.append(pt)
-    return ReachSet(x=base, p=p, points=np.stack(kept))
+        kept.offer(pt)
+    return ReachSet(x=base, p=p, points=kept.stack())
 
 
 def sphere_profile(
@@ -177,7 +202,12 @@ def chi_measure(
         certified_lower = max(0, sampled_inf - lipschitz * mesh).
 
     Local refinement only lowers sampled_inf by evaluating the radius at
-    genuine sphere points, so both bounds stay valid.  For d >= 4 there is
+    genuine sphere points, so both bounds stay valid.  It starts from the
+    lowest net points, thinned to spacing 4 * mesh (at most 8), and runs
+    their pattern searches in lockstep: one radius_profile call per round
+    on the neighbor rings of every start still running.  Starts are then
+    taken in order and a later one replaces the minimum only when strictly
+    lower, so the first start wins ties.  For d >= 4 there is
     no exact hull; ``sampling_fallback=True`` switches to a sampled upper
     estimate with certified_lower pinned at 0.
     """
@@ -192,7 +222,7 @@ def chi_measure(
                 f"exact hulls are available for d in {{1, 2, 3}}, got d={d}; "
                 "pass sampling_fallback=True for a non-certified upper estimate"
             )
-        return _chi_sampled_upper(mset, prods, p, kind, mesh)
+        return _chi_sampled_upper(mset, prods, p, kind, mesh, lipschitz)
     xs = sphere_net(d, kind, mesh)
     vals = radius_profile(prods, xs, kind)
     best_idx = int(np.argmin(vals))
@@ -202,13 +232,13 @@ def chi_measure(
         def value_fn(block):
             return radius_profile(prods, block, kind)
 
-        for idx in _select_starts(xs, vals, kind, spacing=4.0 * mesh):
-            x_ref, v_ref = refine_minimum(
-                value_fn, xs[idx], float(vals[idx]), kind, step=mesh
-            )
-            if v_ref < sampled:
-                sampled = v_ref
-                argmin = x_ref
+        starts = _select_starts(xs, vals, kind, spacing=4.0 * mesh)
+        x_ref, v_ref = refine_minimum(value_fn, xs[starts], vals[starts],
+                                      kind, step=mesh)
+        for x, v in zip(x_ref, v_ref):
+            if v < sampled:
+                sampled = float(v)
+                argmin = x
     certified = max(0.0, sampled - lipschitz * mesh)
     return ChiEstimate(
         p=p,
@@ -223,11 +253,16 @@ def chi_measure(
 
 
 def _chi_sampled_upper(mset: MatrixSet, prods: np.ndarray, p: int,
-                       kind: NormKind, mesh: float) -> ChiEstimate:
-    """Sampled, non-certified upper estimate for d >= 4."""
+                       kind: NormKind, mesh: float,
+                       lipschitz: float) -> ChiEstimate:
+    """Sampled, non-certified upper estimate for d >= 4.
+
+    The Halton directions serve twice: normalized, as the base points,
+    and as the support directions of every hull.
+    """
     count = max(64, int(np.ceil(2.0 * np.pi / mesh)) * 10)
-    xs = kind_normalize(halton_directions(mset.dim, count), kind)
     dirs = halton_directions(mset.dim, count)
+    xs = kind_normalize(dirs, kind)
     best = np.inf
     argmin = xs[0]
     for x in xs:
@@ -242,7 +277,7 @@ def _chi_sampled_upper(mset: MatrixSet, prods: np.ndarray, p: int,
         kind=kind,
         sampled_inf=float(best),
         certified_lower=0.0,
-        lipschitz=2.0 * max(operator_norm(g, kind) for g in prods),
+        lipschitz=lipschitz,
         mesh=mesh,
         argmin=argmin,
         samples=xs.shape[0],

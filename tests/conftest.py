@@ -34,3 +34,9 @@ PHI = (1.0 + np.sqrt(5.0)) / 2.0
 def small_chunks(monkeypatch) -> None:
     """Shrink the engine's block to 64 floats so every size is chunked."""
     monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+
+
+@pytest.fixture
+def small_radius_blocks(monkeypatch) -> None:
+    """Shrink radius_profile's block to 64 floats: mostly one point a block."""
+    monkeypatch.setattr("jsrbound.geometry._BLOCK_FLOATS", 64)

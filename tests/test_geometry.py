@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -141,6 +143,89 @@ class TestRadiusProfile:
                 )
 
 
+def _einsum_profile(prods: np.ndarray, xs: np.ndarray,
+                    kind: NormKind) -> np.ndarray:
+    """The candidate sweep written with einsum and np.cross, one block."""
+    pts = np.einsum("mab,sb->sma", prods, xs)
+    s, m, d = pts.shape
+    if d == 1:
+        return np.max(np.abs(pts[..., 0]), axis=1)
+    if m < d:
+        return np.zeros(s)
+    signs = list(itertools.product((1.0, -1.0), repeat=d - 1))
+    subsets = list(itertools.combinations(range(m), d))
+    idx = np.array([c for c in subsets for _ in signs])
+    sgn = np.array([sg for _ in subsets for sg in signs])
+    base = pts[:, idx[:, 0], :]
+    edges = [sgn[None, :, k, None] * pts[:, idx[:, k + 1], :] - base
+             for k in range(d - 1)]
+    if d == 2:
+        normals = np.stack([edges[0][..., 1], -edges[0][..., 0]], axis=-1)
+    else:
+        normals = np.cross(edges[0], edges[1])
+    support = np.zeros(normals.shape[:2])
+    for i in range(m):
+        np.maximum(support, np.abs(np.einsum("sca,sa->sc", normals,
+                                             pts[:, i, :])), out=support)
+    duals = vector_norms(normals, dual_kind(kind))
+    scale = np.max(np.abs(pts), axis=(1, 2))
+    floor = 1e-13 * np.maximum(scale, 1e-300) ** (d - 1)
+    ratios = np.where(duals > floor[:, None],
+                      support / np.where(duals > 0, duals, 1.0), np.inf)
+    out = np.min(ratios, axis=1)
+    return np.where(np.isfinite(out), out, 0.0)
+
+
+class TestRadiusBlocks:
+    """Each radius depends on its own row only, in every block layout."""
+
+    def _case(self, rng, d, kind, m=5, s=24):
+        prods = rng.normal(size=(m, d, d))
+        prods[0] = np.eye(d)
+        xs = kind_normalize(rng.normal(size=(s, d)), kind)
+        xs[3] = xs[2]  # a repeated row
+        return prods, xs
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_rows_match_one_row_calls(self, d, kind, rng):
+        prods, xs = self._case(rng, d, kind)
+        vals = radius_profile(prods, xs, kind)
+        for i in range(xs.shape[0]):
+            one = radius_profile(prods, xs[i:i + 1], kind)
+            assert one.tobytes() == vals[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_tiny_blocks_match_einsum_sweep(self, d, kind, rng,
+                                            small_radius_blocks):
+        prods, xs = self._case(rng, d, kind)
+        vals = radius_profile(prods, xs, kind)
+        assert vals.tobytes() == _einsum_profile(prods, xs, kind).tobytes()
+        for i in (0, 2, 3, xs.shape[0] - 1):
+            one = radius_profile(prods, xs[i:i + 1], kind)
+            assert one.tobytes() == vals[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_default_blocks_match_einsum_sweep(self, d, rng):
+        # m = 9 splits a 3-d net into several blocks at the default size
+        prods, xs = self._case(rng, d, NormKind.L2, m=9, s=1200)
+        for kind in NormKind:
+            assert radius_profile(prods, xs, kind).tobytes() == \
+                _einsum_profile(prods, xs, kind).tobytes()
+
+    def test_flat_and_scaled_points(self, rng):
+        # zero rows, a rank-one stack and extreme scales take the same path
+        for d, scale in itertools.product((2, 3), (1e-60, 1e60)):
+            prods = rng.normal(size=(4, d, d)) * scale
+            prods[1] = np.outer(rng.normal(size=d), rng.normal(size=d))
+            prods[2] = 0.0
+            xs = kind_normalize(rng.normal(size=(10, d)), NormKind.L2)
+            for kind in NormKind:
+                assert radius_profile(prods, xs, kind).tobytes() == \
+                    _einsum_profile(prods, xs, kind).tobytes()
+
+
 class TestSphereNet:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
@@ -191,11 +276,12 @@ class TestRefinement:
         def f(xs: np.ndarray) -> np.ndarray:
             return np.einsum("sa,ab,sb->s", xs, d, xs)
 
-        x0 = kind_normalize(np.array([np.cos(0.3), np.sin(0.3)]), NormKind.L2)
-        v0 = float(f(x0[None, :])[0])
+        x0 = kind_normalize(np.array([[np.cos(0.3), np.sin(0.3)]]),
+                            NormKind.L2)
+        v0 = f(x0)
         x, v = refine_minimum(f, x0, v0, NormKind.L2, step=0.05)
-        assert v == pytest.approx(1.0, abs=1e-9)
-        assert abs(x[0]) == pytest.approx(1.0, abs=1e-6)
+        assert v[0] == pytest.approx(1.0, abs=1e-9)
+        assert abs(x[0, 0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_never_increases(self, rng):
         prods = rng.normal(size=(3, 3, 3))
@@ -203,8 +289,63 @@ class TestRefinement:
         def f(xs: np.ndarray) -> np.ndarray:
             return radius_profile(prods, xs, NormKind.L2)
 
-        x0 = kind_normalize(rng.normal(size=3), NormKind.L2)
-        v0 = float(f(x0[None, :])[0])
+        x0 = kind_normalize(rng.normal(size=(1, 3)), NormKind.L2)
+        v0 = f(x0)
         x, v = refine_minimum(f, x0, v0, NormKind.L2, step=0.02)
-        assert v <= v0 + 1e-15
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert v[0] <= v0[0] + 1e-15
+        assert np.linalg.norm(x[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+class _CountingProfile:
+    """radius_profile of a fixed stack that records every block size."""
+
+    def __init__(self, prods: np.ndarray, kind: NormKind) -> None:
+        self.prods, self.kind, self.sizes = prods, kind, []
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        self.sizes.append(xs.shape[0])
+        return radius_profile(self.prods, xs, self.kind)
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("max_rounds", [200, 6])
+    def test_stack_matches_one_start_at_a_time(self, d, kind, max_rounds,
+                                               rng):
+        prods = rng.normal(size=(4, d, d))
+        x0 = kind_normalize(rng.normal(size=(5, d)), kind)
+        x0[1] = x0[0]  # a start repeated in the stack
+        v0 = radius_profile(prods, x0, kind)
+        stacked = _CountingProfile(prods, kind)
+        xs, vs = refine_minimum(stacked, x0, v0, kind, step=0.05,
+                                max_rounds=max_rounds)
+        rounds = []
+        for i in range(5):
+            alone = _CountingProfile(prods, kind)
+            x1, v1 = refine_minimum(alone, x0[i:i + 1], v0[i:i + 1], kind,
+                                    step=0.05, max_rounds=max_rounds)
+            assert x1.tobytes() == xs[i:i + 1].tobytes()
+            assert v1.tobytes() == vs[i:i + 1].tobytes()
+            rounds.append(len(alone.sizes))
+        # one value_fn call per shared round, on the rings still running
+        ring = 2 if d == 2 else 8
+        assert len(stacked.sizes) == max(rounds)
+        assert stacked.sizes == [
+            ring * sum(r > t for r in rounds) for t in range(max(rounds))]
+        if max_rounds == 200:
+            assert len(set(rounds)) > 1  # starts stop in different rounds
+        else:
+            assert rounds == [max_rounds] * 5  # every start is cut off
+
+    def test_values_never_increase(self, rng):
+        prods = rng.normal(size=(3, 3, 3))
+        x0 = kind_normalize(rng.normal(size=(4, 3)), NormKind.L1)
+        v0 = radius_profile(prods, x0, NormKind.L1)
+        xs, vs = refine_minimum(_CountingProfile(prods, NormKind.L1), x0, v0,
+                                NormKind.L1, step=0.05)
+        assert np.all(vs <= v0)
+        np.testing.assert_array_equal(radius_profile(prods, xs, NormKind.L1),
+                                      vs)
+        np.testing.assert_allclose(vector_norms(xs, NormKind.L1), 1.0,
+                                   atol=1e-12)

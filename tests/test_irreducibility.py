@@ -17,7 +17,13 @@ from jsrbound import (
     reach_set,
     sphere_profile,
 )
-from jsrbound.geometry import dual_kind, vector_norms
+from jsrbound.core import operator_norm
+from jsrbound.geometry import (
+    dual_kind,
+    halton_directions,
+    support_radius_upper,
+    vector_norms,
+)
 from jsrbound.irreducibility import burnside_detail
 
 from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN, random_set
@@ -58,6 +64,26 @@ class TestReachSet:
         assert any(np.allclose(g, np.eye(2)) for g in prods)
         # R^4 = I collapses, leaving I, R, R^2, R^3
         assert len(prods) == 4
+
+    def test_products_keep_first_occurrence_in_order(self):
+        a, b = np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])
+        prods = reach_products(MatrixSet.from_arrays([a, b]), 3)
+        # level 2 adds only BA = -I; level 3 nothing new, as -A = B
+        expected = [np.eye(2), a, b, -np.eye(2)]
+        np.testing.assert_array_equal(prods, np.stack(expected))
+
+    def test_dedup_tolerance(self):
+        # within 1e-12 (1 + max|G|) of a kept product counts as a duplicate
+        near = MatrixSet.from_arrays([(1.0 + 1e-12) * np.eye(2)])
+        far = MatrixSet.from_arrays([(1.0 + 1e-11) * np.eye(2)])
+        assert len(reach_products(near, 3)) == 1
+        assert len(reach_products(far, 3)) == 4
+
+    def test_points_keep_first_occurrence_in_order(self):
+        pts = reach_set(QUARTER_TURN, 4, np.array([1.0, 0.0])).points
+        # the negated copies all repeat the orbit of R
+        np.testing.assert_array_equal(
+            np.round(pts, 12), [[1, 0], [0, 1], [-1, 0], [0, -1]])
 
 
 class TestChiMeasure:
@@ -133,6 +159,20 @@ class TestChiMeasure:
             chi_measure(ms, 3, NormKind.L2, 0.1)
         est = chi_measure(ms, 3, NormKind.L2, 0.1, sampling_fallback=True)
         assert est.certified_lower == 0.0
+
+    def test_fallback_reports_the_measure_constants(self, rng):
+        ms = random_set(rng, 4, 2)
+        est = chi_measure(ms, 2, NormKind.L1, 0.5, sampling_fallback=True)
+        prods = reach_products(ms, 2)
+        assert est.lipschitz == 2.0 * max(
+            operator_norm(g, NormKind.L1) for g in prods)
+        # the sampled value is the support estimate at the reported argmin
+        dirs = halton_directions(4, 130)  # 10 per step of the mesh circle
+        assert est.samples == dirs.shape[0]
+        pts = prods @ est.argmin
+        assert est.sampled_inf == support_radius_upper(
+            np.concatenate([pts, -pts]), NormKind.L1, dirs)
+        assert vector_norms(est.argmin, NormKind.L1) == pytest.approx(1.0)
 
     def test_negative_p_rejected(self):
         with pytest.raises(ValueError):
