@@ -50,7 +50,6 @@ from .errors import (
     InputFormatError,
     JsrError,
     NoCertificateError,
-    OverflowRiskError,
     UnsupportedDimensionError,
 )
 from .families import (
@@ -96,7 +95,6 @@ __all__ = [
     "NoCertificateError",
     "NormKind",
     "OracleInterval",
-    "OverflowRiskError",
     "StepPlan",
     "UnsupportedDimensionError",
     "Word",

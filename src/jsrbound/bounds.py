@@ -8,6 +8,7 @@ and keeping the best of each side yields a shrinking enclosure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -18,7 +19,9 @@ from .core import (
     MatrixSet,
     NormKind,
     Word,
+    _binary_scale,
     _product_chunks,
+    _root,
     max_over_products,
     operator_norms,
     spectral_radii,
@@ -67,18 +70,20 @@ def gelfand_upper(
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> float:
     """Upper bound: largest norm over length-n products, n-th root."""
-    [(norm_max, _)] = max_over_products(
+    [(norm_max, exponent, _)] = max_over_products(
         mset, n, [lambda s: operator_norms(s, kind)], max_words
     )
-    return norm_max ** (1.0 / n)
+    return _root(norm_max, exponent, n)
 
 
 def spectral_lower(
     mset: MatrixSet, n: int, max_words: int = DEFAULT_WORD_BUDGET
 ) -> float:
     """Lower bound: largest spectral radius over length-n products, n-th root."""
-    [(rho_max, _)] = max_over_products(mset, n, [spectral_radii], max_words)
-    return rho_max ** (1.0 / n)
+    [(rho_max, exponent, _)] = max_over_products(
+        mset, n, [spectral_radii], max_words
+    )
+    return _root(rho_max, exponent, n)
 
 
 def sandwich(
@@ -89,8 +94,8 @@ def sandwich(
 ) -> list[BoundReport]:
     """Bound reports for n = 1..n_max, lower and upper in one pass per n.
 
-    If the word budget or the overflow guard trips partway, the raised
-    error carries the completed reports in its ``partial`` attribute.
+    If the word budget or an eigensolver fails partway, the raised error
+    carries the completed reports in its ``partial`` attribute.
     """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
@@ -99,7 +104,7 @@ def sandwich(
     best_upper = np.inf
     for n in range(1, n_max + 1):
         try:
-            (norm_max, w_upper), (rho_max, w_lower) = max_over_products(
+            upper, lower = max_over_products(
                 mset,
                 n,
                 [lambda s: operator_norms(s, kind), spectral_radii],
@@ -108,8 +113,7 @@ def sandwich(
         except JsrError as exc:
             exc.partial = list(reports)
             raise
-        lower_n = rho_max ** (1.0 / n)
-        upper_n = norm_max ** (1.0 / n)
+        lower_n, upper_n = _root(*lower[:2], n), _root(*upper[:2], n)
         best_lower = max(best_lower, lower_n)
         best_upper = min(best_upper, upper_n)
         reports.append(
@@ -120,8 +124,8 @@ def sandwich(
                 upper_n=upper_n,
                 best_lower=best_lower,
                 best_upper=best_upper,
-                witness_lower=w_lower,
-                witness_upper=w_upper,
+                witness_lower=lower[2],
+                witness_upper=upper[2],
             )
         )
     return reports
@@ -137,13 +141,13 @@ def trace_estimate(
     bound.  Callers must surface it as a flagged estimate, never as a
     certificate.
     """
-    [(tr_max, _)] = max_over_products(
+    [(tr_max, exponent, _)] = max_over_products(
         mset,
         n,
         [lambda s: np.abs(np.trace(s, axis1=-2, axis2=-1))],
         max_words,
     )
-    return tr_max ** (1.0 / n)
+    return _root(tr_max, exponent, n)
 
 
 def kronecker_bounds(
@@ -158,7 +162,8 @@ def kronecker_bounds(
 
         r^(-1/n) * rho^(1/n) <= joint spectral radius <= rho^(1/n),
 
-    so the upper/lower ratio is exactly r^(1/n) by construction.
+    so the upper/lower ratio is exactly r^(1/n) by construction.  The
+    powers are formed from the members / 2^e (see ``core``).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -176,11 +181,11 @@ def kronecker_bounds(
             required=dim,
             budget=max_kron_dim,
         )
+    e, mats = _binary_scale(mset)
     total = np.zeros((dim, dim))
-    for m in mset.members:
+    for m in mats:
         total += reduce(np.kron, [m] * n)
-    rho = spectral_radius(total)
-    upper = rho ** (1.0 / n)
+    upper = _root(spectral_radius(total), n * e, n)
     lower = upper / mset.r ** (1.0 / n)
     return lower, upper
 
@@ -191,10 +196,13 @@ def zero_radius_test(
     """True when the joint spectral radius is exactly zero.
 
     Zero radius is equivalent to every length-d product vanishing, with d
-    the dimension.  Entries are compared against a tolerance scaled by the
-    largest input magnitude; the scan stops at the first block holding a
-    nonzero product.
+    the dimension.  On the set / 2^e, whose largest entry lies in [0.5, 1),
+    product entries up to 1e-12 * (1 + that entry) count as zero, so all
+    2^k multiples of a set get one verdict.  The scan stops at the first
+    block holding a nonzero product.
     """
-    tol = 1e-12 * (1.0 + mset.max_entry())
-    return not any(np.max(np.abs(block)) > tol
-                   for _, block in _product_chunks(mset, mset.dim, max_words))
+    e, mats = _binary_scale(mset)
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(mats))))
+    return not any(
+        math.ldexp(np.max(np.abs(block)), exponent - mset.dim * e) > tol
+        for _, block, exponent in _product_chunks(mset, mset.dim, max_words))

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import gelfand_upper
 from .core import (
     DEFAULT_WORD_BUDGET,
     MatrixSet,
     NormKind,
+    _binary_scale,
     matrix_set_norm,
     operator_norm,
 )
@@ -115,7 +117,13 @@ def nu_p(
             "(chi lower bound is not positive; try a finer mesh)"
         )
     set_norm = matrix_set_norm(mset, 1, kind, max_words)
-    return max(1.0, set_norm ** p) / chi_lower
+    try:
+        nu = max(1.0, set_norm ** p) / chi_lower
+    except OverflowError:
+        nu = math.inf
+    if math.isinf(nu):
+        raise NoCertificateError("no certificate: nu_p overflows the floats")
+    return nu
 
 
 def eta_p(mset: MatrixSet, p: int, rho_estimate: float,
@@ -151,7 +159,7 @@ def certified_interval(
     if n < 1:
         raise ValueError("n must be a positive integer")
     nu = nu_p(mset, p, kind, chi_lower, max_words)
-    upper = matrix_set_norm(mset, n, kind, max_words) ** (1.0 / n)
+    upper = gelfand_upper(mset, n, kind, max_words)
     ratio = nu ** (1.0 / n)
     return CertifiedInterval(
         n=n,
@@ -180,12 +188,19 @@ def plan_steps(
         raise ValueError("nu must exceed 1")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    n = max(1, math.ceil(math.log(nu) / math.log1p(epsilon)))
-    # Float rounding can land one step off in either direction.
+    if 1.0 + epsilon == 1.0:
+        raise ValueError(f"epsilon {epsilon} too small: 1 + epsilon rounds to 1")
+    # For small epsilon the rounded roots stay equal over long runs of n,
+    # so bracket the closed form and bisect until n passes and n - 1 fails.
+    lo, n = 0, max(1, math.ceil(math.log(nu) / math.log1p(epsilon)))
     while nu ** (1.0 / n) > 1.0 + epsilon:
-        n += 1
-    while n > 1 and nu ** (1.0 / (n - 1)) <= 1.0 + epsilon:
-        n -= 1
+        lo, n = n, 2 * n
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        if nu ** (1.0 / mid) <= 1.0 + epsilon:
+            n = mid
+        else:
+            lo = mid
     required = None
     fits = None
     if r is not None:
@@ -232,7 +247,8 @@ def protasov_gamma(
     The denominator uses 2 * ||set|| unless a tighter upper bound of the
     radius is supplied.  In the plane the netted infimum over lines is
     made rigorous by a Lipschitz subtraction; in 3-d both the line and
-    plane nets are reported as-is, hence heuristic.
+    plane nets are reported as-is, hence heuristic.  Gamma is scale-free:
+    it is evaluated on the set / 2^e and the escape values scaled back.
     """
     d = mset.dim
     if d < 2 or d > 3:
@@ -241,9 +257,11 @@ def protasov_gamma(
         )
     if samples < 8:
         raise ValueError("samples must be at least 8")
+    e, mats = _binary_scale(mset)
+    mset = MatrixSet.from_arrays(mats)
     set_norm = matrix_set_norm(mset, 1, _EUCLID)
     denominator = (2.0 * set_norm if rho_upper is None
-                   else rho_upper + set_norm)
+                   else math.ldexp(rho_upper, -e) + set_norm)
     if denominator <= 0.0:
         raise NoCertificateError("the set norm must be positive")
     member_norm = max(operator_norm(m, _EUCLID) for m in mset.members)
@@ -266,7 +284,7 @@ def protasov_gamma(
     gamma = float(np.prod(p_values)) / denominator ** (d - 1)
     return GammaEstimate(
         gamma_lower=max(0.0, gamma),
-        p_values=p_values,
+        p_values=tuple(math.ldexp(v, e) for v in p_values),
         heuristic=heuristic,
     )
 

@@ -47,9 +47,6 @@ _GAMMA_WARNING = (
 _CHI_UNCERTIFIED_WARNING = (
     "irreducibility not certified at this mesh (certified_lower = 0)"
 )
-_PRESCALE_WARNING = (
-    "results were computed on the pre-scaled set and scaled back"
-)
 
 
 def _read_input(path: str) -> tuple[MatrixSet, str]:
@@ -57,10 +54,6 @@ def _read_input(path: str) -> tuple[MatrixSet, str]:
         raw = fh.read()
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     return parse_matrix_set(raw.decode("utf-8")), digest
-
-
-def _norm_kind(name: str) -> NormKind:
-    return NormKind.from_name(name)
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -109,14 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=_DEF_N_MAX)
     p.add_argument("--trace", action="store_true",
                    help="also report heuristic trace estimates")
-    p.add_argument("--prescale", type=float, default=None,
-                   help="divide the set by this factor before enumerating; "
-                        "scale-covariant results are scaled back")
 
     p = sub.add_parser("oracle", help="brute-force reference interval")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=_DEF_N_MAX)
-    p.add_argument("--prescale", type=float, default=None)
 
     p = sub.add_parser("chi", help="sampled irreducibility measure")
     _add_common(p)
@@ -161,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zero-test", help="exact zero-radius test")
     _add_common(p, with_norm=False)
-    p.add_argument("--prescale", type=float, default=None)
 
     p = sub.add_parser("kronecker",
                        help="Kronecker-power bounds for nonnegative sets")
@@ -169,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--max-kron-dim", type=int,
                    default=_bounds.DEFAULT_KRON_DIM_LIMIT)
-    p.add_argument("--prescale", type=float, default=None)
 
     return parser
 
@@ -178,46 +165,27 @@ def _default_p(args_p: int | None, dim: int) -> int:
     return args_p if args_p is not None else max(1, dim - 1)
 
 
-def _prescaled(mset: MatrixSet,
-               factor: float | None) -> tuple[MatrixSet, float, list[str]]:
-    """The working set, the factor scaling results back, and its warning."""
-    if factor is None:
-        return mset, 1.0, []
-    if factor <= 0:
-        raise InputFormatError("--prescale must be positive")
-    return mset.scaled(1.0 / factor), factor, [_PRESCALE_WARNING]
-
-
 def _run_bound(args) -> dict:
     mset, digest = _read_input(args.input)
-    kind = _norm_kind(args.norm)
-    working, factor, prescale_warnings = _prescaled(mset, args.prescale)
+    kind = NormKind.from_name(args.norm)
     warnings: list[str] = []
-    reports = _bounds.sandwich(working, args.n_max, kind, args.max_words)
-    out_reports = []
-    for rep in reports:
-        doc = rep.to_dict()
-        for key in ("lower", "upper", "best_lower", "best_upper"):
-            doc[key] *= factor
-        out_reports.append(doc)
+    reports = _bounds.sandwich(mset, args.n_max, kind, args.max_words)
     result = {
-        "reports": out_reports,
-        "best_lower": out_reports[-1]["best_lower"],
-        "best_upper": out_reports[-1]["best_upper"],
+        "reports": [rep.to_dict() for rep in reports],
+        "best_lower": reports[-1].best_lower,
+        "best_upper": reports[-1].best_upper,
     }
     if args.trace:
         traces = [
-            _bounds.trace_estimate(working, n, args.max_words) * factor
+            _bounds.trace_estimate(mset, n, args.max_words)
             for n in range(1, args.n_max + 1)
         ]
         result["trace_estimates"] = traces
         warnings.append(_TRACE_WARNING)
-    warnings += prescale_warnings
     params = {
         "norm": kind.value,
         "n_max": args.n_max,
         "trace": bool(args.trace),
-        "prescale": args.prescale,
         "max_words": args.max_words,
     }
     return _envelope("bound", digest, params, result, warnings)
@@ -225,26 +193,21 @@ def _run_bound(args) -> dict:
 
 def _run_oracle(args) -> dict:
     mset, digest = _read_input(args.input)
-    kind = _norm_kind(args.norm)
-    working, factor, warnings = _prescaled(mset, args.prescale)
+    kind = NormKind.from_name(args.norm)
     interval = _oracle.brute_force_interval(
-        working, args.n_max, kind, args.max_words
+        mset, args.n_max, kind, args.max_words
     )
-    doc = interval.to_dict()
-    doc["lower"] *= factor
-    doc["upper"] *= factor
     params = {
         "norm": kind.value,
         "n_max": args.n_max,
-        "prescale": args.prescale,
         "max_words": args.max_words,
     }
-    return _envelope("oracle", digest, params, doc, warnings)
+    return _envelope("oracle", digest, params, interval.to_dict(), [])
 
 
 def _run_chi(args) -> dict:
     mset, digest = _read_input(args.input)
-    kind = _norm_kind(args.norm)
+    kind = NormKind.from_name(args.norm)
     p = _default_p(args.p, mset.dim)
     chi = _irreducibility.chi_measure(
         mset, p, kind, args.mesh, max_words=args.max_words
@@ -263,7 +226,7 @@ def _run_chi(args) -> dict:
 
 def _run_irreducible(args) -> dict:
     mset, digest = _read_input(args.input)
-    kind = _norm_kind(args.norm)
+    kind = NormKind.from_name(args.norm)
     p = _default_p(args.p, mset.dim)
     report = _irreducibility.lemma1_crosscheck(
         mset, p, kind, args.mesh, tolerance=args.tol, max_words=args.max_words
@@ -283,7 +246,7 @@ def _run_irreducible(args) -> dict:
 
 def _run_certify(args) -> dict:
     mset, digest = _read_input(args.input)
-    kind = _norm_kind(args.norm)
+    kind = NormKind.from_name(args.norm)
     p = _default_p(args.p, mset.dim)
     chi = _irreducibility.chi_measure(
         mset, p, kind, args.mesh, max_words=args.max_words
@@ -366,29 +329,26 @@ def _run_example(args) -> dict:
 
 def _run_zero_test(args) -> dict:
     mset, digest = _read_input(args.input)
-    working, _, _ = _prescaled(mset, args.prescale)
-    is_zero = _bounds.zero_radius_test(working, args.max_words)
-    params = {"prescale": args.prescale, "max_words": args.max_words}
+    is_zero = _bounds.zero_radius_test(mset, args.max_words)
+    params = {"max_words": args.max_words}
     return _envelope("zero-test", digest, params, {"zero_radius": is_zero}, [])
 
 
 def _run_kronecker(args) -> dict:
     mset, digest = _read_input(args.input)
-    working, factor, warnings = _prescaled(mset, args.prescale)
-    lower, upper = _bounds.kronecker_bounds(working, args.n, args.max_kron_dim)
+    lower, upper = _bounds.kronecker_bounds(mset, args.n, args.max_kron_dim)
     result = {
         "n": args.n,
-        "lower": lower * factor,
-        "upper": upper * factor,
+        "lower": lower,
+        "upper": upper,
         "ratio": mset.r ** (1.0 / args.n),
     }
     params = {
         "n": args.n,
         "max_kron_dim": args.max_kron_dim,
-        "prescale": args.prescale,
         "max_words": args.max_words,
     }
-    return _envelope("kronecker", digest, params, result, warnings)
+    return _envelope("kronecker", digest, params, result, [])
 
 
 _RUNNERS = {

@@ -9,6 +9,13 @@ One engine, ``_product_chunks``, produces those products: it builds the
 table of head products (the first factors applied) and extends each head
 by a batched left-multiplication into a block of consecutive words, so
 every scan sees the same numbers in the same lexicographic order.
+
+Scale is kept in exact powers of two: the engine divides the members by
+2^e, e the binary exponent of the largest entry, and each block carries
+an exponent E with products = block * 2^E; a level whose largest entry
+leaves [2^-500, 2^500] is multiplied by 2^-s and s is added to E.  Maxima
+are (mantissa, exponent) pairs and ``_root`` takes their n-th roots, so
+in-range results are the same bits as unscaled ones.
 """
 
 from __future__ import annotations
@@ -16,23 +23,19 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    ConvergenceError,
-    InputFormatError,
-    OverflowRiskError,
-)
+from .errors import BudgetExceededError, ConvergenceError, InputFormatError
 
 # Default cap on the number of words enumerated in one call.
 DEFAULT_WORD_BUDGET = 1 << 24
 
-# Entry magnitude beyond which products are considered at risk of overflow.
-OVERFLOW_LIMIT = 1e150
+# Levels whose largest entry leaves [2^-500, 2^500] are rescaled.
+_RANGE_BITS = 500
 
 # Largest block of product entries held in memory at once.
 _CHUNK_FLOATS = 1 << 22
@@ -116,9 +119,6 @@ class MatrixSet:
         """The set with every member multiplied by ``factor``."""
         return MatrixSet(self.dim, tuple(m * factor for m in self.members))
 
-    def max_entry(self) -> float:
-        return max(float(np.max(np.abs(m))) for m in self.members)
-
     def to_dict(self) -> dict:
         return {"dim": self.dim, "matrices": [m.tolist() for m in self.members]}
 
@@ -180,15 +180,6 @@ def load_matrix_set(path) -> MatrixSet:
 # Norms and spectral radii
 
 
-def vector_norm(x, kind: NormKind) -> float:
-    v = np.asarray(x, dtype=float)
-    if kind is NormKind.L1:
-        return float(np.sum(np.abs(v)))
-    if kind is NormKind.L2:
-        return float(np.sqrt(np.sum(v * v)))
-    return float(np.max(np.abs(v)))
-
-
 def operator_norms(stack: np.ndarray, kind: NormKind) -> np.ndarray:
     """Induced operator norms of a (..., d, d) stack of matrices."""
     s = np.asarray(stack, dtype=float)
@@ -198,7 +189,7 @@ def operator_norms(stack: np.ndarray, kind: NormKind) -> np.ndarray:
         return np.max(np.sum(np.abs(s), axis=-1), axis=-1)
     # Largest singular value via the symmetric eigenproblem on A^T A.
     # Matrices are normalized by their largest entry first so squaring
-    # cannot overflow even near the product magnitude limit.
+    # cannot overflow.
     scale = np.max(np.abs(s), axis=(-2, -1))
     safe = np.where(scale > 0.0, scale, 1.0)
     hat = s / safe[..., None, None]
@@ -273,7 +264,7 @@ def product_of_word(mset: MatrixSet, word: Word) -> np.ndarray:
     return out
 
 
-def _check_word_budget(mset: MatrixSet, n: int, max_words: int) -> int:
+def _check_word_budget(mset: MatrixSet, n: int, max_words: int) -> None:
     if n < 1:
         raise ValueError("product length n must be a positive integer")
     required = mset.r ** n
@@ -284,54 +275,57 @@ def _check_word_budget(mset: MatrixSet, n: int, max_words: int) -> int:
             required=required,
             budget=max_words,
         )
-    return required
 
 
-def _check_overflow(block: np.ndarray) -> None:
-    if np.max(np.abs(block)) > OVERFLOW_LIMIT:
-        raise OverflowRiskError(
-            "product entries exceed the safe magnitude limit (overflow risk); "
-            "consider pre-scaling the set by 1 / matrix_set_norm(set, 1, kind)"
-        )
+def _binary_scale(mset: MatrixSet) -> tuple[int, np.ndarray]:
+    """e, the binary exponent of the largest entry, and the members / 2^e."""
+    mats = mset.stacked()
+    e = math.frexp(float(np.max(np.abs(mats))))[1]
+    return e, np.ldexp(mats, -e)
 
 
-def _extend(mats: np.ndarray, block: np.ndarray, levels: int) -> np.ndarray:
+def _extend(mats: np.ndarray, block: np.ndarray, exponent: int,
+            levels: int, step: int) -> tuple[np.ndarray, int]:
     """Left-multiply every product in ``block`` by ``levels`` more factors.
 
     Appending index t to the product at position j lands at j * r + t, so
-    word order is kept.  Every level passes the overflow guard.
+    word order is kept.  ``mats`` are the members / 2^step.
     """
     d = mats.shape[-1]
-    _check_overflow(block)
     for _ in range(levels):
         block = np.einsum("tab,jbc->jtac", mats, block).reshape(-1, d, d)
-        _check_overflow(block)
-    return block
+        exponent += step
+        shift = math.frexp(float(np.max(np.abs(block))))[1]
+        if abs(shift) > _RANGE_BITS:
+            block, exponent = np.ldexp(block, -shift), exponent + shift
+    return block, exponent
 
 
 def _product_chunks(
     mset: MatrixSet, n: int, max_words: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, block) pairs covering all length-n words in order.
+) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Yield (start_index, block, exponent) covering the length-n words in order.
 
-    A word splits into a head of k digits, the factors applied first, and
-    a tail of t = n - k digits, with t the largest length (at least 1)
-    whose r^t products fit in _CHUNK_FLOATS entries.  Each length-k head
-    product is extended by t levels into one block of r^t consecutive
-    words; when all r^n products fit (k = 0) there is a single block.
+    The products are block * 2^exponent.  A word splits into a head of k
+    digits, the factors applied first, and a tail of t = n - k digits,
+    with t the largest length (at least 1) whose r^t products fit in
+    _CHUNK_FLOATS entries.  Each length-k head product is extended by t
+    levels into one block of r^t consecutive words; when all r^n products
+    fit (k = 0) there is a single block.
     """
     _check_word_budget(mset, n, max_words)
-    mats = mset.stacked()
+    step, mats = _binary_scale(mset)
     r, d = mset.r, mset.dim
     tail = n
     while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
         tail -= 1
     if tail == n:
-        yield 0, _extend(mats, mats, n - 1)
+        yield (0, *_extend(mats, mats, step, n - 1, step))
         return
-    heads = _extend(mats, mats, n - tail - 1)
+    heads, exponent = _extend(mats, mats, step, n - tail - 1, step)
     for h in range(heads.shape[0]):
-        yield h * r ** tail, _extend(mats, heads[h:h + 1], tail)
+        yield (h * r ** tail,
+               *_extend(mats, heads[h:h + 1], exponent, tail, step))
 
 
 def enumerate_products(
@@ -340,29 +334,36 @@ def enumerate_products(
     """Yield (word, product) for every length-n word in lexicographic order.
 
     A per-word view of the chunked engine: memory stays at one block of
-    products regardless of r^n.
+    products regardless of r^n.  Entries beyond the float range read inf.
     """
     words = itertools.product(range(1, mset.r + 1), repeat=n)
-    for _, block in _product_chunks(mset, n, max_words):
+    for _, block, exponent in _product_chunks(mset, n, max_words):
+        with np.errstate(over="ignore"):
+            block = np.ldexp(block, exponent)
         for prod in block:
             yield next(words), prod
 
 
-def product_stack(
-    mset: MatrixSet, n: int, max_words: int = DEFAULT_WORD_BUDGET
-) -> np.ndarray:
-    """All length-n products as an (r^n, d, d) array in word order."""
-    required = _check_word_budget(mset, n, max_words)
-    d = mset.dim
-    if required * d * d > _CHUNK_FLOATS:
-        raise BudgetExceededError(
-            f"materializing {required} products of dimension {d} exceeds the "
-            "in-memory limit; use enumerate_products instead",
-            required=required,
-            budget=_CHUNK_FLOATS // (d * d),
-        )
-    [(_, stack)] = _product_chunks(mset, n, max_words)
-    return stack
+def _exceeds(value: float, exponent: int, other: float,
+             other_exponent: int) -> bool:
+    """value * 2^exponent > other * 2^other_exponent for values >= 0."""
+    if exponent == other_exponent or value <= 0.0 or other <= 0.0:
+        return value > other
+    (f, g), (f_other, g_other) = math.frexp(value), math.frexp(other)
+    return (g + exponent, f) > (g_other + other_exponent, f_other)
+
+
+def _root(value: float, exponent: int, n: int) -> float:
+    """(value * 2^exponent) ** (1 / n) for value >= 0, at any exponent."""
+    f, g = math.frexp(value)
+    g += exponent
+    if value == 0.0 or -1021 <= g <= 1024:
+        return math.ldexp(f, g) ** (1.0 / n)
+    q, rem = divmod(g, n)
+    try:
+        return math.ldexp(f ** (1.0 / n) * 2.0 ** (rem / n), q)
+    except OverflowError:
+        return math.inf
 
 
 def max_over_products(
@@ -370,21 +371,23 @@ def max_over_products(
     n: int,
     metrics: list[Callable[[np.ndarray], np.ndarray]],
     max_words: int = DEFAULT_WORD_BUDGET,
-) -> list[tuple[float, Word]]:
+) -> list[tuple[float, int, Word]]:
     """Maximize several per-product metrics in one enumeration pass.
 
-    Returns (value, witness word) per metric; ties keep the first word in
-    lexicographic order.
+    Each metric must satisfy f(2^k P) = 2^k f(P), as norms, radii and
+    |trace| do.  Returns (mantissa, exponent, witness word) per metric;
+    ties keep the first word in lexicographic order.
     """
-    best: list[tuple[float, int]] = [(-np.inf, -1)] * len(metrics)
-    for start, chunk in _product_chunks(mset, n, max_words):
+    best: list[tuple[float, int, int]] = [(-np.inf, 0, -1)] * len(metrics)
+    for start, chunk, exponent in _product_chunks(mset, n, max_words):
         for k, fn in enumerate(metrics):
             vals = np.asarray(fn(chunk), dtype=float)
             j = int(np.argmax(vals))
-            if float(vals[j]) > best[k][0]:
-                best[k] = (float(vals[j]), start + j)
+            if _exceeds(float(vals[j]), exponent, *best[k][:2]):
+                best[k] = (float(vals[j]), exponent, start + j)
     return [
-        (value, word_from_index(index, mset.r, n)) for value, index in best
+        (value, exponent, word_from_index(index, mset.r, n))
+        for value, exponent, index in best
     ]
 
 
@@ -406,7 +409,7 @@ def matrix_set_norm_witness(
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> tuple[float, Word]:
     """Largest operator norm over length-n products plus its witness word."""
-    [(value, word)] = max_over_products(
+    [(value, exponent, word)] = max_over_products(
         mset, n, [lambda s: operator_norms(s, kind)], max_words
     )
-    return value, word
+    return _root(value, exponent, 1), word

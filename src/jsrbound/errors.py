@@ -27,10 +27,6 @@ class BudgetExceededError(JsrError):
         self.partial = partial if partial is not None else []
 
 
-class OverflowRiskError(JsrError):
-    """Intermediate product entries grew beyond the safe magnitude limit."""
-
-
 class ConvergenceError(JsrError):
     """An eigenvalue computation failed to converge."""
 

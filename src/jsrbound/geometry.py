@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, frexp
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -286,11 +286,16 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
     Matches inscribed_radius(reach points of x) exactly for d in {1, 2, 3}.
     Each value depends on its own row only: blocks of rows are sized so
     that points x candidates stay within _BLOCK_FLOATS, and splitting the
-    rows differently gives the same bits.
+    rows differently gives the same bits, and products 2^k G give exactly
+    2^k times the values for G.
     """
     prods = np.asarray(products, dtype=float)
     pts_all = np.asarray(xs, dtype=float)
     m, d = prods.shape[0], prods.shape[-1]
+    # The radius is degree 1 in the products: sweep them divided by 2^e,
+    # e the exponent of the largest entry, so normals cannot overflow.
+    e = frexp(float(np.max(np.abs(prods), initial=0.0)))[1]
+    prods = np.ldexp(prods, -e)
     if d not in (1, 2, 3):
         raise UnsupportedDimensionError(
             f"exact radius profiles are available for d in {{1, 2, 3}}, got d={d}"
@@ -305,7 +310,7 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
             out[lo:lo + rows] = _radius_values_2d(planes, kind)
         else:
             out[lo:lo + rows] = _radius_values_3d(planes, kind)
-    return out
+    return np.ldexp(out, e)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ product bookkeeping: levels of products are materialized list-by-list
 (memory-heavy on purpose), norms come from direct column/row sums or a
 full SVD, and eigenvalues from the dense solver.  Nothing is shared with
 the chunked product engine used by the main modules, so agreement between
-the two routes is meaningful evidence.
+the two routes is meaningful evidence.  A level whose largest entry leaves
+[2^-500, 2^500] is divided by 2^s, s added to a running exponent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +76,20 @@ def brute_force_interval(
     witness_lower: Word = ()
     witness_upper: Word = ()
     level: list[tuple[Word, np.ndarray]] = [((), np.eye(mset.dim))]
+    exponent = 0
     for n in range(1, n_max + 1):
         level = [
             (word + (t,), member @ prod)
             for word, prod in level
             for t, member in enumerate(mset.members, start=1)
         ]
+        shift = math.frexp(max(np.max(np.abs(p)) for _, p in level))[1]
+        if abs(shift) > 500:
+            level = [(word, np.ldexp(prod, -shift)) for word, prod in level]
+            exponent += shift
+        scale = 2.0 ** (exponent / n)
         for word, prod in level:
-            rho_root = _rho_of(prod) ** (1.0 / n)
+            rho_root = _rho_of(prod) ** (1.0 / n) * scale
             if rho_root > best_lower:
                 best_lower = rho_root
                 witness_lower = word
@@ -92,7 +100,7 @@ def brute_force_interval(
             if norm_best is None or value > norm_best:
                 norm_best = value
                 norm_word = word
-        norm_root = norm_best ** (1.0 / n)
+        norm_root = norm_best ** (1.0 / n) * scale
         if norm_root < best_upper:
             best_upper = norm_root
             witness_upper = norm_word

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from jsrbound import (
     BudgetExceededError,
     MatrixSet,
     NormKind,
-    OverflowRiskError,
+    brute_force_interval,
     gelfand_upper,
     kronecker_bounds,
     sandwich,
@@ -203,23 +205,35 @@ def _unit(d: int, i: int, j: int) -> np.ndarray:
 class TestChunkedScans:
     """Scans over a shrunk engine block (64 floats) behave as one block."""
 
-    def test_overflow_in_a_later_block_keeps_partial(self, monkeypatch):
+    def test_scales_far_apart_match_one_block(self, monkeypatch):
         ms = MatrixSet.from_arrays([1e-20 * np.eye(2), 1e27 * np.eye(2)])
-        with pytest.raises(OverflowRiskError) as whole:
-            sandwich(ms, 8, NormKind.L2)
+        whole = sandwich(ms, 8, NormKind.L2)
         monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
-        # 4 floats per word: length-6 words come in 4 blocks of 2^4 words,
-        # and only the last head, (2, 2), reaches 1e27^6 > OVERFLOW_LIMIT
-        chunks = _product_chunks(ms, 6, 1 << 20)
-        assert [next(chunks)[0] for _ in range(3)] == [0, 16, 32]
-        with pytest.raises(OverflowRiskError):
-            next(chunks)
-        with pytest.raises(OverflowRiskError) as chunked:
-            sandwich(ms, 8, NormKind.L2)
-        partial = chunked.value.partial
-        assert [rep.n for rep in partial] == [1, 2, 3, 4, 5]
-        assert [rep.to_dict() for rep in partial] == \
-            [rep.to_dict() for rep in whole.value.partial]
+        # 4 floats per word: length-6 words come in 4 blocks of 2^4 words;
+        # the members are divided by 2^e, which keeps every level in range
+        e = math.frexp(1e27)[1]
+        chunks = list(_product_chunks(ms, 6, 1 << 20))
+        assert [(start, exp) for start, _, exp in chunks] == \
+            [(0, 6 * e), (16, 6 * e), (32, 6 * e), (48, 6 * e)]
+        chunked = sandwich(ms, 8, NormKind.L2)
+        assert [rep.to_dict() for rep in chunked] == \
+            [rep.to_dict() for rep in whole]
+        for rep in whole:
+            assert rep.upper_n == pytest.approx(1e27, rel=1e-12)
+
+    def test_rescaled_later_block_matches_one_block(self, monkeypatch):
+        ms = MatrixSet.from_arrays([np.eye(2), 2.0 ** -250 * np.eye(2)])
+        whole = sandwich(ms, 8, NormKind.L2)
+        monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+        # members / 2: the head (2, 2) is 2^-502 I, so only its block
+        # leaves [2^-500, 2^500] (its first level tops at 2^-503) and is
+        # multiplied by 2^502; word (2, 2, 1, 1, 1, 1) is 2^-500 I
+        chunks = list(_product_chunks(ms, 6, 1 << 20))
+        assert [exp for _, _, exp in chunks] == [6, 6, 6, 6 - 502]
+        assert np.array_equal(chunks[3][1][0], 2.0 ** -4 * np.eye(2))
+        chunked = sandwich(ms, 8, NormKind.L2)
+        assert [rep.to_dict() for rep in chunked] == \
+            [rep.to_dict() for rep in whole]
 
     def test_zero_radius_verdicts_match_one_block(self, rng, monkeypatch):
         sets = [
@@ -240,8 +254,76 @@ class TestChunkedScans:
         # first factors; only words starting E33 then E23 or E33 survive
         ms = MatrixSet.from_arrays([_unit(3, 0, 1), _unit(3, 1, 2),
                                     _unit(3, 2, 2)])
-        blocks = [b for _, b in _product_chunks(ms, 3, 1 << 20)]
+        blocks = [b for _, b, _ in _product_chunks(ms, 3, 1 << 20)]
         assert len(blocks) == 9
         nonzero = [k for k, b in enumerate(blocks) if np.max(np.abs(b)) > 0]
         assert nonzero[0] == 7
         assert zero_radius_test(ms) is False
+
+
+SCALES = (2.0 ** -900, 1e-200, 1e200, 2.0 ** 900)
+STRICTLY_UPPER = MatrixSet.from_arrays(
+    [[[0.0, 0.5, -1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]],
+     [[0.0, -3.0, 1.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.0]]])
+
+
+class TestScaleFree:
+    """Bounds of c * set are c times the bounds of the set, at any scale."""
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_sandwich(self, c):
+        plain = sandwich(GOLDEN_PAIR, 6, NormKind.L2)
+        scaled = sandwich(GOLDEN_PAIR.scaled(c), 6, NormKind.L2)
+        for a, b in zip(plain, scaled):
+            for key in ("lower_n", "upper_n", "best_lower", "best_upper"):
+                assert getattr(b, key) == pytest.approx(c * getattr(a, key),
+                                                        rel=1e-12)
+            # both sides equal phi * c in l2 (bound collapse), so they may
+            # cross by an ulp, as they do at unit scale
+            assert b.best_lower <= b.best_upper * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_brute_force_interval(self, c):
+        plain = brute_force_interval(GOLDEN_PAIR, 5, NormKind.L1)
+        scaled = brute_force_interval(GOLDEN_PAIR.scaled(c), 5, NormKind.L1)
+        assert scaled.lower == pytest.approx(c * plain.lower, rel=1e-12)
+        assert scaled.upper == pytest.approx(c * plain.upper, rel=1e-12)
+        assert scaled.lower <= scaled.upper
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_trace_estimate(self, c):
+        for n in (1, 4):
+            assert trace_estimate(GOLDEN_PAIR.scaled(c), n) == pytest.approx(
+                c * trace_estimate(GOLDEN_PAIR, n), rel=1e-12)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_kronecker_bounds(self, c):
+        for n in (1, 2, 3):
+            plain = kronecker_bounds(GOLDEN_PAIR, n)
+            scaled = kronecker_bounds(GOLDEN_PAIR.scaled(c), n)
+            assert scaled == pytest.approx(
+                (c * plain[0], c * plain[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_zero_radius_verdicts(self, c):
+        assert zero_radius_test(GOLDEN_PAIR.scaled(c)) is False
+        assert zero_radius_test(NILPOTENT.scaled(c)) is True
+        assert zero_radius_test(STRICTLY_UPPER.scaled(c)) is True
+
+    def test_zero_radius_verdict_is_the_same_for_power_of_two_multiples(
+            self, rng):
+        sets = [GOLDEN_PAIR, NILPOTENT, STRICTLY_UPPER, random_set(rng, 3, 2),
+                MatrixSet.from_arrays([[[1e-13, 1.0], [0.0, 1e-13]]])]
+        for ms in sets:
+            verdict = zero_radius_test(ms)
+            for k in (-1000, -7, 3, 1000):
+                assert zero_radius_test(ms.scaled(2.0 ** k)) is verdict
+
+    def test_products_beyond_the_float_range(self):
+        # A^n has entries near 2^n, past the float range from n = 1024 on
+        ms = MatrixSet.from_arrays([[[2.0, 1.0], [0.0, 1.5]]])
+        for n in (600, 1100):
+            assert spectral_lower(ms, n) == pytest.approx(2.0, rel=1e-12)
+            # ||A^n|| <= 2^n (1 + 2 n) in l1
+            upper = gelfand_upper(ms, n, NormKind.L1)
+            assert 2.0 <= upper <= 2.0 * (1.0 + 2.0 * n) ** (1.0 / n)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,13 @@ class TestNu:
     def test_no_certificate(self):
         with pytest.raises(NoCertificateError, match="no certificate"):
             nu_p(QUARTER_TURN, 1, NormKind.L2, 0.0)
+
+    def test_beyond_the_float_range_is_no_certificate(self):
+        # ||set||^2 = 1e400 overflows: no float constant, hence no certificate
+        ms = MatrixSet.from_arrays([1e200 * np.eye(2)])
+        assert nu_p(ms, 1, NormKind.L2, 0.5) == pytest.approx(2e200)
+        with pytest.raises(NoCertificateError, match="overflows"):
+            nu_p(ms, 2, NormKind.L2, 0.5)
 
     def test_p_too_small(self):
         ms = MatrixSet.from_arrays([np.eye(3)])
@@ -125,6 +134,17 @@ class TestPlanSteps:
         with pytest.raises(ValueError):
             plan_steps(2.0, 0.0)
 
+    def test_epsilon_below_float_resolution_rejected(self):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            plan_steps(1e308, 1e-300)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-15, 2.3e-16])
+    def test_tiny_epsilon_returns(self, eps):
+        # rounded roots stay equal over ~1e17 consecutive n here, which a
+        # step-by-step search cannot walk
+        n = plan_steps(1e308, eps).n
+        assert 1e308 ** (1.0 / n) <= 1.0 + eps < 1e308 ** (1.0 / (n - 1))
+
     @settings(max_examples=300, deadline=None)
     @given(
         nu=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
@@ -180,3 +200,26 @@ class TestProtasovGamma:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             protasov_gamma(MatrixSet.from_arrays([np.eye(4)]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("c", [2.0 ** -900, 1e-200, 1e200, 2.0 ** 900])
+    def test_scale_free(self, d, c):
+        rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        rx = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.5]])
+        ms = MatrixSet.from_arrays([rz[:d, :d], rx[:d, :d]])
+        plain = protasov_gamma(ms, samples=200)
+        scaled = protasov_gamma(ms.scaled(c), samples=200)
+        assert plain.gamma_lower > 0.0
+        assert scaled.gamma_lower == pytest.approx(plain.gamma_lower,
+                                                   rel=1e-12)
+        assert scaled.p_values == pytest.approx(
+            [c * v for v in plain.p_values], rel=1e-12)
+
+    def test_power_of_two_multiples_are_exact(self):
+        est = protasov_gamma(GOLDEN_PAIR, rho_upper=2.0)
+        for k in (-700, 5, 700):
+            scaled = protasov_gamma(GOLDEN_PAIR.scaled(2.0 ** k),
+                                    rho_upper=2.0 ** (k + 1))
+            assert scaled.gamma_lower == est.gamma_lower
+            assert scaled.p_values == tuple(math.ldexp(v, k)
+                                            for v in est.p_values)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
+
+from jsrbound.cli import main
 
 GOLDEN = '{"dim": 2, "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}'
 ROTATION = '{"dim": 2, "matrices": [[[0, -1], [1, 0]]]}'
@@ -170,26 +175,69 @@ class TestWarnings:
         assert any("not certified" in w for w in doc["warnings"])
 
 
-class TestPrescale:
-    def test_bound_results_scaled_back(self, golden_file):
-        plain = json.loads(
-            run_cli("bound", "--input", golden_file, "--n-max", "4").stdout
-        )
-        scaled = json.loads(
-            run_cli("bound", "--input", golden_file, "--n-max", "4",
-                    "--prescale", "2").stdout
-        )
-        assert scaled["result"]["best_lower"] == pytest.approx(
-            plain["result"]["best_lower"], rel=1e-12
-        )
-        assert scaled["result"]["best_upper"] == pytest.approx(
-            plain["result"]["best_upper"], rel=1e-12
-        )
-        assert any("scaled back" in w for w in scaled["warnings"])
+def _scaled_file(tmp_path, text: str, c: float) -> str:
+    doc = json.loads(text)
+    doc["matrices"] = [[[c * v for v in row] for row in m]
+                       for m in doc["matrices"]]
+    path = tmp_path / f"scaled-{c!r}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
-    def test_nonpositive_prescale_fails(self, golden_file):
-        proc = run_cli("bound", "--input", golden_file, "--prescale", "-1")
-        assert proc.returncode == 1
+
+def _run_strict(*args: str) -> dict:
+    """Run the CLI in this process with RuntimeWarnings as errors."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(list(args)) == 0, out.getvalue()
+    return json.loads(out.getvalue())["result"]
+
+
+class TestScaleFree:
+    def test_bound_results_scale_with_the_input(self, golden_file, tmp_path):
+        c = 2.0 ** 600
+        plain = _run_strict("bound", "--input", golden_file, "--n-max", "4")
+        scaled = _run_strict("bound", "--input",
+                             _scaled_file(tmp_path, GOLDEN, c), "--n-max", "4")
+        for key in ("best_lower", "best_upper"):
+            assert scaled[key] == pytest.approx(c * plain[key], rel=1e-12)
+        for a, b in zip(plain["reports"], scaled["reports"]):
+            for key in ("lower", "upper", "best_lower", "best_upper"):
+                assert b[key] == pytest.approx(c * a[key], rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_far_from_unit_scale(self, golden_file, tmp_path, c):
+        scaled = _scaled_file(tmp_path, GOLDEN, c)
+        cases = [("bound", "--n-max", "4", "best_lower", "best_upper"),
+                 ("oracle", "--n-max", "4", "lower", "upper"),
+                 ("kronecker", "--n", "2", "lower", "upper")]
+        for command, flag, value, low, high in cases:
+            plain = _run_strict(command, "--input", golden_file, flag, value)
+            got = _run_strict(command, "--input", scaled, flag, value)
+            assert got[low] == pytest.approx(c * plain[low], rel=1e-12)
+            assert got[high] == pytest.approx(c * plain[high], rel=1e-12)
+        plain = _run_strict("gamma", "--input", golden_file)
+        got = _run_strict("gamma", "--input", scaled)
+        assert got["gamma_lower"] == pytest.approx(plain["gamma_lower"],
+                                                   rel=1e-12)
+        assert _run_strict("zero-test", "--input", scaled) == \
+            {"zero_radius": False}
+        triangular = _scaled_file(tmp_path, NILPOTENT, c)
+        assert _run_strict("zero-test", "--input", triangular) == \
+            {"zero_radius": True}
+
+    def test_zero_test_at_moderate_scales(self, tmp_path):
+        for c in (1e-20, 1e100):
+            path = _scaled_file(tmp_path, GOLDEN, c)
+            assert _run_strict("zero-test", "--input", path) == \
+                {"zero_radius": False}
+
+    def test_long_products_of_one_matrix(self, tmp_path):
+        path = tmp_path / "single.json"
+        path.write_text('{"dim": 2, "matrices": [[[2, 1], [0, 1.5]]]}')
+        result = _run_strict("bound", "--input", str(path), "--n-max", "600")
+        assert len(result["reports"]) == 600
+        assert result["best_lower"] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from jsrbound import (
     InputFormatError,
     MatrixSet,
     NormKind,
-    OverflowRiskError,
     as_matrix,
     brute_force_interval,
     enumerate_products,
+    gelfand_upper,
     load_matrix_set,
     matrix_set_norm,
     matrix_set_norm_witness,
@@ -24,13 +25,8 @@ from jsrbound import (
     spectral_radius,
     word_from_index,
 )
-from jsrbound.core import (
-    _product_chunks,
-    operator_norms,
-    product_stack,
-    spectral_radii,
-    vector_norm,
-)
+from jsrbound.core import _product_chunks, operator_norms, spectral_radii
+from jsrbound.geometry import vector_norms
 
 from .conftest import GOLDEN_PAIR, QUARTER_TURN, random_set
 
@@ -49,6 +45,12 @@ def _oracle_norm(a: np.ndarray, kind: NormKind) -> float:
 
 def _oracle_rho(a: np.ndarray) -> float:
     return float(max(abs(np.linalg.eigvals(a))))
+
+
+def _chunk_stack(ms: MatrixSet, n: int) -> np.ndarray:
+    """All length-n products in word order, from the engine's blocks."""
+    return np.concatenate([np.ldexp(block, exponent) for _, block, exponent
+                           in _product_chunks(ms, n, 1 << 20)])
 
 
 class TestParsing:
@@ -112,13 +114,13 @@ class TestParsing:
 
 class TestVectorNorm:
     def test_l1(self):
-        assert vector_norm(np.array([3.0, -4.0]), NormKind.L1) == 7.0
+        assert vector_norms(np.array([3.0, -4.0]), NormKind.L1) == 7.0
 
     def test_l2(self):
-        assert vector_norm(np.array([3.0, -4.0]), NormKind.L2) == 5.0
+        assert vector_norms(np.array([3.0, -4.0]), NormKind.L2) == 5.0
 
     def test_linf(self):
-        assert vector_norm(np.array([3.0, -4.0]), NormKind.LINF) == 4.0
+        assert vector_norms(np.array([3.0, -4.0]), NormKind.LINF) == 4.0
 
 
 class TestOperatorNorm:
@@ -233,7 +235,7 @@ class TestEnumeration:
 
     def test_stack_layout_matches_word_index(self, rng):
         ms = random_set(rng, 2, 3)
-        stack = product_stack(ms, 3)
+        stack = np.array([prod for _, prod in enumerate_products(ms, 3)])
         assert stack.shape == (27, 2, 2)
         for j in (0, 5, 13, 26):
             word = word_from_index(j, 3, 3)
@@ -254,15 +256,17 @@ class TestChunkedEngine:
     def test_blocks_concatenate_to_the_one_block_stack(self, rng,
                                                        monkeypatch):
         sets = [random_set(rng, d, r) for d in (1, 2, 3) for r in (1, 2, 3)]
-        whole = {(id(ms), n): product_stack(ms, n)
+        whole = {(id(ms), n): _chunk_stack(ms, n)
                  for ms in sets for n in range(1, 6)}
+        assert all(len(list(_product_chunks(ms, 5, 1 << 20))) == 1
+                   for ms in sets)
         monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
         for ms in sets:
             for n in range(1, 6):
                 chunks = list(_product_chunks(ms, n, 1 << 20))
-                starts = np.cumsum([0] + [b.shape[0] for _, b in chunks])
-                assert [s for s, _ in chunks] == list(starts[:-1])
-                stacked = np.concatenate([b for _, b in chunks])
+                starts = np.cumsum([0] + [b.shape[0] for _, b, _ in chunks])
+                assert [s for s, _, _ in chunks] == list(starts[:-1])
+                stacked = _chunk_stack(ms, n)
                 assert stacked.tobytes() == whole[(id(ms), n)].tobytes()
 
     def test_several_blocks_when_shrunk(self, small_chunks):
@@ -270,9 +274,7 @@ class TestChunkedEngine:
         chunks = list(_product_chunks(ms, 5, 1 << 20))
         # 3^2 * 4 floats fit in 64, 3^3 * 4 do not: 27 heads of 9 words
         assert len(chunks) == 27
-        assert all(b.shape == (9, 2, 2) for _, b in chunks)
-        with pytest.raises(BudgetExceededError):
-            product_stack(ms, 5)
+        assert all(b.shape == (9, 2, 2) for _, b, _ in chunks)
 
     def test_enumerate_products_across_blocks(self, small_chunks, rng):
         ms = random_set(rng, 2, 2)
@@ -297,14 +299,14 @@ class TestChunkedEngine:
                    for n in range(1, 6)]
             assert got == expect
             # best n-th roots over n = 1..5 against the independent oracle
-            uppers = [norm ** (1.0 / n) for n, ((norm, _), _) in
-                      enumerate(got, start=1)]
-            lowers = [rho ** (1.0 / n) for n, (_, (rho, _)) in
-                      enumerate(got, start=1)]
+            uppers = [math.ldexp(norm, e) ** (1.0 / n) for n, ((norm, e, _), _)
+                      in enumerate(got, start=1)]
+            lowers = [math.ldexp(rho, e) ** (1.0 / n) for n, (_, (rho, e, _))
+                      in enumerate(got, start=1)]
             oracle = brute_force_interval(ms, 5, kind)
             assert oracle.upper == pytest.approx(min(uppers), rel=1e-12)
             assert oracle.lower == pytest.approx(max(lowers), rel=1e-12)
-            assert got[int(np.argmin(uppers))][0][1] == oracle.witness_upper
+            assert got[int(np.argmin(uppers))][0][2] == oracle.witness_upper
             # rho(P^2) = rho(P)^2 ties lower witnesses of different lengths,
             # so the oracle's lower witness is checked by its value only
             word = oracle.witness_lower
@@ -341,18 +343,19 @@ class TestSetNorm:
 
     def test_max_over_products_single_pass(self, rng):
         ms = random_set(rng, 2, 2)
-        [(v1, w1), (v2, w2)] = max_over_products(
+        [(v1, e1, w1), (v2, e2, w2)] = max_over_products(
             ms, 4, [lambda s: operator_norms(s, NormKind.L2),
                     lambda s: operator_norms(s, NormKind.L1)]
         )
-        assert v1 == pytest.approx(matrix_set_norm(ms, 4, NormKind.L2))
-        assert v2 == pytest.approx(matrix_set_norm(ms, 4, NormKind.L1))
+        assert math.ldexp(v1, e1) == pytest.approx(
+            matrix_set_norm(ms, 4, NormKind.L2))
+        assert math.ldexp(v2, e2) == pytest.approx(
+            matrix_set_norm(ms, 4, NormKind.L1))
         assert len(w1) == len(w2) == 4
 
-    def test_overflow_guard(self):
+    def test_large_entries_do_not_overflow(self):
         ms = MatrixSet.from_arrays([1e100 * np.eye(2)])
-        with pytest.raises(OverflowRiskError, match="scal"):
-            matrix_set_norm(ms, 2, NormKind.L2)
+        assert matrix_set_norm(ms, 2, NormKind.L2) == 1e200
 
 
 class TestScaling:
@@ -362,10 +365,18 @@ class TestScaling:
 
     def test_norm_is_homogeneous(self, rng):
         ms = random_set(rng, 2, 2)
-        for kind in NormKind:
-            a = matrix_set_norm(ms.scaled(0.25), 3, kind)
-            b = matrix_set_norm(ms, 3, kind) * 0.25**3
-            assert a == pytest.approx(b, rel=1e-12)
+        for k in (-2, 600, -600):
+            scaled = ms.scaled(2.0 ** k)
+            for kind in NormKind:
+                for n in (1, 2, 3):
+                    if n * abs(k) < 1000:
+                        # in the float range: the same bits times 2^(n k)
+                        assert matrix_set_norm(scaled, n, kind) == \
+                            math.ldexp(matrix_set_norm(ms, n, kind), n * k)
+                    else:
+                        expect = 2.0 ** k * gelfand_upper(ms, n, kind)
+                        assert gelfand_upper(scaled, n, kind) == \
+                            pytest.approx(expect, rel=1e-12)
 
     def test_to_dict_json_serializable(self):
         text = json.dumps(QUARTER_TURN.to_dict())

@@ -226,6 +226,20 @@ class TestRadiusBlocks:
                     _einsum_profile(prods, xs, kind).tobytes()
 
 
+class TestRadiusScale:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("k", [-400, 400])
+    def test_power_of_two_multiples_are_exact(self, d, kind, k, rng):
+        prods = rng.normal(size=(5, d, d))
+        prods[0] = np.eye(d)
+        xs = kind_normalize(rng.normal(size=(40, d)), kind)
+        plain = radius_profile(prods, xs, kind)
+        assert np.all(plain > 0.0)
+        assert radius_profile(np.ldexp(prods, k), xs, kind).tobytes() == \
+            np.ldexp(plain, k).tobytes()
+
+
 class TestSphereNet:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
