@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_WORD_BUDGET,
     MatrixSet,
     NormKind,
+    Record,
     Word,
     _binary_scale,
     _product_chunks,
@@ -31,9 +32,11 @@ from .errors import BudgetExceededError, JsrError
 
 DEFAULT_KRON_DIM_LIMIT = 4096
 
+_RENAMED = {"lower_n": "lower", "upper_n": "upper"}
+
 
 @dataclass(frozen=True, eq=False)
-class BoundReport:
+class BoundReport(Record):
     """Per-step bounds plus the best enclosure seen so far.
 
     ``witness_lower`` and ``witness_upper`` are the words attaining the
@@ -51,16 +54,9 @@ class BoundReport:
     witness_upper: Word
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind.value,
-            "lower": self.lower_n,
-            "upper": self.upper_n,
-            "best_lower": self.best_lower,
-            "best_upper": self.best_upper,
-            "witness_lower": list(self.witness_lower),
-            "witness_upper": list(self.witness_upper),
-        }
+        """The fields, with ``lower_n`` and ``upper_n`` named ``lower`` and
+        ``upper``."""
+        return {_RENAMED.get(k, k): v for k, v in super().to_dict().items()}
 
 
 def gelfand_upper(

@@ -22,9 +22,9 @@ from .core import (
     DEFAULT_WORD_BUDGET,
     MatrixSet,
     NormKind,
+    Record,
     _binary_scale,
     matrix_set_norm,
-    operator_norm,
 )
 from .errors import NoCertificateError, UnsupportedDimensionError
 from .geometry import icosphere
@@ -33,7 +33,7 @@ _EUCLID = NormKind.L2
 
 
 @dataclass(frozen=True, eq=False)
-class CertifiedInterval:
+class CertifiedInterval(Record):
     """A rigorous enclosure of the joint spectral radius."""
 
     n: int
@@ -44,36 +44,18 @@ class CertifiedInterval:
     upper: float
     ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "kind": self.kind.value,
-            "nu_p": self.nu_p,
-            "lower": self.lower,
-            "upper": self.upper,
-            "ratio": self.ratio,
-        }
-
 
 @dataclass(frozen=True)
-class StepPlan:
+class StepPlan(Record):
     """Smallest step count meeting a relative-accuracy target."""
 
     n: int
     products_required: int | None
     fits_budget: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "products_required": self.products_required,
-            "fits_budget": self.fits_budget,
-        }
-
 
 @dataclass(frozen=True)
-class GammaEstimate:
+class GammaEstimate(Record):
     """Subspace-escape lower bound on the irreducibility constant.
 
     ``p_values[k-1]`` estimates how far the members push some vector out
@@ -87,12 +69,18 @@ class GammaEstimate:
     p_values: tuple[float, ...]
     heuristic: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_lower": self.gamma_lower,
-            "p_values": list(self.p_values),
-            "heuristic": self.heuristic,
-        }
+
+def _check_certificate(mset: MatrixSet, p: int, chi_lower: float) -> None:
+    """The certificate needs p >= d - 1 and a positive chi lower bound."""
+    if p < mset.dim - 1:
+        raise ValueError(
+            f"the certificate needs p >= d - 1 = {mset.dim - 1}, got p={p}"
+        )
+    if chi_lower <= 0.0:
+        raise NoCertificateError(
+            "no certificate: irreducibility is not established "
+            "(chi lower bound is not positive; try a finer mesh)"
+        )
 
 
 def nu_p(
@@ -107,15 +95,7 @@ def nu_p(
     ``chi_lower`` must be a positive certified lower bound of the measure
     at this p; the accuracy guarantee needs p >= d - 1.
     """
-    if p < mset.dim - 1:
-        raise ValueError(
-            f"the certificate needs p >= d - 1 = {mset.dim - 1}, got p={p}"
-        )
-    if chi_lower <= 0.0:
-        raise NoCertificateError(
-            "no certificate: irreducibility is not established "
-            "(chi lower bound is not positive; try a finer mesh)"
-        )
+    _check_certificate(mset, p, chi_lower)
     set_norm = matrix_set_norm(mset, 1, kind, max_words)
     try:
         nu = max(1.0, set_norm ** p) / chi_lower
@@ -133,17 +113,9 @@ def eta_p(mset: MatrixSet, p: int, rho_estimate: float,
     Sharper than nu_p but needs the unknown radius itself, so it only
     serves to gauge how conservative the computable certificate is.
     """
-    if p < mset.dim - 1:
-        raise ValueError(
-            f"the certificate needs p >= d - 1 = {mset.dim - 1}, got p={p}"
-        )
     if rho_estimate <= 0.0:
         raise ValueError("rho_estimate must be positive")
-    if chi_lower <= 0.0:
-        raise NoCertificateError(
-            "no certificate: irreducibility is not established "
-            "(chi lower bound is not positive; try a finer mesh)"
-        )
+    _check_certificate(mset, p, chi_lower)
     return max(1.0, rho_estimate ** p) / chi_lower
 
 
@@ -182,7 +154,8 @@ def plan_steps(
     """Smallest n with nu^(1/n) <= 1 + epsilon.
 
     When the member count r is supplied, the plan also reports whether
-    r^n products fit the enumeration budget.
+    r^n products fit the enumeration budget, and r^n itself while it is
+    below 2^1024 (None beyond).
     """
     if nu <= 1.0:
         raise ValueError("nu must exceed 1")
@@ -201,13 +174,18 @@ def plan_steps(
             n = mid
         else:
             lo = mid
-    required = None
-    fits = None
-    if r is not None:
-        if r < 1:
-            raise ValueError("r must be a positive integer")
-        required = r ** n
-        fits = required <= max_words
+    if r is None:
+        return StepPlan(n=n, products_required=None, fits_budget=None)
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    # r^n >= 2^(n (b - 1)), b the bit length of r: when that alone puts
+    # r^n past the budget and past 2^1024, r^n is never formed.
+    floor_bits = n * (r.bit_length() - 1)
+    required = (r ** n if floor_bits < max(1024, max_words.bit_length())
+                else None)
+    fits = required is not None and required <= max_words
+    if required is not None and required >= 1 << 1024:
+        required = None
     return StepPlan(n=n, products_required=required, fits_budget=fits)
 
 
@@ -215,25 +193,16 @@ def plan_steps(
 # Subspace-escape estimate (Euclidean geometry, d <= 3)
 
 
-def _line_escape(mset: MatrixSet, dirs: np.ndarray) -> np.ndarray:
-    """max_i dist(A_i u, span u) for each unit direction u."""
-    stack = mset.stacked()
+def _line_escape(stack: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """max_i dist(A_i u, span u) for each unit direction u.
+
+    Given the transposed members it is the plane escape: sup over unit x
+    in the plane with unit normal w of max_i dist(A_i x, plane) has the
+    closed form max_i || proj_(w-perp) (A_i^T w) ||.
+    """
     imgs = np.einsum("rab,sb->sra", stack, dirs)
     comp = np.einsum("sra,sa->sr", imgs, dirs)
     resid = imgs - comp[:, :, None] * dirs[:, None, :]
-    return np.max(np.linalg.norm(resid, axis=2), axis=1)
-
-
-def _plane_escape(mset: MatrixSet, normals: np.ndarray) -> np.ndarray:
-    """sup over unit x in the plane of max_i dist(A_i x, plane).
-
-    For the plane with unit normal w the supremum has the closed form
-    max_i || proj_(w-perp) (A_i^T w) ||.
-    """
-    stack = mset.stacked()
-    pulled = np.einsum("rba,sb->sra", stack, normals)
-    comp = np.einsum("sra,sa->sr", pulled, normals)
-    resid = pulled - comp[:, :, None] * normals[:, None, :]
     return np.max(np.linalg.norm(resid, axis=2), axis=1)
 
 
@@ -258,27 +227,25 @@ def protasov_gamma(
     if samples < 8:
         raise ValueError("samples must be at least 8")
     e, mats = _binary_scale(mset)
-    mset = MatrixSet.from_arrays(mats)
-    set_norm = matrix_set_norm(mset, 1, _EUCLID)
+    set_norm = matrix_set_norm(MatrixSet.from_arrays(mats), 1, _EUCLID)
     denominator = (2.0 * set_norm if rho_upper is None
                    else math.ldexp(rho_upper, -e) + set_norm)
     if denominator <= 0.0:
         raise NoCertificateError("the set norm must be positive")
-    member_norm = max(operator_norm(m, _EUCLID) for m in mset.members)
     if d == 2:
         step = np.pi / samples
         angles = np.arange(samples) * step
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        net_min = float(np.min(_line_escape(mset, dirs)))
+        net_min = float(np.min(_line_escape(mats, dirs)))
         # The escape value is Lipschitz in the direction with constant
         # at most 3 * max ||A_i||; subtracting the slack certifies it.
-        p1 = max(0.0, net_min - 3.0 * member_norm * step)
+        p1 = max(0.0, net_min - 3.0 * set_norm * step)
         p_values = (p1,)
         heuristic = False
     else:
         verts = _sphere_for_samples(samples)
-        p1 = float(np.min(_line_escape(mset, verts)))
-        p2 = float(np.min(_plane_escape(mset, verts)))
+        p1 = float(np.min(_line_escape(mats, verts)))
+        p2 = float(np.min(_line_escape(np.swapaxes(mats, 1, 2), verts)))
         p_values = (p1, p2)
         heuristic = True
     gamma = float(np.prod(p_values)) / denominator ** (d - 1)

@@ -6,9 +6,12 @@ Every command prints a single JSON document
      "warnings": [...]}
 
 and exits 0 on success, 1 on a computation error (the error text is
-carried verbatim in an "error" field), and 2 on a usage error.  Outputs
-contain no timestamps or other run-dependent fields, so repeated runs on
-identical inputs are byte-identical.
+carried verbatim in an "error" field), and 2 on a usage error.  "params"
+lists the subcommand's options in parser order, without --input and
+--output, with the norm and the default p resolved; "result" is the
+JSON form of the runner's result (``core._plain``).  Outputs contain no
+timestamps or other run-dependent fields, so repeated runs on identical
+inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import (
     DEFAULT_WORD_BUDGET,
     MatrixSet,
     NormKind,
+    _plain,
     parse_matrix_set,
 )
 from .errors import InputFormatError, JsrError
@@ -56,26 +60,6 @@ def _read_input(path: str) -> tuple[MatrixSet, str]:
     return parse_matrix_set(raw.decode("utf-8")), digest
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _envelope(command: str, digest: str | None, params: dict,
-              result, warnings: list[str]) -> dict:
-    return {
-        "command": command,
-        "input_digest": digest,
-        "params": params,
-        "result": result,
-        "warnings": warnings,
-    }
-
-
 def _add_common(parser: argparse.ArgumentParser, *, with_input: bool = True,
                 with_norm: bool = True) -> None:
     if with_input:
@@ -86,6 +70,9 @@ def _add_common(parser: argparse.ArgumentParser, *, with_input: bool = True,
                             choices=["l1", "l2", "linf"])
     parser.add_argument("--output", default=None,
                         help="write the JSON document here instead of stdout")
+
+
+def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-words", type=int, default=DEFAULT_WORD_BUDGET,
                         help="product enumeration budget")
 
@@ -102,16 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=_DEF_N_MAX)
     p.add_argument("--trace", action="store_true",
                    help="also report heuristic trace estimates")
+    _add_budget(p)
 
     p = sub.add_parser("oracle", help="brute-force reference interval")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=_DEF_N_MAX)
+    _add_budget(p)
 
     p = sub.add_parser("chi", help="sampled irreducibility measure")
     _add_common(p)
     p.add_argument("--p", type=int, default=None,
                    help="max product length (default d - 1)")
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
+    _add_budget(p)
 
     p = sub.add_parser("irreducible",
                        help="algebraic test cross-checked with the measure")
@@ -120,6 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="agreement tolerance on the sampled measure")
+    _add_budget(p)
 
     p = sub.add_parser("certify",
                        help="certified enclosure driven by the measure")
@@ -127,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
     p.add_argument("--n", type=int, default=_DEF_N_MAX)
+    _add_budget(p)
 
     p = sub.add_parser("plan", help="steps needed for a target accuracy")
     _add_common(p, with_input=False, with_norm=False)
@@ -134,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=_DEF_EPSILON)
     p.add_argument("--r", type=int, default=None,
                    help="member count, to check the enumeration budget")
+    _add_budget(p)
 
     p = sub.add_parser("gamma", help="subspace-escape lower estimate")
     _add_common(p, with_norm=False)
@@ -142,6 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="report gamma^(1/n) * upper as an alternative "
                         "lower bound at this n")
+    _add_budget(p)
 
     p = sub.add_parser("example",
                        help="closed-form family bound from a single matrix")
@@ -150,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zero-test", help="exact zero-radius test")
     _add_common(p, with_norm=False)
+    _add_budget(p)
 
     p = sub.add_parser("kronecker",
                        help="Kronecker-power bounds for nonnegative sets")
@@ -161,127 +156,70 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_p(args_p: int | None, dim: int) -> int:
-    return args_p if args_p is not None else max(1, dim - 1)
+# Each runner takes the parsed options, with ``norm`` a NormKind and ``p``
+# resolved, and the input set (None for plan); it returns the result and
+# the warnings.
 
-
-def _run_bound(args) -> dict:
-    mset, digest = _read_input(args.input)
-    kind = NormKind.from_name(args.norm)
-    warnings: list[str] = []
-    reports = _bounds.sandwich(mset, args.n_max, kind, args.max_words)
+def _run_bound(args, mset):
+    reports = _bounds.sandwich(mset, args.n_max, args.norm, args.max_words)
     result = {
         "reports": [rep.to_dict() for rep in reports],
         "best_lower": reports[-1].best_lower,
         "best_upper": reports[-1].best_upper,
     }
-    if args.trace:
-        traces = [
-            _bounds.trace_estimate(mset, n, args.max_words)
-            for n in range(1, args.n_max + 1)
-        ]
-        result["trace_estimates"] = traces
-        warnings.append(_TRACE_WARNING)
-    params = {
-        "norm": kind.value,
-        "n_max": args.n_max,
-        "trace": bool(args.trace),
-        "max_words": args.max_words,
-    }
-    return _envelope("bound", digest, params, result, warnings)
+    if not args.trace:
+        return result, []
+    result["trace_estimates"] = [
+        _bounds.trace_estimate(mset, n, args.max_words)
+        for n in range(1, args.n_max + 1)
+    ]
+    return result, [_TRACE_WARNING]
 
 
-def _run_oracle(args) -> dict:
-    mset, digest = _read_input(args.input)
-    kind = NormKind.from_name(args.norm)
-    interval = _oracle.brute_force_interval(
-        mset, args.n_max, kind, args.max_words
-    )
-    params = {
-        "norm": kind.value,
-        "n_max": args.n_max,
-        "max_words": args.max_words,
-    }
-    return _envelope("oracle", digest, params, interval.to_dict(), [])
+def _run_oracle(args, mset):
+    return _oracle.brute_force_interval(
+        mset, args.n_max, args.norm, args.max_words
+    ), []
 
 
-def _run_chi(args) -> dict:
-    mset, digest = _read_input(args.input)
-    kind = NormKind.from_name(args.norm)
-    p = _default_p(args.p, mset.dim)
+def _chi_warnings(chi) -> list[str]:
+    return [_CHI_UNCERTIFIED_WARNING] if chi.certified_lower <= 0.0 else []
+
+
+def _run_chi(args, mset):
     chi = _irreducibility.chi_measure(
-        mset, p, kind, args.mesh, max_words=args.max_words
+        mset, args.p, args.norm, args.mesh, max_words=args.max_words
     )
-    warnings = []
-    if chi.certified_lower <= 0.0:
-        warnings.append(_CHI_UNCERTIFIED_WARNING)
-    params = {
-        "norm": kind.value,
-        "p": p,
-        "mesh": args.mesh,
-        "max_words": args.max_words,
-    }
-    return _envelope("chi", digest, params, chi.to_dict(), warnings)
+    return chi, _chi_warnings(chi)
 
 
-def _run_irreducible(args) -> dict:
-    mset, digest = _read_input(args.input)
-    kind = NormKind.from_name(args.norm)
-    p = _default_p(args.p, mset.dim)
+def _run_irreducible(args, mset):
     report = _irreducibility.lemma1_crosscheck(
-        mset, p, kind, args.mesh, tolerance=args.tol, max_words=args.max_words
+        mset, args.p, args.norm, args.mesh, tolerance=args.tol,
+        max_words=args.max_words
     )
-    warnings = []
-    if report.chi.certified_lower <= 0.0:
-        warnings.append(_CHI_UNCERTIFIED_WARNING)
-    params = {
-        "norm": kind.value,
-        "p": p,
-        "mesh": args.mesh,
-        "tol": args.tol,
-        "max_words": args.max_words,
-    }
-    return _envelope("irreducible", digest, params, report.to_dict(), warnings)
+    return report, _chi_warnings(report.chi)
 
 
-def _run_certify(args) -> dict:
-    mset, digest = _read_input(args.input)
-    kind = NormKind.from_name(args.norm)
-    p = _default_p(args.p, mset.dim)
+def _run_certify(args, mset):
     chi = _irreducibility.chi_measure(
-        mset, p, kind, args.mesh, max_words=args.max_words
+        mset, args.p, args.norm, args.mesh, max_words=args.max_words
     )
     # The certificate constant always uses the certified lower bound,
     # never the sampled infimum.
     interval = _certificates.certified_interval(
-        mset, args.n, p, kind, chi.certified_lower, args.max_words
+        mset, args.n, args.p, args.norm, chi.certified_lower, args.max_words
     )
-    params = {
-        "norm": kind.value,
-        "p": p,
-        "mesh": args.mesh,
-        "n": args.n,
-        "max_words": args.max_words,
-    }
-    result = {"chi": chi.to_dict(), "interval": interval.to_dict()}
-    return _envelope("certify", digest, params, result, [])
+    return {"chi": chi, "interval": interval}, []
 
 
-def _run_plan(args) -> dict:
-    plan = _certificates.plan_steps(
+def _run_plan(args, mset):
+    return _certificates.plan_steps(
         args.nu, args.epsilon, r=args.r, max_words=args.max_words
-    )
-    params = {
-        "nu": args.nu,
-        "epsilon": args.epsilon,
-        "r": args.r,
-        "max_words": args.max_words,
-    }
-    return _envelope("plan", None, params, plan.to_dict(), [])
+    ), []
 
 
-def _run_gamma(args) -> dict:
-    mset, digest = _read_input(args.input)
+def _run_gamma(args, mset):
     estimate = _certificates.protasov_gamma(
         mset, rho_upper=args.rho_upper, samples=args.samples
     )
@@ -300,17 +238,10 @@ def _run_gamma(args) -> dict:
             "alternative lower bound is heuristic: it inherits the netted "
             "escape estimate"
         )
-    params = {
-        "samples": args.samples,
-        "rho_upper": args.rho_upper,
-        "n": args.n,
-        "max_words": args.max_words,
-    }
-    return _envelope("gamma", digest, params, result, warnings)
+    return result, warnings
 
 
-def _run_example(args) -> dict:
-    mset, digest = _read_input(args.input)
+def _run_example(args, mset):
     if mset.r != 1:
         raise InputFormatError(
             f"the example command expects a single matrix, got {mset.r}"
@@ -322,33 +253,21 @@ def _run_example(args) -> dict:
     else:
         bound = _families.row_sign_flip_bound(a)
         family_set = _families.row_sign_flip_family(a)
-    result = {"bound": bound.to_dict(), "set": family_set.to_dict()}
-    params = {"family": args.family, "max_words": args.max_words}
-    return _envelope("example", digest, params, result, [])
+    return {"bound": bound, "set": family_set.to_dict()}, []
 
 
-def _run_zero_test(args) -> dict:
-    mset, digest = _read_input(args.input)
-    is_zero = _bounds.zero_radius_test(mset, args.max_words)
-    params = {"max_words": args.max_words}
-    return _envelope("zero-test", digest, params, {"zero_radius": is_zero}, [])
+def _run_zero_test(args, mset):
+    return {"zero_radius": _bounds.zero_radius_test(mset, args.max_words)}, []
 
 
-def _run_kronecker(args) -> dict:
-    mset, digest = _read_input(args.input)
+def _run_kronecker(args, mset):
     lower, upper = _bounds.kronecker_bounds(mset, args.n, args.max_kron_dim)
-    result = {
+    return {
         "n": args.n,
         "lower": lower,
         "upper": upper,
         "ratio": mset.r ** (1.0 / args.n),
-    }
-    params = {
-        "n": args.n,
-        "max_kron_dim": args.max_kron_dim,
-        "max_words": args.max_words,
-    }
-    return _envelope("kronecker", digest, params, result, [])
+    }, []
 
 
 _RUNNERS = {
@@ -364,23 +283,46 @@ _RUNNERS = {
     "kronecker": _run_kronecker,
 }
 
+# Parsed options that are not parameters: the subcommand and the files.
+_NOT_PARAMS = ("command", "input", "output")
+
+
+def _run(args) -> dict:
+    """Read the input, resolve the norm and the default p, run the command."""
+    mset = digest = None
+    if "input" in args:
+        mset, digest = _read_input(args.input)
+    if "norm" in args:
+        args.norm = NormKind.from_name(args.norm)
+    if "p" in args and args.p is None:
+        args.p = max(1, mset.dim - 1)
+    result, warnings = _RUNNERS[args.command](args, mset)
+    return {
+        "command": args.command,
+        "input_digest": digest,
+        "params": _plain({k: v for k, v in vars(args).items()
+                          if k not in _NOT_PARAMS}),
+        "result": _plain(result),
+        "warnings": warnings,
+    }
+
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    runner = _RUNNERS[args.command]
+    args = _build_parser().parse_args(argv)
+    # Dumping stays inside the try: a result that cannot be printed gives
+    # an error envelope too.
     try:
-        doc = runner(args)
-    except JsrError as exc:
-        _emit({"command": args.command, "error": str(exc)},
-              getattr(args, "output", None))
-        return 1
-    except (OSError, ValueError) as exc:
-        _emit({"command": args.command, "error": str(exc)},
-              getattr(args, "output", None))
-        return 1
-    _emit(doc, args.output)
-    return 0
+        text, code = json.dumps(_run(args), indent=2), 0
+    except (JsrError, OSError, ValueError) as exc:
+        text = json.dumps({"command": args.command, "error": str(exc)},
+                          indent=2)
+        code = 1
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ in-range results are the same bits as unscaled ones.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import json
@@ -58,6 +59,31 @@ class NormKind(enum.Enum):
             raise InputFormatError(
                 f"unknown norm {name!r}: expected one of l1, l2, linf"
             ) from None
+
+
+def _plain(value):
+    """The JSON form of a result: records field by field in declaration
+    order, enums by their value, tuples, lists and arrays as lists, dicts
+    and nested records recursively; anything else as it is."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class Record:
+    """Base of the result dataclasses: ``to_dict`` is the JSON form."""
+
+    def to_dict(self) -> dict:
+        return _plain(self)
 
 
 def as_matrix(entries, *, dim: int | None = None) -> np.ndarray:

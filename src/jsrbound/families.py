@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixSet, as_matrix, operator_norm, NormKind
+from .core import MatrixSet, NormKind, Record, as_matrix, operator_norm
 
 _SINGULAR_REL = 1e-12
 
 
 @dataclass(frozen=True)
-class FamilyChiBound:
+class FamilyChiBound(Record):
     """Closed-form lower bound for a structured family's measure."""
 
     family: str
@@ -35,15 +35,6 @@ class FamilyChiBound:
     beta: float
     chi_lower: float
     irreducible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "chi_lower": self.chi_lower,
-            "irreducible": self.irreducible,
-        }
 
 
 def row_substitution_family(matrix) -> MatrixSet:

@@ -5,10 +5,10 @@ radius t fits inside conv(points).  For a full-dimensional polytope with
 the origin interior this equals min over facets {u . y = c} of
 c / dual_norm(u); lower-dimensional hulls get radius 0.
 
-Two routes compute it: an explicit hull construction (monotone chain in
-2-d, Qhull in 3-d), and a candidate-normal sweep that evaluates the
-support ratio max_i |u . p_i| / dual_norm(u) over every normal spanned by
-point pairs (2-d) or point triples (3-d).  Every facet normal appears
+Two routes compute it: an explicit hull construction (Qhull), and a
+candidate-normal sweep that evaluates the support ratio
+max_i |u . p_i| / dual_norm(u) over every normal spanned by point pairs
+(2-d) or point triples (3-d).  Every facet normal appears
 among the candidates and every candidate ratio upper-bounds the radius,
 so both routes agree exactly; the sweep form vectorizes across many point
 configurations at once.
@@ -64,68 +64,28 @@ def vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
 # Explicit hull facets
 
 
-def hull_facets_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward facet normals and offsets of a planar hull (monotone chain).
+def hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outward facet normals and offsets of a planar or 3-d hull via Qhull.
 
     Returns (U, c) with interior satisfying U @ y <= c row-wise; empty
     arrays when the hull is lower-dimensional.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if pts.shape[0] < 3:
-        return np.zeros((0, 2)), np.zeros(0)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    ordered = sorted(map(tuple, pts))
-    lower: list = []
-    for p in ordered:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(ordered):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    verts = np.array(lower[:-1] + upper[:-1])
-    if verts.shape[0] < 3:
-        return np.zeros((0, 2)), np.zeros(0)
-    # Orient counterclockwise so edge perpendiculars point outward.
-    area2 = float(np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
-                         - np.roll(verts[:, 0], -1) * verts[:, 1]))
-    if area2 < 0:
-        verts = verts[::-1]
-    edges = np.roll(verts, -1, axis=0) - verts
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-    offsets = np.sum(normals * verts, axis=1)
-    return normals, offsets
-
-
-def hull_facets_3d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward facet normals and offsets in 3-d via Qhull."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 4:
-        return np.zeros((0, 3)), np.zeros(0)
+    d = pts.shape[1]
+    if d not in (2, 3):
+        raise UnsupportedDimensionError(
+            f"exact hull facets are available for d in {{2, 3}}, got d={d}; "
+            "use support_radius_upper for a sampled (non-certified) estimate"
+        )
+    if pts.shape[0] <= d:
+        return np.zeros((0, d)), np.zeros(0)
     try:
         hull = ConvexHull(pts)
     except QhullError:
-        # Coplanar or lower-dimensional input.
-        return np.zeros((0, 3)), np.zeros(0)
+        # Collinear, coplanar or otherwise lower-dimensional input.
+        return np.zeros((0, d)), np.zeros(0)
     eq = hull.equations
-    return eq[:, :3], -eq[:, 3]
-
-
-def hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(points).shape[1]
-    if d == 2:
-        return hull_facets_2d(points)
-    if d == 3:
-        return hull_facets_3d(points)
-    raise UnsupportedDimensionError(
-        f"exact hull facets are available for d in {{2, 3}}, got d={d}; "
-        "use support_radius_upper for a sampled (non-certified) estimate"
-    )
+    return eq[:, :d], -eq[:, d]
 
 
 def inscribed_radius(points: np.ndarray, kind: NormKind) -> float:

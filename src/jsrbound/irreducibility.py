@@ -11,6 +11,7 @@ exactly when the set is irreducible, provided p >= d - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .core import (
     DEFAULT_WORD_BUDGET,
     MatrixSet,
     NormKind,
-    Word,
+    Record,
     operator_norm,
 )
 from .errors import BudgetExceededError, UnsupportedDimensionError
@@ -46,7 +47,7 @@ class ReachSet:
 
 
 @dataclass(frozen=True, eq=False)
-class ChiEstimate:
+class ChiEstimate(Record):
     """Sampled irreducibility measure plus its certified lower bound.
 
     ``sampled_inf`` is the smallest hull radius found on the sphere net
@@ -64,18 +65,6 @@ class ChiEstimate:
     mesh: float
     argmin: np.ndarray
     samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "kind": self.kind.value,
-            "sampled_inf": self.sampled_inf,
-            "certified_lower": self.certified_lower,
-            "lipschitz": self.lipschitz,
-            "mesh": self.mesh,
-            "argmin": [float(v) for v in self.argmin],
-            "samples": self.samples,
-        }
 
 
 class _DedupStack:
@@ -106,6 +95,24 @@ class _DedupStack:
         return self._buf[:self._count].copy()
 
 
+def _walk_products(mset: MatrixSet, depth: int,
+                   keep: Callable[[np.ndarray], bool]) -> None:
+    """Offer the products of 0..depth members to ``keep``, breadth first.
+
+    Level 0 is the identity; level k + 1 left-multiplies each product kept
+    at level k by every member in input order.  Only products that
+    ``keep`` accepts are extended, and the walk ends early at a level
+    that keeps none.
+    """
+    frontier = [np.eye(mset.dim)]
+    keep(frontier[0])
+    for _ in range(depth):
+        frontier = [cand for base in frontier for m in mset.members
+                    if keep(cand := m @ base)]
+        if not frontier:
+            break
+
+
 def reach_products(
     mset: MatrixSet, p: int, max_words: int = DEFAULT_WORD_BUDGET
 ) -> np.ndarray:
@@ -124,20 +131,8 @@ def reach_products(
             required=total,
             budget=max_words,
         )
-    d = mset.dim
-    kept = _DedupStack((d, d))
-    kept.offer(np.eye(d))
-    frontier: list[np.ndarray] = [np.eye(d)]
-    for _ in range(p):
-        fresh: list[np.ndarray] = []
-        for base in frontier:
-            for m in mset.members:
-                cand = m @ base
-                if kept.offer(cand):
-                    fresh.append(cand)
-        frontier = fresh
-        if not frontier:
-            break
+    kept = _DedupStack((mset.dim, mset.dim))
+    _walk_products(mset, p, kept.offer)
     return kept.stack()
 
 
@@ -189,7 +184,6 @@ def chi_measure(
     kind: NormKind,
     mesh: float,
     *,
-    refine: bool = True,
     max_words: int = DEFAULT_WORD_BUDGET,
     sampling_fallback: bool = False,
 ) -> ChiEstimate:
@@ -228,7 +222,7 @@ def chi_measure(
     best_idx = int(np.argmin(vals))
     sampled = float(vals[best_idx])
     argmin = xs[best_idx]
-    if refine and d > 1:
+    if d > 1:
         def value_fn(block):
             return radius_profile(prods, block, kind)
 
@@ -354,6 +348,8 @@ def burnside_detail(mset: MatrixSet) -> BurnsideReport:
 
     def try_add(mat: np.ndarray) -> bool:
         nonlocal basis, rank
+        if rank == dd:
+            return False
         v = mat.reshape(-1)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
@@ -369,29 +365,13 @@ def burnside_detail(mset: MatrixSet) -> BurnsideReport:
         rank += 1
         return True
 
-    frontier = [np.eye(d)]
-    try_add(np.eye(d))
-    for _ in range(dd):
-        if rank == dd or not frontier:
-            break
-        fresh = []
-        for base in frontier:
-            for m in mset.members:
-                cand = m @ base
-                if try_add(cand):
-                    fresh.append(cand)
-        frontier = fresh
-    if rank == dd:
-        return BurnsideReport(irreducible=True, rank=rank, status="irreducible")
-    if d == 2:
-        if invariant_subspace_search_2d(mset) is None:
-            return BurnsideReport(irreducible=True, rank=rank,
-                                  status="irreducible")
-        return BurnsideReport(irreducible=False, rank=rank, status="reducible")
-    if d == 3:
-        return BurnsideReport(irreducible=False, rank=rank, status="reducible")
-    return BurnsideReport(irreducible=False, rank=rank,
-                          status="complex-reducible")
+    _walk_products(mset, dd, try_add)
+    if rank == dd or (d == 2 and invariant_subspace_search_2d(mset) is None):
+        status = "irreducible"
+    else:
+        status = "reducible" if d <= 3 else "complex-reducible"
+    return BurnsideReport(irreducible=status == "irreducible", rank=rank,
+                          status=status)
 
 
 def burnside_irreducible(mset: MatrixSet) -> bool:
@@ -404,7 +384,7 @@ def burnside_irreducible(mset: MatrixSet) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class CrosscheckReport:
+class CrosscheckReport(Record):
     """Agreement between the algebraic test and the sampled measure."""
 
     irreducible: bool
@@ -412,15 +392,6 @@ class CrosscheckReport:
     status: str
     chi: ChiEstimate
     agreement: str
-
-    def to_dict(self) -> dict:
-        return {
-            "irreducible": self.irreducible,
-            "rank": self.rank,
-            "status": self.status,
-            "chi": self.chi.to_dict(),
-            "agreement": self.agreement,
-        }
 
 
 def lemma1_crosscheck(

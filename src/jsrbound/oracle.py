@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_WORD_BUDGET, MatrixSet, NormKind, Word
+from .core import DEFAULT_WORD_BUDGET, MatrixSet, NormKind, Record, Word
 from .errors import BudgetExceededError
 
 
 @dataclass(frozen=True, eq=False)
-class OracleInterval:
+class OracleInterval(Record):
     """Best lower/upper bounds over n = 1..n_max with witness words."""
 
     n_max: int
@@ -30,16 +30,6 @@ class OracleInterval:
     upper: float
     witness_lower: Word
     witness_upper: Word
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "kind": self.kind.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness_lower": list(self.witness_lower),
-            "witness_upper": list(self.witness_upper),
-        }
 
 
 def _norm_of(matrix: np.ndarray, kind: NormKind) -> float:

@@ -11,6 +11,7 @@ from jsrbound import (
     MatrixSet,
     NoCertificateError,
     NormKind,
+    StepPlan,
     UnsupportedDimensionError,
     brute_force_interval,
     certified_interval,
@@ -127,6 +128,22 @@ class TestPlanSteps:
         small = plan_steps(SQRT2, 0.1, r=2)
         assert small.products_required == 16
         assert small.fits_budget is True
+
+    def test_products_required_below_2_to_the_1024_only(self):
+        below = plan_steps(2.0, 1e-3, r=2)
+        assert below.n < 1024
+        assert below.products_required == 2 ** below.n
+        above = plan_steps(2.0, 5e-4, r=2)
+        assert above.n >= 1024
+        assert above.products_required is None
+        assert above.fits_budget is False
+        # the budget is still decided exactly past 2^1024
+        huge = plan_steps(2.0, 5e-4, r=2, max_words=1 << 2000)
+        assert huge.products_required is None
+        assert huge.fits_budget is True
+        assert plan_steps(2.0, 5e-4, r=2,
+                          max_words=2 ** above.n - 1).fits_budget is False
+        assert plan_steps(2.0, 5e-4, r=1) == StepPlan(above.n, 1, True)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

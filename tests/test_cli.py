@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -68,6 +69,79 @@ class TestEnvelope:
         assert proc.stdout == ""
         doc = json.loads(out.read_text())
         assert doc["command"] == "bound"
+
+
+def _run_doc(*args: str) -> tuple[int, dict]:
+    """Run the CLI in this process; the exit code and the JSON document."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(args))
+    return code, json.loads(out.getvalue())
+
+
+class TestParams:
+    """``params`` lists a command's options in parser order, without
+    ``--input`` and ``--output``."""
+
+    @pytest.mark.parametrize("command, args, keys", [
+        ("bound", ("--n-max", "2"), ["norm", "n_max", "trace", "max_words"]),
+        ("oracle", ("--n-max", "2"), ["norm", "n_max", "max_words"]),
+        ("chi", ("--mesh", "0.5"), ["norm", "p", "mesh", "max_words"]),
+        ("irreducible", ("--mesh", "0.5"),
+         ["norm", "p", "mesh", "tol", "max_words"]),
+        ("certify", ("--mesh", "0.2", "--n", "2"),
+         ["norm", "p", "mesh", "n", "max_words"]),
+        ("gamma", ("--samples", "16"),
+         ["samples", "rho_upper", "n", "max_words"]),
+        ("zero-test", (), ["max_words"]),
+    ])
+    def test_keys_in_parser_order(self, rotation_file, command, args, keys):
+        code, doc = _run_doc(command, *args, "--input", rotation_file)
+        assert code == 0
+        assert list(doc["params"]) == keys
+
+    def test_example_and_kronecker_keys(self, tmp_path, golden_file):
+        path = tmp_path / "swap.json"
+        path.write_text(SWAP)
+        code, doc = _run_doc("example", "v", "--input", str(path))
+        assert code == 0
+        assert doc["params"] == {"family": "v"}
+        code, doc = _run_doc("kronecker", "--input", golden_file)
+        assert code == 0
+        assert doc["params"] == {"n": 1, "max_kron_dim": 4096}
+
+    def test_plan_keys(self):
+        code, doc = _run_doc("plan", "--nu", "2")
+        assert code == 0
+        assert doc["params"] == {"nu": 2.0, "epsilon": 0.05, "r": None,
+                                 "max_words": 1 << 24}
+
+    def test_resolved_values(self, rotation_file):
+        code, doc = _run_doc("chi", "--input", rotation_file, "--norm",
+                             "linf", "--mesh", "0.5")
+        assert code == 0
+        assert doc["params"] == {"norm": "linf", "p": 1, "mesh": 0.5,
+                                 "max_words": 1 << 24}
+
+    def test_no_max_words_option_where_unused(self, golden_file):
+        for argv in (("example", "v"), ("kronecker",)):
+            with pytest.raises(SystemExit) as exc, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main([*argv, "--input", golden_file, "--max-words", "9"])
+            assert exc.value.code == 2
+
+
+class TestPlanLargeN:
+    @pytest.mark.parametrize("epsilon, n", [("1e-5", 69316),
+                                            ("1e-9", 693147047)])
+    def test_fits_budget_decided_without_forming_r_to_the_n(self, epsilon, n):
+        start = time.perf_counter()
+        code, doc = _run_doc("plan", "--nu", "2", "--epsilon", epsilon,
+                             "--r", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert doc["result"] == {"n": n, "products_required": None,
+                                 "fits_budget": False}
 
 
 class TestDeterminism:

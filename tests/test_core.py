@@ -2,15 +2,24 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from jsrbound import (
+    BoundReport,
     BudgetExceededError,
+    CertifiedInterval,
+    ChiEstimate,
+    CrosscheckReport,
+    FamilyChiBound,
+    GammaEstimate,
     InputFormatError,
     MatrixSet,
     NormKind,
+    OracleInterval,
+    StepPlan,
     as_matrix,
     brute_force_interval,
     enumerate_products,
@@ -25,7 +34,13 @@ from jsrbound import (
     spectral_radius,
     word_from_index,
 )
-from jsrbound.core import _product_chunks, operator_norms, spectral_radii
+from jsrbound.core import (
+    Record,
+    _plain,
+    _product_chunks,
+    operator_norms,
+    spectral_radii,
+)
 from jsrbound.geometry import vector_norms
 
 from .conftest import GOLDEN_PAIR, QUARTER_TURN, random_set
@@ -381,3 +396,83 @@ class TestScaling:
     def test_to_dict_json_serializable(self):
         text = json.dumps(QUARTER_TURN.to_dict())
         assert parse_matrix_set(text).dim == 2
+
+
+@dataclass(frozen=True)
+class _Leaf(Record):
+    kind: NormKind
+    word: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class _Nested(Record):
+    leaf: _Leaf
+    point: np.ndarray
+    extra: dict
+
+
+class TestRecords:
+    def test_plain_nested_record(self):
+        leaf = _Leaf(kind=NormKind.L1, word=(1, 2))
+        rec = _Nested(leaf=leaf, point=np.array([0.5, -1.0]),
+                      extra={"leaf": leaf, "pair": (3, [4, 5])})
+        doc = _plain(rec)
+        assert doc == {
+            "leaf": {"kind": "l1", "word": [1, 2]},
+            "point": [0.5, -1.0],
+            "extra": {"leaf": {"kind": "l1", "word": [1, 2]},
+                      "pair": [3, [4, 5]]},
+        }
+        assert list(doc) == ["leaf", "point", "extra"]
+        assert type(doc["point"][0]) is float
+        assert rec.to_dict() == doc
+        assert json.loads(json.dumps(doc)) == doc
+
+    def test_records_serialize_as_before(self):
+        """to_dict of every result record gives the keys, order and values
+        of the envelope format."""
+        chi = ChiEstimate(p=1, kind=NormKind.L2, sampled_inf=0.5,
+                          certified_lower=0.25, lipschitz=2.0, mesh=0.1,
+                          argmin=np.array([0.6, 0.8]), samples=63)
+        chi_doc = {"p": 1, "kind": "l2", "sampled_inf": 0.5,
+                   "certified_lower": 0.25, "lipschitz": 2.0, "mesh": 0.1,
+                   "argmin": [0.6, 0.8], "samples": 63}
+        cases = [
+            (BoundReport(n=2, kind=NormKind.L1, lower_n=1.5, upper_n=2.0,
+                         best_lower=1.5, best_upper=2.0, witness_lower=(1, 2),
+                         witness_upper=(2, 2)),
+             {"n": 2, "kind": "l1", "lower": 1.5, "upper": 2.0,
+              "best_lower": 1.5, "best_upper": 2.0, "witness_lower": [1, 2],
+              "witness_upper": [2, 2]}),
+            (OracleInterval(n_max=3, kind=NormKind.LINF, lower=1.0,
+                            upper=1.25, witness_lower=(1,),
+                            witness_upper=(1, 2, 1)),
+             {"n_max": 3, "kind": "linf", "lower": 1.0, "upper": 1.25,
+              "witness_lower": [1], "witness_upper": [1, 2, 1]}),
+            (chi, chi_doc),
+            (CrosscheckReport(irreducible=True, rank=4, status="irreducible",
+                              chi=chi, agreement="consistent"),
+             {"irreducible": True, "rank": 4, "status": "irreducible",
+              "chi": chi_doc, "agreement": "consistent"}),
+            (CertifiedInterval(n=4, p=1, kind=NormKind.L2, nu_p=2.0,
+                               lower=0.8, upper=0.95, ratio=1.1892),
+             {"n": 4, "p": 1, "kind": "l2", "nu_p": 2.0, "lower": 0.8,
+              "upper": 0.95, "ratio": 1.1892}),
+            (StepPlan(n=7, products_required=128, fits_budget=True),
+             {"n": 7, "products_required": 128, "fits_budget": True}),
+            (StepPlan(n=7, products_required=None, fits_budget=None),
+             {"n": 7, "products_required": None, "fits_budget": None}),
+            (GammaEstimate(gamma_lower=0.125, p_values=(0.5, 0.25),
+                           heuristic=True),
+             {"gamma_lower": 0.125, "p_values": [0.5, 0.25],
+              "heuristic": True}),
+            (FamilyChiBound(family="V", alpha=0.5, beta=1.0, chi_lower=0.5,
+                            irreducible=True),
+             {"family": "V", "alpha": 0.5, "beta": 1.0, "chi_lower": 0.5,
+              "irreducible": True}),
+        ]
+        for record, expected in cases:
+            doc = record.to_dict()
+            assert doc == expected
+            assert list(doc) == list(expected)
+            assert json.dumps(doc) == json.dumps(expected)
