@@ -21,7 +21,9 @@ from .core import (
     Record,
     Word,
     _binary_scale,
+    _norm_screen,
     _product_chunks,
+    _radius_screen,
     _root,
     max_over_products,
     operator_norms,
@@ -67,7 +69,8 @@ def gelfand_upper(
 ) -> float:
     """Upper bound: largest norm over length-n products, n-th root."""
     [(norm_max, exponent, _)] = max_over_products(
-        mset, n, [lambda s: operator_norms(s, kind)], max_words
+        mset, n, [_norm_screen(lambda s: operator_norms(s, kind), kind)],
+        max_words
     )
     return _root(norm_max, exponent, n)
 
@@ -77,7 +80,7 @@ def spectral_lower(
 ) -> float:
     """Lower bound: largest spectral radius over length-n products, n-th root."""
     [(rho_max, exponent, _)] = max_over_products(
-        mset, n, [spectral_radii], max_words
+        mset, n, [_radius_screen(spectral_radii, mset.dim)], max_words
     )
     return _root(rho_max, exponent, n)
 
@@ -95,17 +98,14 @@ def sandwich(
     """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
+    metrics = [_norm_screen(lambda s: operator_norms(s, kind), kind),
+               _radius_screen(spectral_radii, mset.dim)]
     reports: list[BoundReport] = []
     best_lower = -np.inf
     best_upper = np.inf
     for n in range(1, n_max + 1):
         try:
-            upper, lower = max_over_products(
-                mset,
-                n,
-                [lambda s: operator_norms(s, kind), spectral_radii],
-                max_words,
-            )
+            upper, lower = max_over_products(mset, n, metrics, max_words)
         except JsrError as exc:
             exc.partial = list(reports)
             raise

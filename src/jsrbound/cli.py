@@ -307,6 +307,10 @@ def _run(args) -> dict:
     }
 
 
+def _error_envelope(args, exc: Exception) -> str:
+    return json.dumps({"command": args.command, "error": str(exc)}, indent=2)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # Dumping stays inside the try: a result that cannot be printed gives
@@ -314,14 +318,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text, code = json.dumps(_run(args), indent=2), 0
     except (JsrError, OSError, ValueError) as exc:
-        text = json.dumps({"command": args.command, "error": str(exc)},
-                          indent=2)
-        code = 1
+        text, code = _error_envelope(args, exc), 1
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+        # An --output that cannot be written sends its error to stdout.
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as exc:
+            text, code = _error_envelope(args, exc), 1
+    sys.stdout.write(text + "\n")
     return code
 
 

@@ -16,6 +16,16 @@ an exponent E with products = block * 2^E; a level whose largest entry
 leaves [2^-500, 2^500] is multiplied by 2^-s and s is added to E.  Maxima
 are (mantissa, exponent) pairs and ``_root`` takes their n-th roots, so
 in-range results are the same bits as unscaled ones.
+
+Level maxima are screened: a metric may carry a cheap per-row upper
+bound, taken from the block's column-sum, row-sum and Frobenius norms.
+``max_over_products`` runs the exact kernel on the row with the largest
+bound, then only on the rows whose bound can still reach that value or
+the best of earlier blocks, so the l2 norm and the d >= 3 spectral
+radius are computed on a small share of the products.  The kernels give
+the same bits on a subset of rows as on the whole block, and no row
+that holds or ties the maximum is pruned, so values and witnesses are
+those of the full scan.
 """
 
 from __future__ import annotations
@@ -40,6 +50,18 @@ _RANGE_BITS = 500
 
 # Largest block of product entries held in memory at once.
 _CHUNK_FLOATS = 1 << 22
+
+# Blocks of fewer entries run their exact kernels on every row: below
+# this size the screen's fixed cost, about 0.1 ms a block, exceeds the
+# kernel time it saves.  Measured on a 2-core Xeon with numpy 2.4, the
+# break-even is near 2000 entries at every d (2048 rows of 1x1, 200 of
+# 2x2, under 64 of 6x6), since the kernels' cost per row grows with d.
+_SCREEN_MIN_FLOATS = 1 << 11
+
+# Relative margin on the cheap bounds, and the smallest threshold (in
+# block scale) at which rows are pruned; see ``_screened_max``.
+_SCREEN_MARGIN = 2.0 ** -20
+_SCREEN_FLOOR = 2.0 ** -480
 
 Word = tuple[int, ...]
 
@@ -269,6 +291,42 @@ def spectral_radius(matrix) -> float:
     return float(spectral_radii(a[None, :, :])[0])
 
 
+@dataclass(frozen=True)
+class _Screened:
+    """A metric with a cheap per-row upper bound.
+
+    ``exact`` maps an (m, d, d) block to its m values; ``bound`` maps the
+    block's column-sum, row-sum and Frobenius norms (each of shape (m,))
+    to upper bounds of those values.  Calling it is calling ``exact``.
+    """
+
+    exact: Callable[[np.ndarray], np.ndarray]
+    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        return self.exact(stack)
+
+
+def _norm_screen(exact: Callable[[np.ndarray], np.ndarray],
+                 kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
+    """``exact``, the operator norm of ``kind``, with its cheap bound: l2 is
+    screened by ||P||_2 <= min(sqrt(||P||_1 ||P||_inf), ||P||_F); the l1
+    and linf norms are cheap already and are returned unscreened."""
+    if kind is not NormKind.L2:
+        return exact
+    return _Screened(exact, lambda c, r, f: np.minimum(np.sqrt(c * r), f))
+
+
+def _radius_screen(exact: Callable[[np.ndarray], np.ndarray],
+                   dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``exact``, the spectral radius, with its cheap bound for d >= 3:
+    rho(P) <= min(||P||_1, ||P||_inf, ||P||_F).  The d <= 2 closed form
+    is cheaper than the screen and is returned unscreened."""
+    if dim <= 2:
+        return exact
+    return _Screened(exact, lambda c, r, f: np.minimum(np.minimum(c, r), f))
+
+
 # ---------------------------------------------------------------------------
 # Product enumeration
 
@@ -392,6 +450,74 @@ def _root(value: float, exponent: int, n: int) -> float:
         return math.inf
 
 
+def _in_scale(value: float, exponent: int, target: int) -> float:
+    """value * 2^(exponent - target), exact when that is a normal float;
+    inf above the float range and 0 below it, where it is under
+    _SCREEN_FLOOR and prunes nothing."""
+    if value <= 0.0:
+        return 0.0
+    f, g = math.frexp(value)
+    g += exponent - target
+    if g > 1024:
+        return math.inf
+    return math.ldexp(f, g) if g >= -1021 else 0.0
+
+
+def _cheap_norms(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Column-sum, row-sum and Frobenius norms of every row of a block.
+
+    The entries are laid out (d, d, m), so every sum and maximum runs
+    over whole arrays of m values rather than over tiny trailing axes.
+    """
+    m, d, _ = block.shape
+    a = np.abs(block.transpose(1, 2, 0), out=np.empty((d, d, m)))
+    flat = block.reshape(m, d * d)
+    with np.errstate(over="ignore"):
+        frobenius = np.sqrt(np.einsum("mi,mi->m", flat, flat))
+    return a.sum(axis=0).max(axis=0), a.sum(axis=1).max(axis=0), frobenius
+
+
+def _screened_max(block: np.ndarray, metric: _Screened,
+                  norms: tuple[np.ndarray, ...], best: float
+                  ) -> tuple[float, int] | None:
+    """(value, row) of the first row holding the block's largest value of
+    ``metric``, or None when no row can reach ``best`` (in block scale).
+
+    A row is pruned when bound * (1 + _SCREEN_MARGIN) < threshold, the
+    threshold being the larger of ``best`` and the exact value of the row
+    with the largest bound.  Such a row can neither hold nor tie the
+    maximum, because for every row whose computed value v is at least
+    _SCREEN_FLOOR, v <= computed bound * (1 + _SCREEN_MARGIN):
+    - Rounding.  The kernels are backward stable: v is, up to a few
+      roundings, the value of P + E with ||E|| <= c(d) * eps * ||P||, and
+      it is at most ||P + E|| in the 1, inf and Frobenius norms (radii are
+      below every norm, the 2-norm below the Frobenius norm and the
+      geometric mean of the 1 and inf norms).  The computed sums lose at
+      most d * eps.  The margin, 2^-20 or 2^32 eps, covers c(d) + d for
+      any dimension whose products can be enumerated.
+    - Underflow.  v >= 2^-480 forces an entry of P of at least 2^-480 / d,
+      whose square is a normal float; entries that underflow in the sums
+      or squares change them by a relative d^4 * 2^-115 at most.  Below
+      the floor nothing is pruned.
+    - Overflow.  Block entries stay below 2^500, so only the bounds can
+      overflow, to inf, which prunes nothing.
+    Kept rows are scanned in order and the kernels give the same bits on
+    a subset of rows as on the block, so the first maximal row is found.
+    """
+    with np.errstate(over="ignore"):
+        bound = metric.bound(*norms) * (1.0 + _SCREEN_MARGIN)
+    top = int(np.argmax(bound))
+    if best >= _SCREEN_FLOOR and bound[top] < best:
+        return None
+    threshold = max(float(metric.exact(block[top:top + 1])[0]), best)
+    rows = np.flatnonzero(bound >= threshold)
+    every = threshold < _SCREEN_FLOOR or rows.size == block.shape[0]
+    vals = np.asarray(metric.exact(block if every else block[rows]),
+                      dtype=float)
+    j = int(np.argmax(vals))
+    return float(vals[j]), j if every else int(rows[j])
+
+
 def max_over_products(
     mset: MatrixSet,
     n: int,
@@ -403,14 +529,31 @@ def max_over_products(
     Each metric must satisfy f(2^k P) = 2^k f(P), as norms, radii and
     |trace| do.  Returns (mantissa, exponent, witness word) per metric;
     ties keep the first word in lexicographic order.
+
+    On blocks of at least _SCREEN_MIN_FLOATS entries, a ``_Screened`` metric
+    runs its exact kernel only on the rows whose cheap bound can still
+    reach the best value found so far (see ``_screened_max``); the block
+    norms behind the bounds are computed once for all metrics.  Values
+    and witnesses are those of the exact kernel on every row.
     """
     best: list[tuple[float, int, int]] = [(-np.inf, 0, -1)] * len(metrics)
+    screened = any(isinstance(fn, _Screened) for fn in metrics)
     for start, chunk, exponent in _product_chunks(mset, n, max_words):
+        norms = (_cheap_norms(chunk)
+                 if screened and chunk.size >= _SCREEN_MIN_FLOATS else None)
         for k, fn in enumerate(metrics):
-            vals = np.asarray(fn(chunk), dtype=float)
-            j = int(np.argmax(vals))
-            if _exceeds(float(vals[j]), exponent, *best[k][:2]):
-                best[k] = (float(vals[j]), exponent, start + j)
+            if norms is not None and isinstance(fn, _Screened):
+                found = _screened_max(chunk, fn, norms,
+                                      _in_scale(*best[k][:2], exponent))
+                if found is None:
+                    continue
+                value, j = found
+            else:
+                vals = np.asarray(fn(chunk), dtype=float)
+                j = int(np.argmax(vals))
+                value = float(vals[j])
+            if _exceeds(value, exponent, *best[k][:2]):
+                best[k] = (value, exponent, start + j)
     return [
         (value, exponent, word_from_index(index, mset.r, n))
         for value, exponent, index in best
@@ -436,6 +579,7 @@ def matrix_set_norm_witness(
 ) -> tuple[float, Word]:
     """Largest operator norm over length-n products plus its witness word."""
     [(value, exponent, word)] = max_over_products(
-        mset, n, [lambda s: operator_norms(s, kind)], max_words
+        mset, n, [_norm_screen(lambda s: operator_norms(s, kind), kind)],
+        max_words
     )
     return _root(value, exponent, 1), word

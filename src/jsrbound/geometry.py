@@ -119,7 +119,8 @@ def support_radius_upper(points: np.ndarray, kind: NormKind,
 
     Minimizes the support ratio over the supplied directions only; any
     direction gives an upper bound of the true radius, so a finite sample
-    can only overestimate.
+    can only overestimate.  ``points`` (m, d) is one point set and gives
+    a float; a stack (..., m, d) of sets gives an array of estimates.
     """
     pts = np.asarray(points, dtype=float)
     dirs = np.asarray(directions, dtype=float)
@@ -127,8 +128,9 @@ def support_radius_upper(points: np.ndarray, kind: NormKind,
     keep = duals > 0
     if not np.any(keep):
         raise ValueError("no usable directions")
-    h = np.max(np.abs(dirs[keep] @ pts.T), axis=1)
-    return float(np.min(h / duals[keep]))
+    h = np.max(np.abs(dirs[keep] @ np.swapaxes(pts, -1, -2)), axis=-1)
+    best = np.min(h / duals[keep], axis=-1)
+    return float(best) if pts.ndim == 2 else best
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ from .geometry import (
 
 _POINT_DEDUP_TOL = 1e-12
 
+# Support values (base point, direction, reach product) the d >= 4
+# fallback forms at once.
+_SAMPLED_FLOATS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class ReachSet:
@@ -252,28 +256,31 @@ def _chi_sampled_upper(mset: MatrixSet, prods: np.ndarray, p: int,
     """Sampled, non-certified upper estimate for d >= 4.
 
     The Halton directions serve twice: normalized, as the base points,
-    and as the support directions of every hull.
+    and as the support directions of every hull.  Points are evaluated
+    in batches of about _SAMPLED_FLOATS support values; the first point
+    wins ties.
     """
     count = max(64, int(np.ceil(2.0 * np.pi / mesh)) * 10)
     dirs = halton_directions(mset.dim, count)
     xs = kind_normalize(dirs, kind)
-    best = np.inf
-    argmin = xs[0]
-    for x in xs:
-        pts = prods @ x
-        pts = np.concatenate([pts, -pts], axis=0)
-        val = support_radius_upper(pts, kind, dirs)
-        if val < best:
-            best = val
-            argmin = x
+    batch = max(1, _SAMPLED_FLOATS // (2 * prods.shape[0] * dirs.shape[0]))
+    vals = []
+    for lo in range(0, xs.shape[0], batch):
+        pts = (prods @ xs[lo:lo + batch, None, :, None])[..., 0]
+        # Both signs of every point, so that each hull goes through the
+        # same matrix product as a single point set does.
+        vals.append(support_radius_upper(np.concatenate([pts, -pts], axis=1),
+                                         kind, dirs))
+    vals = np.concatenate(vals)
+    j = int(np.argmin(vals))
     return ChiEstimate(
         p=p,
         kind=kind,
-        sampled_inf=float(best),
+        sampled_inf=float(vals[j]),
         certified_lower=0.0,
         lipschitz=lipschitz,
         mesh=mesh,
-        argmin=argmin,
+        argmin=xs[j],
         samples=xs.shape[0],
     )
 

@@ -70,6 +70,18 @@ class TestEnvelope:
         doc = json.loads(out.read_text())
         assert doc["command"] == "bound"
 
+    def test_unwritable_output_gives_an_error_envelope(self, golden_file,
+                                                       tmp_path):
+        out = tmp_path / "missing-dir" / "report.json"
+        proc = run_cli("bound", "--input", golden_file, "--n-max", "2",
+                       "--output", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["command"] == "bound"
+        assert "missing-dir" in doc["error"]
+        assert not out.exists()
+
 
 def _run_doc(*args: str) -> tuple[int, dict]:
     """Run the CLI in this process; the exit code and the JSON document."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from jsrbound import (
     operator_norm,
     parse_matrix_set,
     product_of_word,
+    sandwich,
     spectral_radius,
     word_from_index,
 )
@@ -41,9 +43,11 @@ from jsrbound.core import (
     operator_norms,
     spectral_radii,
 )
+import jsrbound.bounds as bounds_module
+import jsrbound.core as core_module
 from jsrbound.geometry import vector_norms
 
-from .conftest import GOLDEN_PAIR, QUARTER_TURN, random_set
+from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN, random_set
 
 
 # Independent norm oracles: plain loops, no shared code with the package.
@@ -476,3 +480,198 @@ class TestRecords:
             assert doc == expected
             assert list(doc) == list(expected)
             assert json.dumps(doc) == json.dumps(expected)
+
+
+# ---------------------------------------------------------------------------
+# Screened level maxima
+
+
+def _rotation_3d(axis: int, angle: float) -> np.ndarray:
+    a = np.eye(3)
+    i, j = [k for k in range(3) if k != axis]
+    a[i, i] = a[j, j] = math.cos(angle)
+    a[i, j], a[j, i] = -math.sin(angle), math.sin(angle)
+    return a
+
+
+def _column_stochastic(rng: np.random.Generator, d: int, r: int) -> MatrixSet:
+    mats = rng.uniform(0.0, 1.0, (r, d, d))
+    return MatrixSet.from_arrays(mats / mats.sum(axis=1, keepdims=True))
+
+
+# Sets whose cheap bound is attained or whose values tie, with a length n.
+_SHIFT_3 = np.diag([1.0, 1.0], k=1)
+ATTAINED = {
+    "permutations": (MatrixSet.from_arrays(
+        [np.eye(3)[[1, 2, 0]], np.eye(3)[[1, 0, 2]]]), 7),
+    "signed permutations 4d": (MatrixSet.from_arrays(
+        [np.diag([1.0, -1.0, 1.0, 1.0])[[3, 0, 1, 2]],
+         np.eye(4)[[1, 0, 3, 2]]]), 6),
+    "planar rotations": (MatrixSet.from_arrays(
+        [[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+         for t in (1.0, 2.2)]), 8),
+    "3d rotations": (MatrixSet.from_arrays(
+        [_rotation_3d(2, 1.23), _rotation_3d(0, 1.01)]), 7),
+    "quarter turn": (QUARTER_TURN, 9),
+    "diagonal pair": (DIAGONAL_PAIR, 8),
+    "scalar multiples of I": (MatrixSet.from_arrays(
+        [0.75 * np.eye(3), 0.75 * np.eye(3), -0.75 * np.eye(3)]), 5),
+    "column-stochastic": (_column_stochastic(np.random.default_rng(7), 3, 3),
+                          6),
+    "golden pair": (GOLDEN_PAIR, 9),
+    # radii near 2^-600 under entries near 2^-400: the squares in the
+    # Frobenius bound underflow, so only the floor keeps these rows
+    "tiny radii": (MatrixSet.from_arrays(
+        [_SHIFT_3, 2.0 ** -100 * np.eye(3), 2.0 ** -99 * np.eye(3)]), 6),
+}
+
+
+def _reference_max(ms: MatrixSet, n: int, kernel) -> tuple[float, int, tuple]:
+    """Unscreened scan: the kernel on every block, compared exactly as
+    fractions; the first word wins ties."""
+    best = None
+    for start, block, exponent in _product_chunks(ms, n, 1 << 24):
+        vals = kernel(block)
+        j = int(np.argmax(vals))
+        exact = Fraction(float(vals[j])) * Fraction(2) ** exponent
+        if best is None or exact > best[0]:
+            best = (exact, float(vals[j]), exponent, start + j)
+    return best[1], best[2], word_from_index(best[3], ms.r, n)
+
+
+class _RowCounter:
+    """Counts the rows that reach the exact kernels through ``module``."""
+
+    def __init__(self, monkeypatch, module=core_module):
+        self.rows = {"norms": 0, "radii": 0}
+        norms, radii = module.operator_norms, module.spectral_radii
+
+        def counted_norms(stack, kind):
+            self.rows["norms"] += stack.shape[0]
+            return norms(stack, kind)
+
+        def counted_radii(stack):
+            self.rows["radii"] += stack.shape[0]
+            return radii(stack)
+
+        monkeypatch.setattr(module, "operator_norms", counted_norms)
+        monkeypatch.setattr(module, "spectral_radii", counted_radii)
+
+
+@pytest.fixture(params=["default blocks", "every block screened",
+                        "small chunks"])
+def screen_mode(request, monkeypatch) -> str:
+    """Default blocks; every block screened, however small; and 64-float
+    blocks, all screened, so the best is carried across many blocks."""
+    if request.param != "default blocks":
+        monkeypatch.setattr("jsrbound.core._SCREEN_MIN_FLOATS", 1)
+    if request.param == "small chunks":
+        monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
+    return request.param
+
+
+def _screened_metrics(dim: int) -> list:
+    """The l2-norm and radius metrics of ``sandwich``; the kernels are looked
+    up in ``core`` at each call, so that _RowCounter sees them."""
+    return [core_module._norm_screen(
+                lambda s: core_module.operator_norms(s, NormKind.L2),
+                NormKind.L2),
+            core_module._radius_screen(
+                lambda s: core_module.spectral_radii(s), dim)]
+
+
+def _check_screened(ms: MatrixSet, n: int) -> list[tuple]:
+    """Screened maxima of the l2 norm and the radius against the reference."""
+    got = max_over_products(ms, n, _screened_metrics(ms.dim))
+    assert got == [
+        _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2)),
+        _reference_max(ms, n, spectral_radii)]
+    return got
+
+
+class TestScreenedMaxima:
+    """max_over_products with screened metrics against an unscreened scan:
+    the same values, exponents and witness words."""
+
+    def test_kernels_are_batch_invariant(self):
+        """A kernel gives the same bits on a subset of rows, and on a single
+        row, as on the whole block; screening relies on it."""
+        rng = np.random.default_rng(11)
+        kernels = [lambda s, k=kind: operator_norms(s, k) for kind in NormKind]
+        kernels.append(spectral_radii)
+        for d in range(1, 7):
+            for scale in (1e-3, 1.0, 1e3):
+                block = scale * rng.uniform(-1.0, 1.0, (300, d, d))
+                subset = np.sort(rng.choice(300, size=37, replace=False))
+                for kernel in kernels:
+                    full = kernel(block)
+                    assert kernel(block[subset]).tobytes() == \
+                        full[subset].tobytes()
+                    for i in (0, 150, 299):
+                        assert kernel(block[i:i + 1]).tobytes() == \
+                            full[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ATTAINED))
+    def test_attained_and_tied_sets(self, name, screen_mode):
+        ms, n = ATTAINED[name]
+        for k in range(1, n + 1):
+            _check_screened(ms, k)
+
+    def test_tied_values_keep_the_first_word(self, screen_mode, monkeypatch):
+        """Every product of these sets has the same norm and radius, so the
+        first word wins, and the screen prunes none of the tied rows."""
+        for ms, n in (ATTAINED["scalar multiples of I"],
+                      ATTAINED["quarter turn"]):
+            counter = _RowCounter(monkeypatch)
+            got = _check_screened(ms, n)
+            assert [word for _, _, word in got] == [(1,) * n] * 2
+            if screen_mode != "default blocks":
+                assert counter.rows["norms"] >= ms.r ** n
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_random_sets(self, d, screen_mode):
+        rng = np.random.default_rng([d, 3])
+        for r in (1, 2, 3, 4):
+            # top levels of up to 4096 entries, past the screen's minimum
+            n = 6 if r == 1 else min(7, int(math.log(4096 / d ** 2, r)))
+            ms = random_set(rng, d, r, scale=10.0 ** rng.uniform(-3.0, 3.0))
+            for k in sorted({1, n // 2, n}):
+                _check_screened(ms, k)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_far_from_unit_scale(self, k, screen_mode):
+        rng = np.random.default_rng(5)
+        for ms in (random_set(rng, 2, 2), random_set(rng, 3, 3),
+                   GOLDEN_PAIR):
+            scaled = ms.scaled(2.0 ** k)
+            for n in (1, 3, 6):
+                got = _check_screened(scaled, n)
+                plain = max_over_products(ms, n, _screened_metrics(ms.dim))
+                assert [(v, w) for v, _, w in got] == \
+                    [(v, w) for v, _, w in plain]
+
+    def test_exact_kernels_see_few_rows(self, monkeypatch):
+        """On random sets at default blocks the l2 kernel sees under 1% of
+        the words, the d >= 3 radius kernel under 5%."""
+        rng = np.random.default_rng(2)
+        for d, r, n in ((2, 2, 14), (3, 2, 14), (6, 2, 11)):
+            ms = random_set(rng, d, r)
+            counter = _RowCounter(monkeypatch)
+            _check_screened(ms, n)
+            assert counter.rows["norms"] < 0.01 * r ** n
+            if d >= 3:
+                assert counter.rows["radii"] < 0.05 * r ** n
+
+    def test_sandwich_and_gelfand_upper_are_screened(self, monkeypatch):
+        ms, n = random_set(np.random.default_rng(4), 3, 2), 16
+        counter = _RowCounter(monkeypatch, bounds_module)
+        top = sandwich(ms, n, NormKind.L2)[-1]
+        assert counter.rows["norms"] < 0.01 * 2 ** (n + 1)
+        assert counter.rows["radii"] < 0.05 * 2 ** (n + 1)
+        norm = _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2))
+        rho = _reference_max(ms, n, spectral_radii)
+        assert top.witness_upper == norm[2]
+        assert top.witness_lower == rho[2]
+        assert top.upper_n == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
+        assert top.lower_n == math.ldexp(rho[0], rho[1]) ** (1.0 / n)
+        assert gelfand_upper(ms, n, NormKind.L2) == top.upper_n

@@ -174,6 +174,39 @@ class TestChiMeasure:
             np.concatenate([pts, -pts]), NormKind.L1, dirs)
         assert vector_norms(est.argmin, NormKind.L1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("batch_floats", [1, 5000, 1 << 16])
+    def test_batched_fallback_matches_a_point_loop(self, d, kind,
+                                                   batch_floats, monkeypatch):
+        """The batched sampled estimate equals one support evaluation per
+        point, the first point winning ties, in every batch size (one
+        point per batch, batches ending mid-net, the whole net)."""
+        monkeypatch.setattr("jsrbound.irreducibility._SAMPLED_FLOATS",
+                            batch_floats)
+        rng = np.random.default_rng([d, len(kind.value)])
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        cases = [(random_set(rng, d, 2, scale), 2, 0.3),
+                 (random_set(rng, d, 3), 1, 0.5),
+                 # tied values at every point: the first point must win
+                 (MatrixSet.from_arrays([np.eye(d)]), 1, 0.5)]
+        for ms, p, mesh in cases:
+            est = chi_measure(ms, p, kind, mesh, sampling_fallback=True)
+            prods = reach_products(ms, p)
+            dirs = halton_directions(d, max(64, int(np.ceil(2.0 * np.pi
+                                                            / mesh)) * 10))
+            xs = dirs / vector_norms(dirs, kind)[:, None]
+            best, argmin = np.inf, None
+            for x in xs:
+                pts = prods @ x
+                val = support_radius_upper(np.concatenate([pts, -pts]), kind,
+                                           dirs)
+                if val < best:
+                    best, argmin = val, x
+            assert est.sampled_inf == best
+            assert est.argmin.tobytes() == argmin.tobytes()
+            assert est.samples == xs.shape[0]
+
     def test_negative_p_rejected(self):
         with pytest.raises(ValueError):
             chi_measure(IDENTITY_ONLY, -1, NormKind.L2, 0.1)
