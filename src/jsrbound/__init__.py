@@ -61,7 +61,7 @@ from .families import (
     row_substitution_bound,
     row_substitution_family,
 )
-from .geometry import inscribed_radius, sphere_net, support_radius_upper
+from .geometry import sphere_net, support_radius_upper
 from .irreducibility import (
     BurnsideReport,
     ChiEstimate,
@@ -74,7 +74,7 @@ from .irreducibility import (
     reach_set,
     sphere_profile,
 )
-from .oracle import OracleInterval, brute_force_interval
+from .oracle import OracleInterval, brute_force_interval, inscribed_radius
 
 __version__ = "0.1.0"
 

@@ -21,6 +21,7 @@ from .core import (
     Record,
     Word,
     _binary_scale,
+    _check_budget,
     _norm_screen,
     _product_chunks,
     _radius_screen,
@@ -30,7 +31,7 @@ from .core import (
     spectral_radii,
     spectral_radius,
 )
-from .errors import BudgetExceededError, JsrError
+from .errors import JsrError
 
 DEFAULT_KRON_DIM_LIMIT = 4096
 
@@ -170,13 +171,9 @@ def kronecker_bounds(
                 f"Kronecker bounds need nonnegative entries; matrix {k} has "
                 f"a negative entry at ({i}, {j})"
             )
+    _check_budget("Kronecker power dimension {count} exceeds the limit "
+                  "{budget}", mset.dim, n, max_kron_dim)
     dim = mset.dim ** n
-    if dim > max_kron_dim:
-        raise BudgetExceededError(
-            f"Kronecker power dimension {dim} exceeds the limit {max_kron_dim}",
-            required=dim,
-            budget=max_kron_dim,
-        )
     e, mats = _binary_scale(mset)
     total = np.zeros((dim, dim))
     for m in mats:

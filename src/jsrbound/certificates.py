@@ -24,10 +24,11 @@ from .core import (
     NormKind,
     Record,
     _binary_scale,
+    _budget_count,
     matrix_set_norm,
 )
 from .errors import NoCertificateError, UnsupportedDimensionError
-from .geometry import icosphere
+from .geometry import _net_size, icosphere
 
 _EUCLID = NormKind.L2
 
@@ -178,15 +179,8 @@ def plan_steps(
         return StepPlan(n=n, products_required=None, fits_budget=None)
     if r < 1:
         raise ValueError("r must be a positive integer")
-    # r^n >= 2^(n (b - 1)), b the bit length of r: when that alone puts
-    # r^n past the budget and past 2^1024, r^n is never formed.
-    floor_bits = n * (r.bit_length() - 1)
-    required = (r ** n if floor_bits < max(1024, max_words.bit_length())
-                else None)
-    fits = required is not None and required <= max_words
-    if required is not None and required >= 1 << 1024:
-        required = None
-    return StepPlan(n=n, products_required=required, fits_budget=fits)
+    exceeds, required = _budget_count(r, n, max_words)
+    return StepPlan(n=n, products_required=required, fits_budget=not exceeds)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +220,7 @@ def protasov_gamma(
         )
     if samples < 8:
         raise ValueError("samples must be at least 8")
+    _net_size(samples, f"gamma with {samples} samples")
     e, mats = _binary_scale(mset)
     set_norm = matrix_set_norm(MatrixSet.from_arrays(mats), 1, _EUCLID)
     denominator = (2.0 * set_norm if rho_upper is None

@@ -48,6 +48,9 @@ DEFAULT_WORD_BUDGET = 1 << 24
 # Levels whose largest entry leaves [2^-500, 2^500] are rescaled.
 _RANGE_BITS = 500
 
+# Word counts from 2^_COUNT_BITS on are not printed in full.
+_COUNT_BITS = 1024
+
 # Largest block of product entries held in memory at once.
 _CHUNK_FLOATS = 1 << 22
 
@@ -348,17 +351,30 @@ def product_of_word(mset: MatrixSet, word: Word) -> np.ndarray:
     return out
 
 
-def _check_word_budget(mset: MatrixSet, n: int, max_words: int) -> None:
-    if n < 1:
-        raise ValueError("product length n must be a positive integer")
-    required = mset.r ** n
-    if required > max_words:
+def _budget_count(r: int, n: int, budget: int,
+                  first: int | None = None) -> tuple[bool, int | None]:
+    """(count > budget, count below 2^1024 else None) for the word count
+    sum of r^k over k = first..n, first = n (r^n alone) by default.  The
+    count is at least 2^(n (b - 1)), b the bit length of r; it is not
+    formed when that bound alone puts it past the budget and past 2^1024."""
+    if n * (r.bit_length() - 1) >= max(_COUNT_BITS, budget.bit_length()):
+        return True, None
+    lo = n if first is None else first
+    count = n - lo + 1 if r == 1 else (r ** (n + 1) - r ** lo) // (r - 1)
+    return count > budget, count if count < 1 << _COUNT_BITS else None
+
+
+def _check_budget(message: str, r: int, n: int, budget: int,
+                  first: int | None = None) -> None:
+    """Raise BudgetExceededError when ``_budget_count`` exceeds ``budget``;
+    ``message`` gets ``n``, ``budget`` and ``count``, or "more than 2^B"."""
+    exceeds, count = _budget_count(r, n, budget, first)
+    if exceeds:
+        bits = max(n * (r.bit_length() - 1), _COUNT_BITS) - 1
+        shown = f"more than 2^{bits}" if count is None else count
         raise BudgetExceededError(
-            f"enumerating length-{n} products requires {required} words, "
-            f"budget is {max_words}",
-            required=required,
-            budget=max_words,
-        )
+            message.format(n=n, budget=budget, count=shown),
+            required=count, budget=budget)
 
 
 def _binary_scale(mset: MatrixSet) -> tuple[int, np.ndarray]:
@@ -397,7 +413,10 @@ def _product_chunks(
     levels into one block of r^t consecutive words; when all r^n products
     fit (k = 0) there is a single block.
     """
-    _check_word_budget(mset, n, max_words)
+    if n < 1:
+        raise ValueError("product length n must be a positive integer")
+    _check_budget("enumerating length-{n} products requires {count} words, "
+                  "budget is {budget}", mset.r, n, max_words)
     step, mats = _binary_scale(mset)
     r, d = mset.r, mset.dim
     tail = n

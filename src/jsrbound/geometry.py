@@ -5,13 +5,14 @@ radius t fits inside conv(points).  For a full-dimensional polytope with
 the origin interior this equals min over facets {u . y = c} of
 c / dual_norm(u); lower-dimensional hulls get radius 0.
 
-Two routes compute it: an explicit hull construction (Qhull), and a
-candidate-normal sweep that evaluates the support ratio
-max_i |u . p_i| / dual_norm(u) over every normal spanned by point pairs
-(2-d) or point triples (3-d).  Every facet normal appears
+One route computes it: a candidate-normal sweep that evaluates the
+support ratio max_i |u . p_i| / dual_norm(u) over every normal spanned
+by point pairs (2-d) or point triples (3-d).  Every facet normal appears
 among the candidates and every candidate ratio upper-bounds the radius,
-so both routes agree exactly; the sweep form vectorizes across many point
-configurations at once.
+so the minimum is the radius exactly, and the sweep vectorizes across
+many point configurations at once.  ``oracle.inscribed_radius`` builds
+the hull explicitly with Qhull and is the reference the sweep is tested
+against.
 
 The sweep (``radius_profile``) keeps the points of s base points in
 per-coordinate planes: plane a is the (s, m) array of the a-th coordinates
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, frexp
+from math import ceil, comb, frexp, inf
+from statistics import NormalDist
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .core import NormKind
 from .errors import UnsupportedDimensionError
@@ -44,6 +45,22 @@ _DUAL = {NormKind.L1: NormKind.LINF, NormKind.L2: NormKind.L2,
          NormKind.LINF: NormKind.L1}
 
 _DEGENERATE_REL = 1e-13
+
+# Most points a net or direction set may hold, checked before allocating;
+# the finest icosphere (level 9) has 2,621,442.
+MAX_NET_POINTS = 1 << 22
+
+
+def _check_mesh(mesh: float) -> None:
+    if not 0.0 < mesh < inf:
+        raise ValueError(f"mesh must be positive and finite, got {mesh}")
+
+
+def _net_size(count: float, what: str) -> int:
+    """ceil(count), once it is known to be at most MAX_NET_POINTS."""
+    if not count <= MAX_NET_POINTS:
+        raise ValueError(f"{what} needs more than {MAX_NET_POINTS} points")
+    return ceil(count)
 
 
 def dual_kind(kind: NormKind) -> NormKind:
@@ -60,67 +77,14 @@ def vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.max(np.abs(v), axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# Explicit hull facets
-
-
-def hull_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward facet normals and offsets of a planar or 3-d hull via Qhull.
-
-    Returns (U, c) with interior satisfying U @ y <= c row-wise; empty
-    arrays when the hull is lower-dimensional.
-    """
-    pts = np.asarray(points, dtype=float)
-    d = pts.shape[1]
-    if d not in (2, 3):
-        raise UnsupportedDimensionError(
-            f"exact hull facets are available for d in {{2, 3}}, got d={d}; "
-            "use support_radius_upper for a sampled (non-certified) estimate"
-        )
-    if pts.shape[0] <= d:
-        return np.zeros((0, d)), np.zeros(0)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        # Collinear, coplanar or otherwise lower-dimensional input.
-        return np.zeros((0, d)), np.zeros(0)
-    eq = hull.equations
-    return eq[:, :d], -eq[:, d]
-
-
-def inscribed_radius(points: np.ndarray, kind: NormKind) -> float:
-    """Largest t with the kind-norm ball of radius t inside conv(points).
-
-    The input must be centrally symmetric (closed under negation); the
-    result is 0 whenever the hull is lower-dimensional.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty (k, d) array")
-    d = pts.shape[1]
-    scale = float(np.max(np.abs(pts))) if pts.size else 0.0
-    tol = 1e-9 * (1.0 + scale)
-    for p in pts:
-        if np.min(vector_norms(pts + p, NormKind.LINF)) > tol:
-            raise ValueError("points must be centrally symmetric")
-    if d == 1:
-        return float(np.max(np.abs(pts)))
-    normals, offsets = hull_facets(pts)
-    if normals.shape[0] == 0:
-        return 0.0
-    if np.min(offsets) <= 0.0:
-        return 0.0
-    return float(np.min(offsets / vector_norms(normals, dual_kind(kind))))
-
-
 def support_radius_upper(points: np.ndarray, kind: NormKind,
                          directions: np.ndarray) -> float:
-    """Non-certified upper estimate of the inscribed radius.
+    """Non-certified upper estimate of the inscribed radius of conv(+-points).
 
-    Minimizes the support ratio over the supplied directions only; any
-    direction gives an upper bound of the true radius, so a finite sample
-    can only overestimate.  ``points`` (m, d) is one point set and gives
-    a float; a stack (..., m, d) of sets gives an array of estimates.
+    Minimizes the support ratio, even in the points, over the supplied
+    directions only; any direction gives an upper bound of the true radius,
+    so a finite sample can only overestimate.  ``points`` (m, d) is one
+    point set and gives a float; a stack (..., m, d) gives an array.
     """
     pts = np.asarray(points, dtype=float)
     dirs = np.asarray(directions, dtype=float)
@@ -291,17 +255,18 @@ def circle_net(kind: NormKind, mesh: float) -> np.ndarray:
     polygons whose edges are walked with steps of at most ``mesh`` in the
     respective metric.
     """
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
+    _check_mesh(mesh)
+    what = f"a circle net at mesh {mesh}"
     if kind is NormKind.L2:
-        count = int(np.ceil(2.0 * np.pi / mesh))
+        count = _net_size(2.0 * np.pi / mesh, what)
         angles = np.arange(count) * (2.0 * np.pi / count)
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if kind is NormKind.L1:
         verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     else:
         verts = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    per_edge = int(np.ceil(2.0 / mesh))  # each polygon edge has length 2
+    # Each polygon edge has length 2 and gets ceil(2 / mesh) points.
+    per_edge = _net_size(4.0 * np.ceil(2.0 / mesh), what) // 4
     t = np.arange(per_edge) / per_edge
     chunks = []
     for k in range(4):
@@ -359,24 +324,24 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
     return float(np.max(np.arccos(cosr)))
 
 
-_MAX_ICOSPHERE_LEVEL = 9
-
-
 def icosphere(mesh: float) -> np.ndarray:
     """Vertices of the coarsest icosphere with covering radius <= mesh."""
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
+    _check_mesh(mesh)
     verts, faces = _icosahedron()
-    for _ in range(_MAX_ICOSPHERE_LEVEL + 1):
-        if _covering_radius(verts, faces) <= mesh:
-            return verts
+    while _covering_radius(verts, faces) > mesh:
+        # A subdivision adds one vertex per edge, 3/2 per face.
+        _net_size(verts.shape[0] + faces.shape[0] * 3 // 2,
+                  f"an icosphere at mesh {mesh}")
         verts, faces = _subdivide(verts, faces)
-    raise ValueError(f"mesh {mesh} too fine for the supported icosphere levels")
+    return verts
 
 
 def _polyhedral_net(face_vertices: list[np.ndarray], mesh: float) -> np.ndarray:
     """Barycentric grids over triangular faces, deduplicated."""
-    q = int(np.ceil(2.0 / mesh))
+    _check_mesh(mesh)
+    what = f"a polyhedral net at mesh {mesh}"
+    q = _net_size(2.0 / mesh, what)
+    _net_size(len(face_vertices) * (q + 1) * (q + 2) // 2, what)
     i = np.arange(q + 1)
     ii, jj = np.meshgrid(i, i, indexing="ij")
     keep = ii + jj <= q
@@ -430,22 +395,15 @@ def halton_directions(d: int, count: int) -> np.ndarray:
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     if d > len(primes):
         raise UnsupportedDimensionError("sampled directions support d <= 10")
-    from scipy.stats import norm as _norm
-
-    idx = np.arange(1, count + 1)
-    cols = []
-    for k in range(d):
-        base = primes[k]
-        x = np.zeros(count)
-        denom = 1.0
-        rem = idx.copy()
+    u = np.zeros((count, d))
+    for k, base in enumerate(primes[:d]):
+        rem, denom = np.arange(1, count + 1), 1.0
         while np.any(rem > 0):
             denom *= base
-            x += (rem % base) / denom
+            u[:, k] += (rem % base) / denom
             rem //= base
-        cols.append(x)
-    u = np.clip(np.stack(cols, axis=1), 1e-12, 1.0 - 1e-12)
-    g = _norm.ppf(u)
+    g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(
+        np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     keep = norms > 1e-9
     return g[keep] / norms[keep][:, None]

@@ -20,12 +20,14 @@ from .core import (
     MatrixSet,
     NormKind,
     Record,
+    _check_budget,
     operator_norm,
 )
-from .errors import BudgetExceededError, UnsupportedDimensionError
+from .errors import UnsupportedDimensionError
 from .geometry import (
+    _check_mesh,
+    _net_size,
     halton_directions,
-    inscribed_radius,
     kind_normalize,
     radius_profile,
     refine_minimum,
@@ -127,14 +129,8 @@ def reach_products(
     """
     if p < 0:
         raise ValueError("p must be a non-negative integer")
-    total = sum(mset.r ** k for k in range(p + 1))
-    if total > max_words:
-        raise BudgetExceededError(
-            f"products of length <= {p} require {total} words, "
-            f"budget is {max_words}",
-            required=total,
-            budget=max_words,
-        )
+    _check_budget("products of length <= {n} require {count} words, "
+                  "budget is {budget}", mset.r, p, max_words, first=0)
     kept = _DedupStack((mset.dim, mset.dim))
     _walk_products(mset, p, kept.offer)
     return kept.stack()
@@ -209,8 +205,7 @@ def chi_measure(
     no exact hull; ``sampling_fallback=True`` switches to a sampled upper
     estimate with certified_lower pinned at 0.
     """
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
+    _check_mesh(mesh)
     d = mset.dim
     prods = reach_products(mset, p, max_words)
     lipschitz = 2.0 * max(operator_norm(g, kind) for g in prods)
@@ -256,22 +251,20 @@ def _chi_sampled_upper(mset: MatrixSet, prods: np.ndarray, p: int,
     """Sampled, non-certified upper estimate for d >= 4.
 
     The Halton directions serve twice: normalized, as the base points,
-    and as the support directions of every hull.  Points are evaluated
-    in batches of about _SAMPLED_FLOATS support values; the first point
-    wins ties.
+    and as the support directions of every hull, whose points G x need no
+    negated copies since the support is even.  Points are evaluated in
+    batches of about _SAMPLED_FLOATS support values; the first point wins
+    ties.
     """
-    count = max(64, int(np.ceil(2.0 * np.pi / mesh)) * 10)
+    count = max(64, _net_size(np.ceil(2.0 * np.pi / mesh) * 10.0,
+                              f"the sampled estimate at mesh {mesh}"))
     dirs = halton_directions(mset.dim, count)
     xs = kind_normalize(dirs, kind)
-    batch = max(1, _SAMPLED_FLOATS // (2 * prods.shape[0] * dirs.shape[0]))
-    vals = []
-    for lo in range(0, xs.shape[0], batch):
-        pts = (prods @ xs[lo:lo + batch, None, :, None])[..., 0]
-        # Both signs of every point, so that each hull goes through the
-        # same matrix product as a single point set does.
-        vals.append(support_radius_upper(np.concatenate([pts, -pts], axis=1),
-                                         kind, dirs))
-    vals = np.concatenate(vals)
+    batch = max(1, _SAMPLED_FLOATS // (prods.shape[0] * dirs.shape[0]))
+    vals = np.concatenate([
+        support_radius_upper((prods @ xs[lo:lo + batch, None, :, None])[..., 0],
+                             kind, dirs)
+        for lo in range(0, xs.shape[0], batch)])
     j = int(np.argmin(vals))
     return ChiEstimate(
         p=p,
@@ -454,5 +447,4 @@ __all__ = [
     "burnside_irreducible",
     "invariant_subspace_search_2d",
     "lemma1_crosscheck",
-    "inscribed_radius",
 ]

@@ -1,12 +1,13 @@
-"""Brute-force reference implementations for cross-checking.
+"""Independent reference implementations for cross-checking.
 
-Everything here recomputes results from first principles with its own
-product bookkeeping: levels of products are materialized list-by-list
-(memory-heavy on purpose), norms come from direct column/row sums or a
-full SVD, and eigenvalues from the dense solver.  Nothing is shared with
-the chunked product engine used by the main modules, so agreement between
-the two routes is meaningful evidence.  A level whose largest entry leaves
-[2^-500, 2^500] is divided by 2^s, s added to a running exponent.
+Each recomputes by a route of its own what the main modules compute, so
+agreement is meaningful evidence.  ``brute_force_interval`` materializes
+levels of products list-by-list (memory-heavy on purpose), takes norms
+from column/row sums or a full SVD and eigenvalues from the dense solver,
+sharing nothing with the chunked product engine; a level whose largest
+entry leaves [2^-500, 2^500] is divided by 2^s, s added to a running
+exponent.  ``inscribed_radius`` builds the hull with Qhull, the reference
+for the sweep ``geometry.radius_profile``; it imports scipy when called.
 """
 
 from __future__ import annotations
@@ -16,8 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_WORD_BUDGET, MatrixSet, NormKind, Record, Word
-from .errors import BudgetExceededError
+from .core import (
+    DEFAULT_WORD_BUDGET,
+    MatrixSet,
+    NormKind,
+    Record,
+    Word,
+    _check_budget,
+)
+from .errors import UnsupportedDimensionError
+from .geometry import dual_kind, vector_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +62,8 @@ def brute_force_interval(
     """Exhaustive interval: materializes every product level in full."""
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    total = sum(mset.r ** n for n in range(1, n_max + 1))
-    if total > max_words:
-        raise BudgetExceededError(
-            f"brute force over n <= {n_max} requires {total} words, "
-            f"budget is {max_words}",
-            required=total,
-            budget=max_words,
-        )
+    _check_budget("brute force over n <= {n} requires {count} words, "
+                  "budget is {budget}", mset.r, n_max, max_words, first=1)
     best_lower = -np.inf
     best_upper = np.inf
     witness_lower: Word = ()
@@ -103,3 +106,38 @@ def brute_force_interval(
         witness_upper=witness_upper,
     )
 
+
+def inscribed_radius(points: np.ndarray, kind: NormKind) -> float:
+    """Largest t with the kind-norm ball of radius t inside conv(points).
+
+    The input must be centrally symmetric (closed under negation); the
+    result is 0 whenever the hull is lower-dimensional.  Qhull's facets
+    {U @ y = c} have the interior on the side U @ y <= c.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a non-empty (k, d) array")
+    d = pts.shape[1]
+    scale = float(np.max(np.abs(pts))) if pts.size else 0.0
+    tol = 1e-9 * (1.0 + scale)
+    for p in pts:
+        if np.min(vector_norms(pts + p, NormKind.LINF)) > tol:
+            raise ValueError("points must be centrally symmetric")
+    if d == 1:
+        return float(np.max(np.abs(pts)))
+    if d not in (2, 3):
+        raise UnsupportedDimensionError(
+            f"exact hull facets are available for d in {{2, 3}}, got d={d}; "
+            "use support_radius_upper for a sampled (non-certified) estimate"
+        )
+    try:
+        eq = ConvexHull(pts).equations
+    except QhullError:
+        # At most d points, or a collinear or coplanar set.
+        return 0.0
+    normals, offsets = eq[:, :d], -eq[:, d]
+    if np.min(offsets) <= 0.0:
+        return 0.0
+    return float(np.min(offsets / vector_norms(normals, dual_kind(kind))))

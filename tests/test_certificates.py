@@ -219,6 +219,12 @@ class TestProtasovGamma:
             protasov_gamma(MatrixSet.from_arrays([np.eye(4)]))
 
     @pytest.mark.parametrize("d", [2, 3])
+    def test_oversized_sample_count_rejected(self, d):
+        with pytest.raises(ValueError, match="needs more than"):
+            protasov_gamma(MatrixSet.from_arrays([np.eye(d)]),
+                           samples=10 ** 16)
+
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("c", [2.0 ** -900, 1e-200, 1e200, 2.0 ** 900])
     def test_scale_free(self, d, c):
         rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -352,3 +352,67 @@ class TestExitCodes:
                        "--max-words", "100")
         assert proc.returncode == 1
         assert "budget" in json.loads(proc.stdout)["error"]
+
+
+R3 = ('{"dim": 2, "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]], '
+      '[[0, 1], [-1, 0]]]}')
+NONNEG3 = ('{"dim": 3, "matrices": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
+           '[[1, 0, 0], [1, 1, 0], [0, 1, 1]]]}')
+ROTATIONS3 = ('{"dim": 3, "matrices": [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], '
+              '[[1, 0, 0], [0, 0, -1], [0, 1, 0]]]}')
+
+
+class TestOversizedRequests:
+    """Requests far beyond the word budget or the net size limit end in
+    an error envelope at once, before any count or array is formed."""
+
+    @pytest.mark.parametrize("text, args, message", [
+        (R3, ("oracle", "--n-max", "20000"),
+         "brute force over n <= 20000 requires more than 2^19999 words, "
+         "budget is 16777216"),
+        (R3, ("oracle", "--n-max", "100000"),
+         "brute force over n <= 100000 requires more than 2^99999 words, "
+         "budget is 16777216"),
+        (R3, ("chi", "--p", "20000"),
+         "products of length <= 20000 require more than 2^19999 words, "
+         "budget is 16777216"),
+        (R3, ("certify", "--n", "20000"),
+         "enumerating length-20000 products requires more than 2^19999 "
+         "words, budget is 16777216"),
+        (R3, ("gamma", "--n", "20000"),
+         "enumerating length-20000 products requires more than 2^19999 "
+         "words, budget is 16777216"),
+        (NONNEG3, ("kronecker", "--n", "10000000"),
+         "Kronecker power dimension more than 2^9999999 exceeds the limit "
+         "4096"),
+        (R3, ("chi", "--mesh", "1e-15"),
+         "a circle net at mesh 1e-15 needs more than 4194304 points"),
+        (ROTATIONS3, ("chi", "--norm", "l1", "--mesh", "1e-9"),
+         "a polyhedral net at mesh 1e-09 needs more than 4194304 points"),
+        (R3, ("gamma", "--samples", "10000000000000000"),
+         "gamma with 10000000000000000 samples needs more than 4194304 "
+         "points"),
+        (R3, ("chi", "--mesh", "nan"), "mesh must be positive and finite, "
+         "got nan"),
+        (R3, ("chi", "--mesh", "inf"), "mesh must be positive and finite, "
+         "got inf"),
+    ])
+    def test_error_envelope_within_a_second(self, tmp_path, text, args,
+                                            message):
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, doc = _run_doc(*args, "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert doc == {"command": args[0], "error": message}
+
+    def test_counts_below_2_to_the_1024_are_printed_in_full(self, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text(R3)
+        code, doc = _run_doc("oracle", "--n-max", "600", "--input", str(path))
+        assert code == 1
+        total = sum(3 ** n for n in range(1, 601))
+        assert total < 1 << 1024
+        assert doc["error"] == (f"brute force over n <= 600 requires {total} "
+                                "words, budget is 16777216")

@@ -14,6 +14,7 @@ from jsrbound import (
     CertifiedInterval,
     ChiEstimate,
     CrosscheckReport,
+    DEFAULT_WORD_BUDGET,
     FamilyChiBound,
     GammaEstimate,
     InputFormatError,
@@ -38,6 +39,7 @@ from jsrbound import (
 )
 from jsrbound.core import (
     Record,
+    _budget_count,
     _plain,
     _product_chunks,
     operator_norms,
@@ -268,8 +270,28 @@ class TestEnumeration:
         assert info.value.required == 1024
         assert info.value.budget == 100
 
+    def test_budget_error_above_2_to_the_1024_has_no_count(self):
+        ms = MatrixSet.from_arrays(np.ones((3, 2, 2)))
+        with pytest.raises(BudgetExceededError) as info:
+            next(enumerate_products(ms, 20000))
+        assert info.value.required is None
+        assert info.value.budget == DEFAULT_WORD_BUDGET
+        assert "requires more than 2^19999 words" in str(info.value)
 
-class TestChunkedEngine:
+
+class TestBudgetCount:
+    """``_budget_count`` against the count formed directly."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("first", [None, 0, 1])
+    def test_matches_the_formed_count(self, r, first):
+        for n in (1, 2, 5, 40, 300, 700, 1100):
+            count = (r ** n if first is None
+                     else sum(r ** k for k in range(first, n + 1)))
+            for budget in (0, 100, count - 1, count, 1 << 24, 1 << 1100):
+                assert _budget_count(r, n, budget, first) == (
+                    count > budget, count if count < 1 << 1024 else None)
+
     """The engine with its block shrunk, against the one-block result."""
 
     def test_blocks_concatenate_to_the_one_block_stack(self, rng,

@@ -14,6 +14,7 @@ from jsrbound import (
     support_radius_upper,
 )
 from jsrbound.geometry import (
+    MAX_NET_POINTS,
     dual_kind,
     halton_directions,
     kind_normalize,
@@ -270,6 +271,25 @@ class TestSphereNet:
         with pytest.raises(UnsupportedDimensionError):
             sphere_net(4, NormKind.L2, 0.1)
 
+    @pytest.mark.parametrize("mesh", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_non_finite_mesh_rejected(self, d, kind, mesh):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sphere_net(d, kind, mesh)
+
+    @pytest.mark.parametrize("d, mesh", [(2, 1e-15), (2, 1e-320),
+                                         (3, 1e-9), (3, 5e-324)])
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_oversized_polygon_nets_rejected(self, d, kind, mesh):
+        with pytest.raises(ValueError, match="needs more than"):
+            sphere_net(d, kind, mesh)
+
+    def test_limit_admits_the_finest_icosphere(self):
+        # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is
+        # the finest that fits.
+        assert 10 * 4 ** 9 + 2 <= MAX_NET_POINTS < 10 * 4 ** 10 + 2
+
 
 class TestHalton:
     def test_unit_and_deterministic(self):
@@ -281,6 +301,26 @@ class TestHalton:
     def test_dim_limit(self):
         with pytest.raises(UnsupportedDimensionError):
             halton_directions(11, 8)
+
+    def test_close_to_the_scipy_quantiles(self):
+        from scipy.stats import norm
+
+        # The Halton points of halton_directions, mapped through scipy's
+        # normal quantile function instead of the stdlib's.
+        count, primes = 2000, [2, 3, 5, 7, 11]
+        u = np.empty((count, len(primes)))
+        for k, base in enumerate(primes):
+            for i in range(count):
+                x, f, rem = 0.0, 1.0, i + 1
+                while rem:
+                    f /= base
+                    x += (rem % base) * f
+                    rem //= base
+                u[i, k] = x
+        g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+        expect = g / np.linalg.norm(g, axis=1)[:, None]
+        np.testing.assert_allclose(halton_directions(5, count), expect,
+                                   rtol=1e-13, atol=1e-15)
 
 
 class TestRefinement:

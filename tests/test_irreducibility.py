@@ -160,6 +160,14 @@ class TestChiMeasure:
         est = chi_measure(ms, 3, NormKind.L2, 0.1, sampling_fallback=True)
         assert est.certified_lower == 0.0
 
+    @pytest.mark.parametrize("mesh, message", [
+        (1e-9, "needs more than"), (5e-324, "needs more than"),
+        (np.nan, "positive and finite"), (np.inf, "positive and finite")])
+    def test_fallback_direction_count_is_checked_first(self, mesh, message):
+        ms = MatrixSet.from_arrays([np.eye(4)])
+        with pytest.raises(ValueError, match=message):
+            chi_measure(ms, 1, NormKind.L2, mesh, sampling_fallback=True)
+
     def test_fallback_reports_the_measure_constants(self, rng):
         ms = random_set(rng, 4, 2)
         est = chi_measure(ms, 2, NormKind.L1, 0.5, sampling_fallback=True)
@@ -170,8 +178,7 @@ class TestChiMeasure:
         dirs = halton_directions(4, 130)  # 10 per step of the mesh circle
         assert est.samples == dirs.shape[0]
         pts = prods @ est.argmin
-        assert est.sampled_inf == support_radius_upper(
-            np.concatenate([pts, -pts]), NormKind.L1, dirs)
+        assert est.sampled_inf == support_radius_upper(pts, NormKind.L1, dirs)
         assert vector_norms(est.argmin, NormKind.L1) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [4, 5])
@@ -199,8 +206,7 @@ class TestChiMeasure:
             best, argmin = np.inf, None
             for x in xs:
                 pts = prods @ x
-                val = support_radius_upper(np.concatenate([pts, -pts]), kind,
-                                           dirs)
+                val = support_radius_upper(pts, kind, dirs)
                 if val < best:
                     best, argmin = val, x
             assert est.sampled_inf == best
