@@ -25,7 +25,7 @@ from .core import (
     Record,
     _binary_scale,
     _budget_count,
-    matrix_set_norm,
+    operator_norms,
 )
 from .errors import NoCertificateError, UnsupportedDimensionError
 from .geometry import _net_size, icosphere
@@ -89,7 +89,6 @@ def nu_p(
     p: int,
     kind: NormKind,
     chi_lower: float,
-    max_words: int = DEFAULT_WORD_BUDGET,
 ) -> float:
     """Certificate constant max(1, ||set||^p) / chi_lower.
 
@@ -97,7 +96,7 @@ def nu_p(
     at this p; the accuracy guarantee needs p >= d - 1.
     """
     _check_certificate(mset, p, chi_lower)
-    set_norm = matrix_set_norm(mset, 1, kind, max_words)
+    set_norm = float(np.max(operator_norms(mset.stacked(), kind)))
     try:
         nu = max(1.0, set_norm ** p) / chi_lower
     except OverflowError:
@@ -131,7 +130,7 @@ def certified_interval(
     """Two-sided enclosure from the length-n norm and the certificate."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    nu = nu_p(mset, p, kind, chi_lower, max_words)
+    nu = nu_p(mset, p, kind, chi_lower)
     upper = gelfand_upper(mset, n, kind, max_words)
     ratio = nu ** (1.0 / n)
     return CertifiedInterval(
@@ -222,7 +221,7 @@ def protasov_gamma(
         raise ValueError("samples must be at least 8")
     _net_size(samples, f"gamma with {samples} samples")
     e, mats = _binary_scale(mset)
-    set_norm = matrix_set_norm(MatrixSet.from_arrays(mats), 1, _EUCLID)
+    set_norm = float(np.max(operator_norms(mats, _EUCLID)))
     denominator = (2.0 * set_norm if rho_upper is None
                    else math.ldexp(rho_upper, -e) + set_norm)
     if denominator <= 0.0:

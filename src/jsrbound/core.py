@@ -6,9 +6,10 @@ over index words (i_1, ..., i_n); the word lists the factor applied first
 on the right, so word (1, 2) denotes the product A_2 A_1.
 
 One engine, ``_product_chunks``, produces those products: it builds the
-table of head products (the first factors applied) and extends each head
-by a batched left-multiplication into a block of consecutive words, so
-every scan sees the same numbers in the same lexicographic order.
+table of head products (the first factors applied, the identity when
+all words fit one block) and extends each head by a batched
+left-multiplication into a block of consecutive words, so every scan
+sees the same numbers in the same lexicographic order.
 
 Scale is kept in exact powers of two: the engine divides the members by
 2^e, e the binary exponent of the largest entry, and each block carries
@@ -17,12 +18,15 @@ leaves [2^-500, 2^500] is multiplied by 2^-s and s is added to E.  Maxima
 are (mantissa, exponent) pairs and ``_root`` takes their n-th roots, so
 in-range results are the same bits as unscaled ones.
 
-Level maxima are screened: a metric may carry a cheap per-row upper
-bound, taken from the block's column-sum, row-sum and Frobenius norms.
-``max_over_products`` runs the exact kernel on the row with the largest
-bound, then only on the rows whose bound can still reach that value or
-the best of earlier blocks, so the l2 norm and the d >= 3 spectral
-radius are computed on a small share of the products.  The kernels give
+A level maximum is taken of a metric named by the caller: an induced
+operator norm (a NormKind), the spectral radius (``RADIUS``) or |trace|
+(``TRACE``).  This module alone maps a name to its exact kernel and,
+where one exists, a cheap per-row upper bound taken from the block's
+column-sum, row-sum and Frobenius norms: the l2 norm has one at every d
+and the spectral radius for d >= 3.  ``max_over_products`` runs the
+exact kernel on the row with the largest bound, then only on the rows
+whose bound can still reach that value or the best of earlier blocks, so
+those two kernels see a small share of the products.  The kernels give
 the same bits on a subset of rows as on the whole block, and no row
 that holds or ties the maximum is pruned, so values and witnesses are
 those of the full scan.
@@ -36,7 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -294,40 +298,34 @@ def spectral_radius(matrix) -> float:
     return float(spectral_radii(a[None, :, :])[0])
 
 
-@dataclass(frozen=True)
-class _Screened:
-    """A metric with a cheap per-row upper bound.
-
-    ``exact`` maps an (m, d, d) block to its m values; ``bound`` maps the
-    block's column-sum, row-sum and Frobenius norms (each of shape (m,))
-    to upper bounds of those values.  Calling it is calling ``exact``.
-    """
-
-    exact: Callable[[np.ndarray], np.ndarray]
-    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, stack: np.ndarray) -> np.ndarray:
-        return self.exact(stack)
+# Metrics of ``max_over_products`` besides the operator norms (NormKind).
+RADIUS = "radius"
+TRACE = "trace"
 
 
-def _norm_screen(exact: Callable[[np.ndarray], np.ndarray],
-                 kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
-    """``exact``, the operator norm of ``kind``, with its cheap bound: l2 is
-    screened by ||P||_2 <= min(sqrt(||P||_1 ||P||_inf), ||P||_F); the l1
-    and linf norms are cheap already and are returned unscreened."""
-    if kind is not NormKind.L2:
-        return exact
-    return _Screened(exact, lambda c, r, f: np.minimum(np.sqrt(c * r), f))
+def _metric_values(block: np.ndarray, metric) -> np.ndarray:
+    """The exact values of a metric on every row of a block.  The kernels
+    are looked up in this module at each call, so patching
+    ``core.operator_norms`` or ``core.spectral_radii`` sees every row."""
+    if isinstance(metric, NormKind):
+        return operator_norms(block, metric)
+    if metric == RADIUS:
+        return spectral_radii(block)
+    if metric == TRACE:
+        return np.abs(np.trace(block, axis1=-2, axis2=-1))
+    raise ValueError(f"unknown metric {metric!r}")
 
 
-def _radius_screen(exact: Callable[[np.ndarray], np.ndarray],
-                   dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``exact``, the spectral radius, with its cheap bound for d >= 3:
-    rho(P) <= min(||P||_1, ||P||_inf, ||P||_F).  The d <= 2 closed form
-    is cheaper than the screen and is returned unscreened."""
-    if dim <= 2:
-        return exact
-    return _Screened(exact, lambda c, r, f: np.minimum(np.minimum(c, r), f))
+def _metric_bound(metric, dim: int):
+    """The cheap upper bound of a metric from a block's column-sum, row-sum
+    and Frobenius norms: ||P||_2 <= min(sqrt(||P||_1 ||P||_inf), ||P||_F)
+    and, for d >= 3, rho(P) <= min(||P||_1, ||P||_inf, ||P||_F).  None for
+    the rest, whose kernels cost less than the screen."""
+    if metric is NormKind.L2:
+        return lambda c, r, f: np.minimum(np.sqrt(c * r), f)
+    if metric == RADIUS and dim >= 3:
+        return lambda c, r, f: np.minimum(np.minimum(c, r), f)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +409,7 @@ def _product_chunks(
     with t the largest length (at least 1) whose r^t products fit in
     _CHUNK_FLOATS entries.  Each length-k head product is extended by t
     levels into one block of r^t consecutive words; when all r^n products
-    fit (k = 0) there is a single block.
+    fit (k = 0) the identity is the one head and there is a single block.
     """
     if n < 1:
         raise ValueError("product length n must be a positive integer")
@@ -422,10 +420,7 @@ def _product_chunks(
     tail = n
     while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
         tail -= 1
-    if tail == n:
-        yield (0, *_extend(mats, mats, step, n - 1, step))
-        return
-    heads, exponent = _extend(mats, mats, step, n - tail - 1, step)
+    heads, exponent = _extend(mats, np.eye(d)[None], 0, n - tail, step)
     for h in range(heads.shape[0]):
         yield (h * r ** tail,
                *_extend(mats, heads[h:h + 1], exponent, tail, step))
@@ -496,7 +491,7 @@ def _cheap_norms(block: np.ndarray) -> tuple[np.ndarray, ...]:
     return a.sum(axis=0).max(axis=0), a.sum(axis=1).max(axis=0), frobenius
 
 
-def _screened_max(block: np.ndarray, metric: _Screened,
+def _screened_max(block: np.ndarray, metric, bound,
                   norms: tuple[np.ndarray, ...], best: float
                   ) -> tuple[float, int] | None:
     """(value, row) of the first row holding the block's largest value of
@@ -524,15 +519,15 @@ def _screened_max(block: np.ndarray, metric: _Screened,
     a subset of rows as on the block, so the first maximal row is found.
     """
     with np.errstate(over="ignore"):
-        bound = metric.bound(*norms) * (1.0 + _SCREEN_MARGIN)
+        bound = bound(*norms) * (1.0 + _SCREEN_MARGIN)
     top = int(np.argmax(bound))
     if best >= _SCREEN_FLOOR and bound[top] < best:
         return None
-    threshold = max(float(metric.exact(block[top:top + 1])[0]), best)
+    threshold = max(float(_metric_values(block[top:top + 1], metric)[0]),
+                    best)
     rows = np.flatnonzero(bound >= threshold)
     every = threshold < _SCREEN_FLOOR or rows.size == block.shape[0]
-    vals = np.asarray(metric.exact(block if every else block[rows]),
-                      dtype=float)
+    vals = _metric_values(block if every else block[rows], metric)
     j = int(np.argmax(vals))
     return float(vals[j]), j if every else int(rows[j])
 
@@ -540,35 +535,38 @@ def _screened_max(block: np.ndarray, metric: _Screened,
 def max_over_products(
     mset: MatrixSet,
     n: int,
-    metrics: list[Callable[[np.ndarray], np.ndarray]],
+    metrics: list,
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> list[tuple[float, int, Word]]:
     """Maximize several per-product metrics in one enumeration pass.
 
-    Each metric must satisfy f(2^k P) = 2^k f(P), as norms, radii and
-    |trace| do.  Returns (mantissa, exponent, witness word) per metric;
-    ties keep the first word in lexicographic order.
+    A metric is a NormKind (its induced operator norm), ``RADIUS`` (the
+    spectral radius) or ``TRACE`` (|trace|).  Returns (mantissa, exponent,
+    witness word) per metric; ties keep the first word in lexicographic
+    order.
 
-    On blocks of at least _SCREEN_MIN_FLOATS entries, a ``_Screened`` metric
-    runs its exact kernel only on the rows whose cheap bound can still
-    reach the best value found so far (see ``_screened_max``); the block
-    norms behind the bounds are computed once for all metrics.  Values
-    and witnesses are those of the exact kernel on every row.
+    On blocks of at least _SCREEN_MIN_FLOATS entries, a metric with a
+    cheap bound (``_metric_bound``) runs its exact kernel only on the rows
+    whose bound can still reach the best value found so far (see
+    ``_screened_max``); the block norms behind the bounds are computed
+    once for all metrics.  Values and witnesses are those of the exact
+    kernel on every row.
     """
+    bounds = [_metric_bound(metric, mset.dim) for metric in metrics]
     best: list[tuple[float, int, int]] = [(-np.inf, 0, -1)] * len(metrics)
-    screened = any(isinstance(fn, _Screened) for fn in metrics)
+    screened = any(bound is not None for bound in bounds)
     for start, chunk, exponent in _product_chunks(mset, n, max_words):
         norms = (_cheap_norms(chunk)
                  if screened and chunk.size >= _SCREEN_MIN_FLOATS else None)
-        for k, fn in enumerate(metrics):
-            if norms is not None and isinstance(fn, _Screened):
-                found = _screened_max(chunk, fn, norms,
+        for k, (metric, bound) in enumerate(zip(metrics, bounds)):
+            if norms is not None and bound is not None:
+                found = _screened_max(chunk, metric, bound, norms,
                                       _in_scale(*best[k][:2], exponent))
                 if found is None:
                     continue
                 value, j = found
             else:
-                vals = np.asarray(fn(chunk), dtype=float)
+                vals = _metric_values(chunk, metric)
                 j = int(np.argmax(vals))
                 value = float(vals[j])
             if _exceeds(value, exponent, *best[k][:2]):
@@ -597,8 +595,5 @@ def matrix_set_norm_witness(
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> tuple[float, Word]:
     """Largest operator norm over length-n products plus its witness word."""
-    [(value, exponent, word)] = max_over_products(
-        mset, n, [_norm_screen(lambda s: operator_norms(s, kind), kind)],
-        max_words
-    )
+    [(value, exponent, word)] = max_over_products(mset, n, [kind], max_words)
     return _root(value, exponent, 1), word

@@ -325,13 +325,16 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
 
 
 def icosphere(mesh: float) -> np.ndarray:
-    """Vertices of the coarsest icosphere with covering radius <= mesh."""
+    """Vertices of the coarsest icosphere with covering radius <= mesh.
+    Any net of covering radius mesh has 2 / (1 - cos mesh) >= 4 / mesh^2
+    points or more (its caps cover 4 pi), checked before building."""
     _check_mesh(mesh)
+    what = f"an icosphere at mesh {mesh}"
+    _net_size(4.0 / float(mesh) / float(mesh), what)
     verts, faces = _icosahedron()
     while _covering_radius(verts, faces) > mesh:
         # A subdivision adds one vertex per edge, 3/2 per face.
-        _net_size(verts.shape[0] + faces.shape[0] * 3 // 2,
-                  f"an icosphere at mesh {mesh}")
+        _net_size(verts.shape[0] + faces.shape[0] * 3 // 2, what)
         verts, faces = _subdivide(verts, faces)
     return verts
 

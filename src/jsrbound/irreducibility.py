@@ -20,8 +20,9 @@ from .core import (
     MatrixSet,
     NormKind,
     Record,
+    _binary_scale,
     _check_budget,
-    operator_norm,
+    operator_norms,
 )
 from .errors import UnsupportedDimensionError
 from .geometry import (
@@ -101,19 +102,20 @@ class _DedupStack:
         return self._buf[:self._count].copy()
 
 
-def _walk_products(mset: MatrixSet, depth: int,
+def _walk_products(mats: np.ndarray, depth: int,
                    keep: Callable[[np.ndarray], bool]) -> None:
-    """Offer the products of 0..depth members to ``keep``, breadth first.
+    """Offer the products of 0..depth of the (r, d, d) members ``mats`` to
+    ``keep``, breadth first.
 
     Level 0 is the identity; level k + 1 left-multiplies each product kept
     at level k by every member in input order.  Only products that
     ``keep`` accepts are extended, and the walk ends early at a level
     that keeps none.
     """
-    frontier = [np.eye(mset.dim)]
+    frontier = [np.eye(mats.shape[-1])]
     keep(frontier[0])
     for _ in range(depth):
-        frontier = [cand for base in frontier for m in mset.members
+        frontier = [cand for base in frontier for m in mats
                     if keep(cand := m @ base)]
         if not frontier:
             break
@@ -126,13 +128,19 @@ def reach_products(
 
     Length 0 contributes the identity.  Duplicates are dropped at a small
     relative tolerance; they contribute nothing to the hulls downstream.
+    chi is not homogeneous, so a product that overflows raises ValueError.
     """
     if p < 0:
         raise ValueError("p must be a non-negative integer")
     _check_budget("products of length <= {n} require {count} words, "
                   "budget is {budget}", mset.r, p, max_words, first=0)
     kept = _DedupStack((mset.dim, mset.dim))
-    _walk_products(mset, p, kept.offer)
+    try:
+        with np.errstate(over="raise"):
+            _walk_products(mset.stacked(), p, kept.offer)
+    except FloatingPointError:
+        raise ValueError(f"a product of at most {p} members leaves the "
+                         "float range") from None
     return kept.stack()
 
 
@@ -208,7 +216,7 @@ def chi_measure(
     _check_mesh(mesh)
     d = mset.dim
     prods = reach_products(mset, p, max_words)
-    lipschitz = 2.0 * max(operator_norm(g, kind) for g in prods)
+    lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
     if d > 3:
         if not sampling_fallback:
             raise UnsupportedDimensionError(
@@ -305,10 +313,12 @@ def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
 
     Candidate lines are the real eigendirections of the first member that
     is not a multiple of the identity (any line is invariant under a
-    scalar member).  Returns None when no common line exists.
+    scalar member).  Returns None when no common line exists.  It runs on
+    the members / 2^e (see ``core``), so its tolerances hold at any scale.
     """
     if mset.dim != 2:
         raise ValueError("this search is specific to d = 2")
+    mats = _binary_scale(mset)[1]
 
     def is_scalar(m: np.ndarray) -> bool:
         scale = float(np.max(np.abs(m))) or 1.0
@@ -316,14 +326,14 @@ def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
             <= 1e-12 * scale
 
     def invariant_under_all(v: np.ndarray) -> bool:
-        for m in mset.members:
+        for m in mats:
             w = m @ v
             crossed = abs(w[0] * v[1] - w[1] * v[0])
             if crossed > 1e-9 * (1.0 + float(np.hypot(w[0], w[1]))):
                 return False
         return True
 
-    anchor = next((m for m in mset.members if not is_scalar(m)), None)
+    anchor = next((m for m in mats if not is_scalar(m)), None)
     if anchor is None:
         return np.array([1.0, 0.0])
     for lam in np.linalg.eigvals(anchor):
@@ -336,7 +346,8 @@ def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
 
 
 def burnside_detail(mset: MatrixSet) -> BurnsideReport:
-    """Rank of the span of all products of length 0..d^2, with verdict."""
+    """Rank of the span of all products of length 0..d^2 of the members /
+    2^e (see ``core``), with verdict: the same bits for all 2^k multiples."""
     d = mset.dim
     if d > 8:
         raise UnsupportedDimensionError(
@@ -365,7 +376,7 @@ def burnside_detail(mset: MatrixSet) -> BurnsideReport:
         rank += 1
         return True
 
-    _walk_products(mset, dd, try_add)
+    _walk_products(_binary_scale(mset)[1], dd, try_add)
     if rank == dd or (d == 2 and invariant_subspace_search_2d(mset) is None):
         status = "irreducible"
     else:

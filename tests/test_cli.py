@@ -318,6 +318,19 @@ class TestScaleFree:
             assert _run_strict("zero-test", "--input", path) == \
                 {"zero_radius": False}
 
+    @pytest.mark.parametrize("command", ["chi", "certify", "irreducible"])
+    def test_reach_products_beyond_the_float_range_exit_1(self, tmp_path,
+                                                          command):
+        """chi is not homogeneous, so its reach products are not rescaled:
+        a length-2 product of 1e400 is refused, with no overflow warning."""
+        path = _scaled_file(tmp_path, ROTATIONS3, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = _run_doc(command, "--input", path, "--mesh", "0.3")
+        assert code == 1
+        assert doc == {"command": command, "error": "a product of at most 2 "
+                       "members leaves the float range"}
+
     def test_long_products_of_one_matrix(self, tmp_path):
         path = tmp_path / "single.json"
         path.write_text('{"dim": 2, "matrices": [[[2, 1], [0, 1.5]]]}')
@@ -389,6 +402,14 @@ class TestOversizedRequests:
          "a circle net at mesh 1e-15 needs more than 4194304 points"),
         (ROTATIONS3, ("chi", "--norm", "l1", "--mesh", "1e-9"),
          "a polyhedral net at mesh 1e-09 needs more than 4194304 points"),
+        (ROTATIONS3, ("chi", "--mesh", "1e-9"),
+         "an icosphere at mesh 1e-09 needs more than 4194304 points"),
+        (ROTATIONS3, ("irreducible", "--mesh", "5e-324"),
+         "an icosphere at mesh 5e-324 needs more than 4194304 points"),
+        (ROTATIONS3, ("chi", "--norm", "linf", "--mesh", "5e-324"),
+         "a polyhedral net at mesh 5e-324 needs more than 4194304 points"),
+        (R3, ("certify", "--norm", "l1", "--mesh", "5e-324"),
+         "a circle net at mesh 5e-324 needs more than 4194304 points"),
         (R3, ("gamma", "--samples", "10000000000000000"),
          "gamma with 10000000000000000 samples needs more than 4194304 "
          "points"),

@@ -38,6 +38,8 @@ from jsrbound import (
     word_from_index,
 )
 from jsrbound.core import (
+    RADIUS,
+    TRACE,
     Record,
     _budget_count,
     _plain,
@@ -45,7 +47,6 @@ from jsrbound.core import (
     operator_norms,
     spectral_radii,
 )
-import jsrbound.bounds as bounds_module
 import jsrbound.core as core_module
 from jsrbound.geometry import vector_norms
 
@@ -330,13 +331,11 @@ class TestBudgetCount:
                                                             monkeypatch):
         cases = [(random_set(rng, d, r), kind)
                  for d, r in ((2, 2), (2, 3), (3, 2)) for kind in NormKind]
-        metrics = {kind: [lambda s, k=kind: operator_norms(s, k),
-                          spectral_radii] for kind in NormKind}
-        whole = [[max_over_products(ms, n, metrics[kind])
+        whole = [[max_over_products(ms, n, [kind, RADIUS])
                   for n in range(1, 6)] for ms, kind in cases]
         monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
         for (ms, kind), expect in zip(cases, whole):
-            got = [max_over_products(ms, n, metrics[kind])
+            got = [max_over_products(ms, n, [kind, RADIUS])
                    for n in range(1, 6)]
             assert got == expect
             # best n-th roots over n = 1..5 against the independent oracle
@@ -385,9 +384,7 @@ class TestSetNorm:
     def test_max_over_products_single_pass(self, rng):
         ms = random_set(rng, 2, 2)
         [(v1, e1, w1), (v2, e2, w2)] = max_over_products(
-            ms, 4, [lambda s: operator_norms(s, NormKind.L2),
-                    lambda s: operator_norms(s, NormKind.L1)]
-        )
+            ms, 4, [NormKind.L2, NormKind.L1])
         assert math.ldexp(v1, e1) == pytest.approx(
             matrix_set_norm(ms, 4, NormKind.L2))
         assert math.ldexp(v2, e2) == pytest.approx(
@@ -562,11 +559,12 @@ def _reference_max(ms: MatrixSet, n: int, kernel) -> tuple[float, int, tuple]:
 
 
 class _RowCounter:
-    """Counts the rows that reach the exact kernels through ``module``."""
+    """Counts the rows that reach the exact kernels, which ``core`` looks up
+    in its own namespace at each call."""
 
-    def __init__(self, monkeypatch, module=core_module):
+    def __init__(self, monkeypatch):
         self.rows = {"norms": 0, "radii": 0}
-        norms, radii = module.operator_norms, module.spectral_radii
+        norms, radii = core_module.operator_norms, core_module.spectral_radii
 
         def counted_norms(stack, kind):
             self.rows["norms"] += stack.shape[0]
@@ -576,8 +574,8 @@ class _RowCounter:
             self.rows["radii"] += stack.shape[0]
             return radii(stack)
 
-        monkeypatch.setattr(module, "operator_norms", counted_norms)
-        monkeypatch.setattr(module, "spectral_radii", counted_radii)
+        monkeypatch.setattr(core_module, "operator_norms", counted_norms)
+        monkeypatch.setattr(core_module, "spectral_radii", counted_radii)
 
 
 @pytest.fixture(params=["default blocks", "every block screened",
@@ -592,19 +590,13 @@ def screen_mode(request, monkeypatch) -> str:
     return request.param
 
 
-def _screened_metrics(dim: int) -> list:
-    """The l2-norm and radius metrics of ``sandwich``; the kernels are looked
-    up in ``core`` at each call, so that _RowCounter sees them."""
-    return [core_module._norm_screen(
-                lambda s: core_module.operator_norms(s, NormKind.L2),
-                NormKind.L2),
-            core_module._radius_screen(
-                lambda s: core_module.spectral_radii(s), dim)]
+# The metrics of ``sandwich`` in l2, both screened.
+SCREENED = [NormKind.L2, RADIUS]
 
 
 def _check_screened(ms: MatrixSet, n: int) -> list[tuple]:
     """Screened maxima of the l2 norm and the radius against the reference."""
-    got = max_over_products(ms, n, _screened_metrics(ms.dim))
+    got = max_over_products(ms, n, SCREENED)
     assert got == [
         _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2)),
         _reference_max(ms, n, spectral_radii)]
@@ -668,7 +660,7 @@ class TestScreenedMaxima:
             scaled = ms.scaled(2.0 ** k)
             for n in (1, 3, 6):
                 got = _check_screened(scaled, n)
-                plain = max_over_products(ms, n, _screened_metrics(ms.dim))
+                plain = max_over_products(ms, n, SCREENED)
                 assert [(v, w) for v, _, w in got] == \
                     [(v, w) for v, _, w in plain]
 
@@ -684,12 +676,32 @@ class TestScreenedMaxima:
             if d >= 3:
                 assert counter.rows["radii"] < 0.05 * r ** n
 
+    def test_metric_names_need_no_wrapping(self, monkeypatch):
+        """Names alone select core's kernels and screens: the l2 kernel sees
+        under 1% of the rows, |trace| and the unscreened norms match their
+        references, and an unknown name is refused."""
+        ms, n = random_set(np.random.default_rng(6), 3, 2), 13
+        counter = _RowCounter(monkeypatch)
+        got = max_over_products(ms, n, [NormKind.L2, RADIUS])
+        assert got == [
+            _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2)),
+            _reference_max(ms, n, spectral_radii)]
+        assert 0 < counter.rows["norms"] < 0.01 * 2 ** n
+        assert max_over_products(ms, n, [TRACE, NormKind.L1, NormKind.LINF]) \
+            == [_reference_max(ms, n, lambda s: np.abs(np.trace(
+                    s, axis1=-2, axis2=-1))),
+                _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L1)),
+                _reference_max(ms, n,
+                               lambda s: operator_norms(s, NormKind.LINF))]
+        with pytest.raises(ValueError, match="unknown metric 'rho'"):
+            max_over_products(ms, 1, ["rho"])
+
     def test_sandwich_and_gelfand_upper_are_screened(self, monkeypatch):
         ms, n = random_set(np.random.default_rng(4), 3, 2), 16
-        counter = _RowCounter(monkeypatch, bounds_module)
+        counter = _RowCounter(monkeypatch)
         top = sandwich(ms, n, NormKind.L2)[-1]
-        assert counter.rows["norms"] < 0.01 * 2 ** (n + 1)
-        assert counter.rows["radii"] < 0.05 * 2 ** (n + 1)
+        assert 0 < counter.rows["norms"] < 0.01 * 2 ** (n + 1)
+        assert 0 < counter.rows["radii"] < 0.05 * 2 ** (n + 1)
         norm = _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2))
         rho = _reference_max(ms, n, spectral_radii)
         assert top.witness_upper == norm[2]

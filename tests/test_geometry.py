@@ -285,6 +285,18 @@ class TestSphereNet:
         with pytest.raises(ValueError, match="needs more than"):
             sphere_net(d, kind, mesh)
 
+    @pytest.mark.parametrize("mesh", [1e-9, 5e-324, np.float64(1e-200)])
+    def test_impossible_icosphere_refused_before_building(self, mesh,
+                                                          monkeypatch):
+        """4 / mesh^2 points are needed; past the limit no level is built."""
+        def no_levels(verts, faces):
+            raise AssertionError("an icosphere level was built")
+
+        monkeypatch.setattr("jsrbound.geometry._subdivide", no_levels)
+        with pytest.raises(ValueError, match="an icosphere at mesh .* needs "
+                           "more than 4194304 points"):
+            sphere_net(3, NormKind.L2, mesh)
+
     def test_limit_admits_the_finest_icosphere(self):
         # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is
         # the finest that fits.

@@ -24,12 +24,17 @@ from jsrbound.geometry import (
     support_radius_upper,
     vector_norms,
 )
-from jsrbound.irreducibility import burnside_detail
+from jsrbound.irreducibility import BurnsideReport, burnside_detail
 
 from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN, random_set
 
 IDENTITY_ONLY = MatrixSet.from_arrays([np.eye(2)])
 SHEAR_ONLY = MatrixSet.from_arrays([[[1.0, 1.0], [0.0, 1.0]]])
+ROTATION_PAIR_2D = MatrixSet.from_arrays(
+    [[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in (1.0, 2.2)])
+ROTATION_PAIR_3D = MatrixSet.from_arrays(
+    [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+     [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.5]]])
 
 
 def _points_close(actual: np.ndarray, expected: list[list[float]]) -> bool:
@@ -78,6 +83,13 @@ class TestReachSet:
         far = MatrixSet.from_arrays([(1.0 + 1e-11) * np.eye(2)])
         assert len(reach_products(near, 3)) == 1
         assert len(reach_products(far, 3)) == 4
+
+    def test_products_beyond_the_float_range_are_refused(self):
+        huge = ROTATION_PAIR_3D.scaled(1e200)
+        assert reach_products(huge, 1).shape == (3, 3, 3)
+        with pytest.raises(ValueError, match="a product of at most 2 "
+                           "members leaves the float range"):
+            reach_products(huge, 2)
 
     def test_points_keep_first_occurrence_in_order(self):
         pts = reach_set(QUARTER_TURN, 4, np.array([1.0, 0.0])).points
@@ -272,6 +284,22 @@ class TestBurnside:
         if report.rank == 16:
             assert report.irreducible is True
 
+    @pytest.mark.parametrize("c", [1e-20, 1e20, 1e-100, 1e100, 1e-200, 1e200,
+                                   2.0 ** -900, 2.0 ** 900])
+    def test_verdict_and_rank_do_not_depend_on_scale(self, c):
+        """Products of the set / 2^e stay in the float range and the 2-d
+        search sees unit-scale entries, so every multiple gets the verdict
+        and rank of the set itself."""
+        rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        for ms in (ROTATION_PAIR_2D, GOLDEN_PAIR, ROTATION_PAIR_3D,
+                   DIAGONAL_PAIR, MatrixSet.from_arrays([rz])):
+            assert burnside_detail(ms.scaled(c)) == burnside_detail(ms)
+        assert [burnside_detail(ms.scaled(c)) for ms in (
+            ROTATION_PAIR_2D, GOLDEN_PAIR, ROTATION_PAIR_3D)] == [
+            BurnsideReport(True, 2, "irreducible"),
+            BurnsideReport(True, 4, "irreducible"),
+            BurnsideReport(True, 9, "irreducible")]
+
     def test_wrapper(self):
         assert burnside_irreducible(GOLDEN_PAIR) is True
         assert burnside_irreducible(DIAGONAL_PAIR) is False
@@ -286,6 +314,13 @@ class TestInvariantLineSearch:
 
     def test_rotation_has_none(self):
         assert invariant_subspace_search_2d(QUARTER_TURN) is None
+
+    @pytest.mark.parametrize("c", [1e-20, 1e20, 2.0 ** -900, 2.0 ** 900])
+    def test_same_answer_at_every_scale(self, c):
+        assert invariant_subspace_search_2d(ROTATION_PAIR_2D.scaled(c)) is None
+        assert invariant_subspace_search_2d(GOLDEN_PAIR.scaled(c)) is None
+        line = invariant_subspace_search_2d(DIAGONAL_PAIR.scaled(c))
+        assert abs(line[0]) == 1.0 and line[1] == 0.0
 
     def test_golden_pair_has_none(self):
         # A1's eigendirection (1,0) maps to (1,1) under A2, leaving the line
