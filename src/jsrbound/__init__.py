@@ -36,7 +36,6 @@ from .core import (
     enumerate_products,
     load_matrix_set,
     matrix_set_norm,
-    matrix_set_norm_witness,
     max_over_products,
     operator_norm,
     parse_matrix_set,
@@ -114,7 +113,6 @@ __all__ = [
     "lemma1_crosscheck",
     "load_matrix_set",
     "matrix_set_norm",
-    "matrix_set_norm_witness",
     "max_over_products",
     "nu_p",
     "operator_norm",

@@ -36,9 +36,6 @@ from .errors import JsrError
 
 DEFAULT_KRON_DIM_LIMIT = 4096
 
-_RENAMED = {"lower_n": "lower", "upper_n": "upper"}
-
-
 @dataclass(frozen=True, eq=False)
 class BoundReport(Record):
     """Per-step bounds plus the best enclosure seen so far.
@@ -50,17 +47,12 @@ class BoundReport(Record):
 
     n: int
     kind: NormKind
-    lower_n: float
-    upper_n: float
+    lower: float
+    upper: float
     best_lower: float
     best_upper: float
     witness_lower: Word
     witness_upper: Word
-
-    def to_dict(self) -> dict:
-        """The fields, with ``lower_n`` and ``upper_n`` named ``lower`` and
-        ``upper``."""
-        return {_RENAMED.get(k, k): v for k, v in super().to_dict().items()}
 
 
 def gelfand_upper(
@@ -112,8 +104,8 @@ def sandwich(
             BoundReport(
                 n=n,
                 kind=kind,
-                lower_n=lower_n,
-                upper_n=upper_n,
+                lower=lower_n,
+                upper=upper_n,
                 best_lower=best_lower,
                 best_upper=best_upper,
                 witness_lower=lower[2],

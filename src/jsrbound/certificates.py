@@ -71,8 +71,12 @@ class GammaEstimate(Record):
     heuristic: bool
 
 
-def _check_certificate(mset: MatrixSet, p: int, chi_lower: float) -> None:
-    """The certificate needs p >= d - 1 and a positive chi lower bound."""
+def _certificate(mset: MatrixSet, p: int, x: float, chi_lower: float,
+                 name: str) -> float:
+    """max(1, x^p) / chi_lower, once p >= d - 1 and chi_lower > 0.
+
+    A result beyond the float range gives no certificate.
+    """
     if p < mset.dim - 1:
         raise ValueError(
             f"the certificate needs p >= d - 1 = {mset.dim - 1}, got p={p}"
@@ -82,6 +86,13 @@ def _check_certificate(mset: MatrixSet, p: int, chi_lower: float) -> None:
             "no certificate: irreducibility is not established "
             "(chi lower bound is not positive; try a finer mesh)"
         )
+    try:
+        value = max(1.0, x ** p) / chi_lower
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise NoCertificateError(f"no certificate: {name} overflows the floats")
+    return value
 
 
 def nu_p(
@@ -95,15 +106,8 @@ def nu_p(
     ``chi_lower`` must be a positive certified lower bound of the measure
     at this p; the accuracy guarantee needs p >= d - 1.
     """
-    _check_certificate(mset, p, chi_lower)
     set_norm = float(np.max(operator_norms(mset.stacked(), kind)))
-    try:
-        nu = max(1.0, set_norm ** p) / chi_lower
-    except OverflowError:
-        nu = math.inf
-    if math.isinf(nu):
-        raise NoCertificateError("no certificate: nu_p overflows the floats")
-    return nu
+    return _certificate(mset, p, set_norm, chi_lower, "nu_p")
 
 
 def eta_p(mset: MatrixSet, p: int, rho_estimate: float,
@@ -115,8 +119,7 @@ def eta_p(mset: MatrixSet, p: int, rho_estimate: float,
     """
     if rho_estimate <= 0.0:
         raise ValueError("rho_estimate must be positive")
-    _check_certificate(mset, p, chi_lower)
-    return max(1.0, rho_estimate ** p) / chi_lower
+    return _certificate(mset, p, rho_estimate, chi_lower, "eta_p")
 
 
 def certified_interval(
@@ -157,10 +160,10 @@ def plan_steps(
     r^n products fit the enumeration budget, and r^n itself while it is
     below 2^1024 (None beyond).
     """
-    if nu <= 1.0:
-        raise ValueError("nu must exceed 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 1.0 < nu < math.inf:
+        raise ValueError(f"nu must exceed 1 and be finite, got {nu}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if 1.0 + epsilon == 1.0:
         raise ValueError(f"epsilon {epsilon} too small: 1 + epsilon rounds to 1")
     # For small epsilon the rounded roots stay equal over long runs of n,
@@ -219,6 +222,9 @@ def protasov_gamma(
         )
     if samples < 8:
         raise ValueError("samples must be at least 8")
+    if rho_upper is not None and not 0.0 <= rho_upper < math.inf:
+        raise ValueError(
+            f"rho_upper must be non-negative and finite, got {rho_upper}")
     _net_size(samples, f"gamma with {samples} samples")
     e, mats = _binary_scale(mset)
     set_norm = float(np.max(operator_norms(mats, _EUCLID)))
@@ -251,10 +257,12 @@ def protasov_gamma(
 
 
 def _sphere_for_samples(samples: int) -> np.ndarray:
-    """Icosphere vertices, refined until at least ``samples`` of them."""
-    mesh = 1.2
-    verts = icosphere(mesh)
-    while verts.shape[0] < samples:
-        mesh /= 2.0
-        verts = icosphere(mesh)
-    return verts
+    """The coarsest icosphere with at least ``samples`` vertices.
+
+    Level k has 10 * 4^k + 2 vertices and a covering radius between
+    0.652 / 2^k and 0.764 / 2^k, so mesh 1.2 / 2^k builds level k.
+    """
+    k = 0
+    while 10 * 4 ** k + 2 < samples:
+        k += 1
+    return icosphere(1.2 / 2 ** k)

@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_bound(args, mset):
     reports = _bounds.sandwich(mset, args.n_max, args.norm, args.max_words)
     result = {
-        "reports": [rep.to_dict() for rep in reports],
+        "reports": reports,
         "best_lower": reports[-1].best_lower,
         "best_upper": reports[-1].best_upper,
     }

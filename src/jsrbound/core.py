@@ -584,16 +584,5 @@ def matrix_set_norm(
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> float:
     """Largest operator norm over all length-n products."""
-    value, _ = matrix_set_norm_witness(mset, n, kind, max_words)
-    return value
-
-
-def matrix_set_norm_witness(
-    mset: MatrixSet,
-    n: int,
-    kind: NormKind,
-    max_words: int = DEFAULT_WORD_BUDGET,
-) -> tuple[float, Word]:
-    """Largest operator norm over length-n products plus its witness word."""
-    [(value, exponent, word)] = max_over_products(mset, n, [kind], max_words)
-    return _root(value, exponent, 1), word
+    [(value, exponent, _)] = max_over_products(mset, n, [kind], max_words)
+    return _root(value, exponent, 1)

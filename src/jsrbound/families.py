@@ -37,28 +37,24 @@ class FamilyChiBound(Record):
     irreducible: bool
 
 
+def _row_edits(base: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """Copies of ``base``, the i-th with its row i replaced by rows[i]."""
+    members = [base.copy() for _ in rows]
+    for i, m in enumerate(members):
+        m[i, :] = rows[i]
+    return members
+
+
 def row_substitution_family(matrix) -> MatrixSet:
     """Members I with row i replaced by row i of A, for i = 1..d."""
     a = as_matrix(matrix)
-    d = a.shape[0]
-    members = []
-    for i in range(d):
-        m = np.eye(d)
-        m[i, :] = a[i, :]
-        members.append(m)
-    return MatrixSet(dim=d, members=tuple(members))
+    return MatrixSet(a.shape[0], tuple(_row_edits(np.eye(a.shape[0]), a)))
 
 
 def row_sign_flip_family(matrix) -> MatrixSet:
     """A together with its single-row negations, d + 1 members."""
     a = as_matrix(matrix)
-    d = a.shape[0]
-    members = [a.copy()]
-    for i in range(d):
-        m = a.copy()
-        m[i, :] = -m[i, :]
-        members.append(m)
-    return MatrixSet(dim=d, members=tuple(members))
+    return MatrixSet(a.shape[0], (a, *_row_edits(a, -a)))
 
 
 def control_pair(matrix, b, c) -> MatrixSet:
@@ -104,6 +100,19 @@ def _min_offdiag(matrix: np.ndarray) -> float:
     return float(np.min(vals)) if vals.size else 0.0
 
 
+def _family_bound(family: str, a: np.ndarray, alpha: float,
+                  beta: float) -> FamilyChiBound:
+    """The bound alpha * beta^(d-1); irreducible when A is indecomposable
+    and alpha > 0."""
+    return FamilyChiBound(
+        family=family,
+        alpha=alpha,
+        beta=beta,
+        chi_lower=alpha * beta ** (a.shape[0] - 1),
+        irreducible=bool(indecomposable(a) and alpha > 0.0),
+    )
+
+
 def row_substitution_bound(matrix) -> FamilyChiBound:
     """Measure bound alpha * beta^(d-1) for the row-substitution family.
 
@@ -113,15 +122,8 @@ def row_substitution_bound(matrix) -> FamilyChiBound:
     """
     a = as_matrix(matrix)
     d = a.shape[0]
-    alpha = _min_l1_gain(a - np.eye(d)) / (2.0 * d)
-    beta = _min_offdiag(a) / 2.0
-    return FamilyChiBound(
-        family="P",
-        alpha=alpha,
-        beta=beta,
-        chi_lower=alpha * beta ** (d - 1),
-        irreducible=bool(indecomposable(a) and alpha > 0.0),
-    )
+    return _family_bound("P", a, _min_l1_gain(a - np.eye(d)) / (2.0 * d),
+                         _min_offdiag(a) / 2.0)
 
 
 def row_sign_flip_bound(matrix) -> FamilyChiBound:
@@ -132,13 +134,5 @@ def row_sign_flip_bound(matrix) -> FamilyChiBound:
     indecomposable and invertible.
     """
     a = as_matrix(matrix)
-    d = a.shape[0]
-    alpha = _min_l1_gain(a) / d
-    beta = _min_offdiag(a)
-    return FamilyChiBound(
-        family="V",
-        alpha=alpha,
-        beta=beta,
-        chi_lower=alpha * beta ** (d - 1),
-        irreducible=bool(indecomposable(a) and alpha > 0.0),
-    )
+    return _family_bound("V", a, _min_l1_gain(a) / a.shape[0],
+                         _min_offdiag(a))

@@ -50,6 +50,9 @@ _DEGENERATE_REL = 1e-13
 # the finest icosphere (level 9) has 2,621,442.
 MAX_NET_POINTS = 1 << 22
 
+# Covering radius of the level-9 icosphere, as _covering_radius measures it.
+_LEVEL9_RADIUS = 0.0014920536242305257
+
 
 def _check_mesh(mesh: float) -> None:
     if not 0.0 < mesh < inf:
@@ -326,11 +329,12 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
 
 def icosphere(mesh: float) -> np.ndarray:
     """Vertices of the coarsest icosphere with covering radius <= mesh.
-    Any net of covering radius mesh has 2 / (1 - cos mesh) >= 4 / mesh^2
-    points or more (its caps cover 4 pi), checked before building."""
+    A mesh below the covering radius of level 9 needs level 10, whose
+    10 * 4^10 + 2 vertices exceed MAX_NET_POINTS: refused before building."""
     _check_mesh(mesh)
     what = f"an icosphere at mesh {mesh}"
-    _net_size(4.0 / float(mesh) / float(mesh), what)
+    if mesh < _LEVEL9_RADIUS:
+        _net_size(10 * 4 ** 10 + 2, what)
     verts, faces = _icosahedron()
     while _covering_radius(verts, faces) > mesh:
         # A subdivision adds one vertex per edge, 3/2 per face.

@@ -10,6 +10,7 @@ exactly when the set is irreducible, provided p >= d - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,19 +218,21 @@ def chi_measure(
     d = mset.dim
     prods = reach_products(mset, p, max_words)
     lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
-    if d > 3:
+    exact = d <= 3
+    if not exact:
         if not sampling_fallback:
             raise UnsupportedDimensionError(
                 f"exact hulls are available for d in {{1, 2, 3}}, got d={d}; "
                 "pass sampling_fallback=True for a non-certified upper estimate"
             )
-        return _chi_sampled_upper(mset, prods, p, kind, mesh, lipschitz)
-    xs = sphere_net(d, kind, mesh)
-    vals = radius_profile(prods, xs, kind)
+        xs, vals = _chi_sampled_upper(prods, d, kind, mesh)
+    else:
+        xs = sphere_net(d, kind, mesh)
+        vals = radius_profile(prods, xs, kind)
     best_idx = int(np.argmin(vals))
     sampled = float(vals[best_idx])
     argmin = xs[best_idx]
-    if d > 1:
+    if exact and d > 1:
         def value_fn(block):
             return radius_profile(prods, block, kind)
 
@@ -240,7 +243,7 @@ def chi_measure(
             if v < sampled:
                 sampled = float(v)
                 argmin = x
-    certified = max(0.0, sampled - lipschitz * mesh)
+    certified = max(0.0, sampled - lipschitz * mesh) if exact else 0.0
     return ChiEstimate(
         p=p,
         kind=kind,
@@ -253,37 +256,24 @@ def chi_measure(
     )
 
 
-def _chi_sampled_upper(mset: MatrixSet, prods: np.ndarray, p: int,
-                       kind: NormKind, mesh: float,
-                       lipschitz: float) -> ChiEstimate:
-    """Sampled, non-certified upper estimate for d >= 4.
+def _chi_sampled_upper(prods: np.ndarray, d: int, kind: NormKind,
+                       mesh: float) -> tuple[np.ndarray, np.ndarray]:
+    """Base points and sampled hull radii for the d >= 4 upper estimate.
 
     The Halton directions serve twice: normalized, as the base points,
     and as the support directions of every hull, whose points G x need no
     negated copies since the support is even.  Points are evaluated in
-    batches of about _SAMPLED_FLOATS support values; the first point wins
-    ties.
+    batches of about _SAMPLED_FLOATS support values.
     """
     count = max(64, _net_size(np.ceil(2.0 * np.pi / mesh) * 10.0,
                               f"the sampled estimate at mesh {mesh}"))
-    dirs = halton_directions(mset.dim, count)
+    dirs = halton_directions(d, count)
     xs = kind_normalize(dirs, kind)
     batch = max(1, _SAMPLED_FLOATS // (prods.shape[0] * dirs.shape[0]))
-    vals = np.concatenate([
+    return xs, np.concatenate([
         support_radius_upper((prods @ xs[lo:lo + batch, None, :, None])[..., 0],
                              kind, dirs)
         for lo in range(0, xs.shape[0], batch)])
-    j = int(np.argmin(vals))
-    return ChiEstimate(
-        p=p,
-        kind=kind,
-        sampled_inf=float(vals[j]),
-        certified_lower=0.0,
-        lipschitz=lipschitz,
-        mesh=mesh,
-        argmin=xs[j],
-        samples=xs.shape[0],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +410,9 @@ def lemma1_crosscheck(
     certificate (or a near-zero sample on reducible sets), "inconclusive"
     when the mesh was too coarse to certify, "inconsistent" otherwise.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(
+            f"tolerance must be non-negative and finite, got {tolerance}")
     detail = burnside_detail(mset)
     chi = chi_measure(mset, p, kind, mesh, max_words=max_words)
     if detail.irreducible:

@@ -73,8 +73,8 @@ def test_criterion_01_sandwich_soundness():
         mset = _random_set(rng, dim, r)
         for kind in ALL_KINDS:
             reports = sandwich(mset, 6, kind)
-            worst_lower = max(rep.lower_n for rep in reports)
-            best_upper = min(rep.upper_n for rep in reports)
+            worst_lower = max(rep.lower for rep in reports)
+            best_upper = min(rep.upper for rep in reports)
             if worst_lower > best_upper + 1e-9:
                 failures.append(
                     f"set {idx} {kind.value}: lower {worst_lower} "

@@ -71,13 +71,13 @@ class TestSandwich:
     def test_identity_collapses(self):
         ms = MatrixSet.from_arrays([np.eye(2)])
         for rep in sandwich(ms, 3, NormKind.L2):
-            assert rep.lower_n == pytest.approx(1.0)
-            assert rep.upper_n == pytest.approx(1.0)
+            assert rep.lower == pytest.approx(1.0)
+            assert rep.upper == pytest.approx(1.0)
 
     def test_isometry_collapses(self):
         for rep in sandwich(QUARTER_TURN, 4, NormKind.L2):
-            assert rep.lower_n == pytest.approx(1.0)
-            assert rep.upper_n == pytest.approx(1.0)
+            assert rep.lower == pytest.approx(1.0)
+            assert rep.upper == pytest.approx(1.0)
 
     def test_golden_pair_brackets(self):
         reports = sandwich(GOLDEN_PAIR, 8, NormKind.L2)
@@ -94,7 +94,7 @@ class TestSandwich:
             for kind in NormKind:
                 reports = sandwich(ms, 4, kind)
                 for rep in reports:
-                    assert rep.lower_n <= rep.upper_n + 1e-9
+                    assert rep.lower <= rep.upper + 1e-9
                 assert reports[-1].best_lower <= reports[-1].best_upper + 1e-9
 
     def test_budget_error_keeps_partial_reports(self):
@@ -219,7 +219,7 @@ class TestChunkedScans:
         assert [rep.to_dict() for rep in chunked] == \
             [rep.to_dict() for rep in whole]
         for rep in whole:
-            assert rep.upper_n == pytest.approx(1e27, rel=1e-12)
+            assert rep.upper == pytest.approx(1e27, rel=1e-12)
 
     def test_rescaled_later_block_matches_one_block(self, monkeypatch):
         ms = MatrixSet.from_arrays([np.eye(2), 2.0 ** -250 * np.eye(2)])
@@ -275,7 +275,7 @@ class TestScaleFree:
         plain = sandwich(GOLDEN_PAIR, 6, NormKind.L2)
         scaled = sandwich(GOLDEN_PAIR.scaled(c), 6, NormKind.L2)
         for a, b in zip(plain, scaled):
-            for key in ("lower_n", "upper_n", "best_lower", "best_upper"):
+            for key in ("lower", "upper", "best_lower", "best_upper"):
                 assert getattr(b, key) == pytest.approx(c * getattr(a, key),
                                                         rel=1e-12)
             # both sides equal phi * c in l2 (bound collapse), so they may

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from jsrbound import (
     plan_steps,
     protasov_gamma,
 )
+
+import jsrbound.certificates as certificates_module
+from jsrbound.geometry import icosphere
 
 from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN
 
@@ -76,6 +80,15 @@ class TestEta:
             eta_p(GOLDEN_PAIR, 1, -1.0, 0.5)
         with pytest.raises(NoCertificateError):
             eta_p(GOLDEN_PAIR, 1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("p, rho, chi_lower", [
+        (2000, 2.0, 0.5),    # rho^p overflows the float power
+        (1, 1.0, 1e-320),    # 1 / chi_lower is infinite
+    ])
+    def test_beyond_the_float_range_is_no_certificate(self, p, rho,
+                                                      chi_lower):
+        with pytest.raises(NoCertificateError, match="eta_p overflows"):
+            eta_p(GOLDEN_PAIR, p, rho, chi_lower)
 
 
 class TestCertifiedInterval:
@@ -151,6 +164,16 @@ class TestPlanSteps:
         with pytest.raises(ValueError):
             plan_steps(2.0, 0.0)
 
+    @pytest.mark.parametrize("nu, epsilon, message", [
+        (math.inf, 0.05, "nu must exceed 1 and be finite, got inf"),
+        (math.nan, 0.05, "nu must exceed 1 and be finite, got nan"),
+        (2.0, math.nan, "epsilon must be positive and finite, got nan"),
+        (2.0, math.inf, "epsilon must be positive and finite, got inf"),
+    ])
+    def test_non_finite_inputs_rejected(self, nu, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            plan_steps(nu, epsilon)
+
     def test_epsilon_below_float_resolution_rejected(self):
         with pytest.raises(ValueError, match="rounds to 1"):
             plan_steps(1e308, 1e-300)
@@ -224,6 +247,12 @@ class TestProtasovGamma:
             protasov_gamma(MatrixSet.from_arrays([np.eye(d)]),
                            samples=10 ** 16)
 
+    @pytest.mark.parametrize("rho_upper", [math.nan, math.inf, -5.0])
+    def test_bad_rho_upper_rejected(self, rho_upper):
+        with pytest.raises(ValueError, match="rho_upper must be non-negative "
+                           f"and finite, got {rho_upper}"):
+            protasov_gamma(GOLDEN_PAIR, rho_upper=rho_upper)
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("c", [2.0 ** -900, 1e-200, 1e200, 2.0 ** 900])
     def test_scale_free(self, d, c):
@@ -246,3 +275,45 @@ class TestProtasovGamma:
             assert scaled.gamma_lower == est.gamma_lower
             assert scaled.p_values == tuple(math.ldexp(v, k)
                                             for v in est.p_values)
+
+
+def _halving_loop(samples: int, build) -> np.ndarray:
+    """The reference: halve the mesh from 1.2 until the icosphere has at
+    least ``samples`` vertices."""
+    mesh = 1.2
+    verts = build(mesh)
+    while verts.shape[0] < samples:
+        mesh /= 2.0
+        verts = build(mesh)
+    return verts
+
+
+class TestSphereForSamples:
+    def test_matches_the_halving_loop_at_every_level(self, monkeypatch):
+        """One icosphere call, at the mesh where the halving loop stops,
+        for sample counts around each level's 10 * 4^k + 2 vertices."""
+        built = functools.lru_cache(maxsize=None)(icosphere)
+        calls = []
+
+        def counted(mesh):
+            calls.append(mesh)
+            return built(mesh)
+
+        monkeypatch.setattr(certificates_module, "icosphere", counted)
+        for k in range(10):
+            count = 10 * 4 ** k + 2
+            for samples in (count - 1, count, count + 1):
+                calls.clear()
+                want_k = k if samples <= count else k + 1
+                if want_k == 10:
+                    with pytest.raises(ValueError) as got:
+                        certificates_module._sphere_for_samples(samples)
+                    with pytest.raises(ValueError) as want:
+                        _halving_loop(samples, built)
+                    assert str(got.value) == str(want.value)
+                else:
+                    verts = certificates_module._sphere_for_samples(samples)
+                    assert verts.shape[0] == 10 * 4 ** want_k + 2
+                    assert np.array_equal(verts,
+                                          _halving_loop(samples, built))
+                assert calls == [1.2 / 2 ** want_k]

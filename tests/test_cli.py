@@ -83,6 +83,10 @@ class TestEnvelope:
         assert not out.exists()
 
 
+def _reject(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _run_doc(*args: str) -> tuple[int, dict]:
     """Run the CLI in this process; the exit code and the JSON document."""
     out = io.StringIO()
@@ -413,6 +417,10 @@ class TestOversizedRequests:
         (R3, ("gamma", "--samples", "10000000000000000"),
          "gamma with 10000000000000000 samples needs more than 4194304 "
          "points"),
+        (ROTATIONS3, ("chi", "--p", "1", "--mesh", "0.001"),
+         "an icosphere at mesh 0.001 needs more than 4194304 points"),
+        (ROTATIONS3, ("gamma", "--samples", "3000000"),
+         "an icosphere at mesh 0.001171875 needs more than 4194304 points"),
         (R3, ("chi", "--mesh", "nan"), "mesh must be positive and finite, "
          "got nan"),
         (R3, ("chi", "--mesh", "inf"), "mesh must be positive and finite, "
@@ -427,6 +435,34 @@ class TestOversizedRequests:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert doc == {"command": args[0], "error": message}
+
+    @pytest.mark.parametrize("args, message", [
+        (("plan", "--nu", "inf"), "nu must exceed 1 and be finite, got inf"),
+        (("plan", "--nu", "nan"), "nu must exceed 1 and be finite, got nan"),
+        (("plan", "--nu", "2", "--epsilon", "nan"),
+         "epsilon must be positive and finite, got nan"),
+        (("plan", "--nu", "2", "--epsilon", "inf"),
+         "epsilon must be positive and finite, got inf"),
+        (("gamma", "--rho-upper", "nan"),
+         "rho_upper must be non-negative and finite, got nan"),
+        (("gamma", "--rho-upper", "inf"),
+         "rho_upper must be non-negative and finite, got inf"),
+        (("gamma", "--rho-upper", "-5"),
+         "rho_upper must be non-negative and finite, got -5.0"),
+        (("irreducible", "--tol", "nan"),
+         "tolerance must be non-negative and finite, got nan"),
+    ])
+    def test_bad_numeric_option_is_a_strict_json_error(self, tmp_path, args,
+                                                       message):
+        path = tmp_path / "set.json"
+        path.write_text(R3)
+        extra = () if args[0] == "plan" else ("--input", str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*args, *extra])
+        assert code == 1
+        assert json.loads(out.getvalue(), parse_constant=_reject) == {
+            "command": args[0], "error": message}
 
     def test_counts_below_2_to_the_1024_are_printed_in_full(self, tmp_path):
         path = tmp_path / "set.json"

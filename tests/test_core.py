@@ -28,7 +28,6 @@ from jsrbound import (
     gelfand_upper,
     load_matrix_set,
     matrix_set_norm,
-    matrix_set_norm_witness,
     max_over_products,
     operator_norm,
     parse_matrix_set,
@@ -377,8 +376,8 @@ class TestSetNorm:
 
     def test_witness_is_first_on_ties(self):
         twin = MatrixSet.from_arrays([np.eye(2), np.eye(2)])
-        value, word = matrix_set_norm_witness(twin, 3, NormKind.L2)
-        assert value == pytest.approx(1.0)
+        [(_, _, word)] = max_over_products(twin, 3, [NormKind.L2])
+        assert matrix_set_norm(twin, 3, NormKind.L2) == pytest.approx(1.0)
         assert word == (1, 1, 1)
 
     def test_max_over_products_single_pass(self, rng):
@@ -461,7 +460,7 @@ class TestRecords:
                    "certified_lower": 0.25, "lipschitz": 2.0, "mesh": 0.1,
                    "argmin": [0.6, 0.8], "samples": 63}
         cases = [
-            (BoundReport(n=2, kind=NormKind.L1, lower_n=1.5, upper_n=2.0,
+            (BoundReport(n=2, kind=NormKind.L1, lower=1.5, upper=2.0,
                          best_lower=1.5, best_upper=2.0, witness_lower=(1, 2),
                          witness_upper=(2, 2)),
              {"n": 2, "kind": "l1", "lower": 1.5, "upper": 2.0,
@@ -494,8 +493,12 @@ class TestRecords:
              {"family": "V", "alpha": 0.5, "beta": 1.0, "chi_lower": 0.5,
               "irreducible": True}),
         ]
+        assert {type(record) for record, _ in cases} == {
+            cls for cls in Record.__subclasses__()
+            if cls.__module__.startswith("jsrbound.")}
         for record, expected in cases:
             doc = record.to_dict()
+            assert _plain(record) == doc
             assert doc == expected
             assert list(doc) == list(expected)
             assert json.dumps(doc) == json.dumps(expected)
@@ -706,6 +709,6 @@ class TestScreenedMaxima:
         rho = _reference_max(ms, n, spectral_radii)
         assert top.witness_upper == norm[2]
         assert top.witness_lower == rho[2]
-        assert top.upper_n == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
-        assert top.lower_n == math.ldexp(rho[0], rho[1]) ** (1.0 / n)
-        assert gelfand_upper(ms, n, NormKind.L2) == top.upper_n
+        assert top.upper == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
+        assert top.lower == math.ldexp(rho[0], rho[1]) ** (1.0 / n)
+        assert gelfand_upper(ms, n, NormKind.L2) == top.upper

@@ -13,7 +13,9 @@ from jsrbound import (
     sphere_net,
     support_radius_upper,
 )
+import jsrbound.geometry as geometry_module
 from jsrbound.geometry import (
+    _LEVEL9_RADIUS,
     MAX_NET_POINTS,
     dual_kind,
     halton_directions,
@@ -285,10 +287,12 @@ class TestSphereNet:
         with pytest.raises(ValueError, match="needs more than"):
             sphere_net(d, kind, mesh)
 
-    @pytest.mark.parametrize("mesh", [1e-9, 5e-324, np.float64(1e-200)])
+    @pytest.mark.parametrize("mesh", [1e-9, 5e-324, np.float64(1e-200), 0.001,
+                                      np.nextafter(_LEVEL9_RADIUS, 0.0)])
     def test_impossible_icosphere_refused_before_building(self, mesh,
                                                           monkeypatch):
-        """4 / mesh^2 points are needed; past the limit no level is built."""
+        """Below level 9's covering radius level 10 is needed, past the
+        limit: no level is built."""
         def no_levels(verts, faces):
             raise AssertionError("an icosphere level was built")
 
@@ -296,6 +300,20 @@ class TestSphereNet:
         with pytest.raises(ValueError, match="an icosphere at mesh .* needs "
                            "more than 4194304 points"):
             sphere_net(3, NormKind.L2, mesh)
+
+    def test_level9_radius_is_the_built_one(self, monkeypatch):
+        radii = []
+        measure = geometry_module._covering_radius
+
+        def recorded(verts, faces):
+            radii.append(measure(verts, faces))
+            return radii[-1]
+
+        monkeypatch.setattr(geometry_module, "_covering_radius", recorded)
+        verts = geometry_module.icosphere(_LEVEL9_RADIUS)
+        assert verts.shape == (2_621_442, 3)
+        assert len(radii) == 10
+        assert radii[-1] == _LEVEL9_RADIUS
 
     def test_limit_admits_the_finest_icosphere(self):
         # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is

@@ -361,6 +361,13 @@ class TestCrosscheck:
         if rep.chi.certified_lower == 0.0:
             assert rep.agreement == "inconclusive"
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-6])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be non-negative "
+                           f"and finite, got {tolerance}"):
+            lemma1_crosscheck(QUARTER_TURN, 1, NormKind.L2, 0.05,
+                              tolerance=tolerance)
+
     def test_report_dict(self):
         doc = lemma1_crosscheck(QUARTER_TURN, 1, NormKind.L2, 0.05).to_dict()
         assert set(doc) == {"irreducible", "rank", "status", "chi", "agreement"}
