@@ -154,7 +154,7 @@ def kronecker_bounds(
                 f"a negative entry at ({i}, {j})"
             )
     _check_budget("Kronecker power dimension {count} exceeds the limit "
-                  "{budget}", mset.dim, n, max_kron_dim)
+                  "{budget}", mset.dim, n, "max_kron_dim", max_kron_dim)
     dim = mset.dim ** n
     e, mats = _binary_scale(mset)
     total = np.zeros((dim, dim))

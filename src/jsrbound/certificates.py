@@ -25,6 +25,7 @@ from .core import (
     Record,
     _binary_scale,
     _budget_count,
+    _require_budget,
     operator_norms,
 )
 from .errors import NoCertificateError, UnsupportedDimensionError
@@ -181,6 +182,7 @@ def plan_steps(
         return StepPlan(n=n, products_required=None, fits_budget=None)
     if r < 1:
         raise ValueError("r must be a positive integer")
+    _require_budget("max_words", max_words)
     exceeds, required = _budget_count(r, n, max_words)
     return StepPlan(n=n, products_required=required, fits_budget=not exceeds)
 

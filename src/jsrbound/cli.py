@@ -60,8 +60,9 @@ def _read_input(path: str) -> tuple[MatrixSet, str]:
     return parse_matrix_set(raw.decode("utf-8")), digest
 
 
-def _add_common(parser: argparse.ArgumentParser, *, with_input: bool = True,
-                with_norm: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, run, *,
+                with_input: bool = True, with_norm: bool = True) -> None:
+    parser.set_defaults(run=run)
     if with_input:
         parser.add_argument("--input", required=True,
                             help="path to the matrix-set JSON file")
@@ -85,19 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="norm/spectral sandwich over n = 1..n_max")
-    _add_common(p)
+    _add_common(p, _run_bound)
     p.add_argument("--n-max", type=int, default=_DEF_N_MAX)
     p.add_argument("--trace", action="store_true",
                    help="also report heuristic trace estimates")
     _add_budget(p)
 
     p = sub.add_parser("oracle", help="brute-force reference interval")
-    _add_common(p)
+    _add_common(p, _run_oracle)
     p.add_argument("--n-max", type=int, default=_DEF_N_MAX)
     _add_budget(p)
 
     p = sub.add_parser("chi", help="sampled irreducibility measure")
-    _add_common(p)
+    _add_common(p, _run_chi)
     p.add_argument("--p", type=int, default=None,
                    help="max product length (default d - 1)")
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("irreducible",
                        help="algebraic test cross-checked with the measure")
-    _add_common(p)
+    _add_common(p, _run_irreducible)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
     p.add_argument("--tol", type=float, default=1e-6,
@@ -114,14 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify",
                        help="certified enclosure driven by the measure")
-    _add_common(p)
+    _add_common(p, _run_certify)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
     p.add_argument("--n", type=int, default=_DEF_N_MAX)
     _add_budget(p)
 
     p = sub.add_parser("plan", help="steps needed for a target accuracy")
-    _add_common(p, with_input=False, with_norm=False)
+    _add_common(p, _run_plan, with_input=False, with_norm=False)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=_DEF_EPSILON)
     p.add_argument("--r", type=int, default=None,
@@ -129,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
 
     p = sub.add_parser("gamma", help="subspace-escape lower estimate")
-    _add_common(p, with_norm=False)
+    _add_common(p, _run_gamma, with_norm=False)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--rho-upper", type=float, default=None)
     p.add_argument("--n", type=int, default=None,
@@ -140,15 +141,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example",
                        help="closed-form family bound from a single matrix")
     p.add_argument("family", choices=["p", "v"])
-    _add_common(p, with_norm=False)
+    _add_common(p, _run_example, with_norm=False)
 
     p = sub.add_parser("zero-test", help="exact zero-radius test")
-    _add_common(p, with_norm=False)
+    _add_common(p, _run_zero_test, with_norm=False)
     _add_budget(p)
 
     p = sub.add_parser("kronecker",
                        help="Kronecker-power bounds for nonnegative sets")
-    _add_common(p, with_norm=False)
+    _add_common(p, _run_kronecker, with_norm=False)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--max-kron-dim", type=int,
                    default=_bounds.DEFAULT_KRON_DIM_LIMIT)
@@ -270,21 +271,8 @@ def _run_kronecker(args, mset):
     }, []
 
 
-_RUNNERS = {
-    "bound": _run_bound,
-    "oracle": _run_oracle,
-    "chi": _run_chi,
-    "irreducible": _run_irreducible,
-    "certify": _run_certify,
-    "plan": _run_plan,
-    "gamma": _run_gamma,
-    "example": _run_example,
-    "zero-test": _run_zero_test,
-    "kronecker": _run_kronecker,
-}
-
-# Parsed options that are not parameters: the subcommand and the files.
-_NOT_PARAMS = ("command", "input", "output")
+# Parsed options that are not parameters: subcommand, runner and files.
+_NOT_PARAMS = ("command", "run", "input", "output")
 
 
 def _run(args) -> dict:
@@ -293,10 +281,10 @@ def _run(args) -> dict:
     if "input" in args:
         mset, digest = _read_input(args.input)
     if "norm" in args:
-        args.norm = NormKind.from_name(args.norm)
+        args.norm = NormKind(args.norm)
     if "p" in args and args.p is None:
         args.p = max(1, mset.dim - 1)
-    result, warnings = _RUNNERS[args.command](args, mset)
+    result, warnings = args.run(args, mset)
     return {
         "command": args.command,
         "input_digest": digest,
@@ -308,7 +296,11 @@ def _run(args) -> dict:
 
 
 def _error_envelope(args, exc: Exception) -> str:
-    return json.dumps({"command": args.command, "error": str(exc)}, indent=2)
+    """The error text, plus the steps completed before it (``partial``)."""
+    doc = {"command": args.command, "error": str(exc)}
+    if getattr(exc, "partial", None):
+        doc["partial"] = _plain(exc.partial)
+    return json.dumps(doc, indent=2)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -80,15 +80,6 @@ class NormKind(enum.Enum):
     L2 = "l2"
     LINF = "linf"
 
-    @classmethod
-    def from_name(cls, name: str) -> "NormKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise InputFormatError(
-                f"unknown norm {name!r}: expected one of l1, l2, linf"
-            ) from None
-
 
 def _plain(value):
     """The JSON form of a result: records field by field in declaration
@@ -212,16 +203,18 @@ def parse_matrix_set(text: str) -> MatrixSet:
                 raise InputFormatError(
                     f"matrix {k}, row {i}: expected {dim} entries, got {got}"
                 )
+            rows.append([])
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise InputFormatError(
                         f"matrix {k}, entry ({i}, {j}): not a number"
                     )
-                if not np.isfinite(v):
+                try:
+                    rows[-1].append(float(v))
+                except OverflowError:  # NaN and infinities go to MatrixSet
                     raise InputFormatError(
-                        f"matrix {k}, entry ({i}, {j}): non-finite value"
-                    )
-            rows.append([float(v) for v in row])
+                        f"matrix {k}, entry ({i}, {j}): integer beyond the "
+                        "float range") from None
         members.append(np.array(rows))
     return MatrixSet(dim=dim, members=tuple(members))
 
@@ -362,10 +355,18 @@ def _budget_count(r: int, n: int, budget: int,
     return count > budget, count if count < 1 << _COUNT_BITS else None
 
 
-def _check_budget(message: str, r: int, n: int, budget: int,
+def _require_budget(name: str, budget) -> None:
+    """Raise ValueError, naming the budget, unless it is a positive int."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"{name} must be a positive integer, got {budget!r}")
+
+
+def _check_budget(message: str, r: int, n: int, name: str, budget: int,
                   first: int | None = None) -> None:
-    """Raise BudgetExceededError when ``_budget_count`` exceeds ``budget``;
-    ``message`` gets ``n``, ``budget`` and ``count``, or "more than 2^B"."""
+    """Raise BudgetExceededError when ``_budget_count`` exceeds ``budget``,
+    named ``name`` (ValueError when it is not a positive int); ``message``
+    gets ``n``, ``budget`` and ``count``, or "more than 2^B"."""
+    _require_budget(name, budget)
     exceeds, count = _budget_count(r, n, budget, first)
     if exceeds:
         bits = max(n * (r.bit_length() - 1), _COUNT_BITS) - 1
@@ -414,7 +415,7 @@ def _product_chunks(
     if n < 1:
         raise ValueError("product length n must be a positive integer")
     _check_budget("enumerating length-{n} products requires {count} words, "
-                  "budget is {budget}", mset.r, n, max_words)
+                  "budget is {budget}", mset.r, n, "max_words", max_words)
     step, mats = _binary_scale(mset)
     r, d = mset.r, mset.dim
     tail = n

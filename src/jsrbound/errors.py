@@ -16,15 +16,15 @@ class BudgetExceededError(JsrError):
 
     Carries the required count and the budget so callers can report or
     re-plan.  ``partial`` holds any per-step results completed before the
-    budget was hit (used by the sandwich driver).
+    budget was hit; the sandwich driver fills it.
     """
 
     def __init__(self, message: str, *, required: int | None = None,
-                 budget: int | None = None, partial: list | None = None):
+                 budget: int | None = None):
         super().__init__(message)
         self.required = required
         self.budget = budget
-        self.partial = partial if partial is not None else []
+        self.partial: list = []
 
 
 class ConvergenceError(JsrError):

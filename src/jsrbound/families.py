@@ -66,16 +66,15 @@ def control_pair(matrix, b, c) -> MatrixSet:
     return MatrixSet(dim=d, members=(a, np.outer(bv, cv)))
 
 
-def indecomposable(matrix, tol: float | None = None) -> bool:
+def indecomposable(matrix) -> bool:
     """True when the nonzero pattern of A is strongly connected.
 
     The digraph on {1..d} has an edge j -> i whenever |a_ij| exceeds the
-    zero tolerance.
+    zero tolerance 1e-12 * (1 + max |a_ij|).
     """
     a = as_matrix(matrix)
     d = a.shape[0]
-    if tol is None:
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(a))))
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(a))))
     reach = (np.abs(a) > tol) | np.eye(d, dtype=bool)
     for _ in range(int(np.ceil(np.log2(max(d, 2)))) + 1):
         reach = reach | (reach @ reach)

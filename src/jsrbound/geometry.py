@@ -424,6 +424,9 @@ def halton_directions(d: int, count: int) -> np.ndarray:
 _RING_COS = np.array([np.cos(k * np.pi / 4.0) for k in range(8)])[:, None]
 _RING_SIN = np.array([np.sin(k * np.pi / 4.0) for k in range(8)])[:, None]
 
+# A refinement start stops once its step falls below this.
+_MIN_STEP = 1e-13
+
 
 def _offset_ring(x: np.ndarray) -> np.ndarray:
     """Unit tangent steps at x as rows: 2 along the circle, 8 around a 3-d point."""
@@ -441,8 +444,8 @@ def _offset_ring(x: np.ndarray) -> np.ndarray:
 
 
 def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
-                   step: float, min_step: float = 1e-13,
-                   max_rounds: int = 200) -> tuple[np.ndarray, np.ndarray]:
+                   step: float, max_rounds: int = 200
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep pattern search for local minima on the kind-unit sphere.
 
     ``x0`` is a (k, d) stack of starts and ``v0`` their (k,) values;
@@ -451,7 +454,7 @@ def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
     round evaluates the ring of neighbors at the start's own step, moves
     to the best of them if it improves on the current value and halves
     the step otherwise, and the start stops once its step is below
-    ``min_step``.  The round counter is shared: each round makes one
+    _MIN_STEP.  The round counter is shared: each round makes one
     value_fn call on the stacked rings of the starts still running, and
     no start runs more than ``max_rounds`` rounds.  Every start ends where
     it would end alone.  Returns the (k, d) end points and their (k,)
@@ -463,7 +466,7 @@ def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
     steps = np.full(k, float(step))
     rings = np.stack([_offset_ring(x) for x in xs])
     for _ in range(max_rounds):
-        live = np.flatnonzero(steps >= min_step)
+        live = np.flatnonzero(steps >= _MIN_STEP)
         if live.size == 0:
             break
         cand = kind_normalize(

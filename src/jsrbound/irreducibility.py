@@ -44,6 +44,9 @@ _POINT_DEDUP_TOL = 1e-12
 # fallback forms at once.
 _SAMPLED_FLOATS = 1 << 16
 
+# Most refinement starts ``chi_measure`` takes from the net.
+_MAX_STARTS = 8
+
 
 @dataclass(frozen=True, eq=False)
 class ReachSet:
@@ -134,7 +137,8 @@ def reach_products(
     if p < 0:
         raise ValueError("p must be a non-negative integer")
     _check_budget("products of length <= {n} require {count} words, "
-                  "budget is {budget}", mset.r, p, max_words, first=0)
+                  "budget is {budget}", mset.r, p, "max_words", max_words,
+                  first=0)
     kept = _DedupStack((mset.dim, mset.dim))
     try:
         with np.errstate(over="raise"):
@@ -175,12 +179,12 @@ def sphere_profile(
 
 
 def _select_starts(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
-                   spacing: float, limit: int = 8) -> list[int]:
+                   spacing: float) -> list[int]:
     """Lowest-value net points, greedily thinned to pairwise spacing."""
     order = np.argsort(vals, kind="stable")
     chosen: list[int] = []
     for idx in order:
-        if len(chosen) >= limit:
+        if len(chosen) >= _MAX_STARTS:
             break
         if all(vector_norms(xs[idx] - xs[j], kind) >= spacing for j in chosen):
             chosen.append(int(idx))
@@ -222,9 +226,7 @@ def chi_measure(
     if not exact:
         if not sampling_fallback:
             raise UnsupportedDimensionError(
-                f"exact hulls are available for d in {{1, 2, 3}}, got d={d}; "
-                "pass sampling_fallback=True for a non-certified upper estimate"
-            )
+                f"exact hulls are available for d in {{1, 2, 3}}, got d={d}")
         xs, vals = _chi_sampled_upper(prods, d, kind, mesh)
     else:
         xs = sphere_net(d, kind, mesh)
@@ -436,19 +438,3 @@ def lemma1_crosscheck(
         chi=chi,
         agreement=agreement,
     )
-
-
-__all__ = [
-    "ReachSet",
-    "ChiEstimate",
-    "BurnsideReport",
-    "CrosscheckReport",
-    "reach_products",
-    "reach_set",
-    "sphere_profile",
-    "chi_measure",
-    "burnside_detail",
-    "burnside_irreducible",
-    "invariant_subspace_search_2d",
-    "lemma1_crosscheck",
-]

@@ -63,7 +63,8 @@ def brute_force_interval(
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     _check_budget("brute force over n <= {n} requires {count} words, "
-                  "budget is {budget}", mset.r, n_max, max_words, first=1)
+                  "budget is {budget}", mset.r, n_max, "max_words", max_words,
+                  first=1)
     best_lower = -np.inf
     best_upper = np.inf
     witness_lower: Word = ()

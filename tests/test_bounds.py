@@ -104,6 +104,11 @@ class TestSandwich:
         assert len(partial) == 6  # 2^6 = 64 fits, 2^7 does not
         assert partial[-1].n == 6
 
+    def test_float_budget_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="max_words must be a positive "
+                                             "integer, got 1000000.0"):
+            sandwich(GOLDEN_PAIR, 3, NormKind.L2, 1e6)
+
     def test_witnesses_have_requested_length(self):
         rep = sandwich(GOLDEN_PAIR, 3, NormKind.L2)[-1]
         assert len(rep.witness_lower) == 3
@@ -165,6 +170,13 @@ class TestKronecker:
         ms = MatrixSet.from_arrays(np.ones((2, 2, 2)))
         with pytest.raises(BudgetExceededError):
             kronecker_bounds(ms, 4, max_kron_dim=8)
+
+    @pytest.mark.parametrize("limit", [0, -3, 8.0, True])
+    def test_limit_must_be_a_positive_int(self, limit):
+        ms = MatrixSet.from_arrays(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="max_kron_dim must be a "
+                                             "positive integer"):
+            kronecker_bounds(ms, 1, max_kron_dim=limit)
 
 
 class TestZeroRadius:

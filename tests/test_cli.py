@@ -369,6 +369,42 @@ class TestExitCodes:
                        "--max-words", "100")
         assert proc.returncode == 1
         assert "budget" in json.loads(proc.stdout)["error"]
+        code, full = _run_doc("bound", "--input", golden_file, "--n-max", "6")
+        assert code == 0
+        assert json.loads(proc.stdout)["partial"] == full["result"]["reports"]
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_plan_budget_must_be_positive(self, budget):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["plan", "--nu", "3", "--r", "2", "--max-words",
+                         budget])
+        assert code == 1
+        assert json.loads(out.getvalue(), parse_constant=_reject) == {
+            "command": "plan",
+            "error": f"max_words must be a positive integer, got {budget}"}
+
+    def test_integer_beyond_the_float_range_is_1(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 1, "matrices": [[[1' + "0" * 400 + ']]]}')
+        proc = run_cli("bound", "--input", str(path))
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout, parse_constant=_reject) == {
+            "command": "bound",
+            "error": "matrix 1, entry (0, 0): integer beyond the float range"}
+
+    @pytest.mark.parametrize("command", ["chi", "irreducible", "certify"])
+    def test_dimension_4_names_the_supported_ones(self, tmp_path, command):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"dim": 4, "matrices": [
+            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--input", str(path)])
+        assert code == 1
+        error = json.loads(out.getvalue(), parse_constant=_reject)["error"]
+        assert "d=4" in error and "{1, 2, 3}" in error
+        assert "sampling_fallback" not in error
 
 
 R3 = ('{"dim": 2, "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]], '

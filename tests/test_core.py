@@ -118,6 +118,21 @@ class TestParsing:
         with pytest.raises(InputFormatError):
             MatrixSet.from_arrays([[[np.inf, 0.0], [0.0, 1.0]]])
 
+    @pytest.mark.parametrize("literal, message", [
+        ("NaN", "matrix 2: non-finite entry at position (1, 0)"),
+        ("Infinity", "matrix 2: non-finite entry at position (1, 0)"),
+        ("-Infinity", "matrix 2: non-finite entry at position (1, 0)"),
+        ("1e400", "matrix 2: non-finite entry at position (1, 0)"),
+        ("1" + "0" * 400,
+         "matrix 2, entry (1, 0): integer beyond the float range"),
+    ], ids=["nan", "inf", "-inf", "1e400", "10^400"])
+    def test_entry_beyond_the_float_range_is_located(self, literal, message):
+        text = ('{"dim": 2, "matrices": [[[1, 0], [0, 1]], '
+                f'[[1, 0], [{literal}, 1]]]}}')
+        with pytest.raises(InputFormatError) as info:
+            parse_matrix_set(text)
+        assert str(info.value) == message
+
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "set.json"
         path.write_text('{"dim": 2, "matrices": [[[0, -1], [1, 0]]]}')
