@@ -13,7 +13,6 @@ from .bounds import (
     gelfand_upper,
     kronecker_bounds,
     sandwich,
-    spectral_lower,
     trace_estimate,
     zero_radius_test,
 )
@@ -35,7 +34,6 @@ from .core import (
     as_matrix,
     enumerate_products,
     load_matrix_set,
-    matrix_set_norm,
     max_over_products,
     operator_norm,
     parse_matrix_set,
@@ -70,7 +68,6 @@ from .irreducibility import (
     invariant_subspace_search_2d,
     lemma1_crosscheck,
     reach_products,
-    reach_set,
     sphere_profile,
 )
 from .oracle import OracleInterval, brute_force_interval, inscribed_radius
@@ -112,7 +109,6 @@ __all__ = [
     "kronecker_bounds",
     "lemma1_crosscheck",
     "load_matrix_set",
-    "matrix_set_norm",
     "max_over_products",
     "nu_p",
     "operator_norm",
@@ -121,13 +117,11 @@ __all__ = [
     "product_of_word",
     "protasov_gamma",
     "reach_products",
-    "reach_set",
     "row_sign_flip_bound",
     "row_sign_flip_family",
     "row_substitution_bound",
     "row_substitution_family",
     "sandwich",
-    "spectral_lower",
     "spectral_radius",
     "sphere_net",
     "sphere_profile",

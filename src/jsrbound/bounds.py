@@ -66,14 +66,6 @@ def gelfand_upper(
     return _root(norm_max, exponent, n)
 
 
-def spectral_lower(
-    mset: MatrixSet, n: int, max_words: int = DEFAULT_WORD_BUDGET
-) -> float:
-    """Lower bound: largest spectral radius over length-n products, n-th root."""
-    [(rho_max, exponent, _)] = max_over_products(mset, n, [RADIUS], max_words)
-    return _root(rho_max, exponent, n)
-
-
 def sandwich(
     mset: MatrixSet,
     n_max: int,

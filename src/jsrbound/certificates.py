@@ -30,6 +30,7 @@ from .core import (
 )
 from .errors import NoCertificateError, UnsupportedDimensionError
 from .geometry import _net_size, icosphere
+from .irreducibility import _require_lemma1_p
 
 _EUCLID = NormKind.L2
 
@@ -78,10 +79,7 @@ def _certificate(mset: MatrixSet, p: int, x: float, chi_lower: float,
 
     A result beyond the float range gives no certificate.
     """
-    if p < mset.dim - 1:
-        raise ValueError(
-            f"the certificate needs p >= d - 1 = {mset.dim - 1}, got p={p}"
-        )
+    _require_lemma1_p(mset, p, "the certificate")
     if chi_lower <= 0.0:
         raise NoCertificateError(
             "no certificate: irreducibility is not established "

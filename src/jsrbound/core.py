@@ -577,13 +577,3 @@ def max_over_products(
         for value, exponent, index in best
     ]
 
-
-def matrix_set_norm(
-    mset: MatrixSet,
-    n: int,
-    kind: NormKind,
-    max_words: int = DEFAULT_WORD_BUDGET,
-) -> float:
-    """Largest operator norm over all length-n products."""
-    [(value, exponent, _)] = max_over_products(mset, n, [kind], max_words)
-    return _root(value, exponent, 1)

@@ -38,7 +38,7 @@ from .geometry import (
     vector_norms,
 )
 
-_POINT_DEDUP_TOL = 1e-12
+_DEDUP_TOL = 1e-12
 
 # Support values (base point, direction, reach product) the d >= 4
 # fallback forms at once.
@@ -46,15 +46,6 @@ _SAMPLED_FLOATS = 1 << 16
 
 # Most refinement starts ``chi_measure`` takes from the net.
 _MAX_STARTS = 8
-
-
-@dataclass(frozen=True, eq=False)
-class ReachSet:
-    """Points reachable from x by products of at most p members, symmetrized."""
-
-    x: np.ndarray
-    p: int
-    points: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,21 +70,21 @@ class ChiEstimate(Record):
 
 
 class _DedupStack:
-    """Arrays kept in offer order, skipping near-duplicates of kept ones.
+    """d x d matrices kept in offer order, skipping near-duplicates.
 
-    A candidate is a duplicate when some kept array is within
-    _POINT_DEDUP_TOL * (1 + max|candidate|) of it in every entry; one
-    numpy reduction compares it against all kept arrays at once.
+    A candidate is a duplicate when some kept matrix is within
+    _DEDUP_TOL * (1 + max|candidate|) of it in every entry; one numpy
+    reduction compares it against all kept matrices at once.
     """
 
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        self._buf = np.empty((16, *shape))
+    def __init__(self, d: int) -> None:
+        self._buf = np.empty((16, d, d))
         self._count = 0
 
     def offer(self, cand: np.ndarray) -> bool:
         kept = self._buf[:self._count]
-        tol = _POINT_DEDUP_TOL * (1.0 + float(np.max(np.abs(cand))))
-        gaps = np.max(np.abs(cand - kept), axis=tuple(range(1, kept.ndim)))
+        tol = _DEDUP_TOL * (1.0 + float(np.max(np.abs(cand))))
+        gaps = np.max(np.abs(cand - kept), axis=(1, 2))
         if not np.all(gaps > tol):
             return False
         if self._count == self._buf.shape[0]:
@@ -139,7 +130,7 @@ def reach_products(
     _check_budget("products of length <= {n} require {count} words, "
                   "budget is {budget}", mset.r, p, "max_words", max_words,
                   first=0)
-    kept = _DedupStack((mset.dim, mset.dim))
+    kept = _DedupStack(mset.dim)
     try:
         with np.errstate(over="raise"):
             _walk_products(mset.stacked(), p, kept.offer)
@@ -147,22 +138,6 @@ def reach_products(
         raise ValueError(f"a product of at most {p} members leaves the "
                          "float range") from None
     return kept.stack()
-
-
-def reach_set(
-    mset: MatrixSet, p: int, x, max_words: int = DEFAULT_WORD_BUDGET
-) -> ReachSet:
-    """The symmetrized reach points {±G x} with duplicates removed."""
-    base = np.asarray(x, dtype=float)
-    if base.shape != (mset.dim,):
-        raise ValueError(f"x must be a vector of length {mset.dim}")
-    prods = reach_products(mset, p, max_words)
-    raw = prods @ base
-    raw = np.concatenate([raw, -raw], axis=0)
-    kept = _DedupStack(base.shape)
-    for pt in raw:
-        kept.offer(pt)
-    return ReachSet(x=base, p=p, points=kept.stack())
 
 
 def sphere_profile(
@@ -397,6 +372,13 @@ class CrosscheckReport(Record):
     agreement: str
 
 
+def _require_lemma1_p(mset: MatrixSet, p: int, what: str) -> None:
+    """Lemma 1 ties chi_p > 0 to irreducibility only for p >= d - 1."""
+    if p < mset.dim - 1:
+        raise ValueError(
+            f"{what} needs p >= d - 1 = {mset.dim - 1}, got p={p}")
+
+
 def lemma1_crosscheck(
     mset: MatrixSet,
     p: int,
@@ -408,29 +390,26 @@ def lemma1_crosscheck(
     """Compare the span test against the sampled measure.
 
     For p >= d - 1 the measure is positive exactly on irreducible sets, so
-    the two routes must agree: "consistent" when they do with a positive
-    certificate (or a near-zero sample on reducible sets), "inconclusive"
-    when the mesh was too coarse to certify, "inconsistent" otherwise.
+    the two routes must agree: "consistent" when they do (a positive
+    certificate on irreducible sets, a sample at most ``tolerance`` on
+    reducible ones), "inconclusive" when the mesh was too coarse to
+    certify, "inconsistent" otherwise.  A smaller p raises ValueError.
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(
             f"tolerance must be non-negative and finite, got {tolerance}")
+    _require_lemma1_p(mset, p, "the crosscheck")
     detail = burnside_detail(mset)
     chi = chi_measure(mset, p, kind, mesh, max_words=max_words)
+    # ``coarse``: a disagreement that a finer mesh could still remove.
     if detail.irreducible:
-        if chi.sampled_inf > tolerance and chi.certified_lower > 0.0:
-            agreement = "consistent"
-        elif chi.certified_lower == 0.0 and chi.sampled_inf > 0.0:
-            agreement = "inconclusive"
-        else:
-            agreement = "inconsistent"
+        agrees = chi.certified_lower > 0.0
+        coarse = chi.sampled_inf > 0.0
     else:
-        if chi.sampled_inf <= tolerance:
-            agreement = "consistent"
-        elif chi.certified_lower == 0.0:
-            agreement = "inconclusive"
-        else:
-            agreement = "inconsistent"
+        agrees = chi.sampled_inf <= tolerance
+        coarse = chi.certified_lower == 0.0
+    agreement = ("consistent" if agrees
+                 else "inconclusive" if coarse else "inconsistent")
     return CrosscheckReport(
         irreducible=detail.irreducible,
         rank=detail.rank,

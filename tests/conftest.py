@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jsrbound import MatrixSet
+import jsrbound.geometry as geometry_module
 
 
 @pytest.fixture
@@ -40,3 +41,21 @@ def small_chunks(monkeypatch) -> None:
 def small_radius_blocks(monkeypatch) -> None:
     """Shrink radius_profile's block to 64 floats: mostly one point a block."""
     monkeypatch.setattr("jsrbound.geometry._BLOCK_FLOATS", 64)
+
+
+@pytest.fixture(scope="session")
+def level9_icosphere() -> tuple[np.ndarray, list[float]]:
+    """The level-9 icosphere, built once per session by
+    ``icosphere(_LEVEL9_RADIUS)``, and the covering radius measured at
+    each of levels 0..9 on the way."""
+    radii: list[float] = []
+    measure = geometry_module._covering_radius
+
+    def recorded(verts, faces):
+        radii.append(measure(verts, faces))
+        return radii[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry_module, "_covering_radius", recorded)
+        verts = geometry_module.icosphere(geometry_module._LEVEL9_RADIUS)
+    return verts, radii

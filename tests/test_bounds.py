@@ -13,11 +13,10 @@ from jsrbound import (
     gelfand_upper,
     kronecker_bounds,
     sandwich,
-    spectral_lower,
     trace_estimate,
     zero_radius_test,
 )
-from jsrbound.core import _product_chunks
+from jsrbound.core import RADIUS, _product_chunks, _root, max_over_products
 
 from .conftest import GOLDEN_PAIR, PHI, QUARTER_TURN, random_set
 
@@ -53,18 +52,21 @@ class TestGelfandUpper:
 
 
 class TestSpectralLower:
+    """The step-n lower bound, as ``sandwich`` reports it."""
+
     def test_scalar(self):
         ms = MatrixSet.from_arrays([2.0 * np.eye(2)])
-        assert spectral_lower(ms, 1) == pytest.approx(2.0)
+        assert sandwich(ms, 1, NormKind.L2)[0].lower == pytest.approx(2.0)
 
     def test_nilpotent(self):
-        assert spectral_lower(NILPOTENT, 2) == 0.0
+        assert sandwich(NILPOTENT, 2, NormKind.L2)[1].lower == 0.0
 
     def test_golden_pair_n2(self):
         # rho(A2 A1) solves x^2 - 3x + 1 = 0, largest root (3 + sqrt 5)/2
         oracle = np.sqrt((3.0 + np.sqrt(5.0)) / 2.0)
         assert oracle == pytest.approx(PHI)
-        assert spectral_lower(GOLDEN_PAIR, 2) == pytest.approx(oracle)
+        assert sandwich(GOLDEN_PAIR, 2, NormKind.L2)[1].lower == \
+            pytest.approx(oracle)
 
 
 class TestSandwich:
@@ -335,7 +337,8 @@ class TestScaleFree:
         # A^n has entries near 2^n, past the float range from n = 1024 on
         ms = MatrixSet.from_arrays([[[2.0, 1.0], [0.0, 1.5]]])
         for n in (600, 1100):
-            assert spectral_lower(ms, n) == pytest.approx(2.0, rel=1e-12)
+            [(rho, exponent, _)] = max_over_products(ms, n, [RADIUS])
+            assert _root(rho, exponent, n) == pytest.approx(2.0, rel=1e-12)
             # ||A^n|| <= 2^n (1 + 2 n) in l1
             upper = gelfand_upper(ms, n, NormKind.L1)
             assert 2.0 <= upper <= 2.0 * (1.0 + 2.0 * n) ** (1.0 / n)

@@ -61,8 +61,9 @@ class TestNu:
 
     def test_p_too_small(self):
         ms = MatrixSet.from_arrays([np.eye(3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             nu_p(ms, 1, NormKind.L2, 0.5)
+        assert str(exc.value) == "the certificate needs p >= d - 1 = 2, got p=1"
 
 
 class TestEta:
@@ -289,10 +290,20 @@ def _halving_loop(samples: int, build) -> np.ndarray:
 
 
 class TestSphereForSamples:
-    def test_matches_the_halving_loop_at_every_level(self, monkeypatch):
+    def test_matches_the_halving_loop_at_every_level(self, monkeypatch,
+                                                     level9_icosphere):
         """One icosphere call, at the mesh where the halving loop stops,
         for sample counts around each level's 10 * 4^k + 2 vertices."""
-        built = functools.lru_cache(maxsize=None)(icosphere)
+        level9, radii = level9_icosphere
+        mesh9 = 1.2 / 2 ** 9
+        # icosphere(mesh9) subdivides past levels 0..8 and stops at level
+        # 9, so it returns the session's level-9 build.
+        assert min(radii[:9]) > mesh9 >= radii[9]
+
+        @functools.lru_cache(maxsize=None)
+        def built(mesh):
+            return level9 if mesh == mesh9 else icosphere(mesh)
+
         calls = []
 
         def counted(mesh):

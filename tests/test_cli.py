@@ -233,6 +233,13 @@ class TestCommands:
         assert doc["result"]["irreducible"] is True
         assert doc["result"]["agreement"] == "consistent"
 
+    def test_irreducible_positive_certificate_at_any_tol(self, golden_file):
+        code, doc = _run_doc("irreducible", "--input", golden_file,
+                             "--tol", "10")
+        assert code == 0
+        assert doc["result"]["chi"]["certified_lower"] == 0.41485291572496
+        assert doc["result"]["agreement"] == "consistent"
+
     def test_certify(self, rotation_file):
         doc = json.loads(
             run_cli("certify", "--input", rotation_file, "--p", "1",
@@ -392,6 +399,19 @@ class TestExitCodes:
         assert json.loads(proc.stdout, parse_constant=_reject) == {
             "command": "bound",
             "error": "matrix 1, entry (0, 0): integer beyond the float range"}
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_crosscheck_p_below_d_minus_1_is_1(self, tmp_path, p):
+        path = tmp_path / "pair3.json"
+        path.write_text(ROTATIONS3)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["irreducible", "--input", str(path), "--p", p,
+                         "--mesh", "0.1"])
+        assert code == 1
+        assert json.loads(out.getvalue(), parse_constant=_reject) == {
+            "command": "irreducible",
+            "error": f"the crosscheck needs p >= d - 1 = 2, got p={p}"}
 
     @pytest.mark.parametrize("command", ["chi", "irreducible", "certify"])
     def test_dimension_4_names_the_supported_ones(self, tmp_path, command):

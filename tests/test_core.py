@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from jsrbound import (
     enumerate_products,
     gelfand_upper,
     load_matrix_set,
-    matrix_set_norm,
     max_over_products,
     operator_norm,
     parse_matrix_set,
@@ -66,6 +66,13 @@ def _oracle_norm(a: np.ndarray, kind: NormKind) -> float:
 
 def _oracle_rho(a: np.ndarray) -> float:
     return float(max(abs(np.linalg.eigvals(a))))
+
+
+def _set_norm(ms: MatrixSet, n: int, kind: NormKind) -> float:
+    """Largest norm over the length-n products: the (mantissa, exponent)
+    maximum of ``max_over_products`` multiplied out."""
+    [(value, exponent, _)] = max_over_products(ms, n, [kind])
+    return math.ldexp(value, exponent)
 
 
 def _chunk_stack(ms: MatrixSet, n: int) -> np.ndarray:
@@ -373,11 +380,11 @@ class TestSetNorm:
     def test_identity(self):
         ms = MatrixSet.from_arrays([np.eye(2)])
         for kind in NormKind:
-            assert matrix_set_norm(ms, 4, kind) == pytest.approx(1.0)
+            assert _set_norm(ms, 4, kind) == pytest.approx(1.0)
 
     def test_doubling_scalar(self):
         ms = MatrixSet.from_arrays([2.0 * np.eye(2)])
-        assert matrix_set_norm(ms, 3, NormKind.L1) == pytest.approx(8.0)
+        assert _set_norm(ms, 3, NormKind.L1) == pytest.approx(8.0)
 
     def test_golden_pair_n2_l1(self):
         # oracle: max column sum over the four length-2 products
@@ -387,12 +394,12 @@ class TestSetNorm:
             for right in (a1, a2):
                 best = max(best, _oracle_norm(left @ right, NormKind.L1))
         assert best == 3.0
-        assert matrix_set_norm(GOLDEN_PAIR, 2, NormKind.L1) == 3.0
+        assert _set_norm(GOLDEN_PAIR, 2, NormKind.L1) == 3.0
 
     def test_witness_is_first_on_ties(self):
         twin = MatrixSet.from_arrays([np.eye(2), np.eye(2)])
         [(_, _, word)] = max_over_products(twin, 3, [NormKind.L2])
-        assert matrix_set_norm(twin, 3, NormKind.L2) == pytest.approx(1.0)
+        assert _set_norm(twin, 3, NormKind.L2) == pytest.approx(1.0)
         assert word == (1, 1, 1)
 
     def test_max_over_products_single_pass(self, rng):
@@ -400,14 +407,14 @@ class TestSetNorm:
         [(v1, e1, w1), (v2, e2, w2)] = max_over_products(
             ms, 4, [NormKind.L2, NormKind.L1])
         assert math.ldexp(v1, e1) == pytest.approx(
-            matrix_set_norm(ms, 4, NormKind.L2))
+            _set_norm(ms, 4, NormKind.L2))
         assert math.ldexp(v2, e2) == pytest.approx(
-            matrix_set_norm(ms, 4, NormKind.L1))
+            _set_norm(ms, 4, NormKind.L1))
         assert len(w1) == len(w2) == 4
 
     def test_large_entries_do_not_overflow(self):
         ms = MatrixSet.from_arrays([1e100 * np.eye(2)])
-        assert matrix_set_norm(ms, 2, NormKind.L2) == 1e200
+        assert _set_norm(ms, 2, NormKind.L2) == 1e200
 
 
 class TestScaling:
@@ -423,8 +430,8 @@ class TestScaling:
                 for n in (1, 2, 3):
                     if n * abs(k) < 1000:
                         # in the float range: the same bits times 2^(n k)
-                        assert matrix_set_norm(scaled, n, kind) == \
-                            math.ldexp(matrix_set_norm(ms, n, kind), n * k)
+                        assert _set_norm(scaled, n, kind) == \
+                            math.ldexp(_set_norm(ms, n, kind), n * k)
                     else:
                         expect = 2.0 ** k * gelfand_upper(ms, n, kind)
                         assert gelfand_upper(scaled, n, kind) == \
@@ -727,3 +734,24 @@ class TestScreenedMaxima:
         assert top.upper == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
         assert top.lower == math.ldexp(rho[0], rho[1]) ** (1.0 / n)
         assert gelfand_upper(ms, n, NormKind.L2) == top.upper
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        import jsrbound
+
+        names = jsrbound.__all__
+        assert len(names) == len(set(names)) == 54
+        for name in names:
+            assert hasattr(jsrbound, name), name
+
+    @pytest.mark.parametrize("module, name", [
+        ("jsrbound", "spectral_lower"), ("jsrbound.bounds", "spectral_lower"),
+        ("jsrbound", "matrix_set_norm"), ("jsrbound.core", "matrix_set_norm"),
+        ("jsrbound", "reach_set"), ("jsrbound.irreducibility", "reach_set"),
+        ("jsrbound", "ReachSet"), ("jsrbound.irreducibility", "ReachSet"),
+    ])
+    def test_wrappers_of_other_public_routines_are_gone(self, module, name):
+        # sandwich reports carry the spectral lower bound, max_over_products
+        # gives the set norm, and reach_products @ x the reach points
+        assert not hasattr(importlib.import_module(module), name)

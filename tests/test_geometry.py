@@ -13,7 +13,6 @@ from jsrbound import (
     sphere_net,
     support_radius_upper,
 )
-import jsrbound.geometry as geometry_module
 from jsrbound.geometry import (
     _LEVEL9_RADIUS,
     MAX_NET_POINTS,
@@ -301,16 +300,8 @@ class TestSphereNet:
                            "more than 4194304 points"):
             sphere_net(3, NormKind.L2, mesh)
 
-    def test_level9_radius_is_the_built_one(self, monkeypatch):
-        radii = []
-        measure = geometry_module._covering_radius
-
-        def recorded(verts, faces):
-            radii.append(measure(verts, faces))
-            return radii[-1]
-
-        monkeypatch.setattr(geometry_module, "_covering_radius", recorded)
-        verts = geometry_module.icosphere(_LEVEL9_RADIUS)
+    def test_level9_radius_is_the_built_one(self, level9_icosphere):
+        verts, radii = level9_icosphere
         assert verts.shape == (2_621_442, 3)
         assert len(radii) == 10
         assert radii[-1] == _LEVEL9_RADIUS

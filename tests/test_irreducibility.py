@@ -14,7 +14,6 @@ from jsrbound import (
     invariant_subspace_search_2d,
     lemma1_crosscheck,
     reach_products,
-    reach_set,
     sphere_profile,
 )
 from jsrbound.core import operator_norm
@@ -25,6 +24,7 @@ from jsrbound.geometry import (
     vector_norms,
 )
 from jsrbound.irreducibility import BurnsideReport, burnside_detail
+import jsrbound.irreducibility as irreducibility_module
 
 from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN, random_set
 
@@ -37,9 +37,16 @@ ROTATION_PAIR_3D = MatrixSet.from_arrays(
      [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.5]]])
 
 
-def _points_close(actual: np.ndarray, expected: list[list[float]]) -> bool:
-    got = sorted(map(tuple, np.round(actual, 9).tolist()))
-    want = sorted(map(tuple, np.round(np.array(expected, float), 9).tolist()))
+def _reach_points(mset: MatrixSet, p: int, x) -> np.ndarray:
+    """The symmetrized reach points ±G x, G over ``reach_products``; the
+    hull inputs of the measure at x."""
+    raw = reach_products(mset, p) @ np.asarray(x, dtype=float)
+    return np.concatenate([raw, -raw])
+
+
+def _same_point_set(actual: np.ndarray, expected: list[list[float]]) -> bool:
+    got = set(map(tuple, np.round(actual, 9).tolist()))
+    want = set(map(tuple, np.round(np.array(expected, float), 9).tolist()))
     return got == want
 
 
@@ -50,17 +57,17 @@ def _span_rank(mats: list[np.ndarray]) -> int:
 
 class TestReachSet:
     def test_identity_singleton(self):
-        pts = reach_set(IDENTITY_ONLY, 1, np.array([1.0, 0.0])).points
-        assert _points_close(pts, [[1, 0], [-1, 0]])
+        pts = _reach_points(IDENTITY_ONLY, 1, [1.0, 0.0])
+        assert _same_point_set(pts, [[1, 0], [-1, 0]])
 
     def test_quarter_turn(self):
-        pts = reach_set(QUARTER_TURN, 1, np.array([1.0, 0.0])).points
-        assert _points_close(pts, [[1, 0], [0, 1], [-1, 0], [0, -1]])
+        pts = _reach_points(QUARTER_TURN, 1, [1.0, 0.0])
+        assert _same_point_set(pts, [[1, 0], [0, 1], [-1, 0], [0, -1]])
 
     def test_shear_depth_two(self):
         # A(0,1) = (1,1) and A^2(0,1) = (2,1), plus negations
-        pts = reach_set(SHEAR_ONLY, 2, np.array([0.0, 1.0])).points
-        assert _points_close(
+        pts = _reach_points(SHEAR_ONLY, 2, [0.0, 1.0])
+        assert _same_point_set(
             pts, [[0, 1], [1, 1], [2, 1], [0, -1], [-1, -1], [-2, -1]]
         )
 
@@ -91,12 +98,6 @@ class TestReachSet:
                            "members leaves the float range"):
             reach_products(huge, 2)
 
-    def test_points_keep_first_occurrence_in_order(self):
-        pts = reach_set(QUARTER_TURN, 4, np.array([1.0, 0.0])).points
-        # the negated copies all repeat the orbit of R
-        np.testing.assert_array_equal(
-            np.round(pts, 12), [[1, 0], [0, 1], [-1, 0], [0, -1]])
-
 
 class TestChiMeasure:
     def test_identity_reducible(self):
@@ -118,7 +119,7 @@ class TestChiMeasure:
         assert est.certified_lower > 0.0
         xs, vals = sphere_profile(GOLDEN_PAIR, 1, NormKind.L2, 0.05)
         for k in range(0, len(xs), 17):
-            pts = reach_set(GOLDEN_PAIR, 1, xs[k]).points
+            pts = _reach_points(GOLDEN_PAIR, 1, xs[k])
             hull = ConvexHull(pts)
             normals = hull.equations[:, :-1]
             offsets = -hull.equations[:, -1]
@@ -128,7 +129,7 @@ class TestChiMeasure:
 
     def test_argmin_attains_sampled_inf(self):
         est = chi_measure(GOLDEN_PAIR, 1, NormKind.L2, 0.02)
-        pts = reach_set(GOLDEN_PAIR, 1, est.argmin).points
+        pts = _reach_points(GOLDEN_PAIR, 1, est.argmin)
         assert inscribed_radius(pts, NormKind.L2) == pytest.approx(
             est.sampled_inf, rel=1e-9
         )
@@ -141,8 +142,8 @@ class TestChiMeasure:
             x /= np.linalg.norm(x)
             y = rng.normal(size=2)
             y /= np.linalg.norm(y)
-            rx = inscribed_radius(reach_set(GOLDEN_PAIR, 1, x).points, NormKind.L2)
-            ry = inscribed_radius(reach_set(GOLDEN_PAIR, 1, y).points, NormKind.L2)
+            rx = inscribed_radius(_reach_points(GOLDEN_PAIR, 1, x), NormKind.L2)
+            ry = inscribed_radius(_reach_points(GOLDEN_PAIR, 1, y), NormKind.L2)
             assert abs(rx - ry) <= est.lipschitz / 2 * np.linalg.norm(x - y) + 1e-9
 
     def test_diagonal_pair_hits_zero_on_axis(self):
@@ -360,6 +361,28 @@ class TestCrosscheck:
         assert rep.irreducible is True
         if rep.chi.certified_lower == 0.0:
             assert rep.agreement == "inconclusive"
+
+    def test_positive_certificate_is_consistent_at_any_tolerance(self):
+        # the sampled 0.447 is below the tolerance; the certificate decides
+        rep = lemma1_crosscheck(GOLDEN_PAIR, 1, NormKind.L2, 0.01,
+                                tolerance=10.0)
+        assert rep.irreducible is True
+        assert 0.0 < rep.chi.certified_lower < rep.chi.sampled_inf < 10.0
+        assert rep.agreement == "consistent"
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_p_below_d_minus_1_refused_before_either_route(self, p,
+                                                           monkeypatch):
+        """Lemma 1 says nothing below p = d - 1: no verdict is computed."""
+        def not_run(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(irreducibility_module, "burnside_detail", not_run)
+        monkeypatch.setattr(irreducibility_module, "chi_measure", not_run)
+        with pytest.raises(ValueError) as exc:
+            lemma1_crosscheck(ROTATION_PAIR_3D, p, NormKind.L2, 0.1)
+        assert str(exc.value) == \
+            f"the crosscheck needs p >= d - 1 = 2, got p={p}"
 
     @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-6])
     def test_bad_tolerance_rejected(self, tolerance):
