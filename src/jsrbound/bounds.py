@@ -66,29 +66,12 @@ def gelfand_upper(
     return _root(norm_max, exponent, n)
 
 
-def sandwich(
-    mset: MatrixSet,
-    n_max: int,
-    kind: NormKind,
-    max_words: int = DEFAULT_WORD_BUDGET,
-) -> list[BoundReport]:
-    """Bound reports for n = 1..n_max, lower and upper in one pass per n.
-
-    If the word budget or an eigensolver fails partway, the raised error
-    carries the completed reports in its ``partial`` attribute.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+def _reports(kind: NormKind, levels: list) -> list[BoundReport]:
+    """Bound reports from the [norm, radius] maxima of levels 1, 2, ..."""
     reports: list[BoundReport] = []
     best_lower = -np.inf
     best_upper = np.inf
-    for n in range(1, n_max + 1):
-        try:
-            upper, lower = max_over_products(mset, n, [kind, RADIUS],
-                                             max_words)
-        except JsrError as exc:
-            exc.partial = list(reports)
-            raise
+    for n, (upper, lower) in enumerate(levels, start=1):
         lower_n, upper_n = _root(*lower[:2], n), _root(*upper[:2], n)
         best_lower = max(best_lower, lower_n)
         best_upper = min(best_upper, upper_n)
@@ -105,6 +88,30 @@ def sandwich(
             )
         )
     return reports
+
+
+def sandwich(
+    mset: MatrixSet,
+    n_max: int,
+    kind: NormKind,
+    max_words: int = DEFAULT_WORD_BUDGET,
+) -> list[BoundReport]:
+    """Bound reports for n = 1..n_max, from one pass that grows each level
+    from the one before (``max_over_products`` with ``first=1``).
+
+    The budget applies to each level's r^n words.  If it or an
+    eigensolver fails at some n, the raised error carries the reports of
+    the levels before n in its ``partial`` attribute.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be a positive integer")
+    try:
+        levels = max_over_products(mset, n_max, [kind, RADIUS], max_words,
+                                   first=1)
+    except JsrError as exc:
+        exc.partial = _reports(kind, exc.partial)
+        raise
+    return _reports(kind, levels)
 
 
 def trace_estimate(

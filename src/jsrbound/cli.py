@@ -17,6 +17,7 @@ inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -28,9 +29,12 @@ from . import irreducibility as _irreducibility
 from . import oracle as _oracle
 from .core import (
     DEFAULT_WORD_BUDGET,
+    TRACE,
     MatrixSet,
     NormKind,
     _plain,
+    _root,
+    max_over_products,
     parse_matrix_set,
 )
 from .errors import InputFormatError, JsrError
@@ -78,7 +82,10 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
                         help="product enumeration budget")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each ``parse_args`` starts a
+    fresh namespace from the defaults, so no option carries over."""
     parser = argparse.ArgumentParser(
         prog="jsrbound",
         description="Certified bounds for the joint spectral radius",
@@ -171,10 +178,11 @@ def _run_bound(args, mset):
     }
     if not args.trace:
         return result, []
-    result["trace_estimates"] = [
-        _bounds.trace_estimate(mset, n, args.max_words)
-        for n in range(1, args.n_max + 1)
-    ]
+    # ``trace_estimate`` for every n, from one pass over the levels.
+    levels = max_over_products(mset, args.n_max, [TRACE], args.max_words,
+                               first=1)
+    result["trace_estimates"] = [_root(*trace[:2], n) for n, [trace]
+                                 in enumerate(levels, start=1)]
     return result, [_TRACE_WARNING]
 
 

@@ -5,11 +5,13 @@ this package reduces to scanning the products A_{i_n} ... A_{i_2} A_{i_1}
 over index words (i_1, ..., i_n); the word lists the factor applied first
 on the right, so word (1, 2) denotes the product A_2 A_1.
 
-One engine, ``_product_chunks``, produces those products: it builds the
-table of head products (the first factors applied, the identity when
-all words fit one block) and extends each head by a batched
-left-multiplication into a block of consecutive words, so every scan
-sees the same numbers in the same lexicographic order.
+One engine, ``_product_levels``, produces those products, level by
+level, through one batched left-multiplication (``_left_multiply``), so
+every scan sees the same numbers in the same lexicographic order.  A
+level whose products fit one block is the previous level's block times
+one more factor.  A larger level is built from the table of its head
+products (the first factors applied), each extended into a block of
+consecutive words.
 
 Scale is kept in exact powers of two: the engine divides the members by
 2^e, e the binary exponent of the largest entry, and each block carries
@@ -44,7 +46,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConvergenceError, InputFormatError
+from .errors import (BudgetExceededError, ConvergenceError,
+                     InputFormatError, JsrError)
 
 # Default cap on the number of words enumerated in one call.
 DEFAULT_WORD_BUDGET = 1 << 24
@@ -57,6 +60,10 @@ _COUNT_BITS = 1024
 
 # Largest block of product entries held in memory at once.
 _CHUNK_FLOATS = 1 << 22
+
+# Entries of a block that ``_left_multiply`` takes at a time: three
+# arrays of this size stay in a 2 MB cache.
+_MULTIPLY_FLOATS = 1 << 15
 
 # Blocks of fewer entries run their exact kernels on every row: below
 # this size the screen's fixed cost, about 0.1 ms a block, exceeds the
@@ -383,6 +390,34 @@ def _binary_scale(mset: MatrixSet) -> tuple[int, np.ndarray]:
     return e, np.ldexp(mats, -e)
 
 
+def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Every member times every product: row j * r + t is mats[t] @ block[j].
+
+    The same bits as ``np.einsum("tab,jbc->jtac", mats, block)``: each
+    entry is summed over b in increasing order from +0, as einsum's is,
+    so a first term of -0 gives +0.  The entries are laid out (d, d, m)
+    as in ``_cheap_norms``, _MULTIPLY_FLOATS at a time, so each step is a
+    multiply-add over whole arrays held in cache.
+    """
+    r, d, _ = mats.shape
+    m = block.shape[0]
+    out = np.empty((m, r, d, d))
+    cols = max(1, _MULTIPLY_FLOATS // (d * d))
+    acc, term = np.empty((2, d, d, min(cols, m)))
+    for lo in range(0, m, cols):
+        x = block[lo:lo + cols].transpose(1, 2, 0).copy()
+        k = x.shape[-1]
+        for t in range(r):
+            np.multiply(mats[t, :, 0, None, None], x[0], out=acc[..., :k])
+            acc[..., :k] += 0.0
+            for b in range(1, d):
+                np.multiply(mats[t, :, b, None, None], x[b],
+                            out=term[..., :k])
+                acc[..., :k] += term[..., :k]
+            out[lo:lo + k, t] = acc[..., :k].transpose(2, 0, 1)
+    return out.reshape(-1, d, d)
+
+
 def _extend(mats: np.ndarray, block: np.ndarray, exponent: int,
             levels: int, step: int) -> tuple[np.ndarray, int]:
     """Left-multiply every product in ``block`` by ``levels`` more factors.
@@ -390,41 +425,72 @@ def _extend(mats: np.ndarray, block: np.ndarray, exponent: int,
     Appending index t to the product at position j lands at j * r + t, so
     word order is kept.  ``mats`` are the members / 2^step.
     """
-    d = mats.shape[-1]
     for _ in range(levels):
-        block = np.einsum("tab,jbc->jtac", mats, block).reshape(-1, d, d)
+        block = _left_multiply(mats, block)
         exponent += step
-        shift = math.frexp(float(np.max(np.abs(block))))[1]
+        shift = math.frexp(float(max(block.max(), -block.min())))[1]
         if abs(shift) > _RANGE_BITS:
             block, exponent = np.ldexp(block, -shift), exponent + shift
     return block, exponent
 
 
-def _product_chunks(
-    mset: MatrixSet, n: int, max_words: int
-) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Yield (start_index, block, exponent) covering the length-n words in order.
-
-    The products are block * 2^exponent.  A word splits into a head of k
-    digits, the factors applied first, and a tail of t = n - k digits,
-    with t the largest length (at least 1) whose r^t products fit in
-    _CHUNK_FLOATS entries.  Each length-k head product is extended by t
-    levels into one block of r^t consecutive words; when all r^n products
-    fit (k = 0) the identity is the one head and there is a single block.
-    """
-    if n < 1:
-        raise ValueError("product length n must be a positive integer")
-    _check_budget("enumerating length-{n} products requires {count} words, "
-                  "budget is {budget}", mset.r, n, "max_words", max_words)
-    step, mats = _binary_scale(mset)
-    r, d = mset.r, mset.dim
-    tail = n
-    while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
-        tail -= 1
-    heads, exponent = _extend(mats, np.eye(d)[None], 0, n - tail, step)
+def _split_level(mats: np.ndarray, step: int, k: int,
+                 tail: int) -> Iterator[tuple[int, np.ndarray, int]]:
+    """The length-k words in blocks of r^tail: each head product of the
+    first k - tail factors, built from the identity, extended by tail."""
+    r, d = mats.shape[0], mats.shape[-1]
+    heads, exponent = _extend(mats, np.eye(d)[None], 0, k - tail, step)
     for h in range(heads.shape[0]):
         yield (h * r ** tail,
                *_extend(mats, heads[h:h + 1], exponent, tail, step))
+
+
+def _product_levels(
+    mset: MatrixSet, first: int, n: int, max_words: int
+) -> Iterator[tuple[int, Iterator[tuple[int, np.ndarray, int]]]]:
+    """Yield (k, chunks) for k = first..n, where chunks yields
+    (start_index, block, exponent) covering the length-k words in order.
+
+    The products are block * 2^exponent.  The budget is checked for each
+    level before it is formed.  Let t be the largest length (at least 1)
+    whose r^t products fit in _CHUNK_FLOATS entries.  A level with k <= t
+    is a single block, the previous level's block extended by one factor
+    (the first level asked for is built from the identity).  Past that, a
+    word splits into a head of k - t digits, the factors applied first,
+    and a tail of t digits; each head product is extended by t levels
+    into one block of r^t consecutive words.  A level's chunks must be
+    used before the next level is asked for.
+    """
+    if n < 1:
+        raise ValueError("product length n must be a positive integer")
+    if not 1 <= first <= n:
+        raise ValueError(f"first must be in 1..n = {n}, got {first!r}")
+    step, mats = _binary_scale(mset)
+    r, d = mset.r, mset.dim
+    table, exponent, length = np.eye(d)[None], 0, 0
+    for k in range(first, n + 1):
+        _check_budget("enumerating length-{n} products requires {count} "
+                      "words, budget is {budget}", r, k, "max_words",
+                      max_words)
+        tail = k
+        while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
+            tail -= 1
+        if tail < k:
+            # Levels only grow: no later level is built from the table.
+            table = None
+            yield k, _split_level(mats, step, k, tail)
+            continue
+        table, exponent = _extend(mats, table, exponent, k - length, step)
+        length = k
+        yield k, iter([(0, table, exponent)])
+
+
+def _product_chunks(
+    mset: MatrixSet, n: int, max_words: int
+) -> Iterator[tuple[int, np.ndarray, int]]:
+    """The chunks of ``_product_levels`` for the length-n words alone."""
+    for _, chunks in _product_levels(mset, n, n, max_words):
+        yield from chunks
 
 
 def enumerate_products(
@@ -533,30 +599,14 @@ def _screened_max(block: np.ndarray, metric, bound,
     return float(vals[j]), j if every else int(rows[j])
 
 
-def max_over_products(
-    mset: MatrixSet,
-    n: int,
-    metrics: list,
-    max_words: int = DEFAULT_WORD_BUDGET,
-) -> list[tuple[float, int, Word]]:
-    """Maximize several per-product metrics in one enumeration pass.
-
-    A metric is a NormKind (its induced operator norm), ``RADIUS`` (the
-    spectral radius) or ``TRACE`` (|trace|).  Returns (mantissa, exponent,
-    witness word) per metric; ties keep the first word in lexicographic
-    order.
-
-    On blocks of at least _SCREEN_MIN_FLOATS entries, a metric with a
-    cheap bound (``_metric_bound``) runs its exact kernel only on the rows
-    whose bound can still reach the best value found so far (see
-    ``_screened_max``); the block norms behind the bounds are computed
-    once for all metrics.  Values and witnesses are those of the exact
-    kernel on every row.
-    """
+def _level_max(mset: MatrixSet, n: int, chunks, metrics: list
+               ) -> list[tuple[float, int, Word]]:
+    """The (mantissa, exponent, witness word) of each metric over the
+    chunks of the length-n words; see ``max_over_products``."""
     bounds = [_metric_bound(metric, mset.dim) for metric in metrics]
     best: list[tuple[float, int, int]] = [(-np.inf, 0, -1)] * len(metrics)
     screened = any(bound is not None for bound in bounds)
-    for start, chunk, exponent in _product_chunks(mset, n, max_words):
+    for start, chunk, exponent in chunks:
         norms = (_cheap_norms(chunk)
                  if screened and chunk.size >= _SCREEN_MIN_FLOATS else None)
         for k, (metric, bound) in enumerate(zip(metrics, bounds)):
@@ -577,3 +627,39 @@ def max_over_products(
         for value, exponent, index in best
     ]
 
+
+def max_over_products(
+    mset: MatrixSet,
+    n: int,
+    metrics: list,
+    max_words: int = DEFAULT_WORD_BUDGET,
+    *,
+    first: int | None = None,
+) -> list:
+    """Maximize several per-product metrics in one enumeration pass.
+
+    A metric is a NormKind (its induced operator norm), ``RADIUS`` (the
+    spectral radius) or ``TRACE`` (|trace|).  Returns (mantissa, exponent,
+    witness word) per metric over the length-n products; ties keep the
+    first word in lexicographic order.  With ``first``, returns one such
+    list per length first..n, each level grown from the one before where
+    it fits one block (see ``_product_levels``), with the same bits as a
+    call per length.  A JsrError raised at a level carries the lists of
+    the levels before it in its ``partial`` attribute.
+
+    On blocks of at least _SCREEN_MIN_FLOATS entries, a metric with a
+    cheap bound (``_metric_bound``) runs its exact kernel only on the rows
+    whose bound can still reach the best value found so far (see
+    ``_screened_max``); the block norms behind the bounds are computed
+    once for all metrics.  Values and witnesses are those of the exact
+    kernel on every row.
+    """
+    levels: list[list[tuple[float, int, Word]]] = []
+    try:
+        for k, chunks in _product_levels(mset, n if first is None else first,
+                                         n, max_words):
+            levels.append(_level_max(mset, k, chunks, metrics))
+    except JsrError as exc:
+        exc.partial = levels
+        raise
+    return levels if first is not None else levels[0]

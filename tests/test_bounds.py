@@ -7,6 +7,7 @@ import pytest
 
 from jsrbound import (
     BudgetExceededError,
+    ConvergenceError,
     MatrixSet,
     NormKind,
     brute_force_interval,
@@ -17,6 +18,7 @@ from jsrbound import (
     zero_radius_test,
 )
 from jsrbound.core import RADIUS, _product_chunks, _root, max_over_products
+import jsrbound.core as core_module
 
 from .conftest import GOLDEN_PAIR, PHI, QUARTER_TURN, random_set
 
@@ -105,6 +107,21 @@ class TestSandwich:
         partial = info.value.partial
         assert len(partial) == 6  # 2^6 = 64 fits, 2^7 does not
         assert partial[-1].n == 6
+
+    def test_eigensolver_error_keeps_the_earlier_levels(self, monkeypatch):
+        radii = core_module.spectral_radii
+
+        def failing_at_level_3(stack):
+            if stack.shape[0] == 8:  # the one block of the 2^3 words
+                raise ConvergenceError("eigenvalue iteration failed")
+            return radii(stack)
+
+        expect = [rep.to_dict() for rep in sandwich(GOLDEN_PAIR, 2,
+                                                    NormKind.L2)]
+        monkeypatch.setattr(core_module, "spectral_radii", failing_at_level_3)
+        with pytest.raises(ConvergenceError) as info:
+            sandwich(GOLDEN_PAIR, 5, NormKind.L2)
+        assert [rep.to_dict() for rep in info.value.partial] == expect
 
     def test_float_budget_is_refused_by_name(self):
         with pytest.raises(ValueError, match="max_words must be a positive "
@@ -248,6 +265,23 @@ class TestChunkedScans:
         chunked = sandwich(ms, 8, NormKind.L2)
         assert [rep.to_dict() for rep in chunked] == \
             [rep.to_dict() for rep in whole]
+
+    def test_reports_match_single_level_calls(self, rng, small_chunks):
+        """Past the last level that fits one block (length 2, and 4 for the
+        last set), the
+        one pass of ``sandwich`` still gives each level's single-level
+        maxima."""
+        sets = [random_set(rng, 2, 3), random_set(rng, 3, 2),
+                MatrixSet.from_arrays([1e-20 * np.eye(2), 1e27 * np.eye(2)])]
+        for ms in sets:
+            for kind in NormKind:
+                for rep in sandwich(ms, 5, kind):
+                    upper, lower = max_over_products(ms, rep.n,
+                                                     [kind, RADIUS])
+                    assert (rep.upper, rep.witness_upper) == (
+                        _root(*upper[:2], rep.n), upper[2])
+                    assert (rep.lower, rep.witness_lower) == (
+                        _root(*lower[:2], rep.n), lower[2])
 
     def test_zero_radius_verdicts_match_one_block(self, rng, monkeypatch):
         sets = [

@@ -8,9 +8,11 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from jsrbound.cli import main
+from jsrbound import DEFAULT_WORD_BUDGET, MatrixSet, trace_estimate
+from jsrbound.cli import _build_parser, main
 
 GOLDEN = '{"dim": 2, "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}'
 ROTATION = '{"dim": 2, "matrices": [[[0, -1], [1, 0]]]}'
@@ -264,6 +266,21 @@ class TestWarnings:
         assert len(doc["result"]["trace_estimates"]) == 3
         assert any("heuristic" in w for w in doc["warnings"])
 
+    def test_trace_estimates_equal_per_n_calls(self, tmp_path):
+        """The one-pass estimates are bit-equal to ``trace_estimate``."""
+        rng = np.random.default_rng(5)
+        for d, r in ((2, 2), (3, 3)):
+            mats = rng.uniform(-1.0, 1.0, (r, d, d))
+            path = tmp_path / f"set{d}.json"
+            path.write_text(json.dumps({"dim": d,
+                                        "matrices": mats.tolist()}))
+            code, doc = _run_doc("bound", "--input", str(path), "--n-max",
+                                 "6", "--trace")
+            assert code == 0
+            ms = MatrixSet.from_arrays(mats)
+            assert [v.hex() for v in doc["result"]["trace_estimates"]] == [
+                trace_estimate(ms, n).hex() for n in range(1, 7)]
+
     def test_uncertified_chi_warns(self, tmp_path):
         path = tmp_path / "diag.json"
         path.write_text(DIAGONAL)
@@ -348,6 +365,58 @@ class TestScaleFree:
         result = _run_strict("bound", "--input", str(path), "--n-max", "600")
         assert len(result["reports"]) == 600
         assert result["best_lower"] == pytest.approx(2.0, rel=1e-12)
+
+
+class TestParserOnce:
+    """``main`` reuses one parser; no option carries over between calls."""
+
+    def _calls(self, golden_file, out) -> list[tuple[str, ...]]:
+        bound = ("bound", "--input", golden_file)
+        return [
+            (*bound, "--n-max", "3", "--trace"),
+            (*bound, "--n-max", "3"),
+            (*bound, "--n-max", "9", "--max-words", "100"),
+            (*bound, "--n-max", "9"),
+            (*bound, "--n-max", "2", "--output", out),
+            (*bound, "--n-max", "2", "--norm", "l1"),
+            ("chi", "--input", golden_file, "--mesh", "0.2", "--p", "2"),
+            ("chi", "--input", golden_file, "--mesh", "0.2"),
+            ("plan", "--nu", "3", "--r", "2", "--max-words", "10"),
+            ("plan", "--nu", "3", "--r", "2"),
+        ]
+
+    def _run_all(self, calls, out, fresh: bool) -> list[tuple]:
+        """(exit code, stdout, --output file or None) of each call."""
+        runs = []
+        for argv in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(list(argv))
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            runs.append((code, stdout.getvalue(), written))
+        return runs
+
+    def test_envelopes_match_fresh_parsers(self, golden_file, tmp_path):
+        out = tmp_path / "out.json"
+        calls = self._calls(golden_file, str(out))
+        reused = self._run_all(calls, out, fresh=False)
+        assert _build_parser() is _build_parser()
+        assert reused == self._run_all(calls, out, fresh=True)
+        docs = [json.loads(text or written) for _, text, written in reused]
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0, 0,
+                                                   0, 0]
+        assert "trace_estimates" in docs[0]["result"]
+        assert "trace_estimates" not in docs[1]["result"]
+        assert "budget is 100" in docs[2]["error"]
+        assert docs[3]["params"]["max_words"] == DEFAULT_WORD_BUDGET
+        assert reused[4][1] == "" and reused[4][2] is not None
+        assert reused[5][1] != "" and reused[5][2] is None
+        assert docs[6]["params"]["p"] == 2 and docs[7]["params"]["p"] == 1
+        assert docs[8]["result"]["fits_budget"] is False
+        assert docs[9]["result"]["fits_budget"] is True
 
 
 class TestExitCodes:

@@ -41,8 +41,10 @@ from jsrbound.core import (
     TRACE,
     Record,
     _budget_count,
+    _left_multiply,
     _plain,
     _product_chunks,
+    _product_levels,
     operator_norms,
     spectral_radii,
 )
@@ -314,6 +316,8 @@ class TestBudgetCount:
                 assert _budget_count(r, n, budget, first) == (
                     count > budget, count if count < 1 << 1024 else None)
 
+
+class TestChunkedEngine:
     """The engine with its block shrunk, against the one-block result."""
 
     def test_blocks_concatenate_to_the_one_block_stack(self, rng,
@@ -374,6 +378,95 @@ class TestBudgetCount:
             rho = spectral_radius(product_of_word(ms, word))
             assert rho ** (1.0 / len(word)) == pytest.approx(max(lowers),
                                                              rel=1e-12)
+
+
+    @pytest.mark.parametrize("chunk_floats", [None, 64])
+    def test_level_blocks_match_single_level_blocks(self, rng, monkeypatch,
+                                                    chunk_floats):
+        """Each level of one multi-level pass has the chunks (starts,
+        exponents and bits) of a single-level pass, including levels
+        grown from the previous block and levels past the fitting one."""
+        if chunk_floats is not None:
+            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
+        sets = [random_set(rng, d, r) for d, r in ((1, 3), (2, 2), (3, 2))]
+        sets.append(MatrixSet.from_arrays([np.eye(2),
+                                           2.0 ** -250 * np.eye(2)]))
+        for ms in sets:
+            for first in (1, 3):
+                levels = _product_levels(ms, first, 6, 1 << 20)
+                for k, (level, chunks) in enumerate(levels, start=first):
+                    assert level == k
+                    got = [(s, b.tobytes(), e) for s, b, e in chunks]
+                    assert got == [(s, b.tobytes(), e) for s, b, e
+                                   in _product_chunks(ms, k, 1 << 20)]
+
+    @pytest.mark.parametrize("chunk_floats", [None, 64])
+    def test_multi_level_maxima_match_single_level_calls(self, rng,
+                                                         monkeypatch,
+                                                         chunk_floats):
+        if chunk_floats is not None:
+            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
+        metrics = [NormKind.L2, RADIUS, TRACE, NormKind.L1]
+        for d, r in ((1, 2), (2, 3), (3, 2)):
+            ms = random_set(rng, d, r)
+            for first in (1, 2, 5):
+                assert max_over_products(ms, 5, metrics, first=first) == [
+                    max_over_products(ms, n, metrics)
+                    for n in range(first, 6)]
+
+    def test_budget_is_checked_per_level_and_keeps_earlier_levels(self):
+        with pytest.raises(BudgetExceededError,
+                           match="enumerating length-7 products requires "
+                                 "128 words, budget is 100") as info:
+            max_over_products(GOLDEN_PAIR, 20, [NormKind.L2], 100, first=1)
+        assert info.value.partial == [
+            max_over_products(GOLDEN_PAIR, n, [NormKind.L2])
+            for n in range(1, 7)]
+
+    @pytest.mark.parametrize("first", [0, -1, 5])
+    def test_first_outside_1_to_n_is_refused(self, first):
+        with pytest.raises(ValueError, match="first must be in 1..n = 4"):
+            max_over_products(GOLDEN_PAIR, 4, [NormKind.L2], first=first)
+
+
+def _special_entries(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform [-1, 1] entries with +0, -0, subnormals and entries near
+    1e200 and 1e-200 mixed in."""
+    a = rng.uniform(-1.0, 1.0, shape)
+    pick = rng.random(shape)
+    a[pick < 0.15] = 0.0
+    a[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    a[(pick >= 0.3) & (pick < 0.4)] *= 1e-310
+    a[(pick >= 0.4) & (pick < 0.5)] *= 1e200
+    a[(pick >= 0.5) & (pick < 0.6)] *= 1e-200
+    return a
+
+
+class TestLeftMultiply:
+    """The engine's multiply gives the bits of ``np.einsum``."""
+
+    @pytest.mark.parametrize("multiply_floats", [None, 12])
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_einsum_bit_for_bit(self, d, rng, monkeypatch,
+                                        multiply_floats):
+        # 12 floats: one to three words per pass, with a partial last one
+        if multiply_floats is not None:
+            monkeypatch.setattr("jsrbound.core._MULTIPLY_FLOATS",
+                                multiply_floats)
+        with np.errstate(all="ignore"):
+            for r in range(1, 6):
+                for m in (1, 2, 7, 40):
+                    mats = _special_entries(rng, (r, d, d))
+                    block = _special_entries(rng, (m, d, d))
+                    expect = np.einsum("tab,jbc->jtac", mats, block)
+                    got = _left_multiply(mats, block)
+                    assert got.shape == (m * r, d, d)
+                    assert got.tobytes() == expect.tobytes()
+
+    def test_sum_starts_from_plus_zero(self):
+        # einsum gives +0 + 1 * -0 = +0, not the -0 of the product alone
+        got = _left_multiply(np.ones((1, 1, 1)), np.full((1, 1, 1), -0.0))
+        assert not np.signbit(got).any()
 
 
 class TestSetNorm:
