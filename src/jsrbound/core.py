@@ -458,8 +458,7 @@ def _product_levels(
     (the first level asked for is built from the identity).  Past that, a
     word splits into a head of k - t digits, the factors applied first,
     and a tail of t digits; each head product is extended by t levels
-    into one block of r^t consecutive words.  A level's chunks must be
-    used before the next level is asked for.
+    into one block of r^t consecutive words.
     """
     if n < 1:
         raise ValueError("product length n must be a positive integer")
@@ -475,14 +474,13 @@ def _product_levels(
         tail = k
         while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
             tail -= 1
-        if tail < k:
-            # Levels only grow: no later level is built from the table.
-            table = None
+        if tail == k:
+            table, exponent = _extend(mats, table, exponent, k - length, step)
+            length = k
+            yield k, iter([(0, table, exponent)])
+        else:
+            table = None  # no later level fits: free the last table
             yield k, _split_level(mats, step, k, tail)
-            continue
-        table, exponent = _extend(mats, table, exponent, k - length, step)
-        length = k
-        yield k, iter([(0, table, exponent)])
 
 
 def _product_chunks(
