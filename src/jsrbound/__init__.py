@@ -60,7 +60,6 @@ from .families import (
 )
 from .geometry import sphere_net, support_radius_upper
 from .irreducibility import (
-    BurnsideReport,
     ChiEstimate,
     CrosscheckReport,
     burnside_irreducible,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BudgetExceededError",
-    "BurnsideReport",
     "CertifiedInterval",
     "ChiEstimate",
     "ConvergenceError",

@@ -24,11 +24,11 @@ A level maximum is taken of a metric named by the caller: an induced
 operator norm (a NormKind), the spectral radius (``RADIUS``) or |trace|
 (``TRACE``).  This module alone maps a name to its exact kernel and,
 where one exists, a cheap per-row upper bound taken from the block's
-column-sum, row-sum and Frobenius norms: the l2 norm has one at every d
-and the spectral radius for d >= 3.  ``max_over_products`` runs the
-exact kernel on the row with the largest bound, then only on the rows
-whose bound can still reach that value or the best of earlier blocks, so
-those two kernels see a small share of the products.  The kernels give
+column-sum, row-sum and Frobenius norms: the l2 norm and the spectral
+radius have one at every d.  ``max_over_products`` runs the exact kernel
+on the row with the largest bound, then only on the rows whose bound can
+still reach that value or the best of earlier blocks, so those two
+kernels see a small share of the products.  The kernels give
 the same bits on a subset of rows as on the whole block, and no row
 that holds or ties the maximum is pruned, so values and witnesses are
 those of the full scan.
@@ -316,14 +316,14 @@ def _metric_values(block: np.ndarray, metric) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _metric_bound(metric, dim: int):
+def _metric_bound(metric):
     """The cheap upper bound of a metric from a block's column-sum, row-sum
     and Frobenius norms: ||P||_2 <= min(sqrt(||P||_1 ||P||_inf), ||P||_F)
-    and, for d >= 3, rho(P) <= min(||P||_1, ||P||_inf, ||P||_F).  None for
+    and rho(P) <= min(||P||_1, ||P||_inf, ||P||_F), at every d.  None for
     the rest, whose kernels cost less than the screen."""
     if metric is NormKind.L2:
         return lambda c, r, f: np.minimum(np.sqrt(c * r), f)
-    if metric == RADIUS and dim >= 3:
+    if metric == RADIUS:
         return lambda c, r, f: np.minimum(np.minimum(c, r), f)
     return None
 
@@ -557,24 +557,30 @@ def _cheap_norms(block: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _screened_max(block: np.ndarray, metric, bound,
-                  norms: tuple[np.ndarray, ...], best: float
+                  norms: tuple[np.ndarray, ...] | None, best: float
                   ) -> tuple[float, int] | None:
     """(value, row) of the first row holding the block's largest value of
     ``metric``, or None when no row can reach ``best`` (in block scale).
+    Every row is scanned when ``norms`` or ``bound`` is None.
 
     A row is pruned when bound * (1 + _SCREEN_MARGIN) < threshold, the
     threshold being the larger of ``best`` and the exact value of the row
     with the largest bound.  Such a row can neither hold nor tie the
     maximum, because for every row whose computed value v is at least
     _SCREEN_FLOOR, v <= computed bound * (1 + _SCREEN_MARGIN):
-    - Rounding.  The kernels are backward stable: v is, up to a few
-      roundings, the value of P + E with ||E|| <= c(d) * eps * ||P||, and
-      it is at most ||P + E|| in the 1, inf and Frobenius norms (radii are
+    - Rounding.  Each cheap norm is at least the largest entry |p| of P.
+      The 2-norm and eigensolver kernels are backward stable: v is, up to
+      a few roundings, the value of P + E with ||E|| <= c(d) eps ||P||,
+      and at most ||P + E|| in the 1, inf and Frobenius norms (radii are
       below every norm, the 2-norm below the Frobenius norm and the
-      geometric mean of the 1 and inf norms).  The computed sums lose at
-      most d * eps.  The margin, 2^-20 or 2^32 eps, covers c(d) + d for
-      any dimension whose products can be enumerated.
-    - Underflow.  v >= 2^-480 forces an entry of P of at least 2^-480 / d,
+      geometric mean of the 1 and inf norms).  The d = 1 closed form is
+      exact; the d = 2 one is not stable near a double eigenvalue, but its
+      discriminant on P / |p| is off by at most about 40 eps, so v exceeds
+      rho(P) by at most sqrt(40 eps) / 2 |p|, about 5e-8 |p|.  The
+      computed sums lose at most d eps.  The margin, 2^-20 or 2^32 eps,
+      covers c(d) + d for any dimension whose products can be enumerated,
+      and 5e-8 19 times over.
+    - Underflow.  v >= 2^-480 forces an entry of P of at least 2^-482 / d,
       whose square is a normal float; entries that underflow in the sums
       or squares change them by a relative d^4 * 2^-115 at most.  Below
       the floor nothing is pruned.
@@ -583,43 +589,39 @@ def _screened_max(block: np.ndarray, metric, bound,
     Kept rows are scanned in order and the kernels give the same bits on
     a subset of rows as on the block, so the first maximal row is found.
     """
-    with np.errstate(over="ignore"):
-        bound = bound(*norms) * (1.0 + _SCREEN_MARGIN)
-    top = int(np.argmax(bound))
-    if best >= _SCREEN_FLOOR and bound[top] < best:
-        return None
-    threshold = max(float(_metric_values(block[top:top + 1], metric)[0]),
-                    best)
-    rows = np.flatnonzero(bound >= threshold)
-    every = threshold < _SCREEN_FLOOR or rows.size == block.shape[0]
-    vals = _metric_values(block if every else block[rows], metric)
+    rows = None
+    if norms is not None and bound is not None:
+        with np.errstate(over="ignore"):
+            bound = bound(*norms) * (1.0 + _SCREEN_MARGIN)
+        top = int(np.argmax(bound))
+        if best >= _SCREEN_FLOOR and bound[top] < best:
+            return None
+        threshold = max(float(_metric_values(block[top:top + 1], metric)[0]),
+                        best)
+        kept = np.flatnonzero(bound >= threshold)
+        if threshold >= _SCREEN_FLOOR and kept.size < block.shape[0]:
+            rows = kept
+    vals = _metric_values(block if rows is None else block[rows], metric)
     j = int(np.argmax(vals))
-    return float(vals[j]), j if every else int(rows[j])
+    return float(vals[j]), j if rows is None else int(rows[j])
 
 
 def _level_max(mset: MatrixSet, n: int, chunks, metrics: list
                ) -> list[tuple[float, int, Word]]:
     """The (mantissa, exponent, witness word) of each metric over the
     chunks of the length-n words; see ``max_over_products``."""
-    bounds = [_metric_bound(metric, mset.dim) for metric in metrics]
+    bounds = [_metric_bound(metric) for metric in metrics]
     best: list[tuple[float, int, int]] = [(-np.inf, 0, -1)] * len(metrics)
     screened = any(bound is not None for bound in bounds)
     for start, chunk, exponent in chunks:
         norms = (_cheap_norms(chunk)
                  if screened and chunk.size >= _SCREEN_MIN_FLOATS else None)
         for k, (metric, bound) in enumerate(zip(metrics, bounds)):
-            if norms is not None and bound is not None:
-                found = _screened_max(chunk, metric, bound, norms,
-                                      _in_scale(*best[k][:2], exponent))
-                if found is None:
-                    continue
-                value, j = found
-            else:
-                vals = _metric_values(chunk, metric)
-                j = int(np.argmax(vals))
-                value = float(vals[j])
-            if _exceeds(value, exponent, *best[k][:2]):
-                best[k] = (value, exponent, start + j)
+            found = _screened_max(chunk, metric, bound, norms,
+                                  _in_scale(*best[k][:2], exponent))
+            if found is not None and _exceeds(found[0], exponent,
+                                              *best[k][:2]):
+                best[k] = (found[0], exponent, start + found[1])
     return [
         (value, exponent, word_from_index(index, mset.r, n))
         for value, exponent, index in best
@@ -645,12 +647,11 @@ def max_over_products(
     call per length.  A JsrError raised at a level carries the lists of
     the levels before it in its ``partial`` attribute.
 
-    On blocks of at least _SCREEN_MIN_FLOATS entries, a metric with a
-    cheap bound (``_metric_bound``) runs its exact kernel only on the rows
-    whose bound can still reach the best value found so far (see
-    ``_screened_max``); the block norms behind the bounds are computed
-    once for all metrics.  Values and witnesses are those of the exact
-    kernel on every row.
+    On blocks of at least _SCREEN_MIN_FLOATS entries, the l2 norm and the
+    radius run their exact kernels only on the rows whose cheap bound can
+    still reach the best value so far (see ``_screened_max``), from block
+    norms taken once for all metrics.  Values and witnesses are those of
+    the exact kernel on every row.
     """
     levels: list[list[tuple[float, int, Word]]] = []
     try:

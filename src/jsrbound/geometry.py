@@ -424,8 +424,9 @@ def halton_directions(d: int, count: int) -> np.ndarray:
 _RING_COS = np.array([np.cos(k * np.pi / 4.0) for k in range(8)])[:, None]
 _RING_SIN = np.array([np.sin(k * np.pi / 4.0) for k in range(8)])[:, None]
 
-# A refinement start stops once its step falls below this.
+# A refinement start stops at a step below this or after _MAX_ROUNDS rounds.
 _MIN_STEP = 1e-13
+_MAX_ROUNDS = 200
 
 
 def _offset_ring(x: np.ndarray) -> np.ndarray:
@@ -444,8 +445,7 @@ def _offset_ring(x: np.ndarray) -> np.ndarray:
 
 
 def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
-                   step: float, max_rounds: int = 200
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   step: float) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep pattern search for local minima on the kind-unit sphere.
 
     ``x0`` is a (k, d) stack of starts and ``v0`` their (k,) values;
@@ -456,7 +456,7 @@ def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
     the step otherwise, and the start stops once its step is below
     _MIN_STEP.  The round counter is shared: each round makes one
     value_fn call on the stacked rings of the starts still running, and
-    no start runs more than ``max_rounds`` rounds.  Every start ends where
+    no start runs more than _MAX_ROUNDS rounds.  Every start ends where
     it would end alone.  Returns the (k, d) end points and their (k,)
     values; fully deterministic.
     """
@@ -465,7 +465,7 @@ def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
     k, d = xs.shape
     steps = np.full(k, float(step))
     rings = np.stack([_offset_ring(x) for x in xs])
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         live = np.flatnonzero(steps >= _MIN_STEP)
         if live.size == 0:
             break

@@ -387,19 +387,19 @@ class TestLockstepRefinement:
     @pytest.mark.parametrize("kind", list(NormKind))
     @pytest.mark.parametrize("max_rounds", [200, 6])
     def test_stack_matches_one_start_at_a_time(self, d, kind, max_rounds,
-                                               rng):
+                                               rng, monkeypatch):
+        monkeypatch.setattr("jsrbound.geometry._MAX_ROUNDS", max_rounds)
         prods = rng.normal(size=(4, d, d))
         x0 = kind_normalize(rng.normal(size=(5, d)), kind)
         x0[1] = x0[0]  # a start repeated in the stack
         v0 = radius_profile(prods, x0, kind)
         stacked = _CountingProfile(prods, kind)
-        xs, vs = refine_minimum(stacked, x0, v0, kind, step=0.05,
-                                max_rounds=max_rounds)
+        xs, vs = refine_minimum(stacked, x0, v0, kind, step=0.05)
         rounds = []
         for i in range(5):
             alone = _CountingProfile(prods, kind)
             x1, v1 = refine_minimum(alone, x0[i:i + 1], v0[i:i + 1], kind,
-                                    step=0.05, max_rounds=max_rounds)
+                                    step=0.05)
             assert x1.tobytes() == xs[i:i + 1].tobytes()
             assert v1.tobytes() == vs[i:i + 1].tobytes()
             rounds.append(len(alone.sizes))
