@@ -50,8 +50,13 @@ _DEGENERATE_REL = 1e-13
 # the finest icosphere (level 9) has 2,621,442.
 MAX_NET_POINTS = 1 << 22
 
-# Covering radius of the level-9 icosphere, as _covering_radius measures it.
-_LEVEL9_RADIUS = 0.0014920536242305257
+# Covering radius of icosphere levels 0..9, as _covering_radius measures
+# them; level 9 is the finest within MAX_NET_POINTS.
+_LEVEL_RADII = (0.6523581397843682, 0.36486382811348356, 0.18871053078356245,
+                0.09520283008485891, 0.04770951964236602, 0.023868342089722352,
+                0.01193587100459241, 0.005968148065367788,
+                0.0029841006052092555, 0.0014920536242305257)
+_LEVEL9_RADIUS = _LEVEL_RADII[-1]
 
 
 def _check_mesh(mesh: float) -> None:
@@ -104,8 +109,9 @@ def support_radius_upper(points: np.ndarray, kind: NormKind,
 # Vectorized radius evaluation across many base points
 
 
-# Largest number of (point, candidate normal) pairs swept at once.
-_BLOCK_FLOATS = 1 << 18
+# Largest number of (point, candidate normal) pairs swept at once: one
+# block's planes, normals and support values stay within a 4 MiB L2 cache.
+_BLOCK_FLOATS = 1 << 15
 
 # Order in which sums over the coordinates are taken (the points G x and
 # the support dot products): x, y in 2-d and x, z, y in 3-d, which is
@@ -130,6 +136,11 @@ def _candidate_count(m: int, d: int) -> int:
     if d == 2:
         return 2 * comb(m, 2)
     return 4 * comb(m, 3)
+
+
+def _block_rows(m: int, d: int) -> int:
+    """Base points per radius_profile block for m products in d dimensions."""
+    return max(1, _BLOCK_FLOATS // max(1, _candidate_count(m, d)))
 
 
 def _planes(prods: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -229,7 +240,7 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
         raise UnsupportedDimensionError(
             f"exact radius profiles are available for d in {{1, 2, 3}}, got d={d}"
         )
-    rows = max(1, _BLOCK_FLOATS // max(1, _candidate_count(m, d)))
+    rows = _block_rows(m, d)
     out = np.empty(pts_all.shape[0])
     for lo in range(0, pts_all.shape[0], rows):
         planes = _planes(prods, pts_all[lo:lo + rows])
@@ -295,14 +306,18 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return verts, faces
 
 
-def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _subdivide(verts: np.ndarray, faces: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next icosphere level: the vertices, the faces, and the (2, e)
+    endpoint indices of the edges whose normalized midpoints it appends."""
     n = verts.shape[0]
     edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                             faces[:, [2, 0]]], axis=0)
     edges = np.sort(edges, axis=1)
     keys = edges[:, 0] * n + edges[:, 1]
     uniq, inverse = np.unique(keys, return_inverse=True)
-    mids = verts[uniq // n] + verts[uniq % n]
+    ends = np.stack([uniq // n, uniq % n])
+    mids = verts[ends[0]] + verts[ends[1]]
     mids /= np.linalg.norm(mids, axis=1)[:, None]
     mid_idx = n + inverse.reshape(3, -1)
     ab, bc, ca = mid_idx[0], mid_idx[1], mid_idx[2]
@@ -312,7 +327,7 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
         np.stack([faces[:, 2], ca, bc], axis=1),
         np.stack([ab, bc, ca], axis=1),
     ], axis=0)
-    return np.concatenate([verts, mids], axis=0), new_faces
+    return np.concatenate([verts, mids], axis=0), new_faces, ends
 
 
 def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
@@ -327,20 +342,41 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
     return float(np.max(np.arccos(cosr)))
 
 
-def icosphere(mesh: float) -> np.ndarray:
-    """Vertices of the coarsest icosphere with covering radius <= mesh.
-    A mesh below the covering radius of level 9 needs level 10, whose
-    10 * 4^10 + 2 vertices exceed MAX_NET_POINTS: refused before building."""
-    _check_mesh(mesh)
-    what = f"an icosphere at mesh {mesh}"
-    if mesh < _LEVEL9_RADIUS:
-        _net_size(10 * 4 ** 10 + 2, what)
+@lru_cache(maxsize=1)
+def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Vertices of icosphere ``level`` and, for each subdivision on the way,
+    the endpoints of the edges it splits (see _subdivide).
+
+    Level k's vertices are the first 10 * 4^k + 2 of every finer level.
+    The last build is kept, read-only, so sphere_net and _net_levels
+    share it.
+    """
     verts, faces = _icosahedron()
-    while _covering_radius(verts, faces) > mesh:
-        # A subdivision adds one vertex per edge, 3/2 per face.
-        _net_size(verts.shape[0] + faces.shape[0] * 3 // 2, what)
-        verts, faces = _subdivide(verts, faces)
-    return verts
+    ends = []
+    for _ in range(level):
+        verts, faces, edge_ends = _subdivide(verts, faces)
+        ends.append(edge_ends)
+    for array in (verts, *ends):
+        array.flags.writeable = False
+    return verts, tuple(ends)
+
+
+def _icosphere_level(mesh: float) -> int:
+    """The coarsest icosphere level with covering radius <= mesh, read
+    from _LEVEL_RADII.  A mesh below the covering radius of level 9 needs
+    level 10, whose 10 * 4^10 + 2 vertices exceed MAX_NET_POINTS: refused
+    before any level is built."""
+    _check_mesh(mesh)
+    if mesh < _LEVEL9_RADIUS:
+        _net_size(10 * 4 ** 10 + 2, f"an icosphere at mesh {mesh}")
+    return next(level for level, radius in enumerate(_LEVEL_RADII)
+                if radius <= mesh)
+
+
+def icosphere(mesh: float) -> np.ndarray:
+    """Vertices of the coarsest icosphere with covering radius <= mesh
+    (ValueError below level 9's, see _icosphere_level)."""
+    return _icosphere_levels(_icosphere_level(mesh))[0].copy()
 
 
 def _polyhedral_net(face_vertices: list[np.ndarray], mesh: float) -> np.ndarray:
@@ -395,6 +431,44 @@ def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
     raise UnsupportedDimensionError(
         f"deterministic sphere nets are available for d in {{1, 2, 3}}, got d={d}"
     )
+
+
+def _net_levels(d: int, kind: NormKind, mesh: float, size: int
+                ) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """The levels by which the net sphere_net(d, kind, mesh) of ``size``
+    points refines.
+
+    Returns the indices of the coarsest level and, for each finer level in
+    order, a triple (new, left, right): the indices of the points that
+    level adds and of two parents of each, points of coarser levels next
+    to it.  Icosphere level k + 1 adds the midpoints of level k's edges,
+    whose endpoints are the parents, on top of the icosahedron's 12
+    vertices.  A circle net is cyclic: its coarsest level takes every
+    stride-th point, stride the largest power of two that leaves at least
+    12 points, and each finer level halves the stride, the parents of a
+    point being its neighbours at twice the stride (the last point's right
+    neighbour is point 0).  The 3-d l1 and linf nets and d = 1 are one
+    level.
+    """
+    if d == 3 and kind is NormKind.L2:
+        steps = []
+        start = 12
+        for left, right in _icosphere_levels(_icosphere_level(mesh))[1]:
+            steps.append((np.arange(start, start + left.size), left, right))
+            start += left.size
+        return np.arange(12), steps
+    if d != 2:
+        return np.arange(size), []
+    stride = 1 << max(0, (size // 12).bit_length() - 1)
+    coarse = np.arange(0, size, stride)
+    steps = []
+    while stride > 1:
+        stride //= 2
+        new = np.arange(stride, size, 2 * stride)
+        right = new + stride
+        right[right >= size] = 0
+        steps.append((new, new - stride, right))
+    return coarse, steps
 
 
 def halton_directions(d: int, count: int) -> np.ndarray:

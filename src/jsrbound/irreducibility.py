@@ -27,7 +27,9 @@ from .core import (
 )
 from .errors import UnsupportedDimensionError
 from .geometry import (
+    _block_rows,
     _check_mesh,
+    _net_levels,
     _net_size,
     halton_directions,
     kind_normalize,
@@ -46,6 +48,10 @@ _SAMPLED_FLOATS = 1 << 16
 
 # Most refinement starts ``chi_measure`` takes from the net.
 _MAX_STARTS = 8
+
+# An evaluated net point bounds the radius from below by its value minus
+# this fraction of the Lipschitz constant, a margin for rounding.
+_ROUNDING_MARGIN = 2.0 ** -20
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +172,60 @@ def _select_starts(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
     return chosen
 
 
+def _starts_cut(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
+                spacing: float) -> tuple[list[int], float]:
+    """_select_starts and the value of its last start when it found
+    _MAX_STARTS of them, else +inf."""
+    starts = _select_starts(xs, vals, kind, spacing)
+    return starts, (float(vals[starts[-1]]) if len(starts) == _MAX_STARTS
+                    else math.inf)
+
+
+def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
+                 mesh: float, lipschitz: float) -> tuple[np.ndarray, list[int]]:
+    """Hull radii on the net xs = sphere_net(d, kind, mesh) and the
+    refinement starts, as a sweep of every point gives them.
+
+    A net that one radius_profile block holds, or any net when lipschitz
+    overflows, is swept whole.  Otherwise net points that cannot reach
+    the starts are skipped and read +inf; see ``chi_measure`` for why the
+    result is the same.
+    """
+    spacing = 4.0 * mesh
+    n, d = xs.shape
+    steps = []
+    if n > _block_rows(prods.shape[0], d) and math.isfinite(lipschitz):
+        coarse, steps = _net_levels(d, kind, mesh, n)
+    if not steps:
+        vals = radius_profile(prods, xs, kind)
+        return vals, _select_starts(xs, vals, kind, spacing)
+    vals = np.full(n, np.inf)
+    done = np.zeros(n, dtype=bool)
+    vals[coarse] = radius_profile(prods, xs[coarse], kind)
+    done[coarse] = True
+    margin = _ROUNDING_MARGIN * lipschitz
+    lower = np.empty(n)
+    lower[coarse] = vals[coarse] - margin
+    threshold = math.inf
+    while True:
+        for new, left, right in steps:
+            seen = np.flatnonzero(done)
+            threshold = min(threshold, _starts_cut(xs[seen], vals[seen], kind,
+                                                   spacing)[1])
+            bound = np.maximum(*(
+                lower[q] - lipschitz * vector_norms(xs[new] - xs[q], kind)
+                for q in (left, right)))
+            todo = new[(bound <= threshold) & ~done[new]]
+            if todo.size:
+                vals[todo] = radius_profile(prods, xs[todo], kind)
+                done[todo] = True
+            lower[new] = np.where(done[new], vals[new] - margin, bound)
+        starts, cut = _starts_cut(xs, vals, kind, spacing)
+        if cut <= threshold or done.all():
+            return vals, starts
+        threshold = cut
+
+
 def chi_measure(
     mset: MatrixSet,
     p: int,
@@ -192,6 +252,30 @@ def chi_measure(
     lower, so the first start wins ties.  For d >= 4 there is
     no exact hull; ``sampling_fallback=True`` switches to a sampled upper
     estimate with certified_lower pinned at 0.
+
+    A net that one radius_profile block holds, or any net when lipschitz
+    overflows, is swept whole.  A larger one is taken level by level
+    (``geometry._net_levels``): the coarsest level is evaluated, and each
+    point x of a finer level gets the lower bound
+
+        max over its two parents q of  bound(q) - lipschitz * ||x - q||,
+
+    the distance in the kind norm.  An evaluated point's bound is its
+    value minus 2^-20 * lipschitz, a margin for rounding in the computed
+    radii; lipschitz is twice the true constant, so every step has
+    slack besides.  A point is evaluated only when its bound is at most a
+    threshold T and otherwise reads +inf.  Before each level T drops to
+    the value of the 8th start among the points evaluated so far (+inf
+    while there are fewer), and it never rises within a pass.  So every
+    skipped point lies above the final T, every net point of value <= T
+    was evaluated, and the stable sort of the partial values begins with
+    exactly the points of the full sort that are <= T, in the same
+    order.  When the thinning picks 8 starts, all <= T, it reads only that
+    common head, so the starts and the minimum (the first start) are
+    those of the full sweep; ``samples`` stays the net size.  Otherwise T
+    rises to the 8th start's value and another pass evaluates the points
+    then under it; a pass that adds no point, or a net evaluated in full,
+    ends the search.
     """
     _check_mesh(mesh)
     d = mset.dim
@@ -205,7 +289,7 @@ def chi_measure(
         xs, vals = _chi_sampled_upper(prods, d, kind, mesh)
     else:
         xs = sphere_net(d, kind, mesh)
-        vals = radius_profile(prods, xs, kind)
+        vals, starts = _net_profile(prods, xs, kind, mesh, lipschitz)
     best_idx = int(np.argmin(vals))
     sampled = float(vals[best_idx])
     argmin = xs[best_idx]
@@ -213,7 +297,6 @@ def chi_measure(
         def value_fn(block):
             return radius_profile(prods, block, kind)
 
-        starts = _select_starts(xs, vals, kind, spacing=4.0 * mesh)
         x_ref, v_ref = refine_minimum(value_fn, xs[starts], vals[starts],
                                       kind, step=mesh)
         for x, v in zip(x_ref, v_ref):

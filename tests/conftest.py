@@ -46,16 +46,23 @@ def small_radius_blocks(monkeypatch) -> None:
 @pytest.fixture(scope="session")
 def level9_icosphere() -> tuple[np.ndarray, list[float]]:
     """The level-9 icosphere, built once per session by
-    ``icosphere(_LEVEL9_RADIUS)``, and the covering radius measured at
-    each of levels 0..9 on the way."""
+    ``icosphere(_LEVEL9_RADIUS)``, and the covering radius that
+    ``_covering_radius`` measures on each of levels 0..9 on the way."""
     radii: list[float] = []
     measure = geometry_module._covering_radius
+    subdivide = geometry_module._subdivide
 
     def recorded(verts, faces):
-        radii.append(measure(verts, faces))
-        return radii[-1]
+        if not radii:
+            radii.append(measure(verts, faces))
+        out = subdivide(verts, faces)
+        radii.append(measure(out[0], out[1]))
+        return out
 
+    # Build afresh, and keep no second level-9 copy in the build cache.
+    geometry_module._icosphere_levels.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry_module, "_covering_radius", recorded)
+        mp.setattr(geometry_module, "_subdivide", recorded)
         verts = geometry_module.icosphere(geometry_module._LEVEL9_RADIUS)
+    geometry_module._icosphere_levels.cache_clear()
     return verts, radii

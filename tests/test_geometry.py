@@ -15,6 +15,7 @@ from jsrbound import (
 )
 from jsrbound.geometry import (
     _LEVEL9_RADIUS,
+    _LEVEL_RADII,
     MAX_NET_POINTS,
     dual_kind,
     halton_directions,
@@ -305,6 +306,11 @@ class TestSphereNet:
         assert verts.shape == (2_621_442, 3)
         assert len(radii) == 10
         assert radii[-1] == _LEVEL9_RADIUS
+
+    def test_level_radii_are_the_built_ones(self, level9_icosphere):
+        """Each tabulated radius is _covering_radius of its built level."""
+        _, radii = level9_icosphere
+        assert _LEVEL_RADII == tuple(radii)
 
     def test_limit_admits_the_finest_icosphere(self):
         # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is

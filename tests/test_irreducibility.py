@@ -14,12 +14,16 @@ from jsrbound import (
     invariant_subspace_search_2d,
     lemma1_crosscheck,
     reach_products,
+    sphere_net,
     sphere_profile,
 )
-from jsrbound.core import operator_norm
+from jsrbound.core import operator_norm, operator_norms
 from jsrbound.geometry import (
+    _block_rows,
     dual_kind,
     halton_directions,
+    radius_profile,
+    refine_minimum,
     support_radius_upper,
     vector_norms,
 )
@@ -35,6 +39,16 @@ ROTATION_PAIR_2D = MatrixSet.from_arrays(
 ROTATION_PAIR_3D = MatrixSet.from_arrays(
     [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
      [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.5]]])
+# Quarter turns about the z and x axes, and rotations by 1.23 and 1.01
+# rad about them: both pairs are irreducible.
+QUARTER_TURNS_3D = MatrixSet.from_arrays(
+    [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+     [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]])
+SKEW_ROTATIONS_3D = MatrixSet.from_arrays(
+    [[[np.cos(1.23), -np.sin(1.23), 0.0], [np.sin(1.23), np.cos(1.23), 0.0],
+      [0.0, 0.0, 1.0]],
+     [[1.0, 0.0, 0.0], [0.0, np.cos(1.01), -np.sin(1.01)],
+      [0.0, np.sin(1.01), np.cos(1.01)]]])
 
 
 def _reach_points(mset: MatrixSet, p: int, x) -> np.ndarray:
@@ -242,6 +256,195 @@ class TestChiMeasure:
         assert doc["kind"] == "l1"
         assert doc["p"] == 1
         assert isinstance(doc["argmin"], list)
+
+
+def _full_sweep(mset: MatrixSet, p: int, kind: NormKind, mesh: float):
+    """chi_measure from a sweep of every net point: sphere_profile, then
+    _select_starts and refine_minimum.  Returns sampled_inf,
+    certified_lower, argmin, the start indices and the net values."""
+    prods = reach_products(mset, p)
+    lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
+    xs, vals = sphere_profile(mset, p, kind, mesh)
+    best = int(np.argmin(vals))
+    sampled, argmin = float(vals[best]), xs[best]
+    starts = irreducibility_module._select_starts(xs, vals, kind, 4.0 * mesh)
+    x_ref, v_ref = refine_minimum(
+        lambda block: radius_profile(prods, block, kind), xs[starts],
+        vals[starts], kind, step=mesh)
+    for x, v in zip(x_ref, v_ref):
+        if v < sampled:
+            sampled, argmin = float(v), x
+    return (sampled, max(0.0, sampled - lipschitz * mesh), argmin, starts,
+            vals)
+
+
+def _triangular_pair(rng: np.random.Generator, d: int) -> MatrixSet:
+    """A common-triangular pair under a similarity: hidden reducible."""
+    s = np.eye(d) + 0.5 * rng.uniform(-1.0, 1.0, (d, d))
+    return MatrixSet.from_arrays(
+        [s @ np.triu(rng.uniform(-1.0, 1.0, (d, d))) @ np.linalg.inv(s)
+         for _ in range(2)])
+
+
+@pytest.fixture
+def net_profiles(monkeypatch) -> list:
+    """The (values, starts) of every net that chi_measure profiles."""
+    record = []
+    profile = irreducibility_module._net_profile
+
+    def recorded(*args):
+        record.append(profile(*args))
+        return record[-1]
+
+    monkeypatch.setattr(irreducibility_module, "_net_profile", recorded)
+    return record
+
+
+class TestPrunedNet:
+    """chi_measure skips net points yet returns a full sweep's bits."""
+
+    @staticmethod
+    def _skipped(net_profiles, mset, p, kind, mesh) -> int:
+        """Checks chi_measure against _full_sweep; returns how many net
+        points it skipped."""
+        est = chi_measure(mset, p, kind, mesh)
+        sampled, certified, argmin, starts, full = _full_sweep(mset, p, kind,
+                                                               mesh)
+        assert np.float64(est.sampled_inf).tobytes() == \
+            np.float64(sampled).tobytes()
+        assert np.float64(est.certified_lower).tobytes() == \
+            np.float64(certified).tobytes()
+        assert est.argmin.tobytes() == argmin.tobytes()
+        assert est.samples == full.size
+        vals, got_starts = net_profiles[-1]
+        assert got_starts == starts
+        seen = np.isfinite(vals)
+        assert vals[seen].tobytes() == full[seen].tobytes()
+        return int(np.count_nonzero(~seen))
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_random_planar_sets(self, kind, net_profiles):
+        rng = np.random.default_rng([14, len(kind.value)])
+        skipped = [self._skipped(net_profiles, random_set(rng, 2, 2), 1, kind,
+                                 0.001) for _ in range(100)]
+        assert min(skipped) > 0
+
+    def test_random_spatial_sets(self, net_profiles):
+        rng = np.random.default_rng(14)
+        skipped = [self._skipped(net_profiles, random_set(rng, 3, 2), 2,
+                                 NormKind.L2, 0.025) for _ in range(20)]
+        assert min(skipped) > 0
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_reducible_and_rotation_sets(self, kind, net_profiles):
+        rng = np.random.default_rng(1414)
+        planar = [DIAGONAL_PAIR, _triangular_pair(rng, 2), ROTATION_PAIR_2D]
+        for mset in planar:
+            self._skipped(net_profiles, mset, 1, kind, 0.001)
+        if kind is NormKind.L2:
+            spatial = [_triangular_pair(rng, 3), SKEW_ROTATIONS_3D,
+                       QUARTER_TURNS_3D]
+            for mset in spatial:
+                assert self._skipped(net_profiles, mset, 2, kind, 0.025) > 0
+
+    @pytest.mark.parametrize("k", [-400, 400])
+    def test_extreme_scales(self, k, net_profiles):
+        rng = np.random.default_rng(400)
+        planar = random_set(rng, 2, 2).scaled(2.0 ** k)
+        for kind in NormKind:
+            self._skipped(net_profiles, planar, 1, kind, 0.001)
+        self._skipped(net_profiles, SKEW_ROTATIONS_3D.scaled(2.0 ** k), 2,
+                      NormKind.L2, 0.025)
+
+    def test_second_pass_when_a_new_point_blocks_two_starts(self,
+                                                             monkeypatch):
+        """A synthetic profile on the 629-point circle net, 0.9-Lipschitz
+        per unit of arc against the bound's L = 2.  Before the last level
+        the lowest spaced points are six dips and the even points z - 3,
+        z + 3.  The last level adds z, lower than both and within the
+        start spacing of each, so the starts lose one; the next start,
+        the odd point w (0.213), was skipped, since its neighbours bound
+        it from below by 0.202 > 0.201, the eighth start so far.  Only a
+        second pass finds it."""
+        n, z, w = 629, 545, 241
+        steps = np.arange(n)
+        profile = np.full(n, np.inf)
+        for centre, value in [(0, 0.170), (96, 0.175), (192, 0.180),
+                              (288, 0.185), (384, 0.190), (448, 0.194),
+                              (z - 3, 0.200), (z, 0.196), (z + 3, 0.201),
+                              (w, 0.213)]:
+            gap = np.abs(steps - centre)
+            profile = np.minimum(profile,
+                                 value + 0.009 * np.minimum(gap, n - gap))
+        xs = sphere_net(2, NormKind.L2, 0.01)
+        assert xs.shape[0] == n
+        calls = []
+
+        def synthetic(prods, points, kind):
+            angles = np.arctan2(points[:, 1], points[:, 0])
+            calls.append(np.rint(angles / (2.0 * np.pi / n)).astype(int) % n)
+            return profile[calls[-1]]
+
+        monkeypatch.setattr(irreducibility_module, "radius_profile",
+                            synthetic)
+        prods = np.zeros((10, 2, 2))  # ten products: beyond one block
+        assert n > _block_rows(10, 2)
+        vals, starts = irreducibility_module._net_profile(
+            prods, xs, NormKind.L2, 0.01, 2.0)
+        full = irreducibility_module._select_starts(xs, profile, NormKind.L2,
+                                                    0.04)
+        assert starts == full
+        assert full[-1] == w
+        assert np.all(vals[np.isfinite(vals)] == profile[np.isfinite(vals)])
+        z_call = next(k for k, idx in enumerate(calls) if z in idx)
+        w_call = next(k for k, idx in enumerate(calls) if w in idx)
+        assert w_call > z_call
+
+    def test_overflowing_lipschitz_constant(self, net_profiles):
+        """2 max||G|| overflows: no point can be skipped, and none is."""
+        big = MatrixSet.from_arrays([np.diag([2.0 ** 1023, 1.0]),
+                                     [[0.0, -1.0], [1.0, 0.0]]])
+        for kind in NormKind:
+            est = chi_measure(big, 1, kind, 0.001)
+            assert est.lipschitz == np.inf
+            assert est.samples > _block_rows(3, 2)
+            assert self._skipped(net_profiles, big, 1, kind, 0.001) == 0
+
+
+class TestNetWork:
+    """How many net points chi_measure hands to radius_profile."""
+
+    @pytest.fixture
+    def net_calls(self, monkeypatch) -> list[int]:
+        """Point counts of the radius_profile calls of chi_measure's net
+        sweep; refinement is switched off."""
+        sizes = []
+        profile = irreducibility_module.radius_profile
+
+        def counted(prods, xs, kind):
+            sizes.append(xs.shape[0])
+            return profile(prods, xs, kind)
+
+        monkeypatch.setattr(irreducibility_module, "radius_profile", counted)
+        monkeypatch.setattr(irreducibility_module, "refine_minimum",
+                            lambda fn, x0, v0, kind, step: (x0, v0))
+        return sizes
+
+    @pytest.mark.parametrize("mset", [QUARTER_TURNS_3D, SKEW_ROTATIONS_3D])
+    def test_rotation_pair_evaluates_at_most_a_quarter_of_the_net(
+            self, mset, net_calls):
+        est = chi_measure(mset, 2, NormKind.L2, 0.01)
+        assert est.samples == 163_842
+        assert sum(net_calls) <= 0.25 * est.samples
+
+    @pytest.mark.parametrize("mset, p, mesh", [
+        (GOLDEN_PAIR, 1, 0.01), (ROTATION_PAIR_2D, 1, 0.02),
+        (ROTATION_PAIR_3D, 1, 0.1)])
+    def test_net_of_one_block_is_one_call(self, mset, p, mesh, net_calls):
+        est = chi_measure(mset, p, NormKind.L2, mesh)
+        assert est.samples <= _block_rows(len(reach_products(mset, p)),
+                                          mset.dim)
+        assert net_calls == [est.samples]
 
 
 class TestBurnside:
