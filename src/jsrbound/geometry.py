@@ -27,6 +27,22 @@ in, and matches the einsum formulation of the sweep bit for bit.  Blocks
 of base points are float-sized: a block holds as many points as keep
 points x candidates within _BLOCK_FLOATS, where C = 2 C(m,2) in 2-d and
 4 C(m,3) in 3-d.
+
+The sweep is screened so that only candidates that can reach a row's
+minimum get the full m-point support loop (``_support_minimum``).  A
+pilot pass takes every candidate's support over a few pilot points of its
+row, in 2-d the points of largest |u . p| for six fixed directions u
+(vertices of the hull); divided by the dual norm, that bounds the
+candidate's ratio from below.  The candidate with the lowest bound gets
+its exact ratio U, and the full loop runs only on the usable candidates
+whose bound is below U, with the same dot products in the same order and
+the same division.  The minimum is the unscreened sweep's float to the
+bit: the maximum over a subset of the same computed dot products is at
+most the maximum over all of them, and dividing by the same dual norm
+rounds monotonically, so a skipped candidate's computed ratio is at least
+its bound, which is at least U, and U is a computed ratio of the sweep.
+When the pilot would hold all m points (m <= 6 in 2-d, and in 3-d) the
+pilot pass is the whole sweep and the other two are skipped.
 """
 
 from __future__ import annotations
@@ -121,6 +137,12 @@ _SUM_ORDER = {1: (0,), 2: (0, 1), 3: (0, 2, 1)}
 # Edge p_j + sign * p_i for both signs; p_j + (-p_i) is p_j - p_i exactly.
 _EDGE_SIGNS = np.array([-1.0, 1.0])[:, None]
 
+# Directions u whose |u . p| maximizers are the pilot points of the
+# screened sweep, by dimension: six, 30 degrees apart, in 2-d.  3-d sweeps
+# all its points; no pilot measured faster there (m = 13 at p = 2).
+_PILOT_DIRECTIONS = {2: np.array([[np.cos(k * np.pi / 6.0),
+                                   np.sin(k * np.pi / 6.0)] for k in range(6)])}
+
 
 @lru_cache(maxsize=None)
 def _index_tuples(m: int, k: int) -> tuple[np.ndarray, ...]:
@@ -194,26 +216,76 @@ def _radius_values_3d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     return _support_minimum(planes, normals.reshape(3, s, -1), kind, degree=2)
 
 
+def _pilot_planes(planes: np.ndarray) -> np.ndarray:
+    """Coordinate planes (d, s, k) of each row's pilot points: the point
+    of largest |u . p| for each of _PILOT_DIRECTIONS[d], a vertex of the
+    row's hull.  ``planes`` itself when the pilot would hold all m points."""
+    dirs = _PILOT_DIRECTIONS.get(planes.shape[0])
+    if dirs is None or dirs.shape[0] >= planes.shape[2]:
+        return planes
+    reach = np.abs(np.tensordot(dirs, planes, axes=(1, 0)))
+    picks = np.argmax(reach, axis=2).T
+    return np.take_along_axis(planes, picks[None], axis=2)
+
+
+def _pair_ratios(planes: np.ndarray, normals: np.ndarray, duals: np.ndarray,
+                 usable: np.ndarray, rows: np.ndarray, cols: np.ndarray
+                 ) -> np.ndarray:
+    """Support ratios of the (row, candidate) pairs ``rows, cols`` over all
+    m points: the dot products of the sweep in its coordinate order and
+    its division, inf where the normal is not usable.  Pairs are taken in
+    chunks of at most _BLOCK_FLOATS (pair, point) dot products."""
+    first, *rest = _SUM_ORDER[planes.shape[0]]
+    support = np.empty(rows.size)
+    step = max(1, _BLOCK_FLOATS // planes.shape[2])
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        dot = normals[first, r, c][:, None] * planes[first, r]
+        for a in rest:
+            dot += normals[a, r, c][:, None] * planes[a, r]
+        support[lo:lo + step] = np.max(np.abs(dot), axis=1)
+    out = np.full(rows.size, np.inf)
+    np.divide(support, duals[rows, cols], out=out, where=usable[rows, cols])
+    return out
+
+
 def _support_minimum(planes: np.ndarray, normals: np.ndarray,
                      kind: NormKind, degree: int) -> np.ndarray:
-    """min over candidate normals of max_i |u . p_i| / dual_norm(u)."""
+    """min over candidate normals of max_i |u . p_i| / dual_norm(u).
+
+    Screened in three passes (see the module docstring): the ratios over
+    each row's pilot points bound every candidate's ratio from below; the
+    candidate with the lowest bound gets its exact ratio U; only the
+    candidates whose bound is below U get theirs.  With no pilot (all m
+    points) the first pass is the whole sweep.
+    """
     first, *rest = _SUM_ORDER[planes.shape[0]]
     scale = np.max(np.abs(planes), axis=(0, 2))
     # Normals are degree-1 (2-d) or degree-2 (3-d) in the point entries.
     floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** degree
+    pilot = _pilot_planes(planes)
     support = np.zeros_like(normals[0])
     dot = np.empty_like(support)
     term = np.empty_like(support)
-    for i in range(planes.shape[2]):
-        np.multiply(normals[first], planes[first, :, i, None], out=dot)
+    for i in range(pilot.shape[2]):
+        np.multiply(normals[first], pilot[first, :, i, None], out=dot)
         for a in rest:
-            np.multiply(normals[a], planes[a, :, i, None], out=term)
+            np.multiply(normals[a], pilot[a, :, i, None], out=term)
             dot += term
         np.abs(dot, out=dot)
         np.maximum(support, dot, out=support)
     duals = vector_norms(np.moveaxis(normals, 0, -1), dual_kind(kind))
+    usable = duals > floor[:, None]
     ratios = np.full_like(support, np.inf)
-    np.divide(support, duals, out=ratios, where=duals > floor[:, None])
+    np.divide(support, duals, out=ratios, where=usable)
+    if pilot is not planes:
+        every = np.arange(ratios.shape[0])
+        best = np.argmin(ratios, axis=1)
+        cap = _pair_ratios(planes, normals, duals, usable, every, best)
+        rows, cols = np.nonzero(usable & (ratios < cap[:, None]))
+        ratios[every, best] = cap
+        ratios[rows, cols] = _pair_ratios(planes, normals, duals, usable,
+                                          rows, cols)
     out = np.min(ratios, axis=1)
     return np.where(np.isfinite(out), out, 0.0)
 
@@ -227,7 +299,9 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
     Each value depends on its own row only: blocks of rows are sized so
     that points x candidates stay within _BLOCK_FLOATS, and splitting the
     rows differently gives the same bits, and products 2^k G give exactly
-    2^k times the values for G.
+    2^k times the values for G.  In 2-d the candidate sweep is screened
+    by pilot points (see the module docstring); the values are those of
+    the unscreened sweep to the bit.
     """
     prods = np.asarray(products, dtype=float)
     pts_all = np.asarray(xs, dtype=float)
@@ -342,23 +416,32 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
     return float(np.max(np.arccos(cosr)))
 
 
-@lru_cache(maxsize=1)
+# The finest icosphere built so far, as _icosphere_levels returns it.
+_icosphere_build: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
+
+
 def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Vertices of icosphere ``level`` and, for each subdivision on the way,
     the endpoints of the edges it splits (see _subdivide).
 
-    Level k's vertices are the first 10 * 4^k + 2 of every finer level.
-    The last build is kept, read-only, so sphere_net and _net_levels
-    share it.
+    Level k's vertices are the first 10 * 4^k + 2 of every finer level,
+    and its subdivisions the first k of a finer level's.  The finest build
+    so far is kept, read-only, so sphere_net and _net_levels share it: a
+    level no finer than it is served as a prefix of it, with the same
+    bits as a fresh build, and only a finer level is built.
     """
-    verts, faces = _icosahedron()
-    ends = []
-    for _ in range(level):
-        verts, faces, edge_ends = _subdivide(verts, faces)
-        ends.append(edge_ends)
-    for array in (verts, *ends):
-        array.flags.writeable = False
-    return verts, tuple(ends)
+    global _icosphere_build
+    if _icosphere_build is None or len(_icosphere_build[1]) < level:
+        verts, faces = _icosahedron()
+        ends = []
+        for _ in range(level):
+            verts, faces, edge_ends = _subdivide(verts, faces)
+            ends.append(edge_ends)
+        for array in (verts, *ends):
+            array.flags.writeable = False
+        _icosphere_build = verts, tuple(ends)
+    verts, ends = _icosphere_build
+    return verts[:10 * 4 ** level + 2], ends[:level]
 
 
 def _icosphere_level(mesh: float) -> int:

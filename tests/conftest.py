@@ -59,10 +59,10 @@ def level9_icosphere() -> tuple[np.ndarray, list[float]]:
         radii.append(measure(out[0], out[1]))
         return out
 
-    # Build afresh, and keep no second level-9 copy in the build cache.
-    geometry_module._icosphere_levels.cache_clear()
+    # Build afresh, and put the build cache back as it was, so that it
+    # keeps no second level-9 copy.
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry_module, "_icosphere_build", None)
         mp.setattr(geometry_module, "_subdivide", recorded)
         verts = geometry_module.icosphere(geometry_module._LEVEL9_RADIUS)
-    geometry_module._icosphere_levels.cache_clear()
     return verts, radii

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import jsrbound.geometry as geometry
 from jsrbound import (
     NormKind,
     UnsupportedDimensionError,
     inscribed_radius,
+    reach_products,
     sphere_net,
     support_radius_upper,
 )
@@ -17,6 +20,9 @@ from jsrbound.geometry import (
     _LEVEL9_RADIUS,
     _LEVEL_RADII,
     MAX_NET_POINTS,
+    _candidate_count,
+    _icosahedron,
+    _icosphere_levels,
     dual_kind,
     halton_directions,
     kind_normalize,
@@ -24,6 +30,8 @@ from jsrbound.geometry import (
     refine_minimum,
     vector_norms,
 )
+
+from .conftest import random_set
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -229,6 +237,108 @@ class TestRadiusBlocks:
                     _einsum_profile(prods, xs, kind).tobytes()
 
 
+def _rotation(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestScreenedSweep:
+    """The screened 2-d sweep gives the full sweep's bits where its pilot
+    leaves points out (m from 12 to 40), in every block layout."""
+
+    @pytest.fixture(params=["default blocks", "tiny blocks"])
+    def blocks(self, request):
+        if request.param == "tiny blocks":
+            request.getfixturevalue("small_radius_blocks")
+
+    @staticmethod
+    def _match(prods, xs, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = radius_profile(prods, xs, kind)
+        assert vals.tobytes() == _einsum_profile(prods, xs, kind).tobytes()
+        return vals
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_random_sets(self, kind, rng, blocks):
+        for _ in range(100):
+            m = int(rng.integers(12, 41))
+            prods = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
+            self._match(prods, kind_normalize(rng.normal(size=(6, 2)), kind),
+                        kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_tied_candidates(self, kind, rng, blocks):
+        xs = kind_normalize(rng.normal(size=(6, 2)), kind)
+        # Quarter turns, each repeated: every usable candidate is a side of
+        # the same square and ties with the others.
+        square = np.stack([_rotation(np.pi / 2 * (k % 4)) for k in range(16)])
+        # Turns by k pi / 20: the points form a regular 40-gon, whose
+        # sides tie.
+        polygon = np.stack([_rotation(np.pi * k / 20) for k in range(20)])
+        for prods in (square, polygon):
+            assert np.all(self._match(prods, xs, kind) > 0.0)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_repeated_zero_and_rank_one_products(self, kind, rng, blocks):
+        for m in (12, 25, 40):
+            prods = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
+            prods[1] = prods[0]
+            prods[5:8] = prods[2]
+            prods[3] = 0.0
+            prods[4] = np.outer(rng.normal(size=2), rng.normal(size=2))
+            prods[9] = np.outer(rng.normal(size=2), rng.normal(size=2))
+            self._match(prods, kind_normalize(rng.normal(size=(6, 2)), kind),
+                        kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_flat_rows_read_zero(self, kind, rng, blocks):
+        # Rank-one products with one image and one kernel: every row is
+        # flat (y = 2x exactly), and the row along the kernel has all its
+        # points at 0.
+        u, v = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+        prods = np.stack([np.outer(u * w, v) for w in rng.normal(size=20)])
+        xs = kind_normalize(np.vstack([rng.normal(size=(4, 2)),
+                                       [[1.0, -1.0]]]), kind)
+        assert np.all(self._match(prods, xs, kind) == 0.0)
+        # One full-rank product more: the kernel row alone stays flat.
+        prods = np.concatenate([prods, [np.eye(2)]])
+        vals = self._match(prods, xs, kind)
+        assert vals[-1] == 0.0 and np.all(vals[:-1] > 0.0)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("k", [-400, 400])
+    def test_power_of_two_scales(self, kind, k, rng, blocks):
+        for m in (12, 40):
+            prods = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
+            xs = kind_normalize(rng.normal(size=(6, 2)), kind)
+            scaled = self._match(np.ldexp(prods, k), xs, kind)
+            assert scaled.tobytes() == \
+                np.ldexp(radius_profile(prods, xs, kind), k).tobytes()
+
+
+class TestScreenWork:
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_few_pairs_reach_the_full_pass(self, kind, rng, monkeypatch):
+        """On a 3-member set at p = 3 (40 reach products) fewer than 5% of
+        the (point, candidate) pairs get the full m-point support loop."""
+        prods = reach_products(random_set(rng, 2, 3), 3)
+        xs = sphere_net(2, kind, 0.01)
+        full = []
+        pair_ratios = geometry._pair_ratios
+
+        def counted(planes, normals, duals, usable, rows, cols):
+            full.append(rows.size)
+            return pair_ratios(planes, normals, duals, usable, rows, cols)
+
+        monkeypatch.setattr(geometry, "_pair_ratios", counted)
+        vals = radius_profile(prods, xs, kind)
+        pairs = xs.shape[0] * _candidate_count(prods.shape[0], 2)
+        assert prods.shape[0] == 40
+        assert 0 < sum(full) < 0.05 * pairs
+        assert vals.tobytes() == _einsum_profile(prods, xs, kind).tobytes()
+
+
 class TestRadiusScale:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
@@ -311,6 +421,37 @@ class TestSphereNet:
         """Each tabulated radius is _covering_radius of its built level."""
         _, radii = level9_icosphere
         assert _LEVEL_RADII == tuple(radii)
+
+    def test_coarser_levels_are_prefixes_of_the_cached_build(self,
+                                                             monkeypatch):
+        """Levels 7, 3, 7 subdivide 7 times in all, and every level has
+        the bits of a fresh build."""
+        subdivide = geometry._subdivide
+        fresh = {}
+        for level in (3, 7):
+            verts, faces = _icosahedron()
+            ends = []
+            for _ in range(level):
+                verts, faces, edge_ends = subdivide(verts, faces)
+                ends.append(edge_ends)
+            fresh[level] = [verts, *ends]
+        calls = []
+
+        def counted(verts, faces):
+            calls.append(verts.shape[0])
+            return subdivide(verts, faces)
+
+        monkeypatch.setattr(geometry, "_icosphere_build", None)
+        monkeypatch.setattr(geometry, "_subdivide", counted)
+        for level in (7, 3, 7):
+            verts, ends = _icosphere_levels(level)
+            arrays = [verts, *ends]
+            assert len(arrays) == len(fresh[level])
+            for got, want in zip(arrays, fresh[level]):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        assert len(calls) == 7
 
     def test_limit_admits_the_finest_icosphere(self):
         # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is
