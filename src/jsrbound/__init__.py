@@ -58,7 +58,7 @@ from .families import (
     row_substitution_bound,
     row_substitution_family,
 )
-from .geometry import sphere_net, support_radius_upper
+from .geometry import sphere_net
 from .irreducibility import (
     ChiEstimate,
     CrosscheckReport,
@@ -123,7 +123,6 @@ __all__ = [
     "spectral_radius",
     "sphere_net",
     "sphere_profile",
-    "support_radius_upper",
     "trace_estimate",
     "word_from_index",
     "zero_radius_test",

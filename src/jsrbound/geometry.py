@@ -50,7 +50,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, comb, frexp, inf
-from statistics import NormalDist
 
 import numpy as np
 
@@ -99,26 +98,6 @@ def vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
     if kind is NormKind.L2:
         return np.sqrt(np.sum(v * v, axis=-1))
     return np.max(np.abs(v), axis=-1)
-
-
-def support_radius_upper(points: np.ndarray, kind: NormKind,
-                         directions: np.ndarray) -> float:
-    """Non-certified upper estimate of the inscribed radius of conv(+-points).
-
-    Minimizes the support ratio, even in the points, over the supplied
-    directions only; any direction gives an upper bound of the true radius,
-    so a finite sample can only overestimate.  ``points`` (m, d) is one
-    point set and gives a float; a stack (..., m, d) gives an array.
-    """
-    pts = np.asarray(points, dtype=float)
-    dirs = np.asarray(directions, dtype=float)
-    duals = vector_norms(dirs, dual_kind(kind))
-    keep = duals > 0
-    if not np.any(keep):
-        raise ValueError("no usable directions")
-    h = np.max(np.abs(dirs[keep] @ np.swapaxes(pts, -1, -2)), axis=-1)
-    best = np.min(h / duals[keep], axis=-1)
-    return float(best) if pts.ndim == 2 else best
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +531,6 @@ def _net_levels(d: int, kind: NormKind, mesh: float, size: int
         right[right >= size] = 0
         steps.append((new, new - stride, right))
     return coarse, steps
-
-
-def halton_directions(d: int, count: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit directions for sampled estimates."""
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    if d > len(primes):
-        raise UnsupportedDimensionError("sampled directions support d <= 10")
-    u = np.zeros((count, d))
-    for k, base in enumerate(primes[:d]):
-        rem, denom = np.arange(1, count + 1), 1.0
-        while np.any(rem > 0):
-            denom *= base
-            u[:, k] += (rem % base) / denom
-            rem //= base
-    g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(
-        np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    keep = norms > 1e-9
-    return g[keep] / norms[keep][:, None]
 
 
 # ---------------------------------------------------------------------------

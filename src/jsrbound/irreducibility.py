@@ -30,21 +30,13 @@ from .geometry import (
     _block_rows,
     _check_mesh,
     _net_levels,
-    _net_size,
-    halton_directions,
-    kind_normalize,
     radius_profile,
     refine_minimum,
     sphere_net,
-    support_radius_upper,
     vector_norms,
 )
 
 _DEDUP_TOL = 1e-12
-
-# Support values (base point, direction, reach product) the d >= 4
-# fallback forms at once.
-_SAMPLED_FLOATS = 1 << 16
 
 # Most refinement starts ``chi_measure`` takes from the net.
 _MAX_STARTS = 8
@@ -154,8 +146,8 @@ def sphere_profile(
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Net points of the unit sphere and the hull radius at each of them."""
-    prods = reach_products(mset, p, max_words)
     xs = sphere_net(mset.dim, kind, mesh)
+    prods = reach_products(mset, p, max_words)
     return xs, radius_profile(prods, xs, kind)
 
 
@@ -233,7 +225,6 @@ def chi_measure(
     mesh: float,
     *,
     max_words: int = DEFAULT_WORD_BUDGET,
-    sampling_fallback: bool = False,
 ) -> ChiEstimate:
     """Estimate the irreducibility measure over the kind-unit sphere.
 
@@ -249,9 +240,9 @@ def chi_measure(
     their pattern searches in lockstep: one radius_profile call per round
     on the neighbor rings of every start still running.  Starts are then
     taken in order and a later one replaces the minimum only when strictly
-    lower, so the first start wins ties.  For d >= 4 there is
-    no exact hull; ``sampling_fallback=True`` switches to a sampled upper
-    estimate with certified_lower pinned at 0.
+    lower, so the first start wins ties.  Only d in {1, 2, 3} has a sphere
+    net and an exact hull sweep; any other d raises
+    UnsupportedDimensionError before a reach product is formed.
 
     A net that one radius_profile block holds, or any net when lipschitz
     overflows, is swept whole.  A larger one is taken level by level
@@ -279,21 +270,14 @@ def chi_measure(
     """
     _check_mesh(mesh)
     d = mset.dim
+    xs = sphere_net(d, kind, mesh)
     prods = reach_products(mset, p, max_words)
     lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
-    exact = d <= 3
-    if not exact:
-        if not sampling_fallback:
-            raise UnsupportedDimensionError(
-                f"exact hulls are available for d in {{1, 2, 3}}, got d={d}")
-        xs, vals = _chi_sampled_upper(prods, d, kind, mesh)
-    else:
-        xs = sphere_net(d, kind, mesh)
-        vals, starts = _net_profile(prods, xs, kind, mesh, lipschitz)
+    vals, starts = _net_profile(prods, xs, kind, mesh, lipschitz)
     best_idx = int(np.argmin(vals))
     sampled = float(vals[best_idx])
     argmin = xs[best_idx]
-    if exact and d > 1:
+    if d > 1:
         def value_fn(block):
             return radius_profile(prods, block, kind)
 
@@ -303,7 +287,7 @@ def chi_measure(
             if v < sampled:
                 sampled = float(v)
                 argmin = x
-    certified = max(0.0, sampled - lipschitz * mesh) if exact else 0.0
+    certified = max(0.0, sampled - lipschitz * mesh)
     return ChiEstimate(
         p=p,
         kind=kind,
@@ -314,26 +298,6 @@ def chi_measure(
         argmin=argmin,
         samples=xs.shape[0],
     )
-
-
-def _chi_sampled_upper(prods: np.ndarray, d: int, kind: NormKind,
-                       mesh: float) -> tuple[np.ndarray, np.ndarray]:
-    """Base points and sampled hull radii for the d >= 4 upper estimate.
-
-    The Halton directions serve twice: normalized, as the base points,
-    and as the support directions of every hull, whose points G x need no
-    negated copies since the support is even.  Points are evaluated in
-    batches of about _SAMPLED_FLOATS support values.
-    """
-    count = max(64, _net_size(np.ceil(2.0 * np.pi / mesh) * 10.0,
-                              f"the sampled estimate at mesh {mesh}"))
-    dirs = halton_directions(d, count)
-    xs = kind_normalize(dirs, kind)
-    batch = max(1, _SAMPLED_FLOATS // (prods.shape[0] * dirs.shape[0]))
-    return xs, np.concatenate([
-        support_radius_upper((prods @ xs[lo:lo + batch, None, :, None])[..., 0],
-                             kind, dirs)
-        for lo in range(0, xs.shape[0], batch)])
 
 
 # ---------------------------------------------------------------------------

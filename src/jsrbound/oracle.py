@@ -130,8 +130,7 @@ def inscribed_radius(points: np.ndarray, kind: NormKind) -> float:
         return float(np.max(np.abs(pts)))
     if d not in (2, 3):
         raise UnsupportedDimensionError(
-            f"exact hull facets are available for d in {{2, 3}}, got d={d}; "
-            "use support_radius_upper for a sampled (non-certified) estimate"
+            f"exact hull facets are available for d in {{2, 3}}, got d={d}"
         )
     try:
         eq = ConvexHull(pts).equations

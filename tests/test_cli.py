@@ -502,6 +502,10 @@ NONNEG3 = ('{"dim": 3, "matrices": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], '
            '[[1, 0, 0], [1, 1, 0], [0, 1, 1]]]}')
 ROTATIONS3 = ('{"dim": 3, "matrices": [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], '
               '[[1, 0, 0], [0, 0, -1], [0, 1, 0]]]}')
+QUAD3 = ('{"dim": 4, "matrices": [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], '
+         '[1, 0, 0, 0]], [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+         '[0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+         '[0, 0, 1, 1]]]}')
 
 
 class TestOversizedRequests:
@@ -546,6 +550,17 @@ class TestOversizedRequests:
          "an icosphere at mesh 0.001 needs more than 4194304 points"),
         (ROTATIONS3, ("gamma", "--samples", "3000000"),
          "an icosphere at mesh 0.001171875 needs more than 4194304 points"),
+        # 3^0 + ... + 3^40 reach products exceed the budget; the
+        # dimension is refused before they are counted.
+        (QUAD3, ("chi", "--p", "40"),
+         "deterministic sphere nets are available for d in {1, 2, 3}, "
+         "got d=4"),
+        (QUAD3, ("certify", "--p", "40"),
+         "deterministic sphere nets are available for d in {1, 2, 3}, "
+         "got d=4"),
+        (QUAD3, ("irreducible", "--p", "40"),
+         "deterministic sphere nets are available for d in {1, 2, 3}, "
+         "got d=4"),
         (R3, ("chi", "--mesh", "nan"), "mesh must be positive and finite, "
          "got nan"),
         (R3, ("chi", "--mesh", "inf"), "mesh must be positive and finite, "

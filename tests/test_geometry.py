@@ -14,7 +14,6 @@ from jsrbound import (
     inscribed_radius,
     reach_products,
     sphere_net,
-    support_radius_upper,
 )
 from jsrbound.geometry import (
     _LEVEL9_RADIUS,
@@ -24,7 +23,6 @@ from jsrbound.geometry import (
     _icosahedron,
     _icosphere_levels,
     dual_kind,
-    halton_directions,
     kind_normalize,
     radius_profile,
     refine_minimum,
@@ -114,19 +112,6 @@ class TestInscribedRadius:
                 assert inscribed_radius(pts, kind) == pytest.approx(
                     _hull_oracle(pts, kind), rel=1e-10, abs=1e-12
                 )
-
-
-class TestSupportUpper:
-    def test_never_below_radius(self, rng):
-        dirs2 = halton_directions(2, 200)
-        dirs3 = halton_directions(3, 200)
-        for _ in range(10):
-            pts = _sym(rng.normal(size=(5, 2)))
-            r = inscribed_radius(pts, NormKind.L2)
-            assert support_radius_upper(pts, NormKind.L2, dirs2) >= r - 1e-12
-            pts = _sym(rng.normal(size=(5, 3)))
-            r = inscribed_radius(pts, NormKind.L2)
-            assert support_radius_upper(pts, NormKind.L2, dirs3) >= r - 1e-12
 
 
 class TestRadiusProfile:
@@ -457,38 +442,6 @@ class TestSphereNet:
         # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is
         # the finest that fits.
         assert 10 * 4 ** 9 + 2 <= MAX_NET_POINTS < 10 * 4 ** 10 + 2
-
-
-class TestHalton:
-    def test_unit_and_deterministic(self):
-        a = halton_directions(5, 64)
-        b = halton_directions(5, 64)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
-
-    def test_dim_limit(self):
-        with pytest.raises(UnsupportedDimensionError):
-            halton_directions(11, 8)
-
-    def test_close_to_the_scipy_quantiles(self):
-        from scipy.stats import norm
-
-        # The Halton points of halton_directions, mapped through scipy's
-        # normal quantile function instead of the stdlib's.
-        count, primes = 2000, [2, 3, 5, 7, 11]
-        u = np.empty((count, len(primes)))
-        for k, base in enumerate(primes):
-            for i in range(count):
-                x, f, rem = 0.0, 1.0, i + 1
-                while rem:
-                    f /= base
-                    x += (rem % base) * f
-                    rem //= base
-                u[i, k] = x
-        g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-        expect = g / np.linalg.norm(g, axis=1)[:, None]
-        np.testing.assert_allclose(halton_directions(5, count), expect,
-                                   rtol=1e-13, atol=1e-15)
 
 
 class TestRefinement:

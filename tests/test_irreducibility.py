@@ -17,14 +17,12 @@ from jsrbound import (
     sphere_net,
     sphere_profile,
 )
-from jsrbound.core import operator_norm, operator_norms
+from jsrbound.core import operator_norms
 from jsrbound.geometry import (
     _block_rows,
     dual_kind,
-    halton_directions,
     radius_profile,
     refine_minimum,
-    support_radius_upper,
     vector_norms,
 )
 from jsrbound.irreducibility import BurnsideReport, burnside_detail
@@ -180,65 +178,23 @@ class TestChiMeasure:
         est = chi_measure(ms, 2, NormKind.L2, 0.05)
         assert est.certified_lower > 0.0
 
-    def test_dim_4_needs_fallback(self):
+    def test_dim_4_is_refused(self):
         ms = MatrixSet.from_arrays([np.eye(4)])
         with pytest.raises(UnsupportedDimensionError):
             chi_measure(ms, 3, NormKind.L2, 0.1)
-        est = chi_measure(ms, 3, NormKind.L2, 0.1, sampling_fallback=True)
-        assert est.certified_lower == 0.0
 
-    @pytest.mark.parametrize("mesh, message", [
-        (1e-9, "needs more than"), (5e-324, "needs more than"),
-        (np.nan, "positive and finite"), (np.inf, "positive and finite")])
-    def test_fallback_direction_count_is_checked_first(self, mesh, message):
+    def test_dim_4_is_refused_before_the_reach_products(self, rng):
+        # 3^0 + ... + 3^40 words are far beyond the word budget, so only a
+        # dimension check made before reach_products can answer.
+        ms = random_set(rng, 4, 3)
+        with pytest.raises(UnsupportedDimensionError,
+                           match=r"\{1, 2, 3\}, got d=4"):
+            chi_measure(ms, 40, NormKind.L2, 0.1)
+
+    def test_sampling_fallback_is_gone(self):
         ms = MatrixSet.from_arrays([np.eye(4)])
-        with pytest.raises(ValueError, match=message):
-            chi_measure(ms, 1, NormKind.L2, mesh, sampling_fallback=True)
-
-    def test_fallback_reports_the_measure_constants(self, rng):
-        ms = random_set(rng, 4, 2)
-        est = chi_measure(ms, 2, NormKind.L1, 0.5, sampling_fallback=True)
-        prods = reach_products(ms, 2)
-        assert est.lipschitz == 2.0 * max(
-            operator_norm(g, NormKind.L1) for g in prods)
-        # the sampled value is the support estimate at the reported argmin
-        dirs = halton_directions(4, 130)  # 10 per step of the mesh circle
-        assert est.samples == dirs.shape[0]
-        pts = prods @ est.argmin
-        assert est.sampled_inf == support_radius_upper(pts, NormKind.L1, dirs)
-        assert vector_norms(est.argmin, NormKind.L1) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("d", [4, 5])
-    @pytest.mark.parametrize("kind", list(NormKind))
-    @pytest.mark.parametrize("batch_floats", [1, 5000, 1 << 16])
-    def test_batched_fallback_matches_a_point_loop(self, d, kind,
-                                                   batch_floats, monkeypatch):
-        """The batched sampled estimate equals one support evaluation per
-        point, the first point winning ties, in every batch size (one
-        point per batch, batches ending mid-net, the whole net)."""
-        monkeypatch.setattr("jsrbound.irreducibility._SAMPLED_FLOATS",
-                            batch_floats)
-        rng = np.random.default_rng([d, len(kind.value)])
-        scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        cases = [(random_set(rng, d, 2, scale), 2, 0.3),
-                 (random_set(rng, d, 3), 1, 0.5),
-                 # tied values at every point: the first point must win
-                 (MatrixSet.from_arrays([np.eye(d)]), 1, 0.5)]
-        for ms, p, mesh in cases:
-            est = chi_measure(ms, p, kind, mesh, sampling_fallback=True)
-            prods = reach_products(ms, p)
-            dirs = halton_directions(d, max(64, int(np.ceil(2.0 * np.pi
-                                                            / mesh)) * 10))
-            xs = dirs / vector_norms(dirs, kind)[:, None]
-            best, argmin = np.inf, None
-            for x in xs:
-                pts = prods @ x
-                val = support_radius_upper(pts, kind, dirs)
-                if val < best:
-                    best, argmin = val, x
-            assert est.sampled_inf == best
-            assert est.argmin.tobytes() == argmin.tobytes()
-            assert est.samples == xs.shape[0]
+        with pytest.raises(TypeError):
+            chi_measure(ms, 3, NormKind.L2, 0.1, sampling_fallback=True)
 
     def test_negative_p_rejected(self):
         with pytest.raises(ValueError):
