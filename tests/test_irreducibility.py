@@ -191,6 +191,43 @@ class TestChiMeasure:
                            match=r"\{1, 2, 3\}, got d=4"):
             chi_measure(ms, 40, NormKind.L2, 0.1)
 
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_every_other_dimension_is_refused_first(self, d, kind):
+        # the refusal names d for every kind, whatever the word count
+        ms = random_set(np.random.default_rng([d, len(kind.value)]), d, 3)
+        with pytest.raises(UnsupportedDimensionError,
+                           match=rf"\{{1, 2, 3\}}, got d={d}$"):
+            chi_measure(ms, 40, kind, 0.1)
+
+    @pytest.mark.parametrize("d, mesh, message", [
+        (2, 1e-9, "a circle net at mesh 1e-09 needs more than"),
+        (2, 5e-324, "a circle net at mesh 5e-324 needs more than"),
+        (2, np.nan, "mesh must be positive and finite, got nan"),
+        (2, np.inf, "mesh must be positive and finite, got inf"),
+        (3, 1e-9, "an icosphere at mesh 1e-09 needs more than"),
+        (3, 5e-324, "an icosphere at mesh 5e-324 needs more than"),
+        (3, np.nan, "mesh must be positive and finite, got nan"),
+        (3, np.inf, "mesh must be positive and finite, got inf"),
+    ])
+    def test_net_request_is_checked_before_the_reach_products(
+            self, d, mesh, message):
+        # p = 40 would exceed the word budget; the net error comes first
+        ms = random_set(np.random.default_rng(d), d, 3)
+        with pytest.raises(ValueError, match=message):
+            chi_measure(ms, 40, NormKind.L2, mesh)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_sphere_profile_refuses_before_the_reach_products(self, d):
+        ms = random_set(np.random.default_rng(d), d, 3)
+        with pytest.raises(UnsupportedDimensionError, match=f"got d={d}$"):
+            sphere_profile(ms, 40, NormKind.L2, 0.1)
+
+    def test_crosscheck_refuses_dim_4_before_the_reach_products(self, rng):
+        ms = random_set(rng, 4, 3)
+        with pytest.raises(UnsupportedDimensionError, match="got d=4$"):
+            lemma1_crosscheck(ms, 40, NormKind.L2, 0.1)
+
     def test_sampling_fallback_is_gone(self):
         ms = MatrixSet.from_arrays([np.eye(4)])
         with pytest.raises(TypeError):
