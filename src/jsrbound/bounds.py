@@ -67,11 +67,11 @@ def gelfand_upper(
 
 
 def _reports(kind: NormKind, levels: list) -> list[BoundReport]:
-    """Bound reports from the [norm, radius] maxima of levels 1, 2, ..."""
+    """Bound reports from the [norm, radius, ...] maxima of levels 1, 2, ..."""
     reports: list[BoundReport] = []
     best_lower = -np.inf
     best_upper = np.inf
-    for n, (upper, lower) in enumerate(levels, start=1):
+    for n, (upper, lower, *_) in enumerate(levels, start=1):
         lower_n, upper_n = _root(*lower[:2], n), _root(*upper[:2], n)
         best_lower = max(best_lower, lower_n)
         best_upper = min(best_upper, upper_n)
@@ -103,15 +103,22 @@ def sandwich(
     eigensolver fails at some n, the raised error carries the reports of
     the levels before n in its ``partial`` attribute.
     """
+    return _reports(kind, _bound_levels(mset, n_max, [kind, RADIUS],
+                                        max_words))
+
+
+def _bound_levels(mset: MatrixSet, n_max: int, metrics: list,
+                  max_words: int) -> list:
+    """The maxima of ``metrics`` = [kind, RADIUS, ...] at lengths
+    1..n_max, from one ``max_over_products`` pass; a raised JsrError
+    carries the bound reports of the levels before it in ``partial``."""
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     try:
-        levels = max_over_products(mset, n_max, [kind, RADIUS], max_words,
-                                   first=1)
+        return max_over_products(mset, n_max, metrics, max_words, first=1)
     except JsrError as exc:
-        exc.partial = _reports(kind, exc.partial)
+        exc.partial = _reports(metrics[0], exc.partial)
         raise
-    return _reports(kind, levels)
 
 
 def trace_estimate(

@@ -29,12 +29,12 @@ from . import irreducibility as _irreducibility
 from . import oracle as _oracle
 from .core import (
     DEFAULT_WORD_BUDGET,
+    RADIUS,
     TRACE,
     MatrixSet,
     NormKind,
     _plain,
     _root,
-    max_over_products,
     parse_matrix_set,
 )
 from .errors import InputFormatError, JsrError
@@ -170,20 +170,25 @@ def _build_parser() -> argparse.ArgumentParser:
 # the warnings.
 
 def _run_bound(args, mset):
-    reports = _bounds.sandwich(mset, args.n_max, args.norm, args.max_words)
-    result = {
+    if not args.trace:
+        return _bound_result(_bounds.sandwich(mset, args.n_max, args.norm,
+                                              args.max_words)), []
+    # The bounds and ``trace_estimate`` for every n, from one pass over the
+    # levels.
+    levels = _bounds._bound_levels(mset, args.n_max,
+                                   [args.norm, RADIUS, TRACE], args.max_words)
+    result = _bound_result(_bounds._reports(args.norm, levels))
+    result["trace_estimates"] = [_root(*trace[:2], n) for n, (*_, trace)
+                                 in enumerate(levels, start=1)]
+    return result, [_TRACE_WARNING]
+
+
+def _bound_result(reports) -> dict:
+    return {
         "reports": reports,
         "best_lower": reports[-1].best_lower,
         "best_upper": reports[-1].best_upper,
     }
-    if not args.trace:
-        return result, []
-    # ``trace_estimate`` for every n, from one pass over the levels.
-    levels = max_over_products(mset, args.n_max, [TRACE], args.max_words,
-                               first=1)
-    result["trace_estimates"] = [_root(*trace[:2], n) for n, [trace]
-                                 in enumerate(levels, start=1)]
-    return result, [_TRACE_WARNING]
 
 
 def _run_oracle(args, mset):

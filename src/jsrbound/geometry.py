@@ -41,8 +41,31 @@ bit: the maximum over a subset of the same computed dot products is at
 most the maximum over all of them, and dividing by the same dual norm
 rounds monotonically, so a skipped candidate's computed ratio is at least
 its bound, which is at least U, and U is a computed ratio of the sweep.
-When the pilot would hold all m points (m <= 6 in 2-d, and in 3-d) the
-pilot pass is the whole sweep and the other two are skipped.
+When the pilot would hold all m points (m <= 6) the pilot pass is the
+whole sweep and the other two are skipped.
+
+In 3-d, from m = _PRUNE_MIN_POINTS points on, each row is first pruned
+to a superset of its hull vertices (``_kept_points``), and the sweep runs
+on the kept points alone, unscreened.  Only a few points are vertices
+(6.5 of 13 on average over the icosphere for the 3-member set of the
+benchmark's chi workload), and 4 C(k,3) normals of k kept points replace
+4 C(m,3).  The pilot is six distinct points of largest |u . p| over
+fixed directions u, which lie on the hull boundary; a point strictly
+inside the pilot's hull by a relative margin, tested against every
+usable candidate normal of the pilot (among which are all the facet
+normals of its hull), is dropped, and rows with a flat or thin pilot keep
+every point.  In reals the support of a polytope is attained at a vertex,
+so each kept candidate has the same support over the kept points as over
+all, and a candidate through a dropped point, no longer formed, bounds
+the radius from above like every other: the facet normals, spanned by
+vertices, are still there.  In floats the kept candidates get the full
+sweep's ratios to the bit, and the result can differ from the full
+sweep's only by a tie, by at most 2^-32 times the row's largest
+|coordinate| (the argument is in ``_kept_points``).  The kept indices
+stay in ascending order, so each triple's normals are the full sweep's,
+and rows are grouped by their kept count over the whole call, so each
+group is swept at one k.  Below _PRUNE_MIN_POINTS the pilot costs more
+than it saves, and the full sweep runs.
 """
 
 from __future__ import annotations
@@ -116,11 +139,44 @@ _SUM_ORDER = {1: (0,), 2: (0, 1), 3: (0, 2, 1)}
 # Edge p_j + sign * p_i for both signs; p_j + (-p_i) is p_j - p_i exactly.
 _EDGE_SIGNS = np.array([-1.0, 1.0])[:, None]
 
-# Directions u whose |u . p| maximizers are the pilot points of the
-# screened sweep, by dimension: six, 30 degrees apart, in 2-d.  3-d sweeps
-# all its points; no pilot measured faster there (m = 13 at p = 2).
-_PILOT_DIRECTIONS = {2: np.array([[np.cos(k * np.pi / 6.0),
-                                   np.sin(k * np.pi / 6.0)] for k in range(6)])}
+_PHI = (1.0 + 5.0 ** 0.5) / 2.0
+
+# Directions u whose |u . p| maximizers are the pilot points of a row, by
+# dimension.  2-d: six, 30 degrees apart; they screen the candidate sweep
+# (``_support_minimum``).  3-d: the 6 icosahedron axes, then the 10
+# dodecahedron axes (the icosahedron's face normals); the first
+# _PILOT_POINTS distinct maximizers in this order form the pilot, whose
+# hull prunes the row's points before any normal is formed
+# (``_kept_points``).  The 6 axes alone gave 4-5 distinct points on most
+# rows and only 2, a flat pilot that prunes nothing, on 34 of the 642
+# icosphere points for the 3-member set of the benchmark's chi workload
+# (m = 13); taken this way the pilot kept 6.7 points a row against 6.5
+# hull vertices (Qhull).  The 3-d sweep of the kept points is not
+# screened: a pilot on its support loop alone measured slower.
+_PILOT_DIRECTIONS = {
+    2: np.array([[np.cos(k * np.pi / 6.0), np.sin(k * np.pi / 6.0)]
+                 for k in range(6)]),
+    3: np.array([[0.0, 1.0, _PHI], [0.0, 1.0, -_PHI], [1.0, _PHI, 0.0],
+                 [1.0, -_PHI, 0.0], [_PHI, 0.0, 1.0], [-_PHI, 0.0, 1.0],
+                 [1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0],
+                 [-1.0, 1.0, 1.0], [0.0, 1.0 / _PHI, _PHI],
+                 [0.0, 1.0 / _PHI, -_PHI], [1.0 / _PHI, _PHI, 0.0],
+                 [1.0 / _PHI, -_PHI, 0.0], [_PHI, 0.0, 1.0 / _PHI],
+                 [-_PHI, 0.0, 1.0 / _PHI]]),
+}
+_PILOT_POINTS = 6
+
+# 3-d rows are pruned when they have at least this many points (m, the
+# reach products); fewer are swept whole.  On the chi workload's m = 13
+# set pruning took 24 against 95 ms on the 642-point icosphere and 4.6
+# against 9.0 ms on 64 points (but 2.6 against 1.3 ms on 8); on 7 of its
+# products it was 1.4-5 times slower, and on 10 it broke even at 64.
+_PRUNE_MIN_POINTS = 10
+
+# Relative margin mu of the drop test, and the least pilot inradius, as a
+# multiple of the row's largest |coordinate|, at which a row is pruned.
+_PRUNE_MARGIN = 2.0 ** -20
+_PRUNE_INRADIUS = 2.0 ** -12
 
 
 @lru_cache(maxsize=None)
@@ -175,16 +231,16 @@ def _radius_values_2d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     return _support_minimum(planes, normals.reshape(2, s, -1), kind, degree=1)
 
 
-def _radius_values_3d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Candidates: cross products of the edges p_b -+ p_a and p_c -+ p_a.
+def _normals_3d(planes: np.ndarray) -> np.ndarray:
+    """Candidate normals (3, s, 4 C(k,3)) of the points in planes (3, s, k):
+    cross products of the edges p_b -+ p_a and p_c -+ p_a, a < b < c.
 
     Negating p_b or p_c flips the normal, so the four sign patterns of
     each triple give the planes through every choice of its signed points.
+    A normal depends on its three points only, not on the others.
     """
-    _, s, m = planes.shape
-    if m < 3:
-        return np.zeros(s)
-    ia, ib, ic = _index_tuples(m, 3)
+    _, s, _ = planes.shape
+    ia, ib, ic = _index_tuples(planes.shape[2], 3)
     at = planes[:, :, None, ia]
     e = (planes[:, :, None, ib] + _EDGE_SIGNS * at)[:, :, :, None, :]
     f = (planes[:, :, None, ic] + _EDGE_SIGNS * at)[:, :, None, :, :]
@@ -192,15 +248,65 @@ def _radius_values_3d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     for a, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(e[p], f[q], out=normals[a])
         normals[a] -= e[q] * f[p]
-    return _support_minimum(planes, normals.reshape(3, s, -1), kind, degree=2)
+    return normals.reshape(3, s, -1)
+
+
+def _radius_values_3d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Candidates: the normals of ``_normals_3d``."""
+    _, s, m = planes.shape
+    if m < 3:
+        return np.zeros(s)
+    return _support_minimum(planes, _normals_3d(planes), kind, degree=2)
+
+
+def _abs_dots(normals: np.ndarray, points: np.ndarray):
+    """|u . p| for every normal u (d, s, C) of a row and each of the row's
+    points p (d, s, k) in turn: k arrays (s, C), the coordinates summed in
+    the order of _SUM_ORDER.  One buffer is reused: read each array before
+    the next."""
+    first, *rest = _SUM_ORDER[points.shape[0]]
+    dot = np.empty_like(normals[0])
+    term = np.empty_like(dot)
+    for i in range(points.shape[2]):
+        np.multiply(normals[first], points[first, :, i, None], out=dot)
+        for a in rest:
+            np.multiply(normals[a], points[a, :, i, None], out=term)
+            dot += term
+        yield np.abs(dot, out=dot)
+
+
+def _supports(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """max over each row's points of |u . p|, for every normal u: (s, C)."""
+    support = np.zeros_like(normals[0])
+    for dot in _abs_dots(normals, points):
+        np.maximum(support, dot, out=support)
+    return support
+
+
+def _plane_norms(vectors: np.ndarray, kind: NormKind) -> np.ndarray:
+    """vector_norms of vectors given as coordinate planes (d, ...): the
+    planes summed elementwise in vector_norms' order, so the same bits
+    without moving the coordinate axis last."""
+    out = np.abs(vectors[0])
+    if kind is NormKind.L2:
+        np.multiply(out, out, out=out)
+    for plane in vectors[1:]:
+        if kind is NormKind.L1:
+            out += np.abs(plane)
+        elif kind is NormKind.L2:
+            out += plane * plane
+        else:
+            np.maximum(out, np.abs(plane), out=out)
+    return np.sqrt(out, out=out) if kind is NormKind.L2 else out
 
 
 def _pilot_planes(planes: np.ndarray) -> np.ndarray:
-    """Coordinate planes (d, s, k) of each row's pilot points: the point
-    of largest |u . p| for each of _PILOT_DIRECTIONS[d], a vertex of the
-    row's hull.  ``planes`` itself when the pilot would hold all m points."""
-    dirs = _PILOT_DIRECTIONS.get(planes.shape[0])
-    if dirs is None or dirs.shape[0] >= planes.shape[2]:
+    """Coordinate planes (2, s, 6) of each 2-d row's pilot points: the
+    point of largest |u . p| for each of _PILOT_DIRECTIONS[2], a vertex of
+    the row's hull.  ``planes`` itself in 3-d, whose sweep is not
+    screened, and when the pilot would hold all m points."""
+    dirs = _PILOT_DIRECTIONS[2]
+    if planes.shape[0] != 2 or dirs.shape[0] >= planes.shape[2]:
         return planes
     reach = np.abs(np.tensordot(dirs, planes, axes=(1, 0)))
     picks = np.argmax(reach, axis=2).T
@@ -236,24 +342,14 @@ def _support_minimum(planes: np.ndarray, normals: np.ndarray,
     each row's pilot points bound every candidate's ratio from below; the
     candidate with the lowest bound gets its exact ratio U; only the
     candidates whose bound is below U get theirs.  With no pilot (all m
-    points) the first pass is the whole sweep.
+    points, or 3-d) the first pass is the whole sweep.
     """
-    first, *rest = _SUM_ORDER[planes.shape[0]]
     scale = np.max(np.abs(planes), axis=(0, 2))
     # Normals are degree-1 (2-d) or degree-2 (3-d) in the point entries.
     floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** degree
     pilot = _pilot_planes(planes)
-    support = np.zeros_like(normals[0])
-    dot = np.empty_like(support)
-    term = np.empty_like(support)
-    for i in range(pilot.shape[2]):
-        np.multiply(normals[first], pilot[first, :, i, None], out=dot)
-        for a in rest:
-            np.multiply(normals[a], pilot[a, :, i, None], out=term)
-            dot += term
-        np.abs(dot, out=dot)
-        np.maximum(support, dot, out=support)
-    duals = vector_norms(np.moveaxis(normals, 0, -1), dual_kind(kind))
+    support = _supports(normals, pilot)
+    duals = _plane_norms(normals, dual_kind(kind))
     usable = duals > floor[:, None]
     ratios = np.full_like(support, np.inf)
     np.divide(support, duals, out=ratios, where=usable)
@@ -269,6 +365,114 @@ def _support_minimum(planes: np.ndarray, normals: np.ndarray,
     return np.where(np.isfinite(out), out, 0.0)
 
 
+def _pilot_3d(planes: np.ndarray) -> np.ndarray:
+    """Coordinate planes (3, s, _PILOT_POINTS) of each row's 3-d pilot: the
+    first _PILOT_POINTS distinct points of largest |u . p| for u along
+    _PILOT_DIRECTIONS[3] in order, repeats of one point when the row has
+    fewer."""
+    dirs = _PILOT_DIRECTIONS[3]
+    picks = np.argmax(np.abs(np.tensordot(dirs, planes, axes=(1, 0))),
+                      axis=2).T
+    # A pick equal to an earlier one moves behind the distinct picks.
+    repeat = np.any((picks[:, :, None] == picks[:, None, :])
+                    & np.tri(dirs.shape[0], k=-1, dtype=bool), axis=2)
+    order = np.argsort(repeat, axis=1, kind="stable")[:, :_PILOT_POINTS]
+    picks = np.take_along_axis(picks, order, axis=1)
+    return np.take_along_axis(planes, picks[None], axis=2)
+
+
+def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
+    """(s, m) mask of the 3-d points each row keeps: a superset of the
+    vertices of its hull.
+
+    The pilot P is ``_pilot_3d``; u runs over the usable candidate
+    normals of P (``_normals_3d``, with the sweep's floor) and h(u) is
+    their support over P.  A row whose pilot has a usable u and inradius
+    r_P = min h(u) / dual(u) > _PRUNE_INRADIUS s, s the row's largest
+    |coordinate|, drops the points q with |u . q| < (1 - mu) h(u) for
+    every usable u, mu = _PRUNE_MARGIN; every other row keeps all its
+    points.  A flat pilot has a usable u with h(u) = 0, so r_P = 0.
+
+    Why the kept candidates get the full sweep's ratios to the bit.  Let
+    eps = 2^-53, R <= sqrt(3) s the largest |p| and r2 >= r_P / sqrt(3)
+    the pilot hull's l2 inradius.  A computed dot |w . p| is within
+    3.01 eps |w| R of the exact one.  Suppose every facet of conv(±P) has
+    a usable u within relative error rho of its exact normal n (a vertex
+    triangle with smallest angle theta gives rho <= 8 eps / sin theta).
+    From |u . q| <= (1 - mu) h(u) + 6.1 eps |u| R, h(u) <= h(n) + rho |n| R
+    and h(n) >= r2 |n|, a dropped q has gauge g <= (1 - mu + (rho + 6.1
+    eps) R / r2) / (1 - rho R / r2) in conv(±P), and g <= 1 - mu/2 once
+    (2 rho + 6.1 eps) R / r2 <= mu / 2, which r_P > 2^-12 s and
+    mu = 2^-20 give for rho <= 2^-36.  So each dropped q lies in
+    (1 - mu/2) conv(±P): no vertex, and the pilot points, on the hull
+    boundary, are kept.  For a kept candidate w, |w . q| <= (1 - mu/2)
+    h_K(w), h_K its support over the kept points, and mu/2 h_K(w) >=
+    mu/2 r2 |w| exceeds the rounding of both dots, so the computed
+    |w . q| stays below the computed maximum over the kept points: the
+    support, and so the ratio, is the full sweep's float.  The dual norms
+    are the same, and so is the floor, since s is attained at a kept
+    point (the support along a coordinate axis).
+
+    The bound where bits can differ.  The full sweep also forms the
+    candidates through dropped points.  Each of those bounds the radius r
+    from above in reals, but one whose exact ratio ties r (a plane through
+    an interior point parallel to the facet the inscribed ball touches)
+    can round below every kept candidate.  Every computed ratio is at
+    least r - 20 eps s, and the kept touching-facet triple's at most
+    r + (8 rho_F + 20 eps) s, rho_F its normal's relative error, so the
+    pruned value is at least the full sweep's and exceeds it by at most
+    (8 rho_F + 40 eps) s <= 2^-32 s for rho_F <= 2^-36: at most 2^-20 of
+    the value, which is at least about r_P > 2^-12 s, and far inside
+    chi's rounding margin 2^-20 lipschitz (``_net_profile``), since
+    lipschitz >= 2 s.
+    """
+    pilot = _pilot_3d(planes)
+    normals = _normals_3d(pilot)
+    scale = np.max(np.abs(planes), axis=(0, 2))
+    duals = _plane_norms(normals, dual_kind(kind))
+    floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** 2
+    usable = duals > floor[:, None]
+    hull = _supports(normals, pilot)
+    ratios = np.full_like(hull, np.inf)
+    np.divide(hull, duals, out=ratios, where=usable)
+    inradius = np.min(ratios, axis=1)
+    pruned = np.isfinite(inradius) & (inradius > _PRUNE_INRADIUS * scale)
+    cut = np.where(usable, (1.0 - _PRUNE_MARGIN) * hull, np.inf)
+    keep = np.empty(planes.shape[1:], dtype=bool)
+    for i, dot in enumerate(_abs_dots(normals, planes)):
+        np.any(dot >= cut, axis=1, out=keep[:, i])
+    keep[~pruned] = True
+    return keep
+
+
+def _pruned_radii(prods: np.ndarray, xs: np.ndarray,
+                  kind: NormKind) -> np.ndarray:
+    """3-d radii of the rows of xs from the points ``_kept_points`` keeps.
+
+    Rows are grouped by their kept count k over the whole call, and each
+    group is swept in blocks of _block_rows(k, 3) rows on its kept points
+    in ascending order, so that each triple has the normals of the full
+    sweep.
+    """
+    s = xs.shape[0]
+    keep = np.empty((s, prods.shape[0]), dtype=bool)
+    step = _block_rows(_PILOT_POINTS, 3)
+    for lo in range(0, s, step):
+        keep[lo:lo + step] = _kept_points(_planes(prods, xs[lo:lo + step]),
+                                          kind)
+    counts = np.count_nonzero(keep, axis=1)
+    out = np.empty(s)
+    for k in np.unique(counts):
+        group = np.flatnonzero(counts == k)
+        step = _block_rows(int(k), 3)
+        for lo in range(0, group.size, step):
+            rows = group[lo:lo + step]
+            cols = np.nonzero(keep[rows])[1].reshape(1, rows.size, k)
+            planes = np.take_along_axis(_planes(prods, xs[rows]), cols, axis=2)
+            out[rows] = _radius_values_3d(planes, kind)
+    return out
+
+
 def radius_profile(products: np.ndarray, xs: np.ndarray,
                    kind: NormKind) -> np.ndarray:
     """Inscribed radius of conv({±G x}) for each base point x.
@@ -280,7 +484,10 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
     rows differently gives the same bits, and products 2^k G give exactly
     2^k times the values for G.  In 2-d the candidate sweep is screened
     by pilot points (see the module docstring); the values are those of
-    the unscreened sweep to the bit.
+    the unscreened sweep to the bit.  In 3-d with at least
+    _PRUNE_MIN_POINTS products each row is swept on the points that
+    ``_kept_points`` keeps, with the full sweep's values but for ties
+    (at most 2^-32 times the row's largest |coordinate| above them).
     """
     prods = np.asarray(products, dtype=float)
     pts_all = np.asarray(xs, dtype=float)
@@ -293,6 +500,8 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
         raise UnsupportedDimensionError(
             f"exact radius profiles are available for d in {{1, 2, 3}}, got d={d}"
         )
+    if d == 3 and m >= _PRUNE_MIN_POINTS:
+        return np.ldexp(_pruned_radii(prods, pts_all, kind), e)
     rows = _block_rows(m, d)
     out = np.empty(pts_all.shape[0])
     for lo in range(0, pts_all.shape[0], rows):

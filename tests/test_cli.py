@@ -11,8 +11,17 @@ import warnings
 import numpy as np
 import pytest
 
-from jsrbound import DEFAULT_WORD_BUDGET, MatrixSet, trace_estimate
+from jsrbound import (
+    DEFAULT_WORD_BUDGET,
+    MatrixSet,
+    NormKind,
+    bounds,
+    cli,
+    core,
+    trace_estimate,
+)
 from jsrbound.cli import _build_parser, main
+from jsrbound.core import RADIUS, TRACE
 
 GOLDEN = '{"dim": 2, "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}'
 ROTATION = '{"dim": 2, "matrices": [[[0, -1], [1, 0]]]}'
@@ -280,6 +289,35 @@ class TestWarnings:
             ms = MatrixSet.from_arrays(mats)
             assert [v.hex() for v in doc["result"]["trace_estimates"]] == [
                 trace_estimate(ms, n).hex() for n in range(1, 7)]
+
+    def test_trace_takes_one_enumeration_pass(self, golden_file,
+                                              monkeypatch):
+        """bound --trace enumerates once, for the bounds and the trace
+        estimates together: its reports are those of bound alone, and a
+        budget error keeps them as ``partial``."""
+        _, plain = _run_doc("bound", "--input", golden_file, "--n-max", "6")
+        calls = []
+        original = core.max_over_products
+
+        def counted(*args, **kwargs):
+            calls.append(list(args[2]))
+            return original(*args, **kwargs)
+
+        for module in (core, bounds, cli):
+            if hasattr(module, "max_over_products"):
+                monkeypatch.setattr(module, "max_over_products", counted)
+        code, doc = _run_doc("bound", "--input", golden_file, "--n-max", "6",
+                             "--trace")
+        assert code == 0
+        assert calls == [[NormKind.L2, RADIUS, TRACE]]
+        assert doc["result"]["reports"] == plain["result"]["reports"]
+        assert len(doc["result"]["trace_estimates"]) == 6
+        calls.clear()
+        code, doc = _run_doc("bound", "--input", golden_file, "--n-max", "30",
+                             "--max-words", "100", "--trace")
+        assert code == 1 and "budget is 100" in doc["error"]
+        assert len(calls) == 1
+        assert doc["partial"] == plain["result"]["reports"]
 
     def test_uncertified_chi_warns(self, tmp_path):
         path = tmp_path / "diag.json"

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull
 
 import jsrbound.geometry as geometry
 from jsrbound import (
+    MatrixSet,
     NormKind,
     UnsupportedDimensionError,
     inscribed_radius,
@@ -322,6 +323,169 @@ class TestScreenWork:
         assert prods.shape[0] == 40
         assert 0 < sum(full) < 0.05 * pairs
         assert vals.tobytes() == _einsum_profile(prods, xs, kind).tobytes()
+
+
+def _ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows whose floats differ in any bit (0.0 and -0.0 included)."""
+    return np.flatnonzero(a.view(np.int64) != b.view(np.int64))
+
+
+class TestPrunedSweep:
+    """The 3-d sweep on the points ``_kept_points`` keeps (m >= 10) gives
+    the full sweep's bits, but for ties, which may lie above it by at most
+    2^-32 times the row's largest |coordinate|; every row that differs is
+    printed.  Qhull agrees with every row."""
+
+    @pytest.fixture(params=["default blocks", "tiny blocks"])
+    def blocks(self, request):
+        if request.param == "tiny blocks":
+            request.getfixturevalue("small_radius_blocks")
+
+    @staticmethod
+    def _match(prods, xs, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = radius_profile(prods, xs, kind)
+        full = _einsum_profile(prods, xs, kind)
+        pts = np.einsum("mab,sb->sma", prods, xs)
+        scale = np.max(np.abs(pts), axis=(1, 2))
+        for i in _ulps_apart(vals, full):
+            print(f"m={prods.shape[0]} {kind.value} row {i}: pruned "
+                  f"{vals[i].hex()}, full {full[i].hex()}")
+            assert full[i] <= vals[i] <= full[i] + 2.0 ** -32 * scale[i]
+        for i, row in enumerate(pts):
+            assert vals[i] == pytest.approx(inscribed_radius(_sym(row), kind),
+                                            rel=1e-9, abs=1e-12 * scale[i])
+        return vals
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_random_sets(self, kind, rng, blocks):
+        for _ in range(100):
+            m = int(rng.integers(8, 28))
+            prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
+            self._match(prods, kind_normalize(rng.normal(size=(6, 3)), kind),
+                        kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_rows_match_one_row_calls(self, kind, rng, blocks):
+        prods = rng.uniform(-1.0, 1.0, size=(13, 3, 3))
+        xs = kind_normalize(rng.normal(size=(40, 3)), kind)
+        xs[3] = xs[2]
+        vals = self._match(prods, xs, kind)
+        for i in range(xs.shape[0]):
+            one = radius_profile(prods, xs[i:i + 1], kind)
+            assert one.tobytes() == vals[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_coplanar_and_collinear_stacks(self, kind, rng, blocks):
+        xs = kind_normalize(rng.normal(size=(6, 3)), kind)
+        # Every image in the plane z = 0: every row is flat.
+        plane = rng.uniform(-1.0, 1.0, size=(14, 3, 3))
+        plane[:, 2, :] = 0.0
+        assert np.all(self._match(plane, xs, kind) == 0.0)
+        # One image line: every row is flat.
+        u = rng.normal(size=3)
+        line = np.stack([np.outer(u * w, rng.normal(size=3))
+                         for w in rng.normal(size=12)])
+        assert np.all(self._match(line, xs, kind) == 0.0)
+        # The plane and one full-rank product: no row is flat.
+        vals = self._match(np.concatenate([plane, [np.eye(3)]]), xs, kind)
+        assert np.all(vals > 0.0)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_flat_and_thin_pilots_keep_every_point(self, kind, rng, blocks):
+        """Two large products in the plane z = 0 hold every pilot
+        direction's maximizer (a flat pilot), and a set squashed along z
+        to 1e-6 has a pilot thinner than 2^-12 of its scale: those rows
+        keep all their points."""
+        turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        small = 0.05 * rng.uniform(-1.0, 1.0, size=(12, 3, 3))
+        flat = np.concatenate([[8.0 * np.diag([1.0, 1.0, 0.0]), 8.0 * turn],
+                               small])
+        thin = rng.uniform(-1.0, 1.0, size=(14, 3, 3))
+        thin[:, 2, :] *= 1e-6
+        xs = kind_normalize(rng.normal(size=(6, 3)) * [1.0, 1.0, 0.3], kind)
+        for prods in (flat, thin):
+            keep = geometry._kept_points(geometry._planes(prods, xs), kind)
+            assert np.all(keep)
+            assert np.all(self._match(prods, xs, kind) > 0.0)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_repeated_zero_and_rank_one_products(self, kind, rng, blocks):
+        for m in (10, 13, 27):
+            prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
+            prods[1] = prods[0]
+            prods[5:8] = prods[2]
+            prods[3] = 0.0
+            prods[4] = np.outer(rng.normal(size=3), rng.normal(size=3))
+            prods[9] = np.outer(rng.normal(size=3), rng.normal(size=3))
+            self._match(prods, kind_normalize(rng.normal(size=(6, 3)), kind),
+                        kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_tied_candidates(self, kind, rng, blocks):
+        """The 24 rotations of the cube and their halves: the inner points
+        span planes parallel to the facets, whose exact ratios tie."""
+        turns = np.stack([np.diag(signs)[list(perm)]
+                          for perm in itertools.permutations(range(3))
+                          for signs in itertools.product((1.0, -1.0),
+                                                         repeat=3)])
+        rotations = turns[np.linalg.det(turns) > 0.0]
+        xs = kind_normalize(np.vstack([rng.normal(size=(5, 3)),
+                                       [[1.0, 2.0, 3.0]]]), kind)
+        for prods in (rotations[:12], np.concatenate([rotations,
+                                                      0.5 * rotations])):
+            self._match(prods, xs, kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("k", [-400, 400])
+    def test_power_of_two_scales(self, kind, k, rng, blocks):
+        for m in (13, 27):
+            prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
+            xs = kind_normalize(rng.normal(size=(6, 3)), kind)
+            plain = self._match(prods, xs, kind)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = radius_profile(np.ldexp(prods, k), xs, kind)
+            assert scaled.tobytes() == np.ldexp(plain, k).tobytes()
+
+
+class TestPruneWork:
+    def test_few_normals_are_formed(self, monkeypatch):
+        """On the 3-member set of the benchmark's chi workload at p = 2
+        (m = 13) and the 642-point icosphere, fewer than 25% of the
+        4 C(13,3) candidate normals per point are formed, the pilot's
+        included, and the values are the full sweep's."""
+        mats = np.random.default_rng([20260101, 2, 4]).uniform(
+            -1.0, 1.0, (3, 3, 3))
+        prods = reach_products(MatrixSet.from_arrays(mats), 2)
+        xs = sphere_net(3, NormKind.L2, 0.1)
+        formed = []
+        normals_3d = getattr(geometry, "_normals_3d", None)
+
+        def counted(planes):
+            normals = normals_3d(planes)
+            formed.append(normals.shape[1] * normals.shape[2])
+            return normals
+
+        monkeypatch.setattr(geometry, "_normals_3d", counted, raising=False)
+        vals = radius_profile(prods, xs, NormKind.L2)
+        assert prods.shape[0] == 13 and xs.shape[0] == 642
+        assert 0 < sum(formed) < 0.25 * xs.shape[0] * _candidate_count(13, 3)
+        assert vals.tobytes() == \
+            _einsum_profile(prods, xs, NormKind.L2).tobytes()
+
+
+class TestPlaneNorms:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_same_bits_as_vector_norms(self, d, kind, rng):
+        vectors = rng.normal(size=(d, 20, 1560)) * np.exp2(
+            rng.integers(-60, 60, size=(20, 1560)))
+        vectors[:, 0, :7] = 0.0
+        vectors[0, 1, :7] = -0.0
+        assert geometry._plane_norms(vectors, kind).tobytes() == \
+            vector_norms(np.moveaxis(vectors, 0, -1), kind).tobytes()
 
 
 class TestRadiusScale:
