@@ -223,6 +223,13 @@ class TestRadiusBlocks:
                     _einsum_profile(prods, xs, kind).tobytes()
 
 
+@pytest.fixture(params=["default blocks", "tiny blocks"])
+def blocks(request):
+    """radius_profile's default block size, or 64 floats a block."""
+    if request.param == "tiny blocks":
+        request.getfixturevalue("small_radius_blocks")
+
+
 def _rotation(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -231,11 +238,6 @@ def _rotation(angle: float) -> np.ndarray:
 class TestScreenedSweep:
     """The screened 2-d sweep gives the full sweep's bits where its pilot
     leaves points out (m from 12 to 40), in every block layout."""
-
-    @pytest.fixture(params=["default blocks", "tiny blocks"])
-    def blocks(self, request):
-        if request.param == "tiny blocks":
-            request.getfixturevalue("small_radius_blocks")
 
     @staticmethod
     def _match(prods, xs, kind):
@@ -335,11 +337,6 @@ class TestPrunedSweep:
     the full sweep's bits, but for ties, which may lie above it by at most
     2^-32 times the row's largest |coordinate|; every row that differs is
     printed.  Qhull agrees with every row."""
-
-    @pytest.fixture(params=["default blocks", "tiny blocks"])
-    def blocks(self, request):
-        if request.param == "tiny blocks":
-            request.getfixturevalue("small_radius_blocks")
 
     @staticmethod
     def _match(prods, xs, kind):
