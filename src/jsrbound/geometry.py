@@ -398,7 +398,9 @@ def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     the pilot hull's l2 inradius.  A computed dot |w . p| is within
     3.01 eps |w| R of the exact one.  Suppose every facet of conv(±P) has
     a usable u within relative error rho of its exact normal n (a vertex
-    triangle with smallest angle theta gives rho <= 8 eps / sin theta).
+    triangle with smallest angle theta gives rho <= 8 eps / sin theta);
+    this is assumed, not checked, and rho <= 2^-36 below holds when each
+    facet has a vertex triangle with no angle under 2^-14 radians.
     From |u . q| <= (1 - mu) h(u) + 6.1 eps |u| R, h(u) <= h(n) + rho |n| R
     and h(n) >= r2 |n|, a dropped q has gauge g <= (1 - mu + (rho + 6.1
     eps) R / r2) / (1 - rho R / r2) in conv(±P), and g <= 1 - mu/2 once
