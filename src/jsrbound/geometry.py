@@ -366,7 +366,7 @@ def _support_minimum(planes: np.ndarray, normals: np.ndarray,
 
 
 def _pilot_3d(planes: np.ndarray) -> np.ndarray:
-    """Coordinate planes (3, s, _PILOT_POINTS) of each row's 3-d pilot: the
+    """Indices (s, _PILOT_POINTS) of each row's 3-d pilot points: the
     first _PILOT_POINTS distinct points of largest |u . p| for u along
     _PILOT_DIRECTIONS[3] in order, repeats of one point when the row has
     fewer."""
@@ -377,8 +377,7 @@ def _pilot_3d(planes: np.ndarray) -> np.ndarray:
     repeat = np.any((picks[:, :, None] == picks[:, None, :])
                     & np.tri(dirs.shape[0], k=-1, dtype=bool), axis=2)
     order = np.argsort(repeat, axis=1, kind="stable")[:, :_PILOT_POINTS]
-    picks = np.take_along_axis(picks, order, axis=1)
-    return np.take_along_axis(planes, picks[None], axis=2)
+    return np.take_along_axis(picks, order, axis=1)
 
 
 def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
@@ -391,7 +390,10 @@ def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     r_P = min h(u) / dual(u) > _PRUNE_INRADIUS s, s the row's largest
     |coordinate|, drops the points q with |u . q| < (1 - mu) h(u) for
     every usable u, mu = _PRUNE_MARGIN; every other row keeps all its
-    points.  A flat pilot has a usable u with h(u) = 0, so r_P = 0.
+    points.  A flat pilot has a usable u with h(u) = 0, so r_P = 0.  The
+    pilot points are kept without retaking the dots that h(u) has just
+    taken: they lie on the hull boundary, where the test keeps them (the
+    argument below).
 
     Why the kept candidates get the full sweep's ratios to the bit.  Let
     eps = 2^-53, R <= sqrt(3) s the largest |p| and r2 >= r_P / sqrt(3)
@@ -428,7 +430,8 @@ def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     chi's rounding margin 2^-20 lipschitz (``_net_profile``), since
     lipschitz >= 2 s.
     """
-    pilot = _pilot_3d(planes)
+    picks = _pilot_3d(planes)
+    pilot = np.take_along_axis(planes, picks[None], axis=2)
     normals = _normals_3d(pilot)
     scale = np.max(np.abs(planes), axis=(0, 2))
     duals = _plane_norms(normals, dual_kind(kind))
@@ -440,9 +443,17 @@ def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     inradius = np.min(ratios, axis=1)
     pruned = np.isfinite(inradius) & (inradius > _PRUNE_INRADIUS * scale)
     cut = np.where(usable, (1.0 - _PRUNE_MARGIN) * hull, np.inf)
-    keep = np.empty(planes.shape[1:], dtype=bool)
-    for i, dot in enumerate(_abs_dots(normals, planes)):
-        np.any(dot >= cut, axis=1, out=keep[:, i])
+    every = np.arange(planes.shape[1])[:, None]
+    keep = np.zeros(planes.shape[1:], dtype=bool)
+    keep[every, picks] = True
+    # Each row's other points first; a row with fewer than _PILOT_POINTS
+    # distinct pilot points has more of them, and the others retest a
+    # pilot point, which stays kept.
+    others = np.argsort(keep, axis=1, kind="stable")
+    others = others[:, :planes.shape[2] - np.min(np.sum(keep, axis=1))]
+    rest = np.take_along_axis(planes, others[None], axis=2)
+    for i, dot in enumerate(_abs_dots(normals, rest)):
+        keep[every[:, 0], others[:, i]] |= np.any(dot >= cut, axis=1)
     keep[~pruned] = True
     return keep
 
@@ -606,8 +617,32 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
     return float(np.max(np.arccos(cosr)))
 
 
-# The finest icosphere built so far, as _icosphere_levels returns it.
+def _antipodes(xs: np.ndarray) -> np.ndarray:
+    """Antipode table of the distinct rows of xs: anti[i] = j when xs[j]
+    is -xs[i] bit for bit (signed zeros included), else -1.  Read-only,
+    int32: a net holds at most MAX_NET_POINTS < 2^31 points.  The rows
+    are sorted as byte strings once, and the negated rows are looked up
+    in blocks of _BLOCK_FLOATS."""
+    n, d = xs.shape
+    row = np.dtype((np.void, xs.itemsize * d))
+    keys = np.ascontiguousarray(xs).view(row).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    anti = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, _BLOCK_FLOATS):
+        wanted = np.ascontiguousarray(-xs[lo:lo + _BLOCK_FLOATS]).view(
+            row).ravel()
+        at = np.minimum(np.searchsorted(ranked, wanted), n - 1)
+        anti[lo:lo + _BLOCK_FLOATS] = np.where(ranked[at] == wanted,
+                                               order[at], -1)
+    anti.flags.writeable = False
+    return anti
+
+
+# The finest icosphere built so far, as _icosphere_levels returns it, and
+# the antipode table of the finest level that _net_antipodes asked for.
 _icosphere_build: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
+_icosphere_antipodes: np.ndarray | None = None
 
 
 def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -652,18 +687,58 @@ def icosphere(mesh: float) -> np.ndarray:
     return _icosphere_levels(_icosphere_level(mesh))[0].copy()
 
 
-def _polyhedral_net(face_vertices: list[np.ndarray], mesh: float) -> np.ndarray:
-    """Barycentric grids over triangular faces, deduplicated."""
+def _polyhedral_faces(kind: NormKind) -> list[np.ndarray]:
+    """Triangles (3 corners as rows) tiling the 3-d l1 or linf unit sphere."""
+    if kind is NormKind.L1:
+        # Octahedron surface; grid spacing 2/q per face has l1 step 2/q.
+        return [np.diag(signs).astype(float)
+                for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1),
+                              (1, -1, -1), (-1, 1, 1), (-1, 1, -1),
+                              (-1, -1, 1), (-1, -1, -1))]
+    # Cube surface split into triangles per face.
+    pieces = []
+    for axis in range(3):
+        for side in (1.0, -1.0):
+            corners = []
+            for s1 in (-1.0, 1.0):
+                for s2 in (-1.0, 1.0):
+                    v = np.zeros(3)
+                    v[axis] = side
+                    v[(axis + 1) % 3] = s1
+                    v[(axis + 2) % 3] = s2
+                    corners.append(v)
+            a, b, c, e = corners
+            pieces.extend([np.stack([a, b, c]), np.stack([b, c, e])])
+    return pieces
+
+
+def _polyhedral_size(kind: NormKind, mesh: float) -> int:
+    """Grid divisions q per face edge of the 3-d l1 or linf net at mesh,
+    once the net is known to fit MAX_NET_POINTS."""
     _check_mesh(mesh)
     what = f"a polyhedral net at mesh {mesh}"
     q = _net_size(2.0 / mesh, what)
-    _net_size(len(face_vertices) * (q + 1) * (q + 2) // 2, what)
+    faces = 8 if kind is NormKind.L1 else 12  # len(_polyhedral_faces(kind))
+    _net_size(faces * (q + 1) * (q + 2) // 2, what)
+    return q
+
+
+@lru_cache(maxsize=2)
+def _polyhedral_net(kind: NormKind, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric grids of q divisions over the faces of the 3-d l1 or
+    linf sphere, deduplicated, and their antipode table (_antipodes).
+
+    The last two builds are kept, read-only, so repeated calls at one
+    mesh share them with the same bits as a fresh build.
+    """
     i = np.arange(q + 1)
     ii, jj = np.meshgrid(i, i, indexing="ij")
     keep = ii + jj <= q
     bary = np.stack([ii[keep], jj[keep], q - ii[keep] - jj[keep]], axis=1) / q
-    pieces = [bary @ tri for tri in face_vertices]
-    return np.unique(np.concatenate(pieces, axis=0), axis=0)
+    pieces = [bary @ tri for tri in _polyhedral_faces(kind)]
+    xs = np.unique(np.concatenate(pieces, axis=0), axis=0)
+    xs.flags.writeable = False
+    return xs, _antipodes(xs)
 
 
 def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
@@ -679,31 +754,29 @@ def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
     if d == 3:
         if kind is NormKind.L2:
             return icosphere(mesh)
-        if kind is NormKind.L1:
-            # Octahedron surface; grid spacing 2/q per face has l1 step 2/q.
-            faces = [np.diag(signs).astype(float)
-                     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1),
-                                   (1, -1, -1), (-1, 1, 1), (-1, 1, -1),
-                                   (-1, -1, 1), (-1, -1, -1))]
-            return _polyhedral_net(faces, mesh)
-        # Cube surface split into triangles per face.
-        pieces = []
-        for axis in range(3):
-            for side in (1.0, -1.0):
-                corners = []
-                for s1 in (-1.0, 1.0):
-                    for s2 in (-1.0, 1.0):
-                        v = np.zeros(3)
-                        v[axis] = side
-                        v[(axis + 1) % 3] = s1
-                        v[(axis + 2) % 3] = s2
-                        corners.append(v)
-                a, b, c, e = corners
-                pieces.extend([np.stack([a, b, c]), np.stack([b, c, e])])
-        return _polyhedral_net(pieces, mesh)
+        return _polyhedral_net(kind, _polyhedral_size(kind, mesh))[0].copy()
     raise UnsupportedDimensionError(
         f"deterministic sphere nets are available for d in {{1, 2, 3}}, got d={d}"
     )
+
+
+def _net_antipodes(xs: np.ndarray, kind: NormKind, mesh: float) -> np.ndarray:
+    """Antipode table (_antipodes) of the net xs = sphere_net(d, kind,
+    mesh).  The 3-d tables are built once and kept with the cached nets.
+    Each icosphere level holds the antipodes of its points, so the table
+    of the finest level asked for so far serves every coarser one as a
+    prefix.  The cheaper 2-d tables are matched afresh."""
+    global _icosphere_antipodes
+    d = xs.shape[1]
+    if d == 3 and kind is NormKind.L2:
+        n = xs.shape[0]
+        if _icosphere_antipodes is None or _icosphere_antipodes.shape[0] < n:
+            _icosphere_antipodes = _antipodes(
+                _icosphere_levels(_icosphere_level(mesh))[0])
+        return _icosphere_antipodes[:n]
+    if d == 3:
+        return _polyhedral_net(kind, _polyhedral_size(kind, mesh))[1]
+    return _antipodes(xs)
 
 
 def _net_levels(d: int, kind: NormKind, mesh: float, size: int

@@ -10,6 +10,7 @@ exactly when the set is irreducible, provided p >= d - 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,6 +30,7 @@ from .errors import UnsupportedDimensionError
 from .geometry import (
     _block_rows,
     _check_mesh,
+    _net_antipodes,
     _net_levels,
     radius_profile,
     refine_minimum,
@@ -40,6 +42,9 @@ _DEDUP_TOL = 1e-12
 
 # Most refinement starts ``chi_measure`` takes from the net.
 _MAX_STARTS = 8
+
+# Rows per chunk of ``_near_earlier``.
+_NEAR_CHUNK = 256
 
 # An evaluated net point bounds the radius from below by its value minus
 # this fraction of the Lipschitz constant, a margin for rounding.
@@ -165,12 +170,85 @@ def _select_starts(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
 
 
 def _starts_cut(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
-                spacing: float) -> tuple[list[int], float]:
-    """_select_starts and the value of its last start when it found
-    _MAX_STARTS of them, else +inf."""
+                spacing: float) -> float:
+    """The value of the last of _select_starts when it finds _MAX_STARTS
+    of them, else +inf."""
     starts = _select_starts(xs, vals, kind, spacing)
-    return starts, (float(vals[starts[-1]]) if len(starts) == _MAX_STARTS
-                    else math.inf)
+    return float(vals[starts[-1]]) if len(starts) == _MAX_STARTS else math.inf
+
+
+def _near_earlier(pts: np.ndarray, kind: NormKind, rho: float) -> np.ndarray:
+    """Mask of the rows of pts that an earlier row lies within projective
+    kind distance rho of: min(||x - y||, ||x + y||) <= rho.
+
+    The rows and their negations are binned in cubes of side 2 rho.  Two
+    points within rho differ by at most rho in each coordinate, so their
+    cubes are neighbours even after x / (2 rho) rounds, and each row is
+    compared with the entries of its 3^d neighbouring cubes only, in
+    chunks of rows: the memory is linear in the number of rows.
+    """
+    h, d = pts.shape
+    both = np.concatenate([pts, -pts])
+    cells = np.floor(both / (2.0 * rho)).astype(np.int64)
+    cells -= cells.min(axis=0) - 1
+    weights = (int(cells.max()) + 2) ** np.arange(d - 1, -1, -1)
+    keys = cells @ weights
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    # Cubes that differ in the last coordinate alone have consecutive keys.
+    shifts = [int(np.dot(step, weights[:-1]))
+              for step in itertools.product((-1, 0, 1), repeat=d - 1)]
+    near = np.zeros(h, dtype=bool)
+    for lo in range(0, h, _NEAR_CHUNK):
+        rows = np.arange(lo, min(h, lo + _NEAR_CHUNK))
+        for shift in shifts:
+            first = np.searchsorted(ranked, keys[rows] + shift - 1, "left")
+            count = np.searchsorted(ranked, keys[rows] + shift + 1,
+                                    "right") - first
+            row = np.repeat(rows, count)
+            entry = order[np.arange(row.size)
+                          + np.repeat(first - np.cumsum(count) + count, count)]
+            hit = (entry % h < row) & (
+                vector_norms(pts[row] - both[entry], kind) <= rho)
+            near[row[hit]] = True
+    return near
+
+
+def _basin_starts(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
+                  mesh: float, cut: float) -> list[int]:
+    """Refinement starts: the net points of value <= cut that no earlier
+    point in the stable (value, index) order lies within projective kind
+    distance mesh of, lowest first, at most _MAX_STARTS.
+
+    Within means a computed distance of at most mesh.  Neighbours on the
+    l1 and linf grids lie exactly mesh apart when 2 / mesh is whole, and
+    rounding puts each such pair on either side.
+    """
+    head = np.flatnonzero(vals <= cut)
+    head = head[np.argsort(vals[head], kind="stable")]
+    return head[~_near_earlier(xs[head], kind, mesh)][:_MAX_STARTS].tolist()
+
+
+def _fill(prods: np.ndarray, xs: np.ndarray, anti: np.ndarray,
+          kind: NormKind, vals: np.ndarray, done: np.ndarray,
+          todo: np.ndarray) -> None:
+    """Hull radii of the net points ``todo`` into vals, marked done.
+
+    radius_profile runs on one point of each antipodal pair (anti, see
+    ``geometry._antipodes``): a point whose antipode is done, or comes
+    earlier in todo, copies its value.  The radius is even to the bit:
+    the planes of -x are those of x negated, and every value takes |.|
+    of them.
+    """
+    twin = anti[todo]
+    paired = twin >= 0
+    copy = paired & done[twin]
+    done[todo] = True
+    copy |= paired & (twin < todo) & done[twin]
+    own = todo[~copy]
+    if own.size:
+        vals[own] = radius_profile(prods, xs[own], kind)
+    vals[todo[copy]] = vals[twin[copy]]
 
 
 def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
@@ -181,20 +259,22 @@ def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
     A net that one radius_profile block holds, or any net when lipschitz
     overflows, is swept whole.  Otherwise net points that cannot reach
     the starts are skipped and read +inf; see ``chi_measure`` for why the
-    result is the same.
+    result is the same.  Either way one point of each antipodal pair is
+    evaluated (``_fill``).
     """
     spacing = 4.0 * mesh
     n, d = xs.shape
+    anti = _net_antipodes(xs, kind, mesh)
+    vals = np.full(n, np.inf)
+    done = np.zeros(n, dtype=bool)
     steps = []
     if n > _block_rows(prods.shape[0], d) and math.isfinite(lipschitz):
         coarse, steps = _net_levels(d, kind, mesh, n)
     if not steps:
-        vals = radius_profile(prods, xs, kind)
-        return vals, _select_starts(xs, vals, kind, spacing)
-    vals = np.full(n, np.inf)
-    done = np.zeros(n, dtype=bool)
-    vals[coarse] = radius_profile(prods, xs[coarse], kind)
-    done[coarse] = True
+        _fill(prods, xs, anti, kind, vals, done, np.arange(n))
+        cut = _starts_cut(xs, vals, kind, spacing)
+        return vals, _basin_starts(xs, vals, kind, mesh, cut)
+    _fill(prods, xs, anti, kind, vals, done, coarse)
     margin = _ROUNDING_MARGIN * lipschitz
     lower = np.empty(n)
     lower[coarse] = vals[coarse] - margin
@@ -203,18 +283,17 @@ def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
         for new, left, right in steps:
             seen = np.flatnonzero(done)
             threshold = min(threshold, _starts_cut(xs[seen], vals[seen], kind,
-                                                   spacing)[1])
+                                                   spacing))
             bound = np.maximum(*(
                 lower[q] - lipschitz * vector_norms(xs[new] - xs[q], kind)
                 for q in (left, right)))
             todo = new[(bound <= threshold) & ~done[new]]
             if todo.size:
-                vals[todo] = radius_profile(prods, xs[todo], kind)
-                done[todo] = True
+                _fill(prods, xs, anti, kind, vals, done, todo)
             lower[new] = np.where(done[new], vals[new] - margin, bound)
-        starts, cut = _starts_cut(xs, vals, kind, spacing)
+        cut = _starts_cut(xs, vals, kind, spacing)
         if cut <= threshold or done.all():
-            return vals, starts
+            return vals, _basin_starts(xs, vals, kind, mesh, cut)
         threshold = cut
 
 
@@ -235,14 +314,21 @@ def chi_measure(
         certified_lower = max(0, sampled_inf - lipschitz * mesh).
 
     Local refinement only lowers sampled_inf by evaluating the radius at
-    genuine sphere points, so both bounds stay valid.  It starts from the
-    lowest net points, thinned to spacing 4 * mesh (at most 8), and runs
-    their pattern searches in lockstep: one radius_profile call per round
-    on the neighbor rings of every start still running.  Starts are then
-    taken in order and a later one replaces the minimum only when strictly
-    lower, so the first start wins ties.  Only d in {1, 2, 3} has a sphere
-    net and an exact hull sweep; any other d raises
-    UnsupportedDimensionError before a reach product is formed.
+    genuine sphere points, so both bounds stay valid.  The radius is even,
+    r(-x) = r(x) to the bit, so the search runs on the projective sphere,
+    with the distance min(||x - y||, ||x + y||) in the kind norm.  The
+    starts are the net points of value at most a cut T (below) that no
+    earlier point in the stable (value, index) order lies within
+    projective distance mesh of: projective local minima, taken lowest
+    first, at most 8, so a basin and its mirror get one start.  T is the
+    value of the 8th of the lowest net points greedily thinned to plain
+    spacing 4 * mesh, +inf when there are fewer.  The pattern searches run
+    in lockstep: one radius_profile call per round on the neighbor rings
+    of every start still running.  Starts are then taken in order and a
+    later one replaces the minimum only when strictly lower, so the first
+    start wins ties.  Only d in {1, 2, 3} has a sphere net and an exact
+    hull sweep; any other d raises UnsupportedDimensionError before a
+    reach product is formed.
 
     A net that one radius_profile block holds, or any net when lipschitz
     overflows, is swept whole.  A larger one is taken level by level
@@ -255,18 +341,23 @@ def chi_measure(
     value minus 2^-20 * lipschitz, a margin for rounding in the computed
     radii; lipschitz is twice the true constant, so every step has
     slack besides.  A point is evaluated only when its bound is at most a
-    threshold T and otherwise reads +inf.  Before each level T drops to
-    the value of the 8th start among the points evaluated so far (+inf
-    while there are fewer), and it never rises within a pass.  So every
-    skipped point lies above the final T, every net point of value <= T
-    was evaluated, and the stable sort of the partial values begins with
-    exactly the points of the full sort that are <= T, in the same
-    order.  When the thinning picks 8 starts, all <= T, it reads only that
-    common head, so the starts and the minimum (the first start) are
-    those of the full sweep; ``samples`` stays the net size.  Otherwise T
-    rises to the 8th start's value and another pass evaluates the points
-    then under it; a pass that adds no point, or a net evaluated in full,
-    ends the search.
+    threshold and otherwise reads +inf.  Before each level the threshold
+    drops to the cut T of the points evaluated so far, and it never rises
+    within a pass.  So every skipped point lies above the final T, every
+    net point of value <= T was evaluated, and the stable sort of the
+    partial values begins with exactly the points of the full sort that
+    are <= T, in the same order.  When the thinning picks 8 points, all
+    <= T, it reads only that common head, so T is the full sweep's; the
+    start rule reads only the head too, since every point earlier than
+    one <= T is itself <= T.  So the starts and the minimum (the first
+    start) are those of the full sweep; ``samples`` stays the net size.
+    Otherwise the threshold rises to the new T and another pass evaluates
+    the points then under it; a pass that adds no point, or a net
+    evaluated in full, ends the search.
+
+    Whole or by levels, one point of each antipodal pair of the net (one
+    the exact negation of the other) is evaluated and the other copies
+    its value, the same bits (``_fill``).
     """
     _check_mesh(mesh)
     d = mset.dim

@@ -332,6 +332,29 @@ def _ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.flatnonzero(a.view(np.int64) != b.view(np.int64))
 
 
+def _every_point_mask(planes: np.ndarray, kind: NormKind) -> np.ndarray:
+    """The drop test of ``_kept_points`` taken on every point, the pilot
+    points included."""
+    pilot = np.take_along_axis(planes, geometry._pilot_3d(planes)[None],
+                               axis=2)
+    normals = geometry._normals_3d(pilot)
+    scale = np.max(np.abs(planes), axis=(0, 2))
+    duals = geometry._plane_norms(normals, dual_kind(kind))
+    usable = duals > geometry._DEGENERATE_REL * np.maximum(
+        scale, 1e-300)[:, None] ** 2
+    hull = geometry._supports(normals, pilot)
+    ratios = np.full_like(hull, np.inf)
+    np.divide(hull, duals, out=ratios, where=usable)
+    inradius = np.min(ratios, axis=1)
+    pruned = np.isfinite(inradius) & (
+        inradius > geometry._PRUNE_INRADIUS * scale)
+    cut = np.where(usable, (1.0 - geometry._PRUNE_MARGIN) * hull, np.inf)
+    keep = np.stack([np.any(dot >= cut, axis=1) for dot in
+                     geometry._abs_dots(normals, planes)], axis=1)
+    keep[~pruned] = True
+    return keep
+
+
 class TestPrunedSweep:
     """The 3-d sweep on the points ``_kept_points`` keeps (m >= 10) gives
     the full sweep's bits, but for ties, which may lie above it by at most
@@ -362,6 +385,19 @@ class TestPrunedSweep:
             prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
             self._match(prods, kind_normalize(rng.normal(size=(6, 3)), kind),
                         kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_pilot_points_pass_the_drop_test(self, kind, rng):
+        """_kept_points keeps the pilot points without retaking their
+        dots: on the sets of test_random_sets its mask equals the one that
+        tests every point against every usable pilot normal."""
+        for _ in range(100):
+            m = int(rng.integers(8, 28))
+            prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
+            planes = geometry._planes(
+                prods, kind_normalize(rng.normal(size=(6, 3)), kind))
+            assert np.array_equal(geometry._kept_points(planes, kind),
+                                  _every_point_mask(planes, kind))
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_rows_match_one_row_calls(self, kind, rng, blocks):
@@ -494,6 +530,75 @@ class TestPruneWork:
         assert 0 < sum(formed) < 0.25 * xs.shape[0] * _candidate_count(13, 3)
         assert vals.tobytes() == \
             _einsum_profile(prods, xs, NormKind.L2).tobytes()
+
+
+class TestEvenRadius:
+    """r(-x) = r(x) to the bit: the planes of -x are those of x negated,
+    and every value takes |.| of them.  chi_measure copies the value of
+    a net point to its antipode on this ground."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_negated_points_give_the_same_bits(self, d, kind, rng):
+        # m from 2 to 15: 3-d rows are pruned from _PRUNE_MIN_POINTS = 10.
+        for k in range(100):
+            m = int(rng.integers(2, 16))
+            prods = rng.uniform(-1.0, 1.0, size=(m, d, d))
+            if k % 4 == 1:
+                prods[0] = 0.0
+                prods[-1] = np.outer(rng.normal(size=d), rng.normal(size=d))
+            if k % 4 == 2:
+                prods = np.ldexp(prods, 400 if k % 8 == 2 else -400)
+            xs = kind_normalize(rng.normal(size=(6, d)), kind)
+            xs[5, 0] = 0.0
+            assert radius_profile(prods, -xs, kind).tobytes() == \
+                radius_profile(prods, xs, kind).tobytes()
+
+
+class TestAntipodes:
+    @pytest.mark.parametrize("d, kind, mesh, pairs", [
+        (3, NormKind.L2, 0.01, 162_312), (3, NormKind.L2, 0.1, 552),
+        (3, NormKind.L1, 0.04, 9_408), (3, NormKind.LINF, 0.04, 7_436),
+        (2, NormKind.L1, 0.02, 396), (2, NormKind.L2, 0.005, 0),
+        (1, NormKind.L2, 0.1, 2)])
+    def test_tables_match_the_nets(self, d, kind, mesh, pairs):
+        """Exact antipodes only: the points on the coordinate planes miss
+        theirs by the sign of a zero."""
+        xs = sphere_net(d, kind, mesh)
+        anti = geometry._net_antipodes(xs, kind, mesh)
+        paired = np.flatnonzero(anti >= 0)
+        assert paired.size == pairs
+        assert (-xs[paired]).tobytes() == xs[anti[paired]].tobytes()
+        rows = {row.tobytes() for row in xs}
+        assert sum((-row).tobytes() in rows for row in xs) == pairs
+        assert not anti.flags.writeable
+
+    def test_coarser_icosphere_levels_use_a_prefix(self):
+        fine = geometry._net_antipodes(sphere_net(3, NormKind.L2, 0.02),
+                                       NormKind.L2, 0.02)
+        xs = sphere_net(3, NormKind.L2, 0.1)
+        coarse = geometry._net_antipodes(xs, NormKind.L2, 0.1)
+        assert coarse.tobytes() == fine[:xs.shape[0]].tobytes()
+        assert coarse.tobytes() == geometry._antipodes(xs).tobytes()
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_polyhedral_nets_are_cached_with_fresh_bits(self, kind):
+        """sphere_net serves the cached build as a copy; the build and
+        its antipode table are read-only, with the bits of a fresh one."""
+        q = geometry._polyhedral_size(kind, 0.04)
+        fresh = geometry._polyhedral_net.__wrapped__(kind, q)
+        geometry._polyhedral_net(kind, q)
+        before = geometry._polyhedral_net.cache_info()
+        for _ in range(2):
+            xs = sphere_net(3, kind, 0.04)
+            assert xs.tobytes() == fresh[0].tobytes() and xs.flags.writeable
+            xs[0] = 0.0
+        after = geometry._polyhedral_net.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        cached = geometry._polyhedral_net(kind, q)
+        assert cached[0].tobytes() == fresh[0].tobytes()
+        assert cached[1].tobytes() == fresh[1].tobytes()
+        assert not cached[0].flags.writeable
 
 
 class TestPlaneNorms:

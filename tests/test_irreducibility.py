@@ -251,16 +251,39 @@ class TestChiMeasure:
         assert isinstance(doc["argmin"], list)
 
 
+def _projective_distances(x: np.ndarray, ys: np.ndarray,
+                          kind: NormKind) -> np.ndarray:
+    """min(||x - y||, ||x + y||) in the kind norm for each row y of ys."""
+    return np.minimum(vector_norms(x - ys, kind), vector_norms(x + ys, kind))
+
+
+def _reference_starts(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
+                      mesh: float) -> list[int]:
+    """The start rule written out point by point: below the cut T of the
+    thinned starts, in the stable (value, index) order, a point with no
+    earlier point within projective distance mesh starts; at most 8."""
+    cut = irreducibility_module._starts_cut(xs, vals, kind, 4.0 * mesh)
+    head = [i for i in np.argsort(vals, kind="stable") if vals[i] <= cut]
+    starts = []
+    for k, i in enumerate(head):
+        if not np.any(_projective_distances(xs[i], xs[head[:k]], kind)
+                      <= mesh):
+            starts.append(int(i))
+        if len(starts) == 8:
+            break
+    return starts
+
+
 def _full_sweep(mset: MatrixSet, p: int, kind: NormKind, mesh: float):
     """chi_measure from a sweep of every net point: sphere_profile, then
-    _select_starts and refine_minimum.  Returns sampled_inf,
+    _reference_starts and refine_minimum.  Returns sampled_inf,
     certified_lower, argmin, the start indices and the net values."""
     prods = reach_products(mset, p)
     lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
     xs, vals = sphere_profile(mset, p, kind, mesh)
     best = int(np.argmin(vals))
     sampled, argmin = float(vals[best]), xs[best]
-    starts = irreducibility_module._select_starts(xs, vals, kind, 4.0 * mesh)
+    starts = _reference_starts(xs, vals, kind, mesh)
     x_ref, v_ref = refine_minimum(
         lambda block: radius_profile(prods, block, kind), xs[starts],
         vals[starts], kind, step=mesh)
@@ -353,12 +376,13 @@ class TestPrunedNet:
                                                              monkeypatch):
         """A synthetic profile on the 629-point circle net, 0.9-Lipschitz
         per unit of arc against the bound's L = 2.  Before the last level
-        the lowest spaced points are six dips and the even points z - 3,
+        the lowest thinned points are six dips and the even points z - 3,
         z + 3.  The last level adds z, lower than both and within the
-        start spacing of each, so the starts lose one; the next start,
-        the odd point w (0.213), was skipped, since its neighbours bound
-        it from below by 0.202 > 0.201, the eighth start so far.  Only a
-        second pass finds it."""
+        thinning spacing of each, so the thinned points lose one; the
+        next one, the odd point w (0.213), was skipped, since its
+        neighbours bound it from below by 0.202 > 0.201, the eighth
+        thinned point so far.  Only a second pass finds it, and the cut T
+        is its value."""
         n, z, w = 629, 545, 241
         steps = np.arange(n)
         profile = np.full(n, np.inf)
@@ -384,14 +408,40 @@ class TestPrunedNet:
         assert n > _block_rows(10, 2)
         vals, starts = irreducibility_module._net_profile(
             prods, xs, NormKind.L2, 0.01, 2.0)
-        full = irreducibility_module._select_starts(xs, profile, NormKind.L2,
-                                                    0.04)
-        assert starts == full
-        assert full[-1] == w
+        thinned = irreducibility_module._select_starts(xs, profile,
+                                                       NormKind.L2, 0.04)
+        assert thinned[-1] == w
+        # The eight lowest of the ten dips: z - 3 and z + 3 are local
+        # minima too, as both their net neighbours are higher.
+        assert starts == _reference_starts(xs, profile, NormKind.L2, 0.01)
+        assert starts == [0, 96, 192, 288, 384, 448, z, z - 3]
         assert np.all(vals[np.isfinite(vals)] == profile[np.isfinite(vals)])
         z_call = next(k for k, idx in enumerate(calls) if z in idx)
         w_call = next(k for k, idx in enumerate(calls) if w in idx)
         assert w_call > z_call
+
+    @pytest.mark.parametrize("d, kind, mesh", [
+        (2, NormKind.L1, 0.001), (2, NormKind.LINF, 0.001),
+        (3, NormKind.L2, 0.025), (3, NormKind.L1, 0.1),
+        (3, NormKind.LINF, 0.1)])
+    def test_shared_antipodes_change_no_value(self, d, kind, mesh,
+                                              monkeypatch):
+        """The walk with one evaluation per antipodal pair gives every
+        value, skipped point and start of the walk that evaluates both."""
+        rng = np.random.default_rng([18, d, len(kind.value)])
+        xs = sphere_net(d, kind, mesh)
+        for _ in range(3):
+            prods = reach_products(random_set(rng, d, 2), d - 1)
+            lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
+            shared = irreducibility_module._net_profile(prods, xs, kind, mesh,
+                                                        lipschitz)
+            with monkeypatch.context() as mp:
+                mp.setattr(irreducibility_module, "_net_antipodes",
+                           lambda xs, kind, mesh: np.full(xs.shape[0], -1))
+                both = irreducibility_module._net_profile(prods, xs, kind,
+                                                          mesh, lipschitz)
+            assert shared[0].tobytes() == both[0].tobytes()
+            assert shared[1] == both[1]
 
     def test_overflowing_lipschitz_constant(self, net_profiles):
         """2 max||G|| overflows: no point can be skipped, and none is."""
@@ -434,10 +484,97 @@ class TestNetWork:
         (GOLDEN_PAIR, 1, 0.01), (ROTATION_PAIR_2D, 1, 0.02),
         (ROTATION_PAIR_3D, 1, 0.1)])
     def test_net_of_one_block_is_one_call(self, mset, p, mesh, net_calls):
+        """One call on the net, one point of each antipodal pair in it:
+        the 642-point icosphere has 276 pairs, the odd l2 circles none."""
         est = chi_measure(mset, p, NormKind.L2, mesh)
         assert est.samples <= _block_rows(len(reach_products(mset, p)),
                                           mset.dim)
-        assert net_calls == [est.samples]
+        pairs = _antipodal_pairs(sphere_net(mset.dim, NormKind.L2, mesh))
+        assert pairs == (276 if mset.dim == 3 else 0)
+        assert net_calls == [est.samples - pairs]
+
+    def test_shared_antipodes_halve_the_rows(self, net_calls, monkeypatch):
+        """QUARTER_TURNS_3D at mesh 0.01: the walk evaluates at most 55%
+        of the 14,620 rows it took when both points of each antipodal
+        pair were evaluated."""
+        chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
+        shared = sum(net_calls)
+        net_calls.clear()
+        monkeypatch.setattr(irreducibility_module, "_net_antipodes",
+                            lambda xs, kind, mesh: np.full(xs.shape[0], -1))
+        chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
+        assert sum(net_calls) == 14_620
+        assert shared <= 0.55 * 14_620
+
+
+def _antipodal_pairs(xs: np.ndarray) -> int:
+    """Pairs of rows of xs, one the negation of the other bit for bit."""
+    rows = {row.tobytes() for row in xs}
+    return sum((-row).tobytes() in rows for row in xs) // 2
+
+
+class TestStarts:
+    """Refinement starts are projective local minima of the net values."""
+
+    @pytest.mark.parametrize("mset, count", [
+        (MatrixSet.from_arrays([[[1.0, 1.0], [0.0, 2.0]],
+                                [[3.0, 1.0], [0.0, 1.0]]]), 1),
+        (DIAGONAL_PAIR, 2)])
+    def test_one_start_per_basin(self, mset, count, net_profiles):
+        """A common invariant line is the one zero of the measure, with
+        its mirror: one basin on the projective circle.  The diagonal pair
+        has two invariant lines."""
+        est = chi_measure(mset, 1, NormKind.L2, 0.01)
+        vals, starts = net_profiles[-1]
+        assert len(starts) == count
+        assert starts[0] == int(np.argmin(vals))
+        assert est.sampled_inf == 0.0
+
+    @pytest.mark.parametrize("d, mesh", [(2, 0.01), (3, 0.05)])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_no_two_starts_within_the_projective_mesh(self, d, mesh, kind,
+                                                      net_profiles):
+        rng = np.random.default_rng([18, d, len(kind.value)])
+        for _ in range(10):
+            mset = random_set(rng, d, 2)
+            chi_measure(mset, d - 1, kind, mesh)
+            vals, starts = net_profiles[-1]
+            xs = sphere_net(d, kind, mesh)
+            assert starts == _reference_starts(xs, vals, kind, mesh)
+            for k, i in enumerate(starts):
+                assert np.all(_projective_distances(xs[i], xs[starts[:k]],
+                                                    kind) > mesh)
+
+    def test_flat_profile(self, monkeypatch):
+        """A zero radius everywhere: the head below the cut is the whole
+        net, in index order, and every point but a few has an earlier
+        neighbour."""
+        monkeypatch.setattr(irreducibility_module, "_NEAR_CHUNK", 50)
+        for d, kind, mesh in [(2, NormKind.L2, 0.01), (2, NormKind.L1, 0.01),
+                              (3, NormKind.LINF, 0.2), (1, NormKind.L2, 0.1)]:
+            xs = sphere_net(d, kind, mesh)
+            prods = np.zeros((1, d, d))
+            vals, starts = irreducibility_module._net_profile(
+                prods, xs, kind, mesh, 0.0)
+            assert np.all(vals == 0.0)
+            assert starts == _reference_starts(xs, vals, kind, mesh)
+            assert 1 <= len(starts) <= 8
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_near_earlier_matches_pairwise(self, d, kind, monkeypatch):
+        monkeypatch.setattr(irreducibility_module, "_NEAR_CHUNK", 7)
+        rng = np.random.default_rng([18, d])
+        for rho in (0.05, 0.3, 3.0):
+            pts = rng.normal(size=(120, d))
+            pts /= vector_norms(pts, kind)[:, None]
+            pts[40] = -pts[3]
+            pts[41] = pts[5]
+            near = irreducibility_module._near_earlier(pts, kind, rho)
+            want = [bool(np.any(_projective_distances(pts[i], pts[:i], kind)
+                                <= rho)) for i in range(pts.shape[0])]
+            assert near.tolist() == want
+            assert near[40] and near[41]
 
 
 class TestBurnside:
