@@ -205,6 +205,130 @@ class TestOperatorNorm:
             for k in range(6):
                 assert batch[k] == pytest.approx(operator_norm(stack[k], kind))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [5, 300])
+    def test_nonfinite_rows_read_nan_or_inf(self, d, rows):
+        """NaN anywhere reads nan and inf without NaN reads inf, in every
+        norm, on the eigvalsh path (5 rows) and the d = 2 closed form."""
+        rng = np.random.default_rng([d, rows])
+        stack = rng.uniform(-1.0, 1.0, (rows, d, d))
+        finite = {kind: operator_norms(stack, kind) for kind in NormKind}
+        stack[0, 0, d - 1] = np.nan
+        stack[1, d - 1, 0] = np.inf
+        stack[2, 0, 0], stack[2, d - 1, d - 1] = -np.inf, np.nan
+        stack[3] = -np.inf
+        expect = [np.nan, np.inf, np.nan, np.inf]
+        for kind in NormKind:
+            got = operator_norms(stack, kind)
+            np.testing.assert_array_equal(got[:4], expect)
+            assert got[4:].tobytes() == finite[kind][4:].tobytes()
+            nested = operator_norms(stack.reshape(-1, 1, d, d), kind)
+            assert nested.tobytes() == got.reshape(-1, 1).tobytes()
+
+
+def _eigvalsh_l2(stack: np.ndarray) -> np.ndarray:
+    """The l2 norms by ``eigvalsh`` on the gram of each matrix divided by
+    its largest entry: the formula the d = 2 closed form must match."""
+    scale = np.max(np.abs(stack), axis=(-2, -1))
+    safe = np.where(scale > 0.0, scale, 1.0)
+    hat = stack / safe[..., None, None]
+    gram = np.einsum("...ba,...bc->...ac", hat, hat)
+    top = np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None)
+    return np.where(scale > 0.0, safe * np.sqrt(top), 0.0)
+
+
+def _near_split_grams(rng: np.random.Generator, m: int,
+                      unit: float) -> np.ndarray:
+    """Rotations scaled by 2^k with one entry moved by about ``unit``
+    relative: grams with near-equal diagonals and off-diagonals near
+    ``unit`` times the diagonal, on both sides of ``dsterf``'s split
+    tests when ``unit`` is near eps or eps^2."""
+    angle = rng.uniform(0.0, 2.0 * math.pi, m)
+    cos, sin = np.cos(angle), np.sin(angle)
+    moved = unit * rng.uniform(-4.0, 4.0, m)
+    stack = np.stack([cos, -sin * (1.0 + moved), sin, cos], axis=-1)
+    return np.ldexp(stack, rng.integers(-3, 4, m)[:, None]).reshape(m, 2, 2)
+
+
+@pytest.mark.filterwarnings("error")
+class TestL2Norms2x2:
+    """``operator_norms(s, L2)`` at d = 2 against ``eigvalsh``, bit for bit,
+    on stacks large enough for the closed form."""
+
+    @staticmethod
+    def _check(stack: np.ndarray) -> None:
+        assert operator_norms(stack, NormKind.L2).tobytes() == \
+            _eigvalsh_l2(stack).tobytes()
+
+    def test_random_and_integer_entries(self):
+        rng = np.random.default_rng(21)
+        self._check(rng.standard_normal((200_000, 2, 2)))
+        self._check(rng.integers(-4, 5, (100_000, 2, 2)).astype(float))
+        self._check(rng.uniform(-1.0, 1.0, (300, 7, 2, 2)))
+
+    def test_rotation_products(self):
+        """Every length-n product of the planar rotation pair, n <= 19:
+        orthogonal up to rounding, so the grams sit at the split tests."""
+        ms = ATTAINED["planar rotations"][0]
+        for n in (8, 13, 19):
+            self._check(_chunk_stack(ms, n))
+
+    def test_split_tests_fire(self):
+        eps = 2.0 ** -53
+        rng = np.random.default_rng(22)
+        for unit in (eps, 4.0 * eps, eps * eps, 2.0 ** -30):
+            stack = _near_split_grams(rng, 100_000, unit)
+            self._check(stack)
+            # equal diagonals, off-diagonal near unit * sqrt(d1 d2)
+            a = rng.uniform(0.5, 1.0, 50_000)
+            off = a * unit * rng.uniform(0.25, 4.0, a.size)
+            self._check(np.stack([a, off, np.zeros_like(a), a], axis=-1)
+                        .reshape(-1, 2, 2))
+
+    def test_special_rows(self):
+        rng = np.random.default_rng(23)
+        m = 50_000
+        u, v = rng.standard_normal((2, m, 2))
+        rank_one = u[:, :, None] * v[:, None, :]
+        diagonal = rng.standard_normal((m, 2))[:, :, None] * np.eye(2)
+        tied = np.abs(rng.standard_normal(m))[:, None, None] * np.eye(2)
+        stack = np.concatenate([rank_one, diagonal, tied, np.zeros((500, 2, 2)),
+                                -np.zeros((500, 2, 2))])
+        self._check(stack[rng.permutation(stack.shape[0])])
+
+    @pytest.mark.parametrize("bits", [400, -400, -1060])
+    def test_far_from_unit_scale(self, bits):
+        rng = np.random.default_rng(24)
+        stack = np.concatenate([rng.standard_normal((40_000, 2, 2)),
+                                _near_split_grams(rng, 20_000, 2.0 ** -53)])
+        self._check(np.ldexp(stack, bits))
+
+    def test_row_threshold_and_chunks(self, monkeypatch):
+        """Stacks on both sides of the row threshold, and across chunk
+        boundaries, give the bits of eigvalsh; the closed form runs from
+        the threshold on, in chunks."""
+        calls = []
+        closed = core_module._top_eigenvalues_2x2
+
+        def counted(a, c, e):
+            calls.append(a.size)
+            return closed(a, c, e)
+
+        monkeypatch.setattr(core_module, "_top_eigenvalues_2x2", counted)
+        rng = np.random.default_rng(25)
+        least = core_module._L2_CLOSED_MIN_ROWS
+        for rows in (1, least - 1, least, 3 * least + 1):
+            calls.clear()
+            self._check(rng.standard_normal((rows, 2, 2)))
+            assert calls == ([] if rows < least else [rows])
+        monkeypatch.setattr(core_module, "_L2_CHUNK_ROWS", 7)
+        calls.clear()
+        stack = np.concatenate([rng.standard_normal((150, 2, 2)),
+                                _near_split_grams(rng, 150, 2.0 ** -53)])
+        self._check(stack)
+        assert calls == [7] * 42 + [6]
+
 
 class TestSpectralRadius:
     def test_scalar(self):
@@ -694,14 +818,15 @@ def _reference_max(ms: MatrixSet, n: int, kernel) -> tuple[float, int, tuple]:
 
 class _RowCounter:
     """Counts the rows that reach the exact kernels, which ``core`` looks up
-    in its own namespace at each call."""
+    in its own namespace at each call: all norms, each NormKind, radii."""
 
     def __init__(self, monkeypatch):
-        self.rows = {"norms": 0, "radii": 0}
+        self.rows = {"norms": 0, "radii": 0, **dict.fromkeys(NormKind, 0)}
         norms, radii = core_module.operator_norms, core_module.spectral_radii
 
         def counted_norms(stack, kind):
             self.rows["norms"] += stack.shape[0]
+            self.rows[kind] += stack.shape[0]
             return norms(stack, kind)
 
         def counted_radii(stack):
@@ -728,13 +853,21 @@ def screen_mode(request, monkeypatch) -> str:
 SCREENED = [NormKind.L2, RADIUS]
 
 
-def _check_screened(ms: MatrixSet, n: int) -> list[tuple]:
-    """Screened maxima of the l2 norm and the radius against the reference."""
-    got = max_over_products(ms, n, SCREENED)
+def _check_screened(ms: MatrixSet, n: int,
+                    metrics: list = SCREENED) -> list[tuple]:
+    """Screened maxima of ``metrics`` (by default the l2 norm and the
+    radius) against the reference."""
+    got = max_over_products(ms, n, metrics)
     assert got == [
-        _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2)),
-        _reference_max(ms, n, spectral_radii)]
+        _reference_max(ms, n, spectral_radii) if metric == RADIUS else
+        _reference_max(ms, n, lambda s, k=metric: operator_norms(s, k))
+        for metric in metrics]
     return got
+
+
+# The norms screened by the column and row sums themselves, with the
+# radius, whose screen takes the same sums.
+SUM_NORMS = [NormKind.L1, NormKind.LINF, RADIUS]
 
 
 class TestScreenedMaxima:
@@ -745,6 +878,8 @@ class TestScreenedMaxima:
         """A kernel gives the same bits on a subset of rows, and on a single
         row, as on the whole block; screening relies on it."""
         rng = np.random.default_rng(11)
+        # at d = 2 the block takes the closed form, subsets eigvalsh
+        assert 37 < core_module._L2_CLOSED_MIN_ROWS <= 300
         kernels = [lambda s, k=kind: operator_norms(s, k) for kind in NormKind]
         kernels.append(spectral_radii)
         for d in range(1, 7):
@@ -764,10 +899,12 @@ class TestScreenedMaxima:
         ms, n = ATTAINED[name]
         for k in range(1, n + 1):
             _check_screened(ms, k)
+            _check_screened(ms, k, SUM_NORMS)
 
     def test_tied_values_keep_the_first_word(self, screen_mode, monkeypatch):
         """Every product of these sets has the same norm and radius, so the
-        first word wins, and the screen prunes none of the tied rows."""
+        first word wins, and the screen prunes none of the tied rows.  The
+        products of the permutation sets tie in the l1 and linf norms."""
         for ms, n in (ATTAINED["scalar multiples of I"],
                       ATTAINED["quarter turn"]):
             counter = _RowCounter(monkeypatch)
@@ -775,16 +912,36 @@ class TestScreenedMaxima:
             assert [word for _, _, word in got] == [(1,) * n] * 2
             if screen_mode != "default blocks":
                 assert counter.rows["norms"] >= ms.r ** n
+        for name in ("scalar multiples of I", "quarter turn",
+                     "permutations", "signed permutations 4d"):
+            ms, n = ATTAINED[name]
+            counter = _RowCounter(monkeypatch)
+            got = _check_screened(ms, n, SUM_NORMS)
+            assert [word for _, _, word in got[:2]] == [(1,) * n] * 2
+            if screen_mode != "default blocks":
+                assert counter.rows[NormKind.L1] >= ms.r ** n
+                assert counter.rows[NormKind.LINF] >= ms.r ** n
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_random_sets(self, d, screen_mode):
+        """From d = 8 numpy sums the rows of the linf kernel pairwise, so
+        some row sums of ``_cheap_norms``, its screen, differ from the
+        kernel's in the last bit; the screen's margin covers them."""
         rng = np.random.default_rng([d, 3])
+        differ = False
         for r in (1, 2, 3, 4):
             # top levels of up to 4096 entries, past the screen's minimum
             n = 6 if r == 1 else min(7, int(math.log(4096 / d ** 2, r)))
             ms = random_set(rng, d, r, scale=10.0 ** rng.uniform(-3.0, 3.0))
             for k in sorted({1, n // 2, n}):
                 _check_screened(ms, k)
+                _check_screened(ms, k, SUM_NORMS)
+            stack = _chunk_stack(ms, n)
+            sums = core_module._cheap_norms(stack)[1]
+            kernel = operator_norms(stack, NormKind.LINF)
+            assert np.all(np.abs(sums - kernel) <= 2 * d * 2.0 ** -53 * kernel)
+            differ |= bool(np.any(sums != kernel))
+        assert differ == (d >= 8)
 
     @pytest.mark.parametrize("k", [600, -600])
     def test_far_from_unit_scale(self, k, screen_mode):
@@ -800,7 +957,8 @@ class TestScreenedMaxima:
 
     def test_exact_kernels_see_few_rows(self, monkeypatch):
         """On random sets at default blocks the l2 kernel sees under 1% of
-        the words, the radius kernel under 5%."""
+        the words, the radius kernel under 5%; the l1 and linf kernels,
+        screened by the column and row sums themselves, under 1%."""
         rng = np.random.default_rng(2)
         for d, r, n in ((2, 2, 14), (3, 2, 14), (6, 2, 11)):
             ms = random_set(rng, d, r)
@@ -808,10 +966,14 @@ class TestScreenedMaxima:
             _check_screened(ms, n)
             assert counter.rows["norms"] < 0.01 * r ** n
             assert counter.rows["radii"] < 0.05 * r ** n
+            counter = _RowCounter(monkeypatch)
+            _check_screened(ms, n, SUM_NORMS)
+            assert 0 < counter.rows[NormKind.L1] < 0.01 * r ** n
+            assert 0 < counter.rows[NormKind.LINF] < 0.01 * r ** n
 
     def test_metric_names_need_no_wrapping(self, monkeypatch):
         """Names alone select core's kernels and screens: the l2 kernel sees
-        under 1% of the rows, |trace| and the unscreened norms match their
+        under 1% of the rows, |trace| and the l1 and linf norms match their
         references, and an unknown name is refused."""
         ms, n = random_set(np.random.default_rng(6), 3, 2), 13
         counter = _RowCounter(monkeypatch)
