@@ -361,27 +361,34 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
     Dimensions 1 and 2 use the closed form from the characteristic
     polynomial; larger matrices go through the QR eigensolver.  Entries are
     pre-normalized by the largest magnitude so the discriminant cannot
-    overflow.
+    overflow.  A matrix holding NaN reads nan, and one holding inf but no
+    NaN reads inf, as in ``operator_norms``.
     """
     s = np.asarray(stack, dtype=float)
     d = s.shape[-1]
     scale = np.max(np.abs(s), axis=(-2, -1))
-    safe = np.where(scale > 0.0, scale, 1.0)
+    usable = (scale > 0.0) & (scale < np.inf)
+    safe = np.where(usable, scale, 1.0)
     hat = s / safe[..., None, None]
+    if not usable.all():
+        hat[~usable] = 0.0
     if d == 1:
-        return scale * np.abs(hat[..., 0, 0])
-    if d == 2:
+        rho = np.abs(hat[..., 0, 0])
+    elif d == 2:
         tr = hat[..., 0, 0] + hat[..., 1, 1]
         det = hat[..., 0, 0] * hat[..., 1, 1] - hat[..., 0, 1] * hat[..., 1, 0]
         disc = tr * tr - 4.0 * det
         real = (np.abs(tr) + np.sqrt(np.clip(disc, 0.0, None))) / 2.0
         complex_pair = np.sqrt(np.clip(det, 0.0, None))
-        return scale * np.where(disc >= 0.0, real, complex_pair)
-    try:
-        eigs = np.linalg.eigvals(hat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from None
-    return scale * np.max(np.abs(eigs), axis=-1)
+        rho = np.where(disc >= 0.0, real, complex_pair)
+    else:
+        try:
+            eigs = np.linalg.eigvals(hat)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"eigenvalue iteration failed: {exc}") from None
+        rho = np.max(np.abs(eigs), axis=-1)
+    return np.where(usable, safe * rho, scale)
 
 
 def spectral_radius(matrix) -> float:

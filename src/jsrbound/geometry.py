@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, frexp, inf
+from math import ceil, comb, frexp, inf, sqrt
 
 import numpy as np
 
@@ -829,6 +829,18 @@ _RING_SIN = np.array([np.sin(k * np.pi / 4.0) for k in range(8)])[:, None]
 _MIN_STEP = 1e-13
 _MAX_ROUNDS = 200
 
+# Ring scales h, h/2, ... that one 2-d value_fn call evaluates per start.
+# A call costs more than its rows on small rings.  On the 2-d refinements
+# of one pass of the benchmark's workloads (seed 1, one BLAS thread), 4
+# scales took 251-305 ms on calls against 554-680 ms for 1 and 354-428 ms
+# for 2; 8 took 228-245 ms there, but 42-46 ms against 26-29 ms on the
+# 40-product chi task, whose rows cost more.
+_HALVINGS_2D = 0.5 ** np.arange(4)
+
+# A computed radius lies within this fraction of chi's Lipschitz constant
+# of the exact one: the margin for rounding of chi_measure's bounds.
+_ROUNDING_MARGIN = 2.0 ** -20
+
 
 def _offset_ring(x: np.ndarray) -> np.ndarray:
     """Unit tangent steps at x as rows: 2 along the circle, 8 around a 3-d point."""
@@ -846,40 +858,92 @@ def _offset_ring(x: np.ndarray) -> np.ndarray:
 
 
 def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
-                   step: float) -> tuple[np.ndarray, np.ndarray]:
+                   step: float, lipschitz: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep pattern search for local minima on the kind-unit sphere.
 
     ``x0`` is a (k, d) stack of starts and ``v0`` their (k,) values;
     value_fn maps an (s, d) block of unit vectors to (s,) values, each
-    depending on its own row only.  Every start runs the same search: a
-    round evaluates the ring of neighbors at the start's own step, moves
-    to the best of them if it improves on the current value and halves
-    the step otherwise, and the start stops once its step is below
-    _MIN_STEP.  The round counter is shared: each round makes one
-    value_fn call on the stacked rings of the starts still running, and
-    no start runs more than _MAX_ROUNDS rounds.  Every start ends where
-    it would end alone.  Returns the (k, d) end points and their (k,)
-    values; fully deterministic.
+    depending on its own row only.  Its exact values are (lipschitz /
+    2)-Lipschitz in the kind norm, and its computed ones lie within
+    _ROUNDING_MARGIN * lipschitz of them (``chi_measure``'s radius).
+    Every start runs the same search: a round evaluates the ring of
+    neighbors at the start's own step, moves to the best of them if it
+    improves on the current value and halves the step otherwise, and the
+    start ends once its step is below _MIN_STEP or after _MAX_ROUNDS
+    rounds.  The starts run in lockstep, one value_fn call on the stacked
+    rings of the starts still running.  In 2-d a start's part of a call
+    is its ring at the steps h, h/2, h/4 and h/8 (_HALVINGS_2D, as many
+    of them as its rounds and _MIN_STEP leave), of which the first that
+    improves is taken: each scale counts as one round, so the start ends
+    exactly where the one-scale search ends.
+
+    Before each call, a start j stops where it is when, for some start i,
+
+        v_j - lipschitz * 2 tau h_j (_MAX_ROUNDS - u_j)
+            - 2 _ROUNDING_MARGIN lipschitz  >  v_i,
+
+    v the current values, h_j the step, u_j the rounds used, and tau the
+    largest kind norm of an l2-unit ring tangent (sqrt(d) for l1, 1 for
+    l2 and linf).  Each later move of j travels at most 2 tau h_j in the
+    kind norm (tau h_j along the tangent, as much again in the
+    normalization), at most _MAX_ROUNDS - u_j moves remain, and v_j and
+    j's end value each lie within _ROUNDING_MARGIN * lipschitz of the
+    exact ones; the spare half of lipschitz covers the rounding of the
+    points and of the test.  So j would end strictly above v_i, and i
+    ends at or below v_i.  Hence the first start of least end value in
+    the search that runs every start to its end is never stopped, since
+    a start that stopped it would end lower, and every start that is not
+    stopped ends where it would end alone: that first start of least
+    end value is the same, to the bit, and every stopped start ends
+    strictly above it.  lipschitz = inf stops none.  Returns the (k, d)
+    end points and their (k,) values, a stopped start's where it
+    stopped; fully deterministic.
     """
     xs = np.array(x0, dtype=float)
     best = np.array(v0, dtype=float)
     k, d = xs.shape
     steps = np.full(k, float(step))
+    used = np.zeros(k, dtype=np.intp)
     rings = np.stack([_offset_ring(x) for x in xs])
-    for _ in range(_MAX_ROUNDS):
-        live = np.flatnonzero(steps >= _MIN_STEP)
+    halvings = _HALVINGS_2D if d == 2 else _HALVINGS_2D[:1]
+    tau = sqrt(d) if kind is NormKind.L1 else 1.0
+    running = np.ones(k, dtype=bool)
+    while True:
+        running &= (steps >= _MIN_STEP) & (used < _MAX_ROUNDS)
+        live = np.flatnonzero(running)
+        moves = 2.0 * tau * steps[live] * (_MAX_ROUNDS - used[live])
+        lost = (best[live] - lipschitz * moves
+                - 2.0 * _ROUNDING_MARGIN * lipschitz > np.min(best))
+        running[live[lost]] = False
+        live = live[~lost]
         if live.size == 0:
-            break
+            return xs, best
+        # Scales per start: within its rounds left and no finer than
+        # _MIN_STEP; rows are (start, scale) pairs, a start's consecutive.
+        fine = steps[live, None] * halvings >= _MIN_STEP
+        counts = np.minimum(np.count_nonzero(fine, axis=1),
+                            _MAX_ROUNDS - used[live])
+        owner = np.repeat(live, counts)
+        first = np.cumsum(counts) - counts
+        scale = np.arange(owner.size) - np.repeat(first, counts)
         cand = kind_normalize(
-            xs[live, None, :] + steps[live, None, None] * rings[live], kind)
-        vals = value_fn(cand.reshape(-1, d)).reshape(live.size, -1)
+            xs[owner, None, :]
+            + (steps[owner] * halvings[scale])[:, None, None] * rings[owner],
+            kind)
+        vals = value_fn(cand.reshape(-1, d)).reshape(owner.size, -1)
         pick = np.argmin(vals, axis=1)
-        low = vals[np.arange(live.size), pick]
-        moved = low < best[live]
-        steps[live[~moved]] *= 0.5
-        for row in np.flatnonzero(moved):
-            j = live[row]
-            xs[j] = cand[row, pick[row]]
-            best[j] = low[row]
+        low = vals[np.arange(owner.size), pick]
+        # The first improving scale of each start, counts where none does.
+        taken = np.minimum.reduceat(
+            np.where(low < best[owner], scale, halvings.size), first)
+        moved = taken < counts
+        halved = np.where(moved, taken, counts)
+        steps[live] *= 0.5 ** halved
+        used[live] += halved + moved
+        rows = (first + taken)[moved]
+        movers = live[moved]
+        xs[movers] = cand[rows, pick[rows]]
+        best[movers] = low[rows]
+        for j in movers:
             rings[j] = _offset_ring(xs[j])
-    return xs, best

@@ -28,6 +28,7 @@ from .core import (
 )
 from .errors import UnsupportedDimensionError
 from .geometry import (
+    _ROUNDING_MARGIN,
     _block_rows,
     _check_mesh,
     _net_antipodes,
@@ -43,12 +44,11 @@ _DEDUP_TOL = 1e-12
 # Most refinement starts ``chi_measure`` takes from the net.
 _MAX_STARTS = 8
 
+# Points in the first block of ``_select_starts``.
+_THIN_BLOCK = 64
+
 # Rows per chunk of ``_near_earlier``.
 _NEAR_CHUNK = 256
-
-# An evaluated net point bounds the radius from below by its value minus
-# this fraction of the Lipschitz constant, a margin for rounding.
-_ROUNDING_MARGIN = 2.0 ** -20
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +158,28 @@ def sphere_profile(
 
 def _select_starts(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
                    spacing: float) -> list[int]:
-    """Lowest-value net points, greedily thinned to pairwise spacing."""
+    """Lowest-value net points, greedily thinned to pairwise spacing.
+
+    In the stable (value, index) order a point is taken when it lies at
+    least spacing from every point taken before it, up to _MAX_STARTS
+    points.  The order is read in blocks of doubling size, _THIN_BLOCK
+    first: a block drops its points within spacing of those already
+    taken, in one call, and then each point it takes drops its later
+    points within spacing of it."""
     order = np.argsort(vals, kind="stable")
     chosen: list[int] = []
-    for idx in order:
-        if len(chosen) >= _MAX_STARTS:
-            break
-        if all(vector_norms(xs[idx] - xs[j], kind) >= spacing for j in chosen):
-            chosen.append(int(idx))
+    lo, hi = 0, _THIN_BLOCK
+    while lo < order.size and len(chosen) < _MAX_STARTS:
+        block = order[lo:hi]
+        lo, hi = hi, 2 * hi
+        if chosen:
+            gaps = vector_norms(xs[block, None] - xs[chosen], kind)
+            block = block[np.all(gaps >= spacing, axis=1)]
+        while block.size and len(chosen) < _MAX_STARTS:
+            chosen.append(int(block[0]))
+            block = block[1:]
+            block = block[vector_norms(xs[block] - xs[chosen[-1]], kind)
+                          >= spacing]
     return chosen
 
 
@@ -175,6 +189,17 @@ def _starts_cut(xs: np.ndarray, vals: np.ndarray, kind: NormKind,
     of them, else +inf."""
     starts = _select_starts(xs, vals, kind, spacing)
     return float(vals[starts[-1]]) if len(starts) == _MAX_STARTS else math.inf
+
+
+def _head_cut(xs: np.ndarray, vals: np.ndarray, done: np.ndarray,
+              threshold: float, kind: NormKind, spacing: float) -> float:
+    """_starts_cut of the evaluated points (``done``) at or below
+    threshold.  They are the head of the stable (value, index) order of
+    all evaluated points, and the thinning of all of them reads only
+    that head when it gives _MAX_STARTS starts, so the cut is the same;
+    otherwise that cut lies above threshold or is +inf."""
+    head = np.flatnonzero(done & (vals <= threshold))
+    return _starts_cut(xs[head], vals[head], kind, spacing)
 
 
 def _near_earlier(pts: np.ndarray, kind: NormKind, rho: float) -> np.ndarray:
@@ -278,20 +303,22 @@ def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
     margin = _ROUNDING_MARGIN * lipschitz
     lower = np.empty(n)
     lower[coarse] = vals[coarse] - margin
+    gaps = [[vector_norms(xs[new] - xs[q], kind) for q in (left, right)]
+            for new, left, right in steps]
     threshold = math.inf
     while True:
-        for new, left, right in steps:
-            seen = np.flatnonzero(done)
-            threshold = min(threshold, _starts_cut(xs[seen], vals[seen], kind,
-                                                   spacing))
-            bound = np.maximum(*(
-                lower[q] - lipschitz * vector_norms(xs[new] - xs[q], kind)
-                for q in (left, right)))
+        for (new, left, right), gap in zip(steps, gaps):
+            threshold = min(threshold, _head_cut(xs, vals, done, threshold,
+                                                 kind, spacing))
+            bound = np.maximum(*(lower[q] - lipschitz * g
+                                 for q, g in zip((left, right), gap)))
             todo = new[(bound <= threshold) & ~done[new]]
             if todo.size:
                 _fill(prods, xs, anti, kind, vals, done, todo)
             lower[new] = np.where(done[new], vals[new] - margin, bound)
-        cut = _starts_cut(xs, vals, kind, spacing)
+        cut = _head_cut(xs, vals, done, threshold, kind, spacing)
+        if cut == math.inf:
+            cut = _head_cut(xs, vals, done, math.inf, kind, spacing)
         if cut <= threshold or done.all():
             return vals, _basin_starts(xs, vals, kind, mesh, cut)
         threshold = cut
@@ -323,12 +350,17 @@ def chi_measure(
     first, at most 8, so a basin and its mirror get one start.  T is the
     value of the 8th of the lowest net points greedily thinned to plain
     spacing 4 * mesh, +inf when there are fewer.  The pattern searches run
-    in lockstep: one radius_profile call per round on the neighbor rings
-    of every start still running.  Starts are then taken in order and a
-    later one replaces the minimum only when strictly lower, so the first
-    start wins ties.  Only d in {1, 2, 3} has a sphere net and an exact
-    hull sweep; any other d raises UnsupportedDimensionError before a
-    reach product is formed.
+    in lockstep (``geometry.refine_minimum``): one radius_profile call per
+    round on the neighbor rings of every start still running, in 2-d at
+    four halvings of the step at once.  Starts are then taken in order and
+    a later one replaces the minimum only when strictly lower, so the
+    first start wins ties.  A start that this lipschitz shows cannot end
+    strictly below another start's current value, however it moves in
+    its remaining rounds, stops early; it could not be that first
+    minimum, so sampled_inf and argmin keep the bits of searches that run
+    every start to its end.  Only d in {1, 2, 3} has a sphere net and an
+    exact hull sweep; any other d raises UnsupportedDimensionError before
+    a reach product is formed.
 
     A net that one radius_profile block holds, or any net when lipschitz
     overflows, is swept whole.  A larger one is taken level by level
@@ -343,8 +375,10 @@ def chi_measure(
     slack besides.  A point is evaluated only when its bound is at most a
     threshold and otherwise reads +inf.  Before each level the threshold
     drops to the cut T of the points evaluated so far, and it never rises
-    within a pass.  So every skipped point lies above the final T, every
-    net point of value <= T was evaluated, and the stable sort of the
+    within a pass; that T is taken from the evaluated points at or below
+    the threshold alone (``_head_cut``), which gives the same
+    min(threshold, T).  So every skipped point lies above the final T,
+    every net point of value <= T was evaluated, and the stable sort of the
     partial values begins with exactly the points of the full sort that
     are <= T, in the same order.  When the thinning picks 8 points, all
     <= T, it reads only that common head, so T is the full sweep's; the
@@ -373,7 +407,7 @@ def chi_measure(
             return radius_profile(prods, block, kind)
 
         x_ref, v_ref = refine_minimum(value_fn, xs[starts], vals[starts],
-                                      kind, step=mesh)
+                                      kind, mesh, lipschitz)
         for x, v in zip(x_ref, v_ref):
             if v < sampled:
                 sampled = float(v)

@@ -5,6 +5,7 @@ import pytest
 
 from jsrbound import MatrixSet
 import jsrbound.geometry as geometry_module
+from jsrbound.geometry import _offset_ring, kind_normalize
 
 
 @pytest.fixture
@@ -29,6 +30,39 @@ DIAGONAL_PAIR = MatrixSet.from_arrays(
 )
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def one_scale_search(value_fn, x0: np.ndarray, v0: np.ndarray, kind,
+                     step: float):
+    """The reference for ``geometry.refine_minimum``: the same pattern
+    search in lockstep, one ring scale per start and value_fn call, every
+    start run to its end.  Reads _MIN_STEP and _MAX_ROUNDS at call time.
+    Returns the end points, their values and, for each start, whether
+    each of its rounds moved."""
+    xs = np.array(x0, dtype=float)
+    best = np.array(v0, dtype=float)
+    k, d = xs.shape
+    steps = np.full(k, float(step))
+    rings = np.stack([_offset_ring(x) for x in xs])
+    moves: list[list[bool]] = [[] for _ in range(k)]
+    for _ in range(geometry_module._MAX_ROUNDS):
+        live = np.flatnonzero(steps >= geometry_module._MIN_STEP)
+        if live.size == 0:
+            break
+        cand = kind_normalize(
+            xs[live, None, :] + steps[live, None, None] * rings[live], kind)
+        vals = value_fn(cand.reshape(-1, d)).reshape(live.size, -1)
+        pick = np.argmin(vals, axis=1)
+        low = vals[np.arange(live.size), pick]
+        moved = low < best[live]
+        steps[live[~moved]] *= 0.5
+        for row, j in enumerate(live):
+            moves[j].append(bool(moved[row]))
+            if moved[row]:
+                xs[j] = cand[row, pick[row]]
+                best[j] = low[row]
+                rings[j] = _offset_ring(xs[j])
+    return xs, best, moves
 
 
 @pytest.fixture

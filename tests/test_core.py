@@ -356,6 +356,24 @@ class TestSpectralRadius:
             for kind in NormKind:
                 assert rho <= operator_norm(a, kind) + 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_nonfinite_rows_read_nan_or_inf(self, d):
+        """NaN anywhere reads nan and inf without NaN reads inf, as in
+        operator_norms; the other rows keep their bits."""
+        rng = np.random.default_rng([19, d])
+        stack = np.stack([np.eye(d)] * 5 + [rng.uniform(-1.0, 1.0, (d, d))])
+        finite = spectral_radii(stack)
+        stack[0, 0, d - 1] = np.nan
+        stack[1, d - 1, 0] = np.inf
+        stack[2, 0, 0], stack[2, d - 1, d - 1] = -np.inf, np.nan
+        stack[3] = -np.inf
+        got = spectral_radii(stack)
+        np.testing.assert_array_equal(got[:4], [np.nan, np.inf, np.nan,
+                                                np.inf])
+        assert got[4:].tobytes() == finite[4:].tobytes()
+        assert got[4] == 1.0
+
 
 class TestWords:
     def test_index_order_r2_n2(self):

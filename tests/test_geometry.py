@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from jsrbound import (
     reach_products,
     sphere_net,
 )
+from jsrbound.core import operator_norms
 from jsrbound.geometry import (
     _LEVEL9_RADIUS,
     _LEVEL_RADII,
@@ -30,7 +32,7 @@ from jsrbound.geometry import (
     vector_norms,
 )
 
-from .conftest import random_set
+from .conftest import one_scale_search, random_set
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -743,7 +745,7 @@ class TestRefinement:
         x0 = kind_normalize(np.array([[np.cos(0.3), np.sin(0.3)]]),
                             NormKind.L2)
         v0 = f(x0)
-        x, v = refine_minimum(f, x0, v0, NormKind.L2, step=0.05)
+        x, v = refine_minimum(f, x0, v0, NormKind.L2, 0.05, math.inf)
         assert v[0] == pytest.approx(1.0, abs=1e-9)
         assert abs(x[0, 0]) == pytest.approx(1.0, abs=1e-6)
 
@@ -755,7 +757,7 @@ class TestRefinement:
 
         x0 = kind_normalize(rng.normal(size=(1, 3)), NormKind.L2)
         v0 = f(x0)
-        x, v = refine_minimum(f, x0, v0, NormKind.L2, step=0.02)
+        x, v = refine_minimum(f, x0, v0, NormKind.L2, 0.02, math.inf)
         assert v[0] <= v0[0] + 1e-15
         assert np.linalg.norm(x[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -771,6 +773,25 @@ class _CountingProfile:
         return radius_profile(self.prods, xs, self.kind)
 
 
+def _call_sizes(moves: list[bool], d: int, step: float) -> list[int]:
+    """value_fn call sizes of refine_minimum on one start alone, from
+    whether each round of its one-scale search moved: a call takes the
+    ring at the next scales h, h/2, ... up to _HALVINGS_2D's in 2-d and
+    one in 3-d, within the rounds left and _MIN_STEP, and its first
+    scale that moves ends it."""
+    depth, ring = (geometry._HALVINGS_2D.size, 2) if d == 2 else (1, 8)
+    sizes, used, h = [], 0, step
+    while used < len(moves):
+        n = min(depth, geometry._MAX_ROUNDS - used,
+                sum(h * 0.5 ** i >= geometry._MIN_STEP for i in range(depth)))
+        sizes.append(ring * n)
+        window = moves[used:used + n]
+        i = window.index(True) if True in window else n
+        h *= 0.5 ** i
+        used += i + (i < n)
+    return sizes
+
+
 class TestLockstepRefinement:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
@@ -783,31 +804,72 @@ class TestLockstepRefinement:
         x0[1] = x0[0]  # a start repeated in the stack
         v0 = radius_profile(prods, x0, kind)
         stacked = _CountingProfile(prods, kind)
-        xs, vs = refine_minimum(stacked, x0, v0, kind, step=0.05)
-        rounds = []
+        xs, vs = refine_minimum(stacked, x0, v0, kind, 0.05, math.inf)
+        ref_x, ref_v, moves = one_scale_search(
+            _CountingProfile(prods, kind), x0, v0, kind, 0.05)
+        assert xs.tobytes() == ref_x.tobytes()
+        assert vs.tobytes() == ref_v.tobytes()
+        calls = []
         for i in range(5):
             alone = _CountingProfile(prods, kind)
             x1, v1 = refine_minimum(alone, x0[i:i + 1], v0[i:i + 1], kind,
-                                    step=0.05)
+                                    0.05, math.inf)
             assert x1.tobytes() == xs[i:i + 1].tobytes()
             assert v1.tobytes() == vs[i:i + 1].tobytes()
-            rounds.append(len(alone.sizes))
-        # one value_fn call per shared round, on the rings still running
-        ring = 2 if d == 2 else 8
-        assert len(stacked.sizes) == max(rounds)
+            assert alone.sizes == _call_sizes(moves[i], d, 0.05)
+            calls.append(alone.sizes)
+        # one value_fn call per lockstep round, on the rings still running
         assert stacked.sizes == [
-            ring * sum(r > t for r in rounds) for t in range(max(rounds))]
+            sum(c[t] for c in calls if len(c) > t)
+            for t in range(max(map(len, calls)))]
+        rounds = [len(m) for m in moves]
         if max_rounds == 200:
             assert len(set(rounds)) > 1  # starts stop in different rounds
+            if d == 2:  # calls of several scales
+                assert sum(map(len, calls)) < sum(rounds)
         else:
             assert rounds == [max_rounds] * 5  # every start is cut off
+
+    def test_stopped_starts_cannot_win(self):
+        """With chi's lipschitz, starts that cannot end lowest stop early;
+        the first start of least value keeps the bits of the search that
+        runs every start to its end, and every stopped start ends strictly
+        above it.  216 random sets: d = 2 and 3, every kind, scales 2^-400,
+        1 and 2^400, 2-8 starts."""
+        rng = np.random.default_rng(20)
+        stopped = 0
+        for d, kind, k in itertools.product((2, 3), NormKind, (-400, 0, 400)):
+            for _ in range(12):
+                mset = random_set(rng, d, d).scaled(2.0 ** k)
+                prods = reach_products(mset, 1)
+                lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
+                x0 = kind_normalize(
+                    rng.normal(size=(int(rng.integers(2, 9)), d)), kind)
+                v0 = radius_profile(prods, x0, kind)
+
+                def value_fn(block):
+                    return radius_profile(prods, block, kind)
+
+                xs, vs = refine_minimum(value_fn, x0, v0, kind, 0.05,
+                                        lipschitz)
+                ref_x, ref_v = refine_minimum(value_fn, x0, v0, kind, 0.05,
+                                              math.inf)
+                win = int(np.argmin(ref_v))
+                assert int(np.argmin(vs)) == win
+                assert xs[win].tobytes() == ref_x[win].tobytes()
+                assert vs[win].tobytes() == ref_v[win].tobytes()
+                cut = (xs != ref_x).any(axis=1) | (vs != ref_v)
+                assert np.all(vs[cut] > vs[win])
+                assert np.all(vs[cut] >= ref_v[cut])
+                stopped += int(np.count_nonzero(cut))
+        assert stopped >= 100
 
     def test_values_never_increase(self, rng):
         prods = rng.normal(size=(3, 3, 3))
         x0 = kind_normalize(rng.normal(size=(4, 3)), NormKind.L1)
         v0 = radius_profile(prods, x0, NormKind.L1)
         xs, vs = refine_minimum(_CountingProfile(prods, NormKind.L1), x0, v0,
-                                NormKind.L1, step=0.05)
+                                NormKind.L1, 0.05, math.inf)
         assert np.all(vs <= v0)
         np.testing.assert_array_equal(radius_profile(prods, xs, NormKind.L1),
                                       vs)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -28,7 +31,13 @@ from jsrbound.geometry import (
 from jsrbound.irreducibility import BurnsideReport, burnside_detail
 import jsrbound.irreducibility as irreducibility_module
 
-from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN, random_set
+from .conftest import (
+    DIAGONAL_PAIR,
+    GOLDEN_PAIR,
+    QUARTER_TURN,
+    one_scale_search,
+    random_set,
+)
 
 IDENTITY_ONLY = MatrixSet.from_arrays([np.eye(2)])
 SHEAR_ONLY = MatrixSet.from_arrays([[[1.0, 1.0], [0.0, 1.0]]])
@@ -286,7 +295,7 @@ def _full_sweep(mset: MatrixSet, p: int, kind: NormKind, mesh: float):
     starts = _reference_starts(xs, vals, kind, mesh)
     x_ref, v_ref = refine_minimum(
         lambda block: radius_profile(prods, block, kind), xs[starts],
-        vals[starts], kind, step=mesh)
+        vals[starts], kind, mesh, math.inf)
     for x, v in zip(x_ref, v_ref):
         if v < sampled:
             sampled, argmin = float(v), x
@@ -470,7 +479,7 @@ class TestNetWork:
 
         monkeypatch.setattr(irreducibility_module, "radius_profile", counted)
         monkeypatch.setattr(irreducibility_module, "refine_minimum",
-                            lambda fn, x0, v0, kind, step: (x0, v0))
+                            lambda fn, x0, v0, kind, step, lipschitz: (x0, v0))
         return sizes
 
     @pytest.mark.parametrize("mset", [QUARTER_TURNS_3D, SKEW_ROTATIONS_3D])
@@ -505,6 +514,59 @@ class TestNetWork:
         chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
         assert sum(net_calls) == 14_620
         assert shared <= 0.55 * 14_620
+
+
+class TestRefinementWork:
+    """How much refinement chi_measure runs, against the search that runs
+    one ring scale per call and every start to its end."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch) -> list:
+        """(calls, rows) of each refinement of chi_measure and of
+        one_scale_search on the same starts; the two must share the
+        first start of least value, to the bit."""
+        record = []
+        refine = irreducibility_module.refine_minimum
+
+        def counted(fn, x0, v0, kind, step, lipschitz):
+            work = [[0, 0], [0, 0]]
+
+            def count(k):
+                def value_fn(block):
+                    work[k][0] += 1
+                    work[k][1] += block.shape[0]
+                    return fn(block)
+                return value_fn
+
+            xs, vs = refine(count(0), x0, v0, kind, step, lipschitz)
+            ref_x, ref_v, _ = one_scale_search(count(1), x0, v0, kind, step)
+            win = int(np.argmin(ref_v))
+            assert int(np.argmin(vs)) == win
+            assert xs[win].tobytes() == ref_x[win].tobytes()
+            assert vs[win].tobytes() == ref_v[win].tobytes()
+            record.append(work)
+            return xs, vs
+
+        monkeypatch.setattr(irreducibility_module, "refine_minimum", counted)
+        return record
+
+    def test_stopped_starts_save_rows_in_3d(self, searches):
+        """A 3-d pair in linf at mesh 0.2, like the benchmark's calls
+        tasks: 8 starts, 4,984 rows run to the end, 3,168 with the
+        starts that cannot win stopped."""
+        mset = random_set(np.random.default_rng(0), 3, 2)
+        chi_measure(mset, 2, NormKind.LINF, 0.2)
+        (work, reference), = searches
+        assert work[1] <= 0.75 * reference[1]
+
+    def test_batched_halvings_save_calls_in_2d(self, searches):
+        """Three members at p = 3, about 40 reach products, like the
+        benchmark's chi task: one start, 50 calls of one scale, 19 of up
+        to four."""
+        mset = random_set(np.random.default_rng(0), 2, 3)
+        chi_measure(mset, 3, NormKind.L2, 0.005)
+        (work, reference), = searches
+        assert work[0] <= 0.5 * reference[0]
 
 
 def _antipodal_pairs(xs: np.ndarray) -> int:
@@ -559,6 +621,39 @@ class TestStarts:
             assert np.all(vals == 0.0)
             assert starts == _reference_starts(xs, vals, kind, mesh)
             assert 1 <= len(starts) <= 8
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_thinning_matches_pairwise(self, d, kind, monkeypatch):
+        """_select_starts against the greedy thinning written out pair by
+        pair, on blocks of 3 points and the default, with tied values,
+        repeated points, points on a grid of step 1/4 (distances of
+        exactly the spacing) and spacings that leave fewer than 8
+        points."""
+        rng = np.random.default_rng([20, d])
+        for block, spacing, grid in itertools.product(
+                (3, irreducibility_module._THIN_BLOCK),
+                (0.0, 0.05, 0.25, 0.5, 1.5, 3.0), (False, True)):
+            monkeypatch.setattr(irreducibility_module, "_THIN_BLOCK", block)
+            if grid:
+                xs = rng.integers(-4, 5, size=(300, d)) / 4.0
+            else:
+                xs = rng.normal(size=(300, d))
+                xs /= vector_norms(xs, kind)[:, None]
+                xs[7] = xs[3]
+            vals = np.round(rng.uniform(size=300), 1)
+            want: list[int] = []
+            for i in np.argsort(vals, kind="stable"):
+                if len(want) < 8 and all(
+                        vector_norms(xs[i] - xs[j], kind) >= spacing
+                        for j in want):
+                    want.append(int(i))
+            got = irreducibility_module._select_starts(xs, vals, kind,
+                                                       spacing)
+            assert got == want
+            cut = irreducibility_module._starts_cut(xs, vals, kind,
+                                                    spacing)
+            assert cut == (vals[want[-1]] if len(want) == 8 else math.inf)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
