@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, frexp, inf, sqrt
+from math import ceil, comb, frexp, inf
 
 import numpy as np
 
@@ -825,21 +825,19 @@ def _net_levels(d: int, kind: NormKind, mesh: float, size: int
 _RING_COS = np.array([np.cos(k * np.pi / 4.0) for k in range(8)])[:, None]
 _RING_SIN = np.array([np.sin(k * np.pi / 4.0) for k in range(8)])[:, None]
 
-# A refinement start stops at a step below this or after _MAX_ROUNDS rounds.
+# The search stops at a step below this or after _MAX_ROUNDS rounds.
 _MIN_STEP = 1e-13
 _MAX_ROUNDS = 200
 
-# Ring scales h, h/2, ... that one 2-d value_fn call evaluates per start.
-# A call costs more than its rows on small rings.  On the 2-d refinements
-# of one pass of the benchmark's workloads (seed 1, one BLAS thread), 4
-# scales took 251-305 ms on calls against 554-680 ms for 1 and 354-428 ms
-# for 2; 8 took 228-245 ms there, but 42-46 ms against 26-29 ms on the
-# 40-product chi task, whose rows cost more.
-_HALVINGS_2D = 0.5 ** np.arange(4)
-
-# A computed radius lies within this fraction of chi's Lipschitz constant
-# of the exact one: the margin for rounding of chi_measure's bounds.
-_ROUNDING_MARGIN = 2.0 ** -20
+# Ring scales h, h/2, ... that one value_fn call evaluates.  A call costs
+# more than its rows on small rings.  On the 2-d refinements of one pass
+# of the benchmark's workloads (seed 1, one BLAS thread), 4 scales took
+# 251-305 ms on calls against 554-680 ms for 1 and 354-428 ms for 2; 8
+# took 228-245 ms there, but 42-46 ms against 26-29 ms on the
+# 40-product chi task, whose rows cost more.  On the 3-d refinements of
+# calls (min and median of 7), 4 scales took 233-274 ms, 2 took 199-284
+# and 1 took 246-434.
+_HALVINGS = 0.5 ** np.arange(4)
 
 
 def _offset_ring(x: np.ndarray) -> np.ndarray:
@@ -857,93 +855,44 @@ def _offset_ring(x: np.ndarray) -> np.ndarray:
     return _RING_COS * t1 + _RING_SIN * t2
 
 
-def refine_minimum(value_fn, x0: np.ndarray, v0: np.ndarray, kind: NormKind,
-                   step: float, lipschitz: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep pattern search for local minima on the kind-unit sphere.
+def refine_minimum(value_fn, x0: np.ndarray, v0: float, kind: NormKind,
+                   step: float) -> tuple[np.ndarray, float]:
+    """Pattern search for a local minimum on the kind-unit sphere.
 
-    ``x0`` is a (k, d) stack of starts and ``v0`` their (k,) values;
-    value_fn maps an (s, d) block of unit vectors to (s,) values, each
-    depending on its own row only.  Its exact values are (lipschitz /
-    2)-Lipschitz in the kind norm, and its computed ones lie within
-    _ROUNDING_MARGIN * lipschitz of them (``chi_measure``'s radius).
-    Every start runs the same search: a round evaluates the ring of
-    neighbors at the start's own step, moves to the best of them if it
-    improves on the current value and halves the step otherwise, and the
-    start ends once its step is below _MIN_STEP or after _MAX_ROUNDS
-    rounds.  The starts run in lockstep, one value_fn call on the stacked
-    rings of the starts still running.  In 2-d a start's part of a call
-    is its ring at the steps h, h/2, h/4 and h/8 (_HALVINGS_2D, as many
-    of them as its rounds and _MIN_STEP leave), of which the first that
-    improves is taken: each scale counts as one round, so the start ends
-    exactly where the one-scale search ends.
-
-    Before each call, a start j stops where it is when, for some start i,
-
-        v_j - lipschitz * 2 tau h_j (_MAX_ROUNDS - u_j)
-            - 2 _ROUNDING_MARGIN lipschitz  >  v_i,
-
-    v the current values, h_j the step, u_j the rounds used, and tau the
-    largest kind norm of an l2-unit ring tangent (sqrt(d) for l1, 1 for
-    l2 and linf).  Each later move of j travels at most 2 tau h_j in the
-    kind norm (tau h_j along the tangent, as much again in the
-    normalization), at most _MAX_ROUNDS - u_j moves remain, and v_j and
-    j's end value each lie within _ROUNDING_MARGIN * lipschitz of the
-    exact ones; the spare half of lipschitz covers the rounding of the
-    points and of the test.  So j would end strictly above v_i, and i
-    ends at or below v_i.  Hence the first start of least end value in
-    the search that runs every start to its end is never stopped, since
-    a start that stopped it would end lower, and every start that is not
-    stopped ends where it would end alone: that first start of least
-    end value is the same, to the bit, and every stopped start ends
-    strictly above it.  lipschitz = inf stops none.  Returns the (k, d)
-    end points and their (k,) values, a stopped start's where it
-    stopped; fully deterministic.
+    ``x0`` is the (d,) start and ``v0`` its value; value_fn maps an
+    (s, d) block of unit vectors to (s,) values, each depending on its
+    own row only.  A round evaluates the ring of neighbors at the current
+    step h, moves to the best of them if it improves on the current
+    value and halves the step otherwise; the search ends once the step is
+    below _MIN_STEP or after _MAX_ROUNDS rounds.  One value_fn call takes
+    the ring at h, h/2, h/4 and h/8 (_HALVINGS, as many of them as the
+    rounds left and _MIN_STEP allow), and the first scale that improves
+    is taken.  Each scale counts as one round, and a scale that does not
+    improve is the round that halves the step, so the search ends exactly
+    where the one-scale search ends, in 2-d and 3-d alike.  Returns the
+    end point and its value; fully deterministic.
     """
-    xs = np.array(x0, dtype=float)
-    best = np.array(v0, dtype=float)
-    k, d = xs.shape
-    steps = np.full(k, float(step))
-    used = np.zeros(k, dtype=np.intp)
-    rings = np.stack([_offset_ring(x) for x in xs])
-    halvings = _HALVINGS_2D if d == 2 else _HALVINGS_2D[:1]
-    tau = sqrt(d) if kind is NormKind.L1 else 1.0
-    running = np.ones(k, dtype=bool)
-    while True:
-        running &= (steps >= _MIN_STEP) & (used < _MAX_ROUNDS)
-        live = np.flatnonzero(running)
-        moves = 2.0 * tau * steps[live] * (_MAX_ROUNDS - used[live])
-        lost = (best[live] - lipschitz * moves
-                - 2.0 * _ROUNDING_MARGIN * lipschitz > np.min(best))
-        running[live[lost]] = False
-        live = live[~lost]
-        if live.size == 0:
-            return xs, best
-        # Scales per start: within its rounds left and no finer than
-        # _MIN_STEP; rows are (start, scale) pairs, a start's consecutive.
-        fine = steps[live, None] * halvings >= _MIN_STEP
-        counts = np.minimum(np.count_nonzero(fine, axis=1),
-                            _MAX_ROUNDS - used[live])
-        owner = np.repeat(live, counts)
-        first = np.cumsum(counts) - counts
-        scale = np.arange(owner.size) - np.repeat(first, counts)
+    x = np.array(x0, dtype=float)
+    best = float(v0)
+    d = x.size
+    h = float(step)
+    used = 0
+    ring = _offset_ring(x)
+    while h >= _MIN_STEP and used < _MAX_ROUNDS:
+        count = min(int(np.count_nonzero(h * _HALVINGS >= _MIN_STEP)),
+                    _MAX_ROUNDS - used)
         cand = kind_normalize(
-            xs[owner, None, :]
-            + (steps[owner] * halvings[scale])[:, None, None] * rings[owner],
-            kind)
-        vals = value_fn(cand.reshape(-1, d)).reshape(owner.size, -1)
+            x + (h * _HALVINGS[:count])[:, None, None] * ring, kind)
+        vals = value_fn(cand.reshape(-1, d)).reshape(count, -1)
         pick = np.argmin(vals, axis=1)
-        low = vals[np.arange(owner.size), pick]
-        # The first improving scale of each start, counts where none does.
-        taken = np.minimum.reduceat(
-            np.where(low < best[owner], scale, halvings.size), first)
-        moved = taken < counts
-        halved = np.where(moved, taken, counts)
-        steps[live] *= 0.5 ** halved
-        used[live] += halved + moved
-        rows = (first + taken)[moved]
-        movers = live[moved]
-        xs[movers] = cand[rows, pick[rows]]
-        best[movers] = low[rows]
-        for j in movers:
-            rings[j] = _offset_ring(xs[j])
+        low = vals[np.arange(count), pick]
+        better = np.flatnonzero(low < best)
+        taken = int(better[0]) if better.size else count
+        h *= 0.5 ** taken
+        used += taken
+        if taken < count:
+            used += 1
+            x = cand[taken, pick[taken]]
+            best = float(low[taken])
+            ring = _offset_ring(x)
+    return x, best

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 
 import numpy as np
@@ -17,7 +16,6 @@ from jsrbound import (
     reach_products,
     sphere_net,
 )
-from jsrbound.core import operator_norms
 from jsrbound.geometry import (
     _LEVEL9_RADIUS,
     _LEVEL_RADII,
@@ -745,9 +743,9 @@ class TestRefinement:
         x0 = kind_normalize(np.array([[np.cos(0.3), np.sin(0.3)]]),
                             NormKind.L2)
         v0 = f(x0)
-        x, v = refine_minimum(f, x0, v0, NormKind.L2, 0.05, math.inf)
-        assert v[0] == pytest.approx(1.0, abs=1e-9)
-        assert abs(x[0, 0]) == pytest.approx(1.0, abs=1e-6)
+        x, v = refine_minimum(f, x0[0], v0[0], NormKind.L2, 0.05)
+        assert v == pytest.approx(1.0, abs=1e-9)
+        assert abs(x[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_never_increases(self, rng):
         prods = rng.normal(size=(3, 3, 3))
@@ -757,9 +755,9 @@ class TestRefinement:
 
         x0 = kind_normalize(rng.normal(size=(1, 3)), NormKind.L2)
         v0 = f(x0)
-        x, v = refine_minimum(f, x0, v0, NormKind.L2, 0.02, math.inf)
-        assert v[0] <= v0[0] + 1e-15
-        assert np.linalg.norm(x[0]) == pytest.approx(1.0, abs=1e-12)
+        x, v = refine_minimum(f, x0[0], v0[0], NormKind.L2, 0.02)
+        assert v <= v0[0] + 1e-15
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
 
 class _CountingProfile:
@@ -774,12 +772,11 @@ class _CountingProfile:
 
 
 def _call_sizes(moves: list[bool], d: int, step: float) -> list[int]:
-    """value_fn call sizes of refine_minimum on one start alone, from
-    whether each round of its one-scale search moved: a call takes the
-    ring at the next scales h, h/2, ... up to _HALVINGS_2D's in 2-d and
-    one in 3-d, within the rounds left and _MIN_STEP, and its first
-    scale that moves ends it."""
-    depth, ring = (geometry._HALVINGS_2D.size, 2) if d == 2 else (1, 8)
+    """value_fn call sizes of refine_minimum, from whether each round of
+    its one-scale search moved: a call takes the ring at the next scales
+    h, h/2, ... up to _HALVINGS's, within the rounds left and _MIN_STEP,
+    and its first scale that moves ends it."""
+    depth, ring = geometry._HALVINGS.size, 2 if d == 2 else 8
     sizes, used, h = [], 0, step
     while used < len(moves):
         n = min(depth, geometry._MAX_ROUNDS - used,
@@ -792,86 +789,43 @@ def _call_sizes(moves: list[bool], d: int, step: float) -> list[int]:
     return sizes
 
 
-class TestLockstepRefinement:
+class TestBatchedRefinement:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
     @pytest.mark.parametrize("max_rounds", [200, 6])
-    def test_stack_matches_one_start_at_a_time(self, d, kind, max_rounds,
-                                               rng, monkeypatch):
+    def test_matches_one_scale_search(self, d, kind, max_rounds, rng,
+                                      monkeypatch):
+        """Four ring scales per call end where one scale per call ends, to
+        the bit, in 2-d and 3-d; random sets at scales 2^-400, 1, 2^400."""
         monkeypatch.setattr("jsrbound.geometry._MAX_ROUNDS", max_rounds)
-        prods = rng.normal(size=(4, d, d))
-        x0 = kind_normalize(rng.normal(size=(5, d)), kind)
-        x0[1] = x0[0]  # a start repeated in the stack
-        v0 = radius_profile(prods, x0, kind)
-        stacked = _CountingProfile(prods, kind)
-        xs, vs = refine_minimum(stacked, x0, v0, kind, 0.05, math.inf)
-        ref_x, ref_v, moves = one_scale_search(
-            _CountingProfile(prods, kind), x0, v0, kind, 0.05)
-        assert xs.tobytes() == ref_x.tobytes()
-        assert vs.tobytes() == ref_v.tobytes()
-        calls = []
-        for i in range(5):
-            alone = _CountingProfile(prods, kind)
-            x1, v1 = refine_minimum(alone, x0[i:i + 1], v0[i:i + 1], kind,
-                                    0.05, math.inf)
-            assert x1.tobytes() == xs[i:i + 1].tobytes()
-            assert v1.tobytes() == vs[i:i + 1].tobytes()
-            assert alone.sizes == _call_sizes(moves[i], d, 0.05)
-            calls.append(alone.sizes)
-        # one value_fn call per lockstep round, on the rings still running
-        assert stacked.sizes == [
-            sum(c[t] for c in calls if len(c) > t)
-            for t in range(max(map(len, calls)))]
-        rounds = [len(m) for m in moves]
+        rounds, calls = [], []
+        for k in (-400, 0, 400):
+            prods = rng.normal(size=(4, d, d)) * 2.0 ** k
+            x0 = kind_normalize(rng.normal(size=(4, d)), kind)
+            v0 = radius_profile(prods, x0, kind)
+            for i in range(4):
+                batched = _CountingProfile(prods, kind)
+                x, v = refine_minimum(batched, x0[i], v0[i], kind, 0.05)
+                ref_x, ref_v, moves = one_scale_search(
+                    _CountingProfile(prods, kind), x0[i], v0[i], kind, 0.05)
+                assert x.tobytes() == ref_x.tobytes()
+                assert np.float64(v).tobytes() == np.float64(ref_v).tobytes()
+                assert batched.sizes == _call_sizes(moves, d, 0.05)
+                rounds.append(len(moves))
+                calls.append(len(batched.sizes))
         if max_rounds == 200:
-            assert len(set(rounds)) > 1  # starts stop in different rounds
-            if d == 2:  # calls of several scales
-                assert sum(map(len, calls)) < sum(rounds)
+            assert sum(calls) < 0.75 * sum(rounds)  # calls of several scales
         else:
-            assert rounds == [max_rounds] * 5  # every start is cut off
-
-    def test_stopped_starts_cannot_win(self):
-        """With chi's lipschitz, starts that cannot end lowest stop early;
-        the first start of least value keeps the bits of the search that
-        runs every start to its end, and every stopped start ends strictly
-        above it.  216 random sets: d = 2 and 3, every kind, scales 2^-400,
-        1 and 2^400, 2-8 starts."""
-        rng = np.random.default_rng(20)
-        stopped = 0
-        for d, kind, k in itertools.product((2, 3), NormKind, (-400, 0, 400)):
-            for _ in range(12):
-                mset = random_set(rng, d, d).scaled(2.0 ** k)
-                prods = reach_products(mset, 1)
-                lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
-                x0 = kind_normalize(
-                    rng.normal(size=(int(rng.integers(2, 9)), d)), kind)
-                v0 = radius_profile(prods, x0, kind)
-
-                def value_fn(block):
-                    return radius_profile(prods, block, kind)
-
-                xs, vs = refine_minimum(value_fn, x0, v0, kind, 0.05,
-                                        lipschitz)
-                ref_x, ref_v = refine_minimum(value_fn, x0, v0, kind, 0.05,
-                                              math.inf)
-                win = int(np.argmin(ref_v))
-                assert int(np.argmin(vs)) == win
-                assert xs[win].tobytes() == ref_x[win].tobytes()
-                assert vs[win].tobytes() == ref_v[win].tobytes()
-                cut = (xs != ref_x).any(axis=1) | (vs != ref_v)
-                assert np.all(vs[cut] > vs[win])
-                assert np.all(vs[cut] >= ref_v[cut])
-                stopped += int(np.count_nonzero(cut))
-        assert stopped >= 100
+            assert rounds == [max_rounds] * 12  # every search is cut off
 
     def test_values_never_increase(self, rng):
         prods = rng.normal(size=(3, 3, 3))
         x0 = kind_normalize(rng.normal(size=(4, 3)), NormKind.L1)
         v0 = radius_profile(prods, x0, NormKind.L1)
-        xs, vs = refine_minimum(_CountingProfile(prods, NormKind.L1), x0, v0,
-                                NormKind.L1, 0.05, math.inf)
-        assert np.all(vs <= v0)
-        np.testing.assert_array_equal(radius_profile(prods, xs, NormKind.L1),
-                                      vs)
-        np.testing.assert_allclose(vector_norms(xs, NormKind.L1), 1.0,
-                                   atol=1e-12)
+        for start, value in zip(x0, v0):
+            x, v = refine_minimum(_CountingProfile(prods, NormKind.L1), start,
+                                  value, NormKind.L1, 0.05)
+            assert v <= value
+            assert radius_profile(prods, x[None], NormKind.L1)[0] == v
+            assert vector_norms(x, NormKind.L1) == pytest.approx(1.0,
+                                                                 abs=1e-12)
