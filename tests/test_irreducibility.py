@@ -20,6 +20,7 @@ from jsrbound import (
 from jsrbound.core import operator_norms
 from jsrbound.geometry import (
     _block_rows,
+    _net_levels,
     dual_kind,
     radius_profile,
     vector_norms,
@@ -434,6 +435,77 @@ class TestPrunedNet:
             assert est.lipschitz == np.inf
             assert est.samples > _block_rows(3, 2)
             assert self._skipped(net_profiles, big, 1, kind, 0.001) == 0
+
+
+# Nets of every kind in 1-, 2- and 3-d: the 2-d and 3-d l2 nets are walked
+# level by level, the others are one level.
+_WALKED_NETS = [(1, NormKind.L2, 0.1), (2, NormKind.L2, 0.001),
+                (2, NormKind.L1, 0.001), (2, NormKind.LINF, 0.001),
+                (3, NormKind.L2, 0.025), (3, NormKind.L1, 0.1),
+                (3, NormKind.LINF, 0.1)]
+
+
+class TestWalk:
+    """_net_profile on its own: one pass over the net levels."""
+
+    @staticmethod
+    def _walk(d, kind, mesh, seed):
+        """A random pair's p = d - 1 reach products, the net and the walk's
+        values on it."""
+        rng = np.random.default_rng([21, d, len(kind.value), seed])
+        prods = reach_products(random_set(rng, d, 2), d - 1)
+        lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
+        xs = sphere_net(d, kind, mesh)
+        vals = irreducibility_module._net_profile(prods, xs, kind, mesh,
+                                                  lipschitz)
+        return prods, xs, vals
+
+    @pytest.mark.parametrize("d, kind, mesh", _WALKED_NETS)
+    def test_skipped_points_lie_above_the_minimum(self, d, kind, mesh):
+        """Every value the walk returns is radius_profile's to the bit, and
+        every point it skips is strictly above the full sweep's minimum.
+        Nets of several levels skip some points, one-level nets none."""
+        for seed in range(3):
+            prods, xs, vals = self._walk(d, kind, mesh, seed)
+            full = radius_profile(prods, xs, kind)
+            seen = np.isfinite(vals)
+            levels = bool(_net_levels(d, kind, mesh, xs.shape[0])[1])
+            assert np.any(~seen) == levels
+            assert vals[seen].tobytes() == full[seen].tobytes()
+            assert np.all(full[~seen] > np.min(full))
+            assert np.argmin(vals) == np.argmin(full)
+
+    @pytest.mark.parametrize("d, kind, mesh", _WALKED_NETS)
+    def test_each_point_is_evaluated_once(self, d, kind, mesh, monkeypatch):
+        """No net point reaches radius_profile twice, and each one that
+        does has a finite value: the walk is a single pass."""
+        rows = []
+        profile = irreducibility_module.radius_profile
+
+        def recorded(prods, xs, kind):
+            rows.extend(x.tobytes() for x in xs)
+            return profile(prods, xs, kind)
+
+        monkeypatch.setattr(irreducibility_module, "radius_profile", recorded)
+        _, xs, vals = self._walk(d, kind, mesh, 0)
+        assert len(rows) == len(set(rows))
+        seen = {x.tobytes() for x in xs[np.isfinite(vals)]}
+        assert set(rows) <= seen
+
+    @pytest.mark.parametrize("d, kind, mesh", _WALKED_NETS)
+    def test_flat_profile_evaluates_every_point(self, d, kind, mesh,
+                                                monkeypatch):
+        """A zero radius everywhere and a zero Lipschitz constant: every
+        bound equals the best value, and a point whose bound equals it is
+        evaluated, so the first point of least value is point 0.  The
+        walk is forced on nets that one block would hold."""
+        monkeypatch.setattr(irreducibility_module, "_block_rows",
+                            lambda m, d: 1)
+        xs = sphere_net(d, kind, mesh)
+        vals = irreducibility_module._net_profile(np.zeros((1, d, d)), xs,
+                                                  kind, mesh, 0.0)
+        assert np.all(vals == 0.0)
+        assert np.argmin(vals) == 0
 
 
 class TestNetWork:
