@@ -28,44 +28,31 @@ of base points are float-sized: a block holds as many points as keep
 points x candidates within _BLOCK_FLOATS, where C = 2 C(m,2) in 2-d and
 4 C(m,3) in 3-d.
 
-The sweep is screened so that only candidates that can reach a row's
-minimum get the full m-point support loop (``_support_minimum``).  A
-pilot pass takes every candidate's support over a few pilot points of its
-row, in 2-d the points of largest |u . p| for six fixed directions u
-(vertices of the hull); divided by the dual norm, that bounds the
-candidate's ratio from below.  The candidate with the lowest bound gets
-its exact ratio U, and the full loop runs only on the usable candidates
-whose bound is below U, with the same dot products in the same order and
-the same division.  The minimum is the unscreened sweep's float to the
-bit: the maximum over a subset of the same computed dot products is at
-most the maximum over all of them, and dividing by the same dual norm
-rounds monotonically, so a skipped candidate's computed ratio is at least
-its bound, which is at least U, and U is a computed ratio of the sweep.
-When the pilot would hold all m points (m <= 6) the pilot pass is the
-whole sweep and the other two are skipped.
-
-In 3-d, from m = _PRUNE_MIN_POINTS points on, each row is first pruned
-to a superset of its hull vertices (``_kept_points``), and the sweep runs
-on the kept points alone, unscreened.  Only a few points are vertices
-(6.5 of 13 on average over the icosphere for the 3-member set of the
-benchmark's chi workload), and 4 C(k,3) normals of k kept points replace
-4 C(m,3).  The pilot is six distinct points of largest |u . p| over
-fixed directions u, which lie on the hull boundary; a point strictly
-inside the pilot's hull by a relative margin, tested against every
-usable candidate normal of the pilot (among which are all the facet
-normals of its hull), is dropped, and rows with a flat or thin pilot keep
-every point.  In reals the support of a polytope is attained at a vertex,
-so each kept candidate has the same support over the kept points as over
+From _PRUNE_MIN_POINTS[d] points on, in 2-d and 3-d alike, each row is
+first pruned to a superset of its hull vertices (``_kept_points``), and
+the sweep runs on the kept points alone.  Only a few points are vertices
+(3.1 of 40 on average over the circle nets for the 2-d set of the
+benchmark's chi workload, 6.5 of 13 over the icosphere for its 3-d set),
+and the 2 C(k,2) or 4 C(k,3) normals of k kept points replace those of
+all m.  The pilot is the first six distinct points of largest |u . p|
+over fixed directions u, which lie on the hull boundary; a point strictly
+inside the pilot's hull by a relative margin, tested against every usable
+candidate normal of the pilot (among which are all the facet normals of
+its hull), is dropped, and rows with a flat or thin pilot keep every
+point.  In reals the support of a polytope is attained at a vertex, so
+each kept candidate has the same support over the kept points as over
 all, and a candidate through a dropped point, no longer formed, bounds
 the radius from above like every other: the facet normals, spanned by
 vertices, are still there.  In floats the kept candidates get the full
 sweep's ratios to the bit, and the result can differ from the full
 sweep's only by a tie, by at most 2^-32 times the row's largest
-|coordinate| (the argument is in ``_kept_points``).  The kept indices
-stay in ascending order, so each triple's normals are the full sweep's,
-and rows are grouped by their kept count over the whole call, so each
-group is swept at one k.  Below _PRUNE_MIN_POINTS the pilot costs more
-than it saves, and the full sweep runs.
+|coordinate| (the argument is in ``_kept_points``: in 3-d it assumes
+that no facet of the pilot's hull is too thin, in 2-d it needs no
+assumption).  The kept indices stay in ascending order, so each pair's
+or triple's normals are the full sweep's, and the rows of a block are
+grouped by their kept count, so each group is swept at one k.  Below
+_PRUNE_MIN_POINTS[d] the pilot costs more than it saves, and the full
+sweep runs.
 """
 
 from __future__ import annotations
@@ -142,17 +129,16 @@ _EDGE_SIGNS = np.array([-1.0, 1.0])[:, None]
 _PHI = (1.0 + 5.0 ** 0.5) / 2.0
 
 # Directions u whose |u . p| maximizers are the pilot points of a row, by
-# dimension.  2-d: six, 30 degrees apart; they screen the candidate sweep
-# (``_support_minimum``).  3-d: the 6 icosahedron axes, then the 10
-# dodecahedron axes (the icosahedron's face normals); the first
-# _PILOT_POINTS distinct maximizers in this order form the pilot, whose
-# hull prunes the row's points before any normal is formed
-# (``_kept_points``).  The 6 axes alone gave 4-5 distinct points on most
-# rows and only 2, a flat pilot that prunes nothing, on 34 of the 642
-# icosphere points for the 3-member set of the benchmark's chi workload
-# (m = 13); taken this way the pilot kept 6.7 points a row against 6.5
-# hull vertices (Qhull).  The 3-d sweep of the kept points is not
-# screened: a pilot on its support loop alone measured slower.
+# dimension; the first _PILOT_POINTS distinct maximizers in this order
+# form the pilot, whose hull prunes the row's points before any normal is
+# formed (``_kept_points``).  2-d: six, 30 degrees apart, which give 2-4
+# distinct points a row on the 2-d set of the benchmark's chi workload.
+# 3-d: the 6 icosahedron axes, then the 10 dodecahedron axes (the
+# icosahedron's face normals).  The 6 axes alone gave 4-5 distinct points
+# on most rows and only 2, a flat pilot that prunes nothing, on 34 of the
+# 642 icosphere points for the 3-member set of the benchmark's chi
+# workload (m = 13); taken this way the pilot kept 6.7 points a row
+# against 6.5 hull vertices (Qhull).
 _PILOT_DIRECTIONS = {
     2: np.array([[np.cos(k * np.pi / 6.0), np.sin(k * np.pi / 6.0)]
                  for k in range(6)]),
@@ -166,12 +152,19 @@ _PILOT_DIRECTIONS = {
 }
 _PILOT_POINTS = 6
 
-# 3-d rows are pruned when they have at least this many points (m, the
-# reach products); fewer are swept whole.  On the chi workload's m = 13
-# set pruning took 24 against 95 ms on the 642-point icosphere and 4.6
-# against 9.0 ms on 64 points (but 2.6 against 1.3 ms on 8); on 7 of its
-# products it was 1.4-5 times slower, and on 10 it broke even at 64.
-_PRUNE_MIN_POINTS = 10
+# Rows are pruned when they have at least this many points (m, the reach
+# products), by dimension; fewer are swept whole.  2-d, on the first m
+# reach products of the chi workload's 2-d set (one BLAS thread, medians):
+# pruning took 0.43 against 0.29 ms on 8 rows (one refinement call) at
+# m = 16 and 0.40 against 0.51 ms at m = 20; it broke even on 120 rows at
+# m = 13 and on the 1,257-point circle at m = 10.  A chi net walk with its
+# descent at meshes 0.02 and 0.005 was faster pruned on 4 of 4 sets at
+# m = 18, on 2 of 4 at m = 17 and on 1 of 4 at m = 16.  3-d, on the chi
+# workload's m = 13 set pruning took 24 against 95 ms on the 642-point
+# icosphere and 4.6 against 9.0 ms on 64 points (but 2.6 against 1.3 ms on
+# 8); on 7 of its products it was 1.4-5 times slower, and on 10 it broke
+# even at 64.
+_PRUNE_MIN_POINTS = {2: 18, 3: 10}
 
 # Relative margin mu of the drop test, and the least pilot inradius, as a
 # multiple of the row's largest |coordinate|, at which a row is pruned.
@@ -187,12 +180,9 @@ def _index_tuples(m: int, k: int) -> tuple[np.ndarray, ...]:
 
 
 def _candidate_count(m: int, d: int) -> int:
-    """Candidate normals per base point: 2 C(m,2) in 2-d, 4 C(m,3) in 3-d."""
-    if d == 1:
-        return m
-    if d == 2:
-        return 2 * comb(m, 2)
-    return 4 * comb(m, 3)
+    """Candidate normals per base point: 2^(d-1) C(m,d), so 2 C(m,2) in
+    2-d and 4 C(m,3) in 3-d (m points in 1-d)."""
+    return 2 ** (d - 1) * comb(m, d)
 
 
 def _block_rows(m: int, d: int) -> int:
@@ -212,23 +202,21 @@ def _planes(prods: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _radius_values_2d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Candidates: perpendiculars (e_y, -e_x) of the edges p_j -+ p_i.
+def _normals_2d(planes: np.ndarray) -> np.ndarray:
+    """Candidate normals (2, s, 2 C(k,2)) of the points in planes (2, s, k):
+    the perpendiculars (e_y, -e_x) of the edges e = p_j -+ p_i, i < j.
 
-    The pattern -p_j -+ p_i repeats these up to a global sign, and
-    antipodal pairs (an edge between p and -p) would put the origin on the
-    hull boundary, which only happens in flat cases already handled by the
-    zero-offset path.
+    The pattern -p_j -+ p_i repeats these up to a global sign, and an edge
+    between p and -p passes through the origin, which a facet does only
+    on a flat hull.  Each coordinate is one rounded sum.
     """
-    _, s, m = planes.shape
-    if m < 2:
-        return np.zeros(s)
-    i, j = _index_tuples(m, 2)
+    _, s, _ = planes.shape
+    i, j = _index_tuples(planes.shape[2], 2)
     edges = planes[:, :, None, j] + _EDGE_SIGNS * planes[:, :, None, i]
     normals = np.empty_like(edges)
     normals[0] = edges[1]
     np.negative(edges[0], out=normals[1])
-    return _support_minimum(planes, normals.reshape(2, s, -1), kind, degree=1)
+    return normals.reshape(2, s, -1)
 
 
 def _normals_3d(planes: np.ndarray) -> np.ndarray:
@@ -251,35 +239,35 @@ def _normals_3d(planes: np.ndarray) -> np.ndarray:
     return normals.reshape(3, s, -1)
 
 
-def _radius_values_3d(planes: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Candidates: the normals of ``_normals_3d``."""
-    _, s, m = planes.shape
-    if m < 3:
-        return np.zeros(s)
-    return _support_minimum(planes, _normals_3d(planes), kind, degree=2)
+def _normals(planes: np.ndarray) -> np.ndarray:
+    """``_normals_2d`` or ``_normals_3d``, by the dimension of the planes."""
+    return _normals_2d(planes) if planes.shape[0] == 2 else _normals_3d(planes)
 
 
-def _abs_dots(normals: np.ndarray, points: np.ndarray):
-    """|u . p| for every normal u (d, s, C) of a row and each of the row's
-    points p (d, s, k) in turn: k arrays (s, C), the coordinates summed in
-    the order of _SUM_ORDER.  One buffer is reused: read each array before
-    the next."""
+def _abs_dots(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """|u . p| for each of a row's points p (d, s, k) and every normal u
+    (d, s, C) of the row: (s, k, C), the coordinates summed in the order
+    of _SUM_ORDER."""
     first, *rest = _SUM_ORDER[points.shape[0]]
-    dot = np.empty_like(normals[0])
-    term = np.empty_like(dot)
+    dots = points[first, :, :, None] * normals[first, :, None, :]
+    for a in rest:
+        dots += points[a, :, :, None] * normals[a, :, None, :]
+    return np.abs(dots, out=dots)
+
+
+def _supports(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """max over each row's points of |u . p|, for every normal u: (s, C).
+    The dots of one point are taken at a time, in one reused buffer."""
+    first, *rest = _SUM_ORDER[points.shape[0]]
+    support = np.zeros_like(normals[0])
+    dot = np.empty_like(support)
+    term = np.empty_like(support)
     for i in range(points.shape[2]):
         np.multiply(normals[first], points[first, :, i, None], out=dot)
         for a in rest:
             np.multiply(normals[a], points[a, :, i, None], out=term)
             dot += term
-        yield np.abs(dot, out=dot)
-
-
-def _supports(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """max over each row's points of |u . p|, for every normal u: (s, C)."""
-    support = np.zeros_like(normals[0])
-    for dot in _abs_dots(normals, points):
-        np.maximum(support, dot, out=support)
+        np.maximum(support, np.abs(dot, out=dot), out=support)
     return support
 
 
@@ -300,79 +288,39 @@ def _plane_norms(vectors: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.sqrt(out, out=out) if kind is NormKind.L2 else out
 
 
-def _pilot_planes(planes: np.ndarray) -> np.ndarray:
-    """Coordinate planes (2, s, 6) of each 2-d row's pilot points: the
-    point of largest |u . p| for each of _PILOT_DIRECTIONS[2], a vertex of
-    the row's hull.  ``planes`` itself in 3-d, whose sweep is not
-    screened, and when the pilot would hold all m points."""
-    dirs = _PILOT_DIRECTIONS[2]
-    if planes.shape[0] != 2 or dirs.shape[0] >= planes.shape[2]:
-        return planes
-    reach = np.abs(np.tensordot(dirs, planes, axes=(1, 0)))
-    picks = np.argmax(reach, axis=2).T
-    return np.take_along_axis(planes, picks[None], axis=2)
-
-
-def _pair_ratios(planes: np.ndarray, normals: np.ndarray, duals: np.ndarray,
-                 usable: np.ndarray, rows: np.ndarray, cols: np.ndarray
-                 ) -> np.ndarray:
-    """Support ratios of the (row, candidate) pairs ``rows, cols`` over all
-    m points: the dot products of the sweep in its coordinate order and
-    its division, inf where the normal is not usable.  Pairs are taken in
-    chunks of at most _BLOCK_FLOATS (pair, point) dot products."""
-    first, *rest = _SUM_ORDER[planes.shape[0]]
-    support = np.empty(rows.size)
-    step = max(1, _BLOCK_FLOATS // planes.shape[2])
-    for lo in range(0, rows.size, step):
-        r, c = rows[lo:lo + step], cols[lo:lo + step]
-        dot = normals[first, r, c][:, None] * planes[first, r]
-        for a in rest:
-            dot += normals[a, r, c][:, None] * planes[a, r]
-        support[lo:lo + step] = np.max(np.abs(dot), axis=1)
-    out = np.full(rows.size, np.inf)
-    np.divide(support, duals[rows, cols], out=out, where=usable[rows, cols])
-    return out
-
-
-def _support_minimum(planes: np.ndarray, normals: np.ndarray,
-                     kind: NormKind, degree: int) -> np.ndarray:
-    """min over candidate normals of max_i |u . p_i| / dual_norm(u).
-
-    Screened in three passes (see the module docstring): the ratios over
-    each row's pilot points bound every candidate's ratio from below; the
-    candidate with the lowest bound gets its exact ratio U; only the
-    candidates whose bound is below U get theirs.  With no pilot (all m
-    points, or 3-d) the first pass is the whole sweep.
-    """
-    scale = np.max(np.abs(planes), axis=(0, 2))
-    # Normals are degree-1 (2-d) or degree-2 (3-d) in the point entries.
-    floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** degree
-    pilot = _pilot_planes(planes)
-    support = _supports(normals, pilot)
+def _ratios(normals: np.ndarray, points: np.ndarray, scale: np.ndarray,
+            kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """The supports h(u) of the normals u (d, s, C) over the points (d, s,
+    k), and the ratios h(u) / dual_norm(u): inf where the dual norm is at
+    most _DEGENERATE_REL s^(d-1), s = ``scale`` the row's largest
+    |coordinate| (a normal is degree d - 1 in the point entries)."""
+    support = _supports(normals, points)
     duals = _plane_norms(normals, dual_kind(kind))
-    usable = duals > floor[:, None]
+    floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** (points.shape[0] - 1)
     ratios = np.full_like(support, np.inf)
-    np.divide(support, duals, out=ratios, where=usable)
-    if pilot is not planes:
-        every = np.arange(ratios.shape[0])
-        best = np.argmin(ratios, axis=1)
-        cap = _pair_ratios(planes, normals, duals, usable, every, best)
-        rows, cols = np.nonzero(usable & (ratios < cap[:, None]))
-        ratios[every, best] = cap
-        ratios[rows, cols] = _pair_ratios(planes, normals, duals, usable,
-                                          rows, cols)
-    out = np.min(ratios, axis=1)
+    np.divide(support, duals, out=ratios, where=duals > floor[:, None])
+    return support, ratios
+
+
+def _radius_values(planes: np.ndarray, kind: NormKind) -> np.ndarray:
+    """The candidate sweep on the points in planes (d, s, m), d in {2, 3}:
+    the least ratio over the normals of ``_normals``, 0 where none is
+    usable (and where m < d, which forms none)."""
+    scale = np.max(np.abs(planes), axis=(0, 2), initial=0.0)
+    ratios = _ratios(_normals(planes), planes, scale, kind)[1]
+    out = np.min(ratios, axis=1, initial=np.inf)
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def _pilot_3d(planes: np.ndarray) -> np.ndarray:
-    """Indices (s, _PILOT_POINTS) of each row's 3-d pilot points: the
-    first _PILOT_POINTS distinct points of largest |u . p| for u along
-    _PILOT_DIRECTIONS[3] in order, repeats of one point when the row has
+def _pilot(planes: np.ndarray) -> np.ndarray:
+    """Indices (s, _PILOT_POINTS) of each row's pilot points: the first
+    _PILOT_POINTS distinct points of largest |u . p| for u along
+    _PILOT_DIRECTIONS[d] in order, repeats of one point when the row has
     fewer."""
-    dirs = _PILOT_DIRECTIONS[3]
-    picks = np.argmax(np.abs(np.tensordot(dirs, planes, axes=(1, 0))),
-                      axis=2).T
+    d, s, m = planes.shape
+    dirs = _PILOT_DIRECTIONS[d]
+    reach = np.abs(dirs @ planes.reshape(d, -1)).reshape(-1, s, m)
+    picks = np.argmax(reach, axis=2).T
     # A pick equal to an earlier one moves behind the distinct picks.
     repeat = np.any((picks[:, :, None] == picks[:, None, :])
                     & np.tri(dirs.shape[0], k=-1, dtype=bool), axis=2)
@@ -381,108 +329,123 @@ def _pilot_3d(planes: np.ndarray) -> np.ndarray:
 
 
 def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
-    """(s, m) mask of the 3-d points each row keeps: a superset of the
-    vertices of its hull.
+    """(s, m) mask of the points each row keeps, d in {2, 3}: a superset
+    of the vertices of its hull.
 
-    The pilot P is ``_pilot_3d``; u runs over the usable candidate
-    normals of P (``_normals_3d``, with the sweep's floor) and h(u) is
-    their support over P.  A row whose pilot has a usable u and inradius
+    The pilot P is ``_pilot``; u runs over the usable candidate normals of
+    P (``_normals``, with the sweep's floor) and h(u) is their support
+    over P.  A row whose pilot has a usable u and inradius
     r_P = min h(u) / dual(u) > _PRUNE_INRADIUS s, s the row's largest
     |coordinate|, drops the points q with |u . q| < (1 - mu) h(u) for
     every usable u, mu = _PRUNE_MARGIN; every other row keeps all its
     points.  A flat pilot has a usable u with h(u) = 0, so r_P = 0.  The
     pilot points are kept without retaking the dots that h(u) has just
     taken: they lie on the hull boundary, where the test keeps them (the
-    argument below).
+    argument below).  The other points are tested in one broadcast per
+    chunk of them, within _BLOCK_FLOATS dots.
 
     Why the kept candidates get the full sweep's ratios to the bit.  Let
-    eps = 2^-53, R <= sqrt(3) s the largest |p| and r2 >= r_P / sqrt(3)
+    eps = 2^-53, R <= sqrt(d) s the largest |p| and r2 >= r_P / sqrt(d)
     the pilot hull's l2 inradius.  A computed dot |w . p| is within
     3.01 eps |w| R of the exact one.  Suppose every facet of conv(±P) has
-    a usable u within relative error rho of its exact normal n (a vertex
-    triangle with smallest angle theta gives rho <= 8 eps / sin theta);
-    this is assumed, not checked, and rho <= 2^-36 below holds when each
-    facet has a vertex triangle with no angle under 2^-14 radians.
-    From |u . q| <= (1 - mu) h(u) + 6.1 eps |u| R, h(u) <= h(n) + rho |n| R
-    and h(n) >= r2 |n|, a dropped q has gauge g <= (1 - mu + (rho + 6.1
-    eps) R / r2) / (1 - rho R / r2) in conv(±P), and g <= 1 - mu/2 once
-    (2 rho + 6.1 eps) R / r2 <= mu / 2, which r_P > 2^-12 s and
-    mu = 2^-20 give for rho <= 2^-36.  So each dropped q lies in
-    (1 - mu/2) conv(±P): no vertex, and the pilot points, on the hull
-    boundary, are kept.  For a kept candidate w, |w . q| <= (1 - mu/2)
-    h_K(w), h_K its support over the kept points, and mu/2 h_K(w) >=
-    mu/2 r2 |w| exceeds the rounding of both dots, so the computed
-    |w . q| stays below the computed maximum over the kept points: the
-    support, and so the ratio, is the full sweep's float.  The dual norms
-    are the same, and so is the floor, since s is attained at a kept
-    point (the support along a coordinate axis).
+    a usable u within relative error rho of its exact normal n (in 3-d a
+    vertex triangle with smallest angle theta gives rho <= 8 eps /
+    sin theta); in 3-d this is assumed, not checked, and rho <= 2^-36
+    below holds when each facet has a vertex triangle with no angle under
+    2^-14 radians.  From |u . q| <= (1 - mu) h(u) + 6.1 eps |u| R,
+    h(u) <= h(n) + rho |n| R and h(n) >= r2 |n|, a dropped q has gauge
+    g <= (1 - mu + (rho + 6.1 eps) R / r2) / (1 - rho R / r2) in
+    conv(±P), and g <= 1 - mu/2 once (2 rho + 6.1 eps) R / r2 <= mu / 2,
+    which r_P > 2^-12 s and mu = 2^-20 give for rho <= 2^-36.  So each
+    dropped q lies in (1 - mu/2) conv(±P): no vertex, and the pilot
+    points, on the hull boundary, are kept.  For a kept candidate w,
+    |w . q| <= (1 - mu/2) h_K(w), h_K its support over the kept points,
+    and mu/2 h_K(w) >= mu/2 r2 |w| exceeds the rounding of both dots, so
+    the computed |w . q| stays below the computed maximum over the kept
+    points: the support, and so the ratio, is the full sweep's float.
+    The dual norms are the same, and so is the floor, since s is attained
+    at a kept point (the support along a coordinate axis).
+
+    In 2-d nothing is assumed.  A normal there is an edge turned by a
+    right angle, each coordinate one rounded sum, so rho <= eps whatever
+    the angles.  An edge of conv(±P) has no usable u only when its ends
+    lie within 1.5e-13 s (the floor 1e-13 s on dual(u)); drop one end pair
+    ±p of such an edge, and repeat.  At most four pairs go, each within
+    1.5e-13 s of a point that stays, so the hull conv(±P') left, whose
+    edges all have usable u, is within delta = 6e-13 s of conv(±P).  The
+    argument runs on P', with h(n) over P at most delta |n| above h(n)
+    over P' and r2 >= r_P / sqrt(2) - delta: the slack grows by
+    delta / r2 < 2^-28 and stays under 2^-27 < mu / 2, so a dropped q lies
+    in (1 - mu/2) conv(±P'), inside (1 - mu/2) conv(±P).
 
     The bound where bits can differ.  The full sweep also forms the
     candidates through dropped points.  Each of those bounds the radius r
-    from above in reals, but one whose exact ratio ties r (a plane through
-    an interior point parallel to the facet the inscribed ball touches)
-    can round below every kept candidate.  Every computed ratio is at
-    least r - 20 eps s, and the kept touching-facet triple's at most
+    from above in reals, but one whose exact ratio ties r (a line or plane
+    through an interior point parallel to the facet the inscribed ball
+    touches) can round below every kept candidate.  Every computed ratio
+    is at least r - 20 eps s, and the kept touching facet's at most
     r + (8 rho_F + 20 eps) s, rho_F its normal's relative error, so the
     pruned value is at least the full sweep's and exceeds it by at most
     (8 rho_F + 40 eps) s <= 2^-32 s for rho_F <= 2^-36: at most 2^-20 of
     the value, which is at least about r_P > 2^-12 s, and far inside
     chi's rounding margin 2^-20 lipschitz (``_net_profile``), since
-    lipschitz >= 2 s.
+    lipschitz >= 2 s.  In 2-d rho_F = eps when the touching edge has a
+    usable normal.  When it has none, the hull reaches an edge with a
+    usable normal past j edges of under 1.5e-13 s; both ends of that edge
+    are vertices, so kept, and its exact ratio is at most
+    r + 2.2e-13 j s, which keeps the bound for j < 1000.
     """
-    picks = _pilot_3d(planes)
-    pilot = np.take_along_axis(planes, picks[None], axis=2)
-    normals = _normals_3d(pilot)
+    s, m = planes.shape[1:]
+    every = np.arange(s)[:, None]
+    picks = _pilot(planes)
+    pilot = planes[:, every, picks]
+    normals = _normals(pilot)
     scale = np.max(np.abs(planes), axis=(0, 2))
-    duals = _plane_norms(normals, dual_kind(kind))
-    floor = _DEGENERATE_REL * np.maximum(scale, 1e-300) ** 2
-    usable = duals > floor[:, None]
-    hull = _supports(normals, pilot)
-    ratios = np.full_like(hull, np.inf)
-    np.divide(hull, duals, out=ratios, where=usable)
+    hull, ratios = _ratios(normals, pilot, scale, kind)
     inradius = np.min(ratios, axis=1)
     pruned = np.isfinite(inradius) & (inradius > _PRUNE_INRADIUS * scale)
-    cut = np.where(usable, (1.0 - _PRUNE_MARGIN) * hull, np.inf)
-    every = np.arange(planes.shape[1])[:, None]
-    keep = np.zeros(planes.shape[1:], dtype=bool)
+    cut = np.where(np.isfinite(ratios), (1.0 - _PRUNE_MARGIN) * hull,
+                   np.inf)[:, None, :]
+    keep = np.zeros((s, m), dtype=bool)
     keep[every, picks] = True
     # Each row's other points first; a row with fewer than _PILOT_POINTS
     # distinct pilot points has more of them, and the others retest a
     # pilot point, which stays kept.
     others = np.argsort(keep, axis=1, kind="stable")
-    others = others[:, :planes.shape[2] - np.min(np.sum(keep, axis=1))]
-    rest = np.take_along_axis(planes, others[None], axis=2)
-    for i, dot in enumerate(_abs_dots(normals, rest)):
-        keep[every[:, 0], others[:, i]] |= np.any(dot >= cut, axis=1)
+    others = others[:, :m - np.min(np.sum(keep, axis=1))]
+    rest = planes[:, every, others]
+    step = max(1, _BLOCK_FLOATS // hull.size)
+    for lo in range(0, others.shape[1], step):
+        dots = _abs_dots(normals, rest[:, :, lo:lo + step])
+        keep[every, others[:, lo:lo + step]] |= np.any(dots >= cut, axis=2)
     keep[~pruned] = True
     return keep
 
 
 def _pruned_radii(prods: np.ndarray, xs: np.ndarray,
                   kind: NormKind) -> np.ndarray:
-    """3-d radii of the rows of xs from the points ``_kept_points`` keeps.
+    """Radii of the rows of xs from the points ``_kept_points`` keeps.
 
-    Rows are grouped by their kept count k over the whole call, and each
-    group is swept in blocks of _block_rows(k, 3) rows on its kept points
-    in ascending order, so that each triple has the normals of the full
-    sweep.
+    Rows are pruned in blocks of _block_rows(_PILOT_POINTS, d), and the
+    rows of a block that keep k points are swept together, in blocks of
+    _block_rows(k, d), on their kept points in ascending order, so that
+    each pair or triple has the normals of the full sweep.
     """
-    s = xs.shape[0]
-    keep = np.empty((s, prods.shape[0]), dtype=bool)
-    step = _block_rows(_PILOT_POINTS, 3)
-    for lo in range(0, s, step):
-        keep[lo:lo + step] = _kept_points(_planes(prods, xs[lo:lo + step]),
-                                          kind)
-    counts = np.count_nonzero(keep, axis=1)
+    s, d = xs.shape
     out = np.empty(s)
-    for k in np.unique(counts):
-        group = np.flatnonzero(counts == k)
-        step = _block_rows(int(k), 3)
-        for lo in range(0, group.size, step):
-            rows = group[lo:lo + step]
-            cols = np.nonzero(keep[rows])[1].reshape(1, rows.size, k)
-            planes = np.take_along_axis(_planes(prods, xs[rows]), cols, axis=2)
-            out[rows] = _radius_values_3d(planes, kind)
+    step = _block_rows(_PILOT_POINTS, d)
+    for lo in range(0, s, step):
+        planes = _planes(prods, xs[lo:lo + step])
+        keep = _kept_points(planes, kind)
+        counts = np.count_nonzero(keep, axis=1)
+        for k in np.unique(counts):
+            group = np.flatnonzero(counts == k)
+            cols = np.nonzero(keep[group])[1].reshape(group.size, k)
+            rows = _block_rows(int(k), d)
+            for at in range(0, group.size, rows):
+                part = group[at:at + rows]
+                out[lo + part] = _radius_values(
+                    planes[:, part[:, None], cols[at:at + rows]], kind)
     return out
 
 
@@ -495,12 +458,11 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
     Each value depends on its own row only: blocks of rows are sized so
     that points x candidates stay within _BLOCK_FLOATS, and splitting the
     rows differently gives the same bits, and products 2^k G give exactly
-    2^k times the values for G.  In 2-d the candidate sweep is screened
-    by pilot points (see the module docstring); the values are those of
-    the unscreened sweep to the bit.  In 3-d with at least
-    _PRUNE_MIN_POINTS products each row is swept on the points that
-    ``_kept_points`` keeps, with the full sweep's values but for ties
-    (at most 2^-32 times the row's largest |coordinate| above them).
+    2^k times the values for G.  In 2-d and 3-d, with at least
+    _PRUNE_MIN_POINTS[d] products, each row is swept on the points that
+    ``_kept_points`` keeps (see the module docstring), with the full
+    sweep's values but for ties (at most 2^-32 times the row's largest
+    |coordinate| above them).
     """
     prods = np.asarray(products, dtype=float)
     pts_all = np.asarray(xs, dtype=float)
@@ -513,18 +475,14 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
         raise UnsupportedDimensionError(
             f"exact radius profiles are available for d in {{1, 2, 3}}, got d={d}"
         )
-    if d == 3 and m >= _PRUNE_MIN_POINTS:
+    if d > 1 and m >= _PRUNE_MIN_POINTS[d]:
         return np.ldexp(_pruned_radii(prods, pts_all, kind), e)
     rows = _block_rows(m, d)
     out = np.empty(pts_all.shape[0])
     for lo in range(0, pts_all.shape[0], rows):
         planes = _planes(prods, pts_all[lo:lo + rows])
-        if d == 1:
-            out[lo:lo + rows] = np.max(np.abs(planes[0]), axis=1)
-        elif d == 2:
-            out[lo:lo + rows] = _radius_values_2d(planes, kind)
-        else:
-            out[lo:lo + rows] = _radius_values_3d(planes, kind)
+        out[lo:lo + rows] = (np.max(np.abs(planes[0]), axis=1) if d == 1
+                             else _radius_values(planes, kind))
     return np.ldexp(out, e)
 
 

@@ -30,7 +30,7 @@ from jsrbound.geometry import (
     vector_norms,
 )
 
-from .conftest import one_scale_search, random_set
+from .conftest import one_scale_search
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -236,8 +236,9 @@ def _rotation(angle: float) -> np.ndarray:
 
 
 class TestScreenedSweep:
-    """The screened 2-d sweep gives the full sweep's bits where its pilot
-    leaves points out (m from 12 to 40), in every block layout."""
+    """The 2-d sweep, screened by the prune of each row to its possible
+    hull vertices from _PRUNE_MIN_POINTS[2] products on, gives the full
+    sweep's bits on these sets (m from 3 to 60), in every block layout."""
 
     @staticmethod
     def _match(prods, xs, kind):
@@ -250,7 +251,7 @@ class TestScreenedSweep:
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_random_sets(self, kind, rng, blocks):
         for _ in range(100):
-            m = int(rng.integers(12, 41))
+            m = int(rng.integers(3, 61))
             prods = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
             self._match(prods, kind_normalize(rng.normal(size=(6, 2)), kind),
                         kind)
@@ -268,8 +269,23 @@ class TestScreenedSweep:
             assert np.all(self._match(prods, xs, kind) > 0.0)
 
     @pytest.mark.parametrize("kind", list(NormKind))
+    def test_collinear_points(self, kind, rng, blocks):
+        """Products A + t B put each row's points on one line, off the
+        origin: the edges along it tie, and the points between its ends
+        lie on the hull boundary."""
+        xs = kind_normalize(rng.normal(size=(6, 2)), kind)
+        a, b = rng.uniform(-1.0, 1.0, size=(2, 2, 2))
+        for m in (3, 12, 40, 60):
+            t = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, m - 2)])
+            line = a + t[:, None, None] * b
+            assert np.all(self._match(line, xs, kind) > 0.0)
+            # Quarter steps: repeated points and exact midpoints.
+            self._match(a + np.round(4.0 * t)[:, None, None] / 4.0 * b, xs,
+                        kind)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
     def test_repeated_zero_and_rank_one_products(self, kind, rng, blocks):
-        for m in (12, 25, 40):
+        for m in (10, 12, 25, 40, 60):
             prods = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
             prods[1] = prods[0]
             prods[5:8] = prods[2]
@@ -297,34 +313,12 @@ class TestScreenedSweep:
     @pytest.mark.parametrize("kind", list(NormKind))
     @pytest.mark.parametrize("k", [-400, 400])
     def test_power_of_two_scales(self, kind, k, rng, blocks):
-        for m in (12, 40):
+        for m in (3, 12, 40, 60):
             prods = rng.uniform(-1.0, 1.0, size=(m, 2, 2))
             xs = kind_normalize(rng.normal(size=(6, 2)), kind)
             scaled = self._match(np.ldexp(prods, k), xs, kind)
             assert scaled.tobytes() == \
                 np.ldexp(radius_profile(prods, xs, kind), k).tobytes()
-
-
-class TestScreenWork:
-    @pytest.mark.parametrize("kind", list(NormKind))
-    def test_few_pairs_reach_the_full_pass(self, kind, rng, monkeypatch):
-        """On a 3-member set at p = 3 (40 reach products) fewer than 5% of
-        the (point, candidate) pairs get the full m-point support loop."""
-        prods = reach_products(random_set(rng, 2, 3), 3)
-        xs = sphere_net(2, kind, 0.01)
-        full = []
-        pair_ratios = geometry._pair_ratios
-
-        def counted(planes, normals, duals, usable, rows, cols):
-            full.append(rows.size)
-            return pair_ratios(planes, normals, duals, usable, rows, cols)
-
-        monkeypatch.setattr(geometry, "_pair_ratios", counted)
-        vals = radius_profile(prods, xs, kind)
-        pairs = xs.shape[0] * _candidate_count(prods.shape[0], 2)
-        assert prods.shape[0] == 40
-        assert 0 < sum(full) < 0.05 * pairs
-        assert vals.tobytes() == _einsum_profile(prods, xs, kind).tobytes()
 
 
 def _ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,13 +329,13 @@ def _ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _every_point_mask(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     """The drop test of ``_kept_points`` taken on every point, the pilot
     points included."""
-    pilot = np.take_along_axis(planes, geometry._pilot_3d(planes)[None],
-                               axis=2)
-    normals = geometry._normals_3d(pilot)
+    d = planes.shape[0]
+    pilot = np.take_along_axis(planes, geometry._pilot(planes)[None], axis=2)
+    normals = geometry._normals(pilot)
     scale = np.max(np.abs(planes), axis=(0, 2))
     duals = geometry._plane_norms(normals, dual_kind(kind))
     usable = duals > geometry._DEGENERATE_REL * np.maximum(
-        scale, 1e-300)[:, None] ** 2
+        scale, 1e-300)[:, None] ** (d - 1)
     hull = geometry._supports(normals, pilot)
     ratios = np.full_like(hull, np.inf)
     np.divide(hull, duals, out=ratios, where=usable)
@@ -349,16 +343,21 @@ def _every_point_mask(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     pruned = np.isfinite(inradius) & (
         inradius > geometry._PRUNE_INRADIUS * scale)
     cut = np.where(usable, (1.0 - geometry._PRUNE_MARGIN) * hull, np.inf)
-    keep = np.stack([np.any(dot >= cut, axis=1) for dot in
-                     geometry._abs_dots(normals, planes)], axis=1)
+    keep = np.any(geometry._abs_dots(normals, planes) >= cut[:, None, :],
+                  axis=2)
     keep[~pruned] = True
     return keep
 
 
+# Numbers of products m that random sets of TestPrunedSweep draw from, by
+# dimension; both ranges straddle _PRUNE_MIN_POINTS[d].
+_PRUNED_SIZES = {2: (3, 61), 3: (8, 28)}
+
+
 class TestPrunedSweep:
-    """The 3-d sweep on the points ``_kept_points`` keeps (m >= 10) gives
-    the full sweep's bits, but for ties, which may lie above it by at most
-    2^-32 times the row's largest |coordinate|; every row that differs is
+    """The sweep on the points ``_kept_points`` keeps gives the full
+    sweep's bits, but for ties, which may lie above it by at most 2^-32
+    times the row's largest |coordinate|; every row that differs is
     printed.  Qhull agrees with every row."""
 
     @staticmethod
@@ -378,31 +377,35 @@ class TestPrunedSweep:
                                             rel=1e-9, abs=1e-12 * scale[i])
         return vals
 
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
-    def test_random_sets(self, kind, rng, blocks):
+    def test_random_sets(self, d, kind, rng, blocks):
         for _ in range(100):
-            m = int(rng.integers(8, 28))
-            prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
-            self._match(prods, kind_normalize(rng.normal(size=(6, 3)), kind),
+            m = int(rng.integers(*_PRUNED_SIZES[d]))
+            prods = rng.uniform(-1.0, 1.0, size=(m, d, d))
+            self._match(prods, kind_normalize(rng.normal(size=(6, d)), kind),
                         kind)
 
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
-    def test_pilot_points_pass_the_drop_test(self, kind, rng):
+    def test_pilot_points_pass_the_drop_test(self, d, kind, rng):
         """_kept_points keeps the pilot points without retaking their
         dots: on the sets of test_random_sets its mask equals the one that
         tests every point against every usable pilot normal."""
         for _ in range(100):
-            m = int(rng.integers(8, 28))
-            prods = rng.uniform(-1.0, 1.0, size=(m, 3, 3))
+            m = int(rng.integers(*_PRUNED_SIZES[d]))
+            prods = rng.uniform(-1.0, 1.0, size=(m, d, d))
             planes = geometry._planes(
-                prods, kind_normalize(rng.normal(size=(6, 3)), kind))
+                prods, kind_normalize(rng.normal(size=(6, d)), kind))
             assert np.array_equal(geometry._kept_points(planes, kind),
                                   _every_point_mask(planes, kind))
 
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
-    def test_rows_match_one_row_calls(self, kind, rng, blocks):
-        prods = rng.uniform(-1.0, 1.0, size=(13, 3, 3))
-        xs = kind_normalize(rng.normal(size=(40, 3)), kind)
+    def test_rows_match_one_row_calls(self, d, kind, rng, blocks):
+        m = geometry._PRUNE_MIN_POINTS[d] + 3
+        prods = rng.uniform(-1.0, 1.0, size=(m, d, d))
+        xs = kind_normalize(rng.normal(size=(40, d)), kind)
         xs[3] = xs[2]
         vals = self._match(prods, xs, kind)
         for i in range(xs.shape[0]):
@@ -531,6 +534,30 @@ class TestPruneWork:
         assert vals.tobytes() == \
             _einsum_profile(prods, xs, NormKind.L2).tobytes()
 
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_few_planar_normals_are_formed(self, kind, monkeypatch):
+        """On the 3-member set of the benchmark's chi workload at p = 3
+        (m = 40) and the circle nets at mesh 0.01, fewer than 10% of the
+        2 C(40,2) candidate normals per point are formed, the pilot's
+        included, and the values are the full sweep's."""
+        mats = np.random.default_rng([20260101, 2, 3]).uniform(
+            -1.0, 1.0, (3, 2, 2))
+        prods = reach_products(MatrixSet.from_arrays(mats), 3)
+        xs = sphere_net(2, kind, 0.01)
+        formed = []
+        normals_2d = getattr(geometry, "_normals_2d", None)
+
+        def counted(planes):
+            normals = normals_2d(planes)
+            formed.append(normals.shape[1] * normals.shape[2])
+            return normals
+
+        monkeypatch.setattr(geometry, "_normals_2d", counted, raising=False)
+        vals = radius_profile(prods, xs, kind)
+        assert prods.shape[0] == 40
+        assert 0 < sum(formed) < 0.1 * xs.shape[0] * _candidate_count(40, 2)
+        assert vals.tobytes() == _einsum_profile(prods, xs, kind).tobytes()
+
 
 class TestEvenRadius:
     """r(-x) = r(x) to the bit: the planes of -x are those of x negated,
@@ -540,9 +567,9 @@ class TestEvenRadius:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_negated_points_give_the_same_bits(self, d, kind, rng):
-        # m from 2 to 15: 3-d rows are pruned from _PRUNE_MIN_POINTS = 10.
+        # m from 2 to twice _PRUNE_MIN_POINTS[d]: rows are pruned from it.
         for k in range(100):
-            m = int(rng.integers(2, 16))
+            m = int(rng.integers(2, 2 * geometry._PRUNE_MIN_POINTS[d] + 1))
             prods = rng.uniform(-1.0, 1.0, size=(m, d, d))
             if k % 4 == 1:
                 prods[0] = 0.0
