@@ -681,10 +681,17 @@ def _polyhedral_size(kind: NormKind, mesh: float) -> int:
     return q
 
 
+# A net's levels, as _net_levels returns them: the coarsest level's
+# indices and a (new, left, right) index triple for each finer level.
+_Levels = tuple[np.ndarray, list[tuple[np.ndarray, ...]]]
+
+
 @lru_cache(maxsize=2)
-def _polyhedral_net(kind: NormKind, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _polyhedral_net(kind: NormKind, q: int
+                    ) -> tuple[np.ndarray, np.ndarray, _Levels]:
     """Barycentric grids of q divisions over the faces of the 3-d l1 or
-    linf sphere, deduplicated, and their antipode table (_antipodes).
+    linf sphere, deduplicated, their antipode table (_antipodes) and
+    their levels (``_polyhedral_levels``).
 
     The last two builds are kept, read-only, so repeated calls at one
     mesh share them with the same bits as a fresh build.
@@ -692,11 +699,64 @@ def _polyhedral_net(kind: NormKind, q: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(q + 1)
     ii, jj = np.meshgrid(i, i, indexing="ij")
     keep = ii + jj <= q
-    bary = np.stack([ii[keep], jj[keep], q - ii[keep] - jj[keep]], axis=1) / q
-    pieces = [bary @ tri for tri in _polyhedral_faces(kind)]
-    xs = np.unique(np.concatenate(pieces, axis=0), axis=0)
+    ii, jj = ii[keep], jj[keep]
+    bary = np.stack([ii, jj, q - ii - jj], axis=1) / q
+    faces = _polyhedral_faces(kind)
+    xs, index = np.unique(np.concatenate([bary @ tri for tri in faces]),
+                          axis=0, return_inverse=True)
     xs.flags.writeable = False
-    return xs, _antipodes(xs)
+    levels = _polyhedral_levels(q, ii, jj, index.reshape(len(faces), -1))
+    return xs, _antipodes(xs), levels
+
+
+def _polyhedral_levels(q: int, ii: np.ndarray, jj: np.ndarray,
+                       index: np.ndarray) -> _Levels:
+    """The levels of the polyhedral net at q, as ``_net_levels`` returns
+    them, from the net index (faces, g) of each face's grid point (ii,
+    jj), g = (q + 1)(q + 2) / 2 points a face in meshgrid order.
+
+    The grid at q / 2 is the points of the grid at q whose indices are
+    even, the same bits (i / (q/2) and 2i / q round alike), so the net
+    at q halves into the net at q / 2 while q is even: the coarsest level
+    is the grid at q / 2^K, q / 2^K odd, and the level of spacing s
+    (grid steps at q) adds the points whose indices i, j and k = q - i -
+    j have s as greatest common power of two.  Two of i / s, j / s and
+    k / s are odd; the parents move one of those up by s and the other
+    down, in the same face, both to points of spacing 2s.  A point on an
+    edge of two faces has the same spacing in both, and its parents come
+    from the first face that holds it.  Odd q is one level.  int32
+    indices, read-only.
+    """
+    n = int(index.max()) + 1
+    depth = (q & -q).bit_length() - 1
+    # 2^min(nu(i), nu(j), K): the spacing of each grid point.
+    spacing = ii | jj | 1 << depth
+    spacing &= -spacing
+    net_spacing = np.empty(n, dtype=spacing.dtype)
+    net_spacing[index] = spacing
+    flat = np.unique(index.ravel(), return_index=True)[1]
+    face, at = np.divmod(flat, ii.size)
+    i, j = ii[at], jj[at]
+    coarse = np.flatnonzero(net_spacing == 1 << depth).astype(np.int32)
+    steps = []
+    for s in (1 << k for k in reversed(range(depth))):
+        new = np.flatnonzero(net_spacing == s)
+        f, a, b = face[new], i[new], j[new]
+        odd_i = (a // s) & 1
+        move_j = ((b // s) & 1) * (2 * odd_i - 1) * s
+        parents = [index[f, _grid_position(q, a - sign * odd_i * s,
+                                           b + sign * move_j)]
+                   for sign in (1, -1)]
+        steps.append(tuple(v.astype(np.int32) for v in (new, *parents)))
+    for array in (coarse, *(v for step in steps for v in step)):
+        array.flags.writeable = False
+    return coarse, steps
+
+
+def _grid_position(q: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Position of the grid point (i, j), i + j <= q, among a face's grid
+    points in _polyhedral_net's meshgrid order."""
+    return i * (q + 1) - i * (i - 1) // 2 + j
 
 
 def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
@@ -737,8 +797,7 @@ def _net_antipodes(xs: np.ndarray, kind: NormKind, mesh: float) -> np.ndarray:
     return _antipodes(xs)
 
 
-def _net_levels(d: int, kind: NormKind, mesh: float, size: int
-                ) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+def _net_levels(d: int, kind: NormKind, mesh: float, size: int) -> _Levels:
     """The levels by which the net sphere_net(d, kind, mesh) of ``size``
     points refines.
 
@@ -747,12 +806,15 @@ def _net_levels(d: int, kind: NormKind, mesh: float, size: int
     level adds and of two parents of each, points of coarser levels next
     to it.  Icosphere level k + 1 adds the midpoints of level k's edges,
     whose endpoints are the parents, on top of the icosahedron's 12
-    vertices.  A circle net is cyclic: its coarsest level takes every
-    stride-th point, stride the largest power of two that leaves at least
-    12 points, and each finer level halves the stride, the parents of a
-    point being its neighbours at twice the stride (the last point's right
-    neighbour is point 0).  The 3-d l1 and linf nets and d = 1 are one
-    level.
+    vertices.  The 3-d l1 and linf nets at q grid divisions halve into
+    the nets at q / 2 while q is even, each added point having two
+    opposite neighbours of the coarser grid in its own face as parents
+    (``_polyhedral_levels``); odd q is one level.  A circle net is
+    cyclic: its coarsest level takes every stride-th point, stride the
+    largest power of two that leaves at least 12 points, and each finer
+    level halves the stride, the parents of a point being its neighbours
+    at twice the stride (the last point's right neighbour is point 0).
+    d = 1 is one level.
     """
     if d == 3 and kind is NormKind.L2:
         steps = []
@@ -761,6 +823,8 @@ def _net_levels(d: int, kind: NormKind, mesh: float, size: int
             steps.append((np.arange(start, start + left.size), left, right))
             start += left.size
         return np.arange(12), steps
+    if d == 3:
+        return _polyhedral_net(kind, _polyhedral_size(kind, mesh))[2]
     if d != 2:
         return np.arange(size), []
     stride = 1 << max(0, (size // 12).bit_length() - 1)

@@ -37,9 +37,10 @@ from .geometry import (
     vector_norms,
 )
 
-# A computed radius lies within this fraction of chi's Lipschitz constant
-# of the exact one: the margin for rounding of the net walk's bounds.
-_ROUNDING_MARGIN = 2.0 ** -20
+# The net walk's margin for rounding, as a multiple of the true Lipschitz
+# constant max_G ||G||: 2^-20 of chi_measure's reported constant, twice
+# that.  chi_measure's docstring shows what it covers.
+_ROUNDING_MARGIN = 2.0 ** -19
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +151,13 @@ def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
     """Hull radii on the net xs = sphere_net(d, kind, mesh), +inf at the
     points skipped; their minimum and its first index are a full sweep's.
 
-    A net that one radius_profile block holds, or any net when lipschitz
-    overflows, is swept whole.  Otherwise the levels are walked once, and
-    a point is evaluated only when its bound is at most the least value
+    ``lipschitz`` is the radius's Lipschitz constant in the kind norm:
+    chi_measure passes the true one, max_G ||G||, half the constant it
+    reports.  A net that one radius_profile block holds, or any net when
+    2 * lipschitz overflows, is swept whole; a parent lies within kind
+    distance 2 of its point, so every product lipschitz * ||x - q|| of
+    the walk is finite.  Otherwise the levels are walked once, and a
+    point is evaluated only when its bound is at most the least value
     evaluated so far; see ``chi_measure`` for why that changes no
     minimum.  Either way one point of each antipodal pair is evaluated
     (``_fill``).
@@ -162,7 +167,7 @@ def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
     vals = np.full(n, np.inf)
     done = np.zeros(n, dtype=bool)
     steps = []
-    if n > _block_rows(prods.shape[0], d) and math.isfinite(lipschitz):
+    if n > _block_rows(prods.shape[0], d) and math.isfinite(2.0 * lipschitz):
         coarse, steps = _net_levels(d, kind, mesh, n)
     if not steps:
         _fill(prods, xs, anti, kind, vals, done, np.arange(n))
@@ -195,8 +200,10 @@ def chi_measure(
     """Estimate the irreducibility measure over the kind-unit sphere.
 
     The sphere net has covering radius at most ``mesh`` in the kind
-    metric, and the radius function is Lipschitz with constant at most
-    max_G ||G||; the reported constant doubles it for slack, giving
+    metric.  The radius is r(x) = min over dual-unit f of max_G |f(G x)|,
+    so it is Lipschitz in the kind norm with constant L = max_G ||G||, in
+    the kind operator norm; the reported constant doubles it for slack,
+    giving
 
         certified_lower = max(0, sampled_inf - lipschitz * mesh).
 
@@ -211,20 +218,57 @@ def chi_measure(
     A net that one radius_profile block holds, or any net when lipschitz
     overflows, is swept whole.  A larger one is walked once, level by
     level (``geometry._net_levels``), in the manner of Piyavskii's
-    Lipschitz minimization: the coarsest level is evaluated, and each
-    point x of a finer level gets the lower bound
+    Lipschitz minimization, at the true constant L: the coarsest level
+    is evaluated, and each point x of a finer level gets the lower bound
 
-        max over its two parents q of  bound(q) - lipschitz * ||x - q||,
+        B(x) = max over its two parents q of  B(q) - L * ||x - q||,
 
     the distance in the kind norm.  An evaluated point's bound is its
-    value minus 2^-20 * lipschitz, a margin for rounding in the computed
-    radii; lipschitz is twice the true constant, so every step has slack
-    besides.  A point is evaluated only when its bound is at most the
-    least value evaluated before its level, and otherwise reads +inf.  A
-    skipped point's value lies above its bound, which lies above that
-    least value, so strictly above the net minimum: the minimum and its
-    first index (np.argmin) are those of a sweep of every point, bit for
-    bit; ``samples`` stays the net size.
+    value minus the margin M = 2^-20 * lipschitz = 2^-19 L.  A point is
+    evaluated only when its bound is at most the least value evaluated
+    before its level, and otherwise reads +inf; ``samples`` stays the
+    net size.
+
+    Why a skipped point lies strictly above the net minimum, so that the
+    minimum and its first index (np.argmin) are those of a sweep of
+    every point, bit for bit.  Let r be the exact radius at a net point
+    (at its float coordinates), r^ the computed one, s <= L (1 + 2^-50)
+    the largest |coordinate| of its points G x, and eps = 2^-53.
+
+    - Above at an evaluated point: r^ <= r + 2^-31 L.  The sweep forms a
+      normal of the facet that the inscribed ball touches, from three of
+      its vertices, with relative error rho, and its ratio is at most
+      r + (8 rho + 20 eps) s; pruning adds at most 2^-32 s
+      (``geometry._kept_points``).  A normal whose dual norm is at most
+      the _DEGENERATE_REL floor is dropped, which can only raise r^, so
+      this needs the assumption of ``_kept_points``: in 3-d the touching
+      facet has a vertex triangle with no angle under 2^-14 radians
+      (rho <= 2^-36); in 2-d, that fewer than 1000 edges too short for
+      a usable normal precede a usable one, j of them putting it at most
+      2.2e-13 j s above r.
+    - Below at a skipped point: r^ >= r - 0.45 M.  Every computed ratio
+      is the exact support ratio of its computed normal but for the
+      rounding of its dots and dual norm, at least r - 20 eps s.  r^ is
+      0 only where no normal is usable.  In 2-d, for m >= 2 points the
+      point of largest |coordinate| gives an edge with a usable normal,
+      and for m = 1 the hull is a segment, r = 0.  In 3-d, with fewer
+      than three points r = 0; otherwise a point a of largest l2 norm
+      and points b, c of the hull's projection along a give a triple
+      with |det| >= |a| r2^2, r2 >= r / sqrt(3) the l2 inradius, so a
+      candidate normal of l2 norm at least r2^2.  Dropped with all the
+      others, it has dual norm under 1.25e-13 s^2 rounding included, so
+      r^2 <= 3 sqrt(3) 1.25e-13 s^2 and r <= 8.1e-7 s < 0.45 M.
+    - Rounding of the bounds: forming B from r^ rounds by at most 2 eps
+      L, and each step, with the difference, its norm, the product, the
+      subtraction and a computed max ||G|| within a relative 2^-48 of the
+      exact one, by at most 2^-46 L, as ||x - q|| <= 2 and |B| <= 44 L.
+      A chain of skipped points takes one step a level, fewer than 22.
+
+    So every bound satisfies B(x) <= r(x) - M + 2^-31 L + 2^-41 L: true
+    for an evaluated point, and carried along each step by r(x) >= r(q)
+    - L ||x - q||.  A skipped x has B(x) > best, the least value
+    evaluated before its level, so r^(x) >= r(x) - 0.45 M > best + 0.55
+    M - 2^-30 L > best, strictly above the net minimum.
 
     Whole or by levels, one point of each antipodal pair of the net (one
     the exact negation of the other) is evaluated and the other copies
@@ -235,14 +279,15 @@ def chi_measure(
     d = mset.dim
     xs = sphere_net(d, kind, mesh)
     prods = reach_products(mset, p, max_words)
-    lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
-    vals = _net_profile(prods, xs, kind, mesh, lipschitz)
+    norm = float(np.max(operator_norms(prods, kind)))
+    vals = _net_profile(prods, xs, kind, mesh, norm)
     best = int(np.argmin(vals))
     argmin, sampled = xs[best], float(vals[best])
     if d > 1:
         argmin, sampled = refine_minimum(
             lambda block: radius_profile(prods, block, kind), argmin,
             sampled, kind, mesh)
+    lipschitz = 2.0 * norm
     certified = max(0.0, sampled - lipschitz * mesh)
     return ChiEstimate(
         p=p,

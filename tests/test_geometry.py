@@ -628,6 +628,46 @@ class TestAntipodes:
         assert not cached[0].flags.writeable
 
 
+class TestPolyhedralLevels:
+    """The 3-d l1 and linf nets at even q halve into the nets at q / 2."""
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    @pytest.mark.parametrize("q, divisions", [
+        (4, (1, 2, 4)), (10, (5, 10)), (50, (25, 50)), (100, (25, 50, 100)),
+        (25, (25,)), (67, (67,))])
+    def test_levels_are_the_coarser_nets(self, kind, q, divisions):
+        """Every point lies in one level; the levels up to each one are a
+        fresh build at its q by bytes; each added point has two parents
+        of coarser levels, opposite neighbours at its level's spacing."""
+        xs, _, (coarse, steps) = geometry._polyhedral_net(kind, q)
+        assert len(steps) == len(divisions) - 1
+        every = np.concatenate([coarse, *(new for new, _, _ in steps)])
+        assert np.array_equal(np.sort(every), np.arange(xs.shape[0]))
+        assert all(a.dtype == np.int32 and not a.flags.writeable
+                   for a in (coarse, *(v for step in steps for v in step)))
+        seen = np.zeros(xs.shape[0], dtype=bool)
+        seen[coarse] = True
+        for k, division in enumerate(divisions):
+            if k:
+                new, left, right = steps[k - 1]
+                assert seen[left].all() and seen[right].all()
+                for parent in (left, right):
+                    step = vector_norms(xs[new] - xs[parent], kind)
+                    assert np.allclose(step, 2.0 / division, rtol=0,
+                                       atol=1e-15)
+                assert np.allclose(xs[left] + xs[right], 2.0 * xs[new],
+                                   rtol=0, atol=1e-15)
+                seen[new] = True
+            fresh = geometry._polyhedral_net.__wrapped__(kind, division)[0]
+            assert xs[seen].tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_net_levels_serve_the_cached_table(self, kind):
+        q = geometry._polyhedral_size(kind, 0.04)
+        table = geometry._net_levels(3, kind, 0.04, 0)
+        assert table is geometry._polyhedral_net(kind, q)[2]
+
+
 class TestPlaneNorms:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", list(NormKind))

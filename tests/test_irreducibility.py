@@ -416,7 +416,7 @@ class TestPrunedNet:
         xs = sphere_net(d, kind, mesh)
         for _ in range(3):
             prods = reach_products(random_set(rng, d, 2), d - 1)
-            lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
+            lipschitz = float(np.max(operator_norms(prods, kind)))
             shared = irreducibility_module._net_profile(prods, xs, kind, mesh,
                                                         lipschitz)
             with monkeypatch.context() as mp:
@@ -437,8 +437,9 @@ class TestPrunedNet:
             assert self._skipped(net_profiles, big, 1, kind, 0.001) == 0
 
 
-# Nets of every kind in 1-, 2- and 3-d: the 2-d and 3-d l2 nets are walked
-# level by level, the others are one level.
+# Nets of every kind in 1-, 2- and 3-d: the 2-d and 3-d nets are walked
+# level by level (the l1 and linf ones at q = 20 through q = 10 and 5),
+# the 1-d net is one level.
 _WALKED_NETS = [(1, NormKind.L2, 0.1), (2, NormKind.L2, 0.001),
                 (2, NormKind.L1, 0.001), (2, NormKind.LINF, 0.001),
                 (3, NormKind.L2, 0.025), (3, NormKind.L1, 0.1),
@@ -451,10 +452,10 @@ class TestWalk:
     @staticmethod
     def _walk(d, kind, mesh, seed):
         """A random pair's p = d - 1 reach products, the net and the walk's
-        values on it."""
+        values on it, at chi_measure's constant max||G||."""
         rng = np.random.default_rng([21, d, len(kind.value), seed])
         prods = reach_products(random_set(rng, d, 2), d - 1)
-        lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
+        lipschitz = float(np.max(operator_norms(prods, kind)))
         xs = sphere_net(d, kind, mesh)
         vals = irreducibility_module._net_profile(prods, xs, kind, mesh,
                                                   lipschitz)
@@ -508,6 +509,71 @@ class TestWalk:
         assert np.argmin(vals) == 0
 
 
+def _walk_sets(d: int, kind: NormKind) -> list[tuple[MatrixSet, int]]:
+    """18 d-dimensional sets and their p: random pairs at p = d - 1, a
+    random triple whose reach products are pruned (40 in 2-d, 13 in 3-d),
+    and degenerate ones: rank-one members, a near-singular member,
+    integer entries whose radii tie, pairs scaled by 2^-400 and 2^400 and
+    a hidden reducible pair."""
+    rng = np.random.default_rng([23, d, len(kind.value)])
+    p = d - 1
+    sets = [(random_set(rng, d, 2), p) for _ in range(9)]
+    sets.append((random_set(rng, d, 3), 5 - d))
+    u, v = rng.uniform(-1.0, 1.0, (2, d))
+    sets.append((MatrixSet.from_arrays(
+        [np.outer(u, v), rng.uniform(-1.0, 1.0, (d, d))]), p))
+    sets.append((MatrixSet.from_arrays([np.outer(u, v), np.outer(v, u)]), p))
+    near = rng.uniform(-1.0, 1.0, (d, d))
+    near[:, -1] = near[:, 0] * (1.0 + 2.0 ** -40)
+    sets.append((MatrixSet.from_arrays(
+        [near, rng.uniform(-1.0, 1.0, (d, d))]), p))
+    sets.append((MatrixSet.from_arrays(
+        rng.integers(-1, 2, (2, d, d)).astype(float)), p))
+    sets.append((GOLDEN_PAIR if d == 2 else QUARTER_TURNS_3D, p))
+    sets += [(random_set(rng, d, 2).scaled(2.0 ** k), p) for k in (-400, 400)]
+    sets.append((_triangular_pair(rng, d), p))
+    return sets
+
+
+class TestTrueConstant:
+    """The walk at chi_measure's constant max||G||, with no slack in its
+    steps, on 108 random and degenerate sets."""
+
+    @pytest.mark.parametrize("d, kind, mesh", [
+        (2, NormKind.L2, 0.05), (2, NormKind.L1, 0.05),
+        (2, NormKind.LINF, 0.05), (3, NormKind.L2, 0.1),
+        (3, NormKind.L1, 0.1), (3, NormKind.LINF, 0.1)])
+    def test_walk_keeps_the_full_minimum(self, d, kind, mesh, monkeypatch):
+        """TestWalk's invariants: the walk's values are radius_profile's
+        bits, every skipped point lies strictly above the full minimum,
+        and the argmin is the full sweep's.  The computed radii are
+        Lipschitz with constant max||G|| between each point and its
+        parents but for 2^-20 max||G||.  The walk is forced on nets that
+        one block would hold."""
+        monkeypatch.setattr(irreducibility_module, "_block_rows",
+                            lambda m, d: 1)
+        xs = sphere_net(d, kind, mesh)
+        steps = _net_levels(d, kind, mesh, xs.shape[0])[1]
+        skipped = 0
+        for mset, p in _walk_sets(d, kind):
+            prods = reach_products(mset, p)
+            norm = float(np.max(operator_norms(prods, kind)))
+            vals = irreducibility_module._net_profile(prods, xs, kind, mesh,
+                                                      norm)
+            full = radius_profile(prods, xs, kind)
+            seen = np.isfinite(vals)
+            assert vals[seen].tobytes() == full[seen].tobytes()
+            assert np.all(full[~seen] > np.min(full))
+            assert np.argmin(vals) == np.argmin(full)
+            skipped += int(np.count_nonzero(~seen))
+            for new, left, right in steps:
+                for parent in (left, right):
+                    gap = np.abs(full[new] - full[parent])
+                    slope = norm * vector_norms(xs[new] - xs[parent], kind)
+                    assert np.all(gap <= slope + 2.0 ** -20 * norm)
+        assert skipped > 0
+
+
 class TestNetWork:
     """How many net points chi_measure hands to radius_profile."""
 
@@ -549,7 +615,7 @@ class TestNetWork:
 
     def test_shared_antipodes_halve_the_rows(self, net_calls, monkeypatch):
         """QUARTER_TURNS_3D at mesh 0.01: the walk evaluates at most 55%
-        of the 14,720 rows it takes when both points of each antipodal
+        of the 5,542 rows it takes when both points of each antipodal
         pair are evaluated."""
         chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
         shared = sum(net_calls)
@@ -557,8 +623,22 @@ class TestNetWork:
         monkeypatch.setattr(irreducibility_module, "_net_antipodes",
                             lambda xs, kind, mesh: np.full(xs.shape[0], -1))
         chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
-        assert sum(net_calls) == 14_720
-        assert shared <= 0.55 * 14_720
+        assert sum(net_calls) == 5_542
+        assert shared <= 0.55 * 5_542
+
+    @pytest.mark.parametrize("kind, tag, rows", [
+        (NormKind.L1, (2, 1), 5_298), (NormKind.LINF, (2, 2), 11_284)])
+    def test_polyhedral_nets_are_walked_by_level(self, kind, tag, rows,
+                                                 net_calls):
+        """The base sets of the benchmark's 3-d l1 and linf chi tasks
+        (before their net isometry) at mesh 0.04, q = 50 walked through
+        q = 25, reach radius_profile with under half the rows of the walk
+        at twice the constant on one-level nets."""
+        mats = np.random.default_rng([20260101, *tag]).uniform(
+            -1.0, 1.0, (2, 3, 3))
+        est = chi_measure(MatrixSet.from_arrays(mats), 2, kind, 0.04)
+        assert est.samples == (10_002 if kind is NormKind.L1 else 15_002)
+        assert sum(net_calls) < 0.5 * rows
 
 
 class TestRefinementWork:
