@@ -96,8 +96,9 @@ def sandwich(
     kind: NormKind,
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> list[BoundReport]:
-    """Bound reports for n = 1..n_max, from one pass that grows each level
-    from the one before (``max_over_products`` with ``first=1``).
+    """Bound reports for n = 1..n_max, from one ``max_over_products`` pass
+    with ``first=1``, which drops the prefixes of each level's word tree
+    that cannot reach its maxima, using the maxima of the shorter levels.
 
     The budget applies to each level's r^n words.  If it or an
     eigensolver fails at some n, the raised error carries the reports of

@@ -5,13 +5,16 @@ this package reduces to scanning the products A_{i_n} ... A_{i_2} A_{i_1}
 over index words (i_1, ..., i_n); the word lists the factor applied first
 on the right, so word (1, 2) denotes the product A_2 A_1.
 
-One engine, ``_product_levels``, produces those products, level by
-level, through one batched left-multiplication (``_left_multiply``), so
-every scan sees the same numbers in the same lexicographic order.  A
-level whose products fit one block is the previous level's block times
-one more factor.  A larger level is built from the table of its head
-products (the first factors applied), each extended into a block of
-consecutive words.
+One engine, ``_walk``, produces those products through one batched
+left-multiplication (``_left_multiply``), so every scan sees the same
+numbers in the same lexicographic order.  It walks a length's word tree
+breadth first from the longest complete product table of its pass: a
+length whose products fit one block is the table times one more factor,
+and a longer one is formed in groups of prefixes, each walked to the end
+before the next.  In a pass over several lengths (``max_over_products``
+with ``first``), a prefix is dropped once a bound on every product under
+it falls below a value its length is known to reach, so most words of a
+long pass are never formed (see ``_Pass``).
 
 Scale is kept in exact powers of two: the engine divides the members by
 2^e, e the binary exponent of the largest entry, and each block carries
@@ -28,8 +31,9 @@ column-sum, row-sum and Frobenius norms: every operator norm and the
 spectral radius have one at every d (the l1 and linf bounds are the
 column and row sums themselves).  ``max_over_products`` runs the exact
 kernel on the row with the largest bound, then only on the rows whose
-bound can still reach that value or the best of earlier blocks, so those
-kernels see a small share of the products.  The kernels give the same
+bound can still reach that value, the best of earlier blocks or, in a
+pruned level, the value the level is known to reach, so those kernels
+see a small share of the products.  The kernels give the same
 bits on a subset of rows as on the whole block, and no row that holds or
 ties the maximum is pruned, so values and witnesses are those of the
 full scan.
@@ -523,76 +527,118 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _extend(mats: np.ndarray, block: np.ndarray, exponent: int,
-            levels: int, step: int) -> tuple[np.ndarray, int]:
-    """Left-multiply every product in ``block`` by ``levels`` more factors.
+            step: int) -> tuple[np.ndarray, int]:
+    """Left-multiply every product in ``block`` by one more factor.
 
     Appending index t to the product at position j lands at j * r + t, so
     word order is kept.  ``mats`` are the members / 2^step.
     """
-    for _ in range(levels):
-        block = _left_multiply(mats, block)
-        exponent += step
-        shift = math.frexp(float(max(block.max(), -block.min())))[1]
-        if abs(shift) > _RANGE_BITS:
-            block, exponent = np.ldexp(block, -shift), exponent + shift
+    block = _left_multiply(mats, block)
+    exponent += step
+    shift = math.frexp(float(max(block.max(), -block.min())))[1]
+    if abs(shift) > _RANGE_BITS:
+        block, exponent = np.ldexp(block, -shift), exponent + shift
     return block, exponent
 
 
-def _split_level(mats: np.ndarray, step: int, k: int,
-                 tail: int) -> Iterator[tuple[int, np.ndarray, int]]:
-    """The length-k words in blocks of r^tail: each head product of the
-    first k - tail factors, built from the identity, extended by tail."""
-    r, d = mats.shape[0], mats.shape[-1]
-    heads, exponent = _extend(mats, np.eye(d)[None], 0, k - tail, step)
-    for h in range(heads.shape[0]):
-        yield (h * r ** tail,
-               *_extend(mats, heads[h:h + 1], exponent, tail, step))
+@dataclass
+class _Table:
+    """The longest complete product table of a pass: the r^depth products
+    of length ``depth`` in word order, as block * 2^exponent."""
+
+    block: np.ndarray
+    exponent: int
+    depth: int
 
 
-def _product_levels(
-    mset: MatrixSet, first: int, n: int, max_words: int
-) -> Iterator[tuple[int, Iterator[tuple[int, np.ndarray, int]]]]:
-    """Yield (k, chunks) for k = first..n, where chunks yields
-    (start_index, block, exponent) covering the length-k words in order.
+def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None
+          ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, int]]:
+    """Yield (start, rows, block, exponent) over the length-n words in
+    lexicographic order, the products being block * 2^exponent.
 
-    The products are block * 2^exponent.  The budget is checked for each
-    level before it is formed.  Let t be the largest length (at least 1)
-    whose r^t products fit in _CHUNK_FLOATS entries.  A level with k <= t
-    is a single block, the previous level's block extended by one factor
-    (the first level asked for is built from the identity).  Past that, a
-    word splits into a head of k - t digits, the factors applied first,
-    and a tail of t digits; each head product is extended by t levels
-    into one block of r^t consecutive words.
+    The walk starts from ``table`` and extends blocks one factor at a
+    time, breadth first.  ``prune(block, exponent, depth)``, when given,
+    returns a mask of the prefixes to keep, or None to keep them all;
+    the words under a dropped prefix are never formed.  ``rows`` is None
+    when a block holds the consecutive words start, start + 1, ...; else
+    ``rows[i]`` is the index of row i.  A block of several prefixes
+    whose r^(n - depth) extensions would exceed _CHUNK_FLOATS entries is
+    split into groups of r^(t - n + depth) rows (one row when t < n -
+    depth), t the largest length whose r^t products fit one block, and
+    each group is walked to the end before the next.  So memory stays at
+    a few blocks, and unpruned, the length-n blocks are the r^t words
+    under each head of n - t factors.  A complete block replaces the
+    table, so the next level starts from it.
     """
+    r, d = mats.shape[0], mats.shape[-1]
+    fit = 1  # r^t, t the largest length whose r^t products fit a block
+    while r > 1 and fit * r * d * d <= _CHUNK_FLOATS:
+        fit *= r
+    # word indices past 2^62 are kept as Python ints
+    big = r ** n >= 1 << 62
+
+    def visit(start, rows, block, exponent, depth, tested=False):
+        while depth < n:
+            keep = None if prune is None or tested else prune(
+                block, exponent, depth)
+            tested = False
+            if keep is not None:
+                kept = np.flatnonzero(keep)
+                if rows is None:
+                    rows = (kept.astype(object) if big else kept) + start
+                else:
+                    rows = rows[kept]
+                block = block[kept]
+            m = block.shape[0]
+            if m == 0:
+                return
+            span = r ** (n - depth)
+            if m > 1 and m * span * d * d > _CHUNK_FLOATS:
+                group = max(1, fit // span)
+                for lo in range(0, m, group):
+                    yield from visit(start + lo, None if rows is None
+                                     else rows[lo:lo + group],
+                                     block[lo:lo + group], exponent, depth,
+                                     True)
+                return
+            block, exponent = _extend(mats, block, exponent, step)
+            depth, start = depth + 1, start * r
+            if rows is not None:
+                rows = (rows[:, None] * r + np.arange(r)).ravel()
+            elif block.shape[0] == r ** depth:
+                table.block, table.exponent, table.depth = \
+                    block, exponent, depth
+        yield start, rows, block, exponent
+
+    yield from visit(0, None, table.block, table.exponent, table.depth)
+
+
+def _check_length(n: int, first: int) -> None:
+    """Raise ValueError unless 1 <= first <= n."""
     if n < 1:
         raise ValueError("product length n must be a positive integer")
     if not 1 <= first <= n:
         raise ValueError(f"first must be in 1..n = {n}, got {first!r}")
-    step, mats = _binary_scale(mset)
-    r, d = mset.r, mset.dim
-    table, exponent, length = np.eye(d)[None], 0, 0
-    for k in range(first, n + 1):
-        _check_budget("enumerating length-{n} products requires {count} "
-                      "words, budget is {budget}", r, k, "max_words",
-                      max_words)
-        tail = k
-        while tail > 1 and r ** tail * d * d > _CHUNK_FLOATS:
-            tail -= 1
-        if tail == k:
-            table, exponent = _extend(mats, table, exponent, k - length, step)
-            length = k
-            yield k, iter([(0, table, exponent)])
-        else:
-            table = None  # no later level fits: free the last table
-            yield k, _split_level(mats, step, k, tail)
+
+
+def _level_budget(r: int, n: int, max_words: int) -> None:
+    """Raise BudgetExceededError when the r^n words exceed max_words."""
+    _check_budget("enumerating length-{n} products requires {count} "
+                  "words, budget is {budget}", r, n, "max_words", max_words)
 
 
 def _product_chunks(
     mset: MatrixSet, n: int, max_words: int
 ) -> Iterator[tuple[int, np.ndarray, int]]:
-    """The chunks of ``_product_levels`` for the length-n words alone."""
-    for _, chunks in _product_levels(mset, n, n, max_words):
-        yield from chunks
+    """(start_index, block, exponent) covering the length-n words in order,
+    the products being block * 2^exponent: the unpruned walk from the
+    identity, after the budget check."""
+    _check_length(n, n)
+    _level_budget(mset.r, n, max_words)
+    step, mats = _binary_scale(mset)
+    table = _Table(np.eye(mset.dim)[None], 0, 0)
+    for start, _, block, exponent in _walk(mats, step, table, n):
+        yield start, block, exponent
 
 
 def enumerate_products(
@@ -717,26 +763,225 @@ def _screened_max(block: np.ndarray, metric, bound,
     return float(vals[j]), j if rows is None else int(rows[j])
 
 
-def _level_max(mset: MatrixSet, n: int, chunks, metrics: list
-               ) -> list[tuple[float, int, Word]]:
-    """The (mantissa, exponent, witness word) of each metric over the
-    chunks of the length-n words; see ``max_over_products``."""
-    bounds = [_metric_bound(metric) for metric in metrics]
-    best: list[tuple[float, int, int]] = [(-np.inf, 0, -1)] * len(metrics)
-    screened = any(bound is not None for bound in bounds)
-    for start, chunk, exponent in chunks:
-        norms = (_cheap_norms(chunk)
-                 if screened and chunk.size >= _SCREEN_MIN_FLOATS else None)
-        for k, (metric, bound) in enumerate(zip(metrics, bounds)):
-            found = _screened_max(chunk, metric, bound, norms,
-                                  _in_scale(*best[k][:2], exponent))
-            if found is not None and _exceeds(found[0], exponent,
-                                              *best[k][:2]):
-                best[k] = (found[0], exponent, start + found[1])
-    return [
-        (value, exponent, word_from_index(index, mset.r, n))
-        for value, exponent, index in best
-    ]
+def _pair(value: float, exponent: int) -> tuple[float, int]:
+    """value * 2^exponent as (f, g) with f in [0.5, 1), or f = 0."""
+    f, g = math.frexp(value)
+    return f, exponent + g
+
+
+def _pair_sum(a: tuple[float, int], b: tuple[float, int],
+              weight: float = 1.0) -> tuple[float, int]:
+    """a + weight * b for pairs, clamped at 0.  A term under 2^-1074 of the
+    other is dropped, a relative change the pruning margins cover."""
+    if b[0] == 0.0:
+        return a
+    if a[0] == 0.0:
+        return _pair(max(weight * b[0], 0.0), b[1])
+    top = max(a[1], b[1])
+    total = (math.ldexp(a[0], a[1] - top)
+             + weight * math.ldexp(b[0], b[1] - top))
+    return _pair(max(total, 0.0), top)
+
+
+def _pair_product(a: tuple[float, int], b: tuple[float, int]
+                  ) -> tuple[float, int]:
+    return _pair(a[0] * b[0], a[1] + b[1])
+
+
+class _Pass:
+    """One ``max_over_products`` pass over the lengths first..n: the table,
+    the level maxima so far, and the pruning of each level's walk.
+
+    Pruning.  Let K be the first operator norm among the metrics, ub the
+    bound of ``_metric_bound(K)`` on a block (the column or row sums, or
+    min(sqrt(c r), F) in l2), so ub(P) >= || |P| ||_K >= ||P||_K, M the
+    largest ub of a member, N_k the K maximum of level k as computed, and
+    u = 2^-53; all in true scale.  At depth j < L of the walk of level L,
+    L - j being a level of this pass, a prefix P of j factors is dropped
+    when
+
+        (1 + 2 mu) (ub(P) F_j + U) < t,   F_j = N_{L-j} + R_j,
+
+    with mu = _SCREEN_MARGIN, R_j = 4 (L - j) d u M^(L-j) and
+    U = L d^3 2^-568 M^L.  The threshold t is the least over the metrics m
+    of max(seed_m / c_m - 2 U, best_m / c_m), where c_m is 1 for K and the
+    radius and d for |trace| and the other norms (|tr X| <= d rho(X) and
+    ||X||_m <= d ||X||_K); seed_m is the largest value of m on the r
+    one-factor extensions of the previous level's witnesses, formed from
+    their rows as the walk formed them, and best_m the largest value of m
+    on the leaves walked so far.  Every leaf Q under a dropped prefix has
+    a computed value v_m < c_m t <= the level's computed maximum of m, so
+    it can neither hold nor tie a maximum:
+    - Rounding.  Q = fl(A_{i_L} ... fl(A_{i_(j+1)} P)) with each sum
+      started from +0, so |Q - T P| <= gamma_{(L-j) d} |A_{i_L}| ...
+      |A_{i_(j+1)}| |P| for the exact tail product T (Higham, Accuracy
+      and Stability, 3.5), and ||Q||_K <= ||T||_K ||P||_K
+      + gamma M^(L-j) ub(P).  The computed tail obeys the same bound from
+      the identity, and its computed norm is at most N_{L-j}, so
+      ||T||_K <= N_{L-j} (1 + kappa) + gamma M^(L-j); R_j >= 2 gamma M^(L-j).
+      Here kappa < 2^-22 is the relative error of a kernel, as argued in
+      ``_screened_max``, which also bounds v_m by c_m (1 + kappa) ||Q||_K
+      (the d = 2 radius closed form's 5e-8 of the largest entry
+      included).  Without the R_j term the bound fails on sets such as
+      S U_i S^-1, U_i strictly upper triangular and cond(S) = 1e13, whose
+      computed products are rounding alone.
+    - The cheap bound.  ub(P) is within 2 d u of its exact value when it
+      is at least _SCREEN_FLOOR in block scale, where no square in it
+      underflows; rows below the floor are kept.
+    - Underflow.  A block's largest entry is at least 2^-501 of its scale
+      and every entry of a level-k product is below (1 + gamma) M^k, so an
+      underflowed multiply moves a level-L product by at most d^2 2^-572 M^L
+      in K norm.  The steps of a leaf and of its tail move it by at most
+      U / 2, and so do those of a seed formed in other blocks than the
+      walk's, which the 2 U taken off the seeds covers.
+    The margins 2 mu against mu leave room for (1 + kappa)^3, the 2 d u of
+    ub and the few roundings of the test.  For the same reason the leaf
+    screen may start from seed_m - 2 c_m U: no leaf below it holds or ties
+    the maximum of m.
+
+    Levels of fewer than _SCREEN_MIN_FLOATS entries are formed whole:
+    below that size the tests cost more than the products they save.
+
+    A block is tested only when it could lose a row: t is at most the
+    computed level maximum of K, which is at most
+    (1 + mu) (N_j G_j + U) with G_j = N_{L-j} + sqrt(d) R_j by the same
+    argument on the maximizing word's prefix (||P|| <= (1 + kappa) N_j and
+    ub(P) <= sqrt(d) ||P||), so when no row's bound is below that, the
+    block is kept whole and the seeds are not formed.  On sets whose
+    products tie, such as rotations, every level then forms the products
+    of the unpruned walk and no more.
+    """
+
+    def __init__(self, mset: MatrixSet, metrics: list, first: int):
+        self.step, self.mats = _binary_scale(mset)
+        self.r, self.d = mset.r, mset.dim
+        self.metrics, self.first = metrics, first
+        self.table = _Table(np.eye(self.d)[None], 0, 0)
+        self.bounds = [_metric_bound(metric) for metric in metrics]
+        kinds = [m for m in metrics if isinstance(m, NormKind)]
+        # a level of one word has nothing to prune
+        self.kind = kinds[0] if kinds and self.r > 1 else None
+        if self.kind is not None:
+            self.norm_index = metrics.index(self.kind)
+            self.ub = _metric_bound(self.kind)
+            self.c = [1.0 if m is self.kind or m == RADIUS else float(self.d)
+                      for m in metrics]
+            self.powers: list[tuple[float, int]] = []
+        self.norm_max: list[tuple[float, int]] = []
+        self.witnesses: list = []
+
+    def level(self, n: int) -> list[tuple[float, int, Word]]:
+        """The (mantissa, exponent, witness word) of each metric over the
+        length-n words; the levels first..n - 1 must be done."""
+        screened = any(bound is not None for bound in self.bounds)
+        self.n, self.seeds, self.factors = n, None, {}
+        self.best: list[tuple[float, int, int]] = \
+            [(-np.inf, 0, -1)] * len(self.metrics)
+        witnesses: list = [None] * len(self.metrics)
+        prune = None
+        # below the screen's size, forming a whole level costs less
+        if (self.kind is not None and n > self.first
+                and self.r ** n * self.d ** 2 >= _SCREEN_MIN_FLOATS):
+            prune = self._keep
+            self.underflow = self._scaled_power(
+                n, n * self.d ** 3 * 2.0 ** -568)
+        for start, rows, chunk, exponent in _walk(self.mats, self.step,
+                                                  self.table, n, prune):
+            norms = None
+            if screened and chunk.size >= _SCREEN_MIN_FLOATS:
+                norms = _cheap_norms(chunk)
+            for k, (metric, bound) in enumerate(zip(self.metrics,
+                                                    self.bounds)):
+                reach = _in_scale(*self.best[k][:2], exponent)
+                if self.seeds is not None:
+                    seed = self.seeds[k]
+                    reach = max(reach, _in_scale(seed[0] * self.c[k],
+                                                 seed[1], exponent))
+                found = _screened_max(chunk, metric, bound, norms, reach)
+                if found is not None and _exceeds(found[0], exponent,
+                                                  *self.best[k][:2]):
+                    value, j = found
+                    index = start + j if rows is None else int(rows[j])
+                    self.best[k] = (value, exponent, index)
+                    witnesses[k] = (index, chunk[j].copy(), exponent)
+        self.witnesses = witnesses
+        if self.kind is not None:
+            self.norm_max.append(_pair(*self.best[self.norm_index][:2]))
+        return [(value, exponent, word_from_index(index, self.r, n))
+                for value, exponent, index in self.best]
+
+    def _scaled_power(self, k: int, weight: float) -> tuple[float, int]:
+        """weight * M^k in true scale, as a pair."""
+        if not self.powers:
+            # M^0, and M itself in member scale
+            self.powers.append((0.5, 1))
+            self.member_bound = _pair(
+                float(self.ub(*_cheap_norms(self.mats)).max()), 0)
+        while len(self.powers) <= k:
+            self.powers.append(_pair_product(self.powers[-1],
+                                             self.member_bound))
+        f, g = self.powers[k]
+        return _pair(weight * f, g + k * self.step)
+
+    def _factor(self, depth: int) -> tuple[tuple[float, int], ...]:
+        """(F_j, G_j) for j = depth at the current level."""
+        if depth not in self.factors:
+            tail = self.n - depth
+            norm = self.norm_max[tail - self.first]
+            rounding = self._scaled_power(
+                tail, 4.0 * tail * self.d * 2.0 ** -53)
+            self.factors[depth] = (_pair_sum(norm, rounding),
+                                   _pair_sum(norm, rounding,
+                                             math.sqrt(self.d)))
+        return self.factors[depth]
+
+    def _threshold(self) -> tuple[float, int]:
+        """t as a pair; the seeds are formed at the first call."""
+        if self.seeds is None:
+            values = [(0.0, 0)] * len(self.metrics)
+            extended = {}
+            for witness in self.witnesses:
+                extended.setdefault(witness[0], witness[1:])
+            for row, exponent in extended.values():
+                block, exponent = _extend(self.mats, row[None], exponent,
+                                          self.step)
+                for k, metric in enumerate(self.metrics):
+                    seed = _pair(float(_metric_values(block, metric).max()),
+                                 exponent)
+                    if _exceeds(*seed, *values[k]):
+                        values[k] = seed
+            self.seeds = [_pair_sum(_pair(f / c, g), self.underflow, -2.0)
+                          for (f, g), c in zip(values, self.c)]
+        least = None
+        for seed, (value, exponent, _), c in zip(self.seeds, self.best,
+                                                 self.c):
+            if value > 0.0 and _exceeds(value / c, exponent, *seed):
+                seed = _pair(value / c, exponent)
+            if least is None or _exceeds(*least, *seed):
+                least = seed
+        return least
+
+    def _keep(self, block: np.ndarray, exponent: int, depth: int):
+        """The prefixes of a block to keep at ``depth``, or None for all."""
+        if depth < 1 or self.n - depth < self.first:
+            return None
+        (f, g), limit = self._factor(depth)
+        ub = self.ub(*_cheap_norms(block))
+        grow = 1.0 + 2.0 * _SCREEN_MARGIN
+        if depth >= self.first:
+            lowest = _pair_sum(_pair(float(ub.min()) * f, exponent + g),
+                               self.underflow)
+            reached = self.norm_max[depth - self.first]
+            highest = _pair_sum(_pair_product(reached, limit),
+                                self.underflow)
+            if not _exceeds(highest[0] * (1.0 + _SCREEN_MARGIN), highest[1],
+                            lowest[0] * grow, lowest[1]):
+                return None
+        t = self._threshold()
+        t = _pair_sum(_pair(t[0] / grow, t[1]), self.underflow, -1.0)
+        threshold = _in_scale(*t, exponent + g)
+        drop = (ub >= _SCREEN_FLOOR) & (ub * f < threshold)
+        return ~drop if drop.any() else None
 
 
 def max_over_products(
@@ -753,22 +998,31 @@ def max_over_products(
     spectral radius) or ``TRACE`` (|trace|).  Returns (mantissa, exponent,
     witness word) per metric over the length-n products; ties keep the
     first word in lexicographic order.  With ``first``, returns one such
-    list per length first..n, each level grown from the one before where
-    it fits one block (see ``_product_levels``), with the same bits as a
-    call per length.  A JsrError raised at a level carries the lists of
-    the levels before it in its ``partial`` attribute.
+    list per length first..n, with the values and words of a call per
+    length.  The budget is checked for each level's r^k words before the
+    level, and a JsrError raised at a level carries the lists of the
+    levels before it in its ``partial`` attribute.
 
-    On blocks of at least _SCREEN_MIN_FLOATS entries, the operator norms
-    and the radius run their exact kernels only on the rows whose cheap
-    bound can still reach the best value so far (see ``_screened_max``),
-    from block norms taken once for all metrics.  Values and witnesses
-    are those of the exact kernel on every row.
+    Each level is a walk of its word tree (``_walk``) from the longest
+    complete product table, so a level that grows by one factor from a
+    table forms r^k products.  From the second length of the pass on, a
+    prefix is dropped once its norm bound times the norm maximum of the
+    remaining length, with a-priori rounding terms, falls below a value
+    the level is known to reach (see ``_Pass``); the words under it are
+    never formed.  At the leaves, the operator norms and the radius run
+    their exact kernels only on the rows whose cheap bound can still
+    reach the best value so far (see ``_screened_max``), from block norms
+    taken once for all metrics.  Values and witnesses are those of the
+    exact kernel on every product.
     """
+    lo = n if first is None else first
+    _check_length(n, lo)
+    scan = _Pass(mset, metrics, lo)
     levels: list[list[tuple[float, int, Word]]] = []
     try:
-        for k, chunks in _product_levels(mset, n if first is None else first,
-                                         n, max_words):
-            levels.append(_level_max(mset, k, chunks, metrics))
+        for k in range(lo, n + 1):
+            _level_budget(mset.r, k, max_words)
+            levels.append(scan.level(k))
     except JsrError as exc:
         exc.partial = levels
         raise

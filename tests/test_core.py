@@ -44,7 +44,6 @@ from jsrbound.core import (
     _left_multiply,
     _plain,
     _product_chunks,
-    _product_levels,
     operator_norms,
     spectral_radii,
 )
@@ -523,35 +522,19 @@ class TestChunkedEngine:
 
 
     @pytest.mark.parametrize("chunk_floats", [None, 64])
-    def test_level_blocks_match_single_level_blocks(self, rng, monkeypatch,
-                                                    chunk_floats):
-        """Each level of one multi-level pass has the chunks (starts,
-        exponents and bits) of a single-level pass, including levels
-        grown from the previous block and levels past the fitting one."""
-        if chunk_floats is not None:
-            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
-        sets = [random_set(rng, d, r) for d, r in ((1, 3), (2, 2), (3, 2))]
-        sets.append(MatrixSet.from_arrays([np.eye(2),
-                                           2.0 ** -250 * np.eye(2)]))
-        for ms in sets:
-            for first in (1, 3):
-                levels = _product_levels(ms, first, 6, 1 << 20)
-                for k, (level, chunks) in enumerate(levels, start=first):
-                    assert level == k
-                    got = [(s, b.tobytes(), e) for s, b, e in chunks]
-                    assert got == [(s, b.tobytes(), e) for s, b, e
-                                   in _product_chunks(ms, k, 1 << 20)]
-
-    @pytest.mark.parametrize("chunk_floats", [None, 64])
     def test_multi_level_maxima_match_single_level_calls(self, rng,
                                                          monkeypatch,
                                                          chunk_floats):
         if chunk_floats is not None:
             monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
         metrics = [NormKind.L2, RADIUS, TRACE, NormKind.L1]
-        for d, r in ((1, 2), (2, 3), (3, 2)):
-            ms = random_set(rng, d, r)
-            for first in (1, 2, 5):
+        sets = [random_set(rng, d, r) for d, r in ((1, 2), (2, 3), (3, 2))]
+        # products from 1 down to 2^-1250: with 64-float blocks, the
+        # blocks of the small ones are rescaled
+        sets.append(MatrixSet.from_arrays([np.eye(2),
+                                           2.0 ** -250 * np.eye(2)]))
+        for ms in sets:
+            for first in (1, 2, 3, 5):
                 assert max_over_products(ms, 5, metrics, first=first) == [
                     max_over_products(ms, n, metrics)
                     for n in range(first, 6)]
@@ -1022,6 +1005,162 @@ class TestScreenedMaxima:
         assert top.upper == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
         assert top.lower == math.ldexp(rho[0], rho[1]) ** (1.0 / n)
         assert gelfand_upper(ms, n, NormKind.L2) == top.upper
+
+
+# ---------------------------------------------------------------------------
+# Pruned level walks
+
+
+def _kernel(metric):
+    """The exact kernel of a metric, for ``_reference_max``."""
+    if metric == RADIUS:
+        return spectral_radii
+    if metric == TRACE:
+        return lambda s: np.abs(np.trace(s, axis1=-2, axis2=-1))
+    return lambda s: operator_norms(s, metric)
+
+
+# The metrics of ``bound --trace`` in each norm.
+BOUND_METRICS = [[kind, RADIUS, TRACE] for kind in NormKind]
+
+
+def _check_levels(ms: MatrixSet, n: int, metrics: list) -> list:
+    """``max_over_products`` at lengths 1..n in one pass against the
+    unpruned reference at every length, and from length 2 on, where the
+    first length has no maxima to prune against."""
+    got = max_over_products(ms, n, metrics, first=1)
+    assert got == [[_reference_max(ms, k, _kernel(metric))
+                     for metric in metrics] for k in range(1, n + 1)]
+    if n > 1:
+        assert max_over_products(ms, n, metrics, first=2) == got[1:]
+    return got
+
+
+def _cancelling_triple(cond: float, seed: int) -> MatrixSet:
+    """S U_i S^-1 for three strictly upper triangular U_i and
+    cond(S) = cond: every exact product of two or more members is 0, and
+    every computed one is rounding, at up to 2^-52 cond^2 of the exact
+    products of the members' absolute values."""
+    def turn(t):
+        return np.array([[math.cos(t), -math.sin(t)],
+                         [math.sin(t), math.cos(t)]])
+    rng = np.random.default_rng(seed)
+    s = (turn(rng.uniform(0.0, 3.0)) @ np.diag([1.0, 1.0 / cond])
+         @ turn(rng.uniform(0.0, 3.0)))
+    inv = np.linalg.inv(s)
+    return MatrixSet.from_arrays(
+        [s @ np.triu(rng.uniform(-1.0, 1.0, (2, 2)), k=1) @ inv
+         for _ in range(3)])
+
+
+class _ProductCounter:
+    """Counts the products formed: the rows out of ``_left_multiply``,
+    which ``core`` looks up in its own namespace at each call."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        multiply = core_module._left_multiply
+
+        def counted(mats, block):
+            self.rows += mats.shape[0] * block.shape[0]
+            return multiply(mats, block)
+
+        monkeypatch.setattr(core_module, "_left_multiply", counted)
+
+
+class TestPrunedLevels:
+    """Multi-length passes, which drop prefixes of each length's word
+    tree, against the unpruned reference at every length: the same
+    values, exponents and witness words."""
+
+    @pytest.mark.parametrize("name", sorted(ATTAINED))
+    def test_attained_and_tied_sets(self, name, screen_mode):
+        ms, n = ATTAINED[name]
+        for metrics in BOUND_METRICS:
+            _check_levels(ms, n, metrics)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_random_sets(self, d, screen_mode):
+        rng = np.random.default_rng([d, 5])
+        for r in (1, 2, 3, 4):
+            n = 6 if r == 1 else min(7, int(math.log(4096 / d ** 2, r)))
+            ms = random_set(rng, d, r, scale=10.0 ** rng.uniform(-3.0, 3.0))
+            for metrics in BOUND_METRICS:
+                _check_levels(ms, n, metrics)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_far_from_unit_scale(self, k, screen_mode):
+        rng = np.random.default_rng(8)
+        for ms in (random_set(rng, 2, 3), random_set(rng, 3, 2),
+                   GOLDEN_PAIR):
+            got = _check_levels(ms.scaled(2.0 ** k), 6, SCREENED)
+            plain = max_over_products(ms, 6, SCREENED, first=1)
+            assert [[(v, w) for v, _, w in level] for level in got] == \
+                [[(v, w) for v, _, w in level] for level in plain]
+
+    def test_zero_and_nilpotent_sets(self, screen_mode):
+        rng = np.random.default_rng(9)
+        sets = [MatrixSet.from_arrays(np.zeros((2, 2, 2))),
+                MatrixSet.from_arrays(np.triu(rng.uniform(-1, 1, (3, 3, 3)),
+                                              k=1)),
+                MatrixSet.from_arrays(np.triu(rng.uniform(-1, 1, (2, 4, 4)),
+                                              k=1))]
+        for ms in sets:
+            for metrics in BOUND_METRICS:
+                got = _check_levels(ms, 6, metrics)
+                assert all(v == 0.0 for level in got[ms.dim:]
+                           for v, _, _ in level)
+
+    @pytest.mark.parametrize("cond, seed", [(1e10, 24), (1e13, 4)])
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.L2])
+    def test_cancelling_similarity_keeps_its_maximum(self, cond, seed, kind):
+        """The computed products of these sets are far from the exact
+        ones.  Without the a-priori rounding term R_j of ``_Pass``, the
+        walk drops the prefix of the computed maximum on both sets, in
+        both norms."""
+        _check_levels(_cancelling_triple(cond, seed), 10, [kind, RADIUS])
+
+    def test_budget_error_keeps_the_levels_before(self):
+        ms = random_set(np.random.default_rng(10), 2, 4)
+        with pytest.raises(BudgetExceededError,
+                           match="length-9 products requires 262144 words"
+                           ) as info:
+            max_over_products(ms, 12, SCREENED, 4 ** 8, first=1)
+        assert info.value.partial == [
+            [_reference_max(ms, k, _kernel(metric)) for metric in SCREENED]
+            for k in range(1, 9)]
+
+
+class TestPrunedWork:
+    """Products formed by a multi-length pass, counted at the multiply."""
+
+    def test_few_products_are_formed(self, monkeypatch):
+        """A random set of four 2x2 matrices at lengths 1..10: under 5% of
+        the sum of 4^k products in every norm (an unpruned pass forms
+        them all)."""
+        ms = random_set(np.random.default_rng(12), 2, 4)
+        total = sum(4 ** k for k in range(1, 11))
+        for kind in NormKind:
+            counter = _ProductCounter(monkeypatch)
+            max_over_products(ms, 10, [kind, RADIUS], first=1)
+            assert 0 < counter.rows < 0.05 * total
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("quarter turn", list(NormKind)),
+        ("planar rotations", [NormKind.L2]),
+        ("3d rotations", [NormKind.L2]),
+        ("scalar multiples of I", list(NormKind)),
+        ("permutations", list(NormKind)),
+    ])
+    def test_tied_sets_form_each_level_once(self, name, kinds, monkeypatch):
+        """Where every product ties in the norm, nothing can be dropped,
+        and each length is one extension of the table before it: the
+        sum of r^k products, as without pruning."""
+        ms, n = ATTAINED[name]
+        for kind in kinds:
+            counter = _ProductCounter(monkeypatch)
+            max_over_products(ms, n, [kind, RADIUS, TRACE], first=1)
+            assert counter.rows == sum(ms.r ** k for k in range(1, n + 1))
 
 
 class TestExports:
