@@ -11,10 +11,12 @@ numbers in the same lexicographic order.  It walks a length's word tree
 breadth first from the longest complete product table of its pass: a
 length whose products fit one block is the table times one more factor,
 and a longer one is formed in groups of prefixes, each walked to the end
-before the next.  In a pass over several lengths (``max_over_products``
-with ``first``), a prefix is dropped once a bound on every product under
-it falls below a value its length is known to reach, so most words of a
-long pass are never formed (see ``_Pass``).
+before the next.  A single length's walk forms the same table, so its
+blocks are those of the pass, rescaled at the same points, and every
+product has the same bits.  In a pass over several lengths
+(``max_over_products`` with ``first``), a prefix is dropped once a bound
+on every product under it falls below a value its length is known to
+reach, so most words of a long pass are never formed (see ``_Pass``).
 
 Scale is kept in exact powers of two: the engine divides the members by
 2^e, e the binary exponent of the largest entry, and each block carries
@@ -527,14 +529,30 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _extend(mats: np.ndarray, block: np.ndarray, exponent: int,
-            step: int) -> tuple[np.ndarray, int]:
+            step: int, formed: dict | None = None) -> tuple[np.ndarray, int]:
     """Left-multiply every product in ``block`` by one more factor.
 
     Appending index t to the product at position j lands at j * r + t, so
-    word order is kept.  ``mats`` are the members / 2^step.
+    word order is kept.  ``mats`` are the members / 2^step.  ``formed``
+    maps positions j to the r products ``_left_multiply`` gave for row j,
+    which are not formed again.
     """
-    block = _left_multiply(mats, block)
-    exponent += step
+    if formed:
+        r, d, _ = mats.shape
+        out = np.empty((block.shape[0], r, d, d))
+        rest = np.ones(block.shape[0], dtype=bool)
+        rest[list(formed)] = False
+        out[rest] = _left_multiply(mats, block[rest]).reshape(-1, r, d, d)
+        out[list(formed)] = list(formed.values())
+        block = out.reshape(-1, d, d)
+    else:
+        block = _left_multiply(mats, block)
+    return _rescale(block, exponent + step)
+
+
+def _rescale(block: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
+    """The block times 2^-s and exponent + s, s the binary exponent of its
+    largest entry, when that leaves [-_RANGE_BITS, _RANGE_BITS]."""
     shift = math.frexp(float(max(block.max(), -block.min())))[1]
     if abs(shift) > _RANGE_BITS:
         block, exponent = np.ldexp(block, -shift), exponent + shift
@@ -551,7 +569,8 @@ class _Table:
     depth: int
 
 
-def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None
+def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
+          formed: dict | None = None
           ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, int]]:
     """Yield (start, rows, block, exponent) over the length-n words in
     lexicographic order, the products being block * 2^exponent.
@@ -561,14 +580,22 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None
     returns a mask of the prefixes to keep, or None to keep them all;
     the words under a dropped prefix are never formed.  ``rows`` is None
     when a block holds the consecutive words start, start + 1, ...; else
-    ``rows[i]`` is the index of row i.  A block of several prefixes
-    whose r^(n - depth) extensions would exceed _CHUNK_FLOATS entries is
-    split into groups of r^(t - n + depth) rows (one row when t < n -
-    depth), t the largest length whose r^t products fit one block, and
-    each group is walked to the end before the next.  So memory stays at
-    a few blocks, and unpruned, the length-n blocks are the r^t words
-    under each head of n - t factors.  A complete block replaces the
-    table, so the next level starts from it.
+    ``rows[i]`` is the index of row i.  A complete block (every word of
+    its length) is extended whole while its extension fits, up to length
+    t, the largest whose r^t products fit _CHUNK_FLOATS entries; that
+    block becomes the table, so the next level starts from it, and a
+    walk from the identity forms the same table as a pass over several
+    lengths.  Below it, a block of several prefixes whose r^(n - depth)
+    extensions would exceed _CHUNK_FLOATS entries is split into groups
+    of r^(t - n + depth) rows (one row when t < n - depth), each walked
+    to the end before the next and rescaled on its own.  So memory stays
+    at a few blocks, and unpruned, the length-n blocks are the r^t words
+    under each prefix of n - t factors.
+
+    ``formed`` maps indices of length-(n - 1) words to (bits, exponent,
+    products): the r products ``_left_multiply`` gave for that row.  A
+    row of the same bits at the same exponent is not extended again.
+    The map may be filled while the walk runs.
     """
     r, d = mats.shape[0], mats.shape[-1]
     fit = 1  # r^t, t the largest length whose r^t products fit a block
@@ -593,7 +620,9 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None
             if m == 0:
                 return
             span = r ** (n - depth)
-            if m > 1 and m * span * d * d > _CHUNK_FLOATS:
+            complete = rows is None and m == r ** depth
+            if (m > 1 and m * span * d * d > _CHUNK_FLOATS
+                    and not (complete and m < fit)):
                 group = max(1, fit // span)
                 for lo in range(0, m, group):
                     yield from visit(start + lo, None if rows is None
@@ -601,16 +630,37 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None
                                      block[lo:lo + group], exponent, depth,
                                      True)
                 return
-            block, exponent = _extend(mats, block, exponent, step)
+            known = None
+            if formed and depth == n - 1:
+                known = _formed_rows(formed, start, rows, block, exponent)
+            block, exponent = _extend(mats, block, exponent, step, known)
             depth, start = depth + 1, start * r
             if rows is not None:
                 rows = (rows[:, None] * r + np.arange(r)).ravel()
-            elif block.shape[0] == r ** depth:
+            elif complete:
                 table.block, table.exponent, table.depth = \
                     block, exponent, depth
         yield start, rows, block, exponent
 
     yield from visit(0, None, table.block, table.exponent, table.depth)
+
+
+def _formed_rows(formed: dict, start: int, rows: np.ndarray | None,
+                 block: np.ndarray, exponent: int) -> dict:
+    """{position: products} for the rows of ``block`` whose extensions
+    ``formed`` holds from the same bits at the same exponent."""
+    found = {}
+    for index, (bits, at, products) in formed.items():
+        if at != exponent:
+            continue
+        if rows is None:
+            hits = [index - start] if 0 <= index - start < len(block) else []
+        else:
+            hits = np.flatnonzero(rows == index)
+        for j in hits:
+            if block[j].tobytes() == bits:
+                found[int(j)] = products
+    return found
 
 
 def _check_length(n: int, first: int) -> None:
@@ -848,8 +898,18 @@ class _Pass:
     argument on the maximizing word's prefix (||P|| <= (1 + kappa) N_j and
     ub(P) <= sqrt(d) ||P||), so when no row's bound is below that, the
     block is kept whole and the seeds are not formed.  On sets whose
-    products tie, such as rotations, every level then forms the products
-    of the unpruned walk and no more.
+    products tie in the norm, such as rotations in l2, every level then
+    forms the products of the unpruned walk and no more.
+
+    Work.  The seeds' products are kept, and the walk does not form them
+    again when it reaches their rows with the same bits at the same
+    exponent (``_walk``'s ``formed``).  A whole length that keeps half
+    its prefixes or more is kept whole when its extension fits a block:
+    the extension costs at most twice the kept part, and it becomes the
+    table, so the later levels do not form those prefixes again.  On
+    sets whose products nearly tie, such as rotations in l1, which drop
+    few prefixes or none, a pass then forms no more products than the
+    unpruned one.
     """
 
     def __init__(self, mset: MatrixSet, metrics: list, first: int):
@@ -874,7 +934,7 @@ class _Pass:
         """The (mantissa, exponent, witness word) of each metric over the
         length-n words; the levels first..n - 1 must be done."""
         screened = any(bound is not None for bound in self.bounds)
-        self.n, self.seeds, self.factors = n, None, {}
+        self.n, self.seeds, self.factors, self.formed = n, None, {}, {}
         self.best: list[tuple[float, int, int]] = \
             [(-np.inf, 0, -1)] * len(self.metrics)
         witnesses: list = [None] * len(self.metrics)
@@ -886,7 +946,8 @@ class _Pass:
             self.underflow = self._scaled_power(
                 n, n * self.d ** 3 * 2.0 ** -568)
         for start, rows, chunk, exponent in _walk(self.mats, self.step,
-                                                  self.table, n, prune):
+                                                  self.table, n, prune,
+                                                  self.formed):
             norms = None
             if screened and chunk.size >= _SCREEN_MIN_FLOATS:
                 norms = _cheap_norms(chunk)
@@ -942,9 +1003,11 @@ class _Pass:
             extended = {}
             for witness in self.witnesses:
                 extended.setdefault(witness[0], witness[1:])
-            for row, exponent in extended.values():
-                block, exponent = _extend(self.mats, row[None], exponent,
-                                          self.step)
+            for index, (row, exponent) in extended.items():
+                # the walk reuses these products if it reaches the row
+                products = _left_multiply(self.mats, row[None])
+                self.formed[index] = (row.tobytes(), exponent, products)
+                block, exponent = _rescale(products, exponent + self.step)
                 for k, metric in enumerate(self.metrics):
                     seed = _pair(float(_metric_values(block, metric).max()),
                                  exponent)
@@ -981,6 +1044,12 @@ class _Pass:
         t = _pair_sum(_pair(t[0] / grow, t[1]), self.underflow, -1.0)
         threshold = _in_scale(*t, exponent + g)
         drop = (ub >= _SCREEN_FLOOR) & (ub * f < threshold)
+        m = block.shape[0]
+        # a whole length that keeps half its prefixes is extended whole
+        # if that fits a block, so later levels do not form them again
+        if (m == self.r ** depth and 2 * int(drop.sum()) <= m
+                and m * self.r * self.d ** 2 <= _CHUNK_FLOATS):
+            return None
         return ~drop if drop.any() else None
 
 

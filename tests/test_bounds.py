@@ -256,12 +256,13 @@ class TestChunkedScans:
         ms = MatrixSet.from_arrays([np.eye(2), 2.0 ** -250 * np.eye(2)])
         whole = sandwich(ms, 8, NormKind.L2)
         monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
-        # members / 2: the head (2, 2) is 2^-502 I, so only its block
-        # leaves [2^-500, 2^500] (its first level tops at 2^-503) and is
-        # multiplied by 2^502; word (2, 2, 1, 1, 1, 1) is 2^-500 I
+        # members / 2: the table of length 4 tops at 2^-4 and is kept as
+        # it is; of the groups of prefixes under it, only (2, 2, ., .)
+        # leaves [2^-500, 2^500] at length 5 (it tops at 2^-505) and is
+        # multiplied by 2^504; word (2, 2, 1, 1, 1, 1) is 2^-500 I
         chunks = list(_product_chunks(ms, 6, 1 << 20))
-        assert [exp for _, _, exp in chunks] == [6, 6, 6, 6 - 502]
-        assert np.array_equal(chunks[3][1][0], 2.0 ** -4 * np.eye(2))
+        assert [exp for _, _, exp in chunks] == [6, 6, 6, 6 - 504]
+        assert np.array_equal(chunks[3][1][0], 2.0 ** -2 * np.eye(2))
         chunked = sandwich(ms, 8, NormKind.L2)
         assert [rep.to_dict() for rep in chunked] == \
             [rep.to_dict() for rep in whole]

@@ -520,6 +520,30 @@ class TestChunkedEngine:
             assert rho ** (1.0 / len(word)) == pytest.approx(max(lowers),
                                                              rel=1e-12)
 
+    @pytest.mark.parametrize("chunk_floats", [None, 64])
+    def test_level_blocks_match_single_level_blocks(self, rng, monkeypatch,
+                                                    chunk_floats):
+        """Each length of one unpruned walk over several lengths, which
+        carries its table from length to length, has the blocks (starts,
+        exponents and bits) of a single-length walk, including lengths
+        grown from the table and lengths past the one that fits a block."""
+        if chunk_floats is not None:
+            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
+        sets = [random_set(rng, d, r) for d, r in ((1, 3), (2, 2), (3, 2))]
+        # members 2^250 and 2^510 apart: products down to 2^-3060, so the
+        # blocks are rescaled, and entries flushed to zero, at the same
+        # points or the bits differ
+        sets += [MatrixSet.from_arrays([np.eye(2), 2.0 ** -k * np.eye(2)])
+                 for k in (250, 510)]
+        for ms in sets:
+            step, mats = core_module._binary_scale(ms)
+            for first in (1, 3):
+                table = core_module._Table(np.eye(ms.dim)[None], 0, 0)
+                for k in range(first, 7):
+                    got = [(s, b.tobytes(), e) for s, rows, b, e
+                           in core_module._walk(mats, step, table, k)]
+                    assert got == [(s, b.tobytes(), e) for s, b, e
+                                   in _product_chunks(ms, k, 1 << 20)]
 
     @pytest.mark.parametrize("chunk_floats", [None, 64])
     def test_multi_level_maxima_match_single_level_calls(self, rng,
@@ -1145,22 +1169,30 @@ class TestPrunedWork:
             max_over_products(ms, 10, [kind, RADIUS], first=1)
             assert 0 < counter.rows < 0.05 * total
 
-    @pytest.mark.parametrize("name, kinds", [
-        ("quarter turn", list(NormKind)),
-        ("planar rotations", [NormKind.L2]),
-        ("3d rotations", [NormKind.L2]),
-        ("scalar multiples of I", list(NormKind)),
-        ("permutations", list(NormKind)),
-    ])
-    def test_tied_sets_form_each_level_once(self, name, kinds, monkeypatch):
-        """Where every product ties in the norm, nothing can be dropped,
-        and each length is one extension of the table before it: the
-        sum of r^k products, as without pruning."""
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("name", sorted(ATTAINED))
+    def test_tied_sets_form_each_level_once(self, name, kind, monkeypatch):
+        """Where products tie or nearly tie (rotations, permutations, the
+        quarter turn), few prefixes or none can be dropped.  With every
+        length of two or more tested, however small, a pass still forms
+        at most the sum of r^k products, as without pruning: the walk
+        reuses the seeds' products, and a whole length that keeps half
+        its prefixes or more is formed whole and becomes the table."""
+        monkeypatch.setattr("jsrbound.core._SCREEN_MIN_FLOATS", 1)
+        tested = set()
+        keep = core_module._Pass._keep
+
+        def spy(scan, block, exponent, depth):
+            tested.add(scan.n)
+            return keep(scan, block, exponent, depth)
+
+        monkeypatch.setattr(core_module._Pass, "_keep", spy)
         ms, n = ATTAINED[name]
-        for kind in kinds:
-            counter = _ProductCounter(monkeypatch)
-            max_over_products(ms, n, [kind, RADIUS, TRACE], first=1)
-            assert counter.rows == sum(ms.r ** k for k in range(1, n + 1))
+        counter = _ProductCounter(monkeypatch)
+        max_over_products(ms, n, [kind, RADIUS, TRACE], first=1)
+        assert counter.rows <= sum(ms.r ** k for k in range(1, n + 1))
+        # a set of one member has one word a length, nothing to drop
+        assert tested == (set(range(2, n + 1)) if ms.r > 1 else set())
 
 
 class TestExports:
