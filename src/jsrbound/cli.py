@@ -118,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=float, default=_DEF_MESH)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="agreement tolerance on the sampled measure of "
-                        "a reducible set")
+                        "a reducible set, in units of the largest norm "
+                        "of the reach products")
     _add_budget(p)
 
     p = sub.add_parser("certify",

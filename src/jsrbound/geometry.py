@@ -153,17 +153,15 @@ _PILOT_DIRECTIONS = {
 _PILOT_POINTS = 6
 
 # Rows are pruned when they have at least this many points (m, the reach
-# products), by dimension; fewer are swept whole.  2-d, on the first m
-# reach products of the chi workload's 2-d set (one BLAS thread, medians):
-# pruning took 0.43 against 0.29 ms on 8 rows (one refinement call) at
-# m = 16 and 0.40 against 0.51 ms at m = 20; it broke even on 120 rows at
-# m = 13 and on the 1,257-point circle at m = 10.  A chi net walk with its
-# descent at meshes 0.02 and 0.005 was faster pruned on 4 of 4 sets at
-# m = 18, on 2 of 4 at m = 17 and on 1 of 4 at m = 16.  3-d, on the chi
-# workload's m = 13 set pruning took 24 against 95 ms on the 642-point
-# icosphere and 4.6 against 9.0 ms on 64 points (but 2.6 against 1.3 ms on
-# 8); on 7 of its products it was 1.4-5 times slower, and on 10 it broke
-# even at 64.
+# products), by dimension; fewer are swept whole.  Measured while chi ran
+# a descent after its net walk, on the chi workload's sets (one BLAS
+# thread, medians).  2-d, on its first m reach products: pruning broke
+# even on 120 rows at m = 13 and on the 1,257-point circle at m = 10, and
+# a chi net walk and descent at meshes 0.02 and 0.005 was faster pruned
+# on 4 of 4 sets at m = 18, on 2 of 4 at m = 17 and on 1 of 4 at m = 16.
+# 3-d, at m = 13: pruning took 24 against 95 ms on the 642-point
+# icosphere and 4.6 against 9.0 ms on 64 points; on 7 of its products it
+# was 1.4-5 times slower, and on 10 it broke even at 64.
 _PRUNE_MIN_POINTS = {2: 18, 3: 10}
 
 # Relative margin mu of the drop test, and the least pilot inradius, as a
@@ -838,83 +836,3 @@ def _net_levels(d: int, kind: NormKind, mesh: float, size: int) -> _Levels:
         steps.append((new, new - stride, right))
     return coarse, steps
 
-
-# ---------------------------------------------------------------------------
-# Deterministic local refinement on a sphere
-
-
-# cos(k pi/4) and sin(k pi/4): the 8 step directions around a 3-d point.
-_RING_COS = np.array([np.cos(k * np.pi / 4.0) for k in range(8)])[:, None]
-_RING_SIN = np.array([np.sin(k * np.pi / 4.0) for k in range(8)])[:, None]
-
-# The search stops at a step below this or after _MAX_ROUNDS rounds.
-_MIN_STEP = 1e-13
-_MAX_ROUNDS = 200
-
-# Ring scales h, h/2, ... that one value_fn call evaluates.  A call costs
-# more than its rows on small rings.  On the 2-d refinements of one pass
-# of the benchmark's workloads (seed 1, one BLAS thread), 4 scales took
-# 251-305 ms on calls against 554-680 ms for 1 and 354-428 ms for 2; 8
-# took 228-245 ms there, but 42-46 ms against 26-29 ms on the
-# 40-product chi task, whose rows cost more.  On the 3-d refinements of
-# calls (min and median of 7), 4 scales took 233-274 ms, 2 took 199-284
-# and 1 took 246-434.
-_HALVINGS = 0.5 ** np.arange(4)
-
-
-def _offset_ring(x: np.ndarray) -> np.ndarray:
-    """Unit tangent steps at x as rows: 2 along the circle, 8 around a 3-d point."""
-    unit = x / np.linalg.norm(x)
-    axis = int(np.argmin(np.abs(unit)))
-    e = np.zeros_like(unit)
-    e[axis] = 1.0
-    t1 = e - np.dot(e, unit) * unit
-    t1 /= np.linalg.norm(t1)
-    if len(x) == 2:
-        return np.stack([t1, -t1])
-    (u0, u1, u2), (v0, v1, v2) = unit.tolist(), t1.tolist()
-    t2 = np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
-    return _RING_COS * t1 + _RING_SIN * t2
-
-
-def refine_minimum(value_fn, x0: np.ndarray, v0: float, kind: NormKind,
-                   step: float) -> tuple[np.ndarray, float]:
-    """Pattern search for a local minimum on the kind-unit sphere.
-
-    ``x0`` is the (d,) start and ``v0`` its value; value_fn maps an
-    (s, d) block of unit vectors to (s,) values, each depending on its
-    own row only.  A round evaluates the ring of neighbors at the current
-    step h, moves to the best of them if it improves on the current
-    value and halves the step otherwise; the search ends once the step is
-    below _MIN_STEP or after _MAX_ROUNDS rounds.  One value_fn call takes
-    the ring at h, h/2, h/4 and h/8 (_HALVINGS, as many of them as the
-    rounds left and _MIN_STEP allow), and the first scale that improves
-    is taken.  Each scale counts as one round, and a scale that does not
-    improve is the round that halves the step, so the search ends exactly
-    where the one-scale search ends, in 2-d and 3-d alike.  Returns the
-    end point and its value; fully deterministic.
-    """
-    x = np.array(x0, dtype=float)
-    best = float(v0)
-    d = x.size
-    h = float(step)
-    used = 0
-    ring = _offset_ring(x)
-    while h >= _MIN_STEP and used < _MAX_ROUNDS:
-        count = min(int(np.count_nonzero(h * _HALVINGS >= _MIN_STEP)),
-                    _MAX_ROUNDS - used)
-        cand = kind_normalize(
-            x + (h * _HALVINGS[:count])[:, None, None] * ring, kind)
-        vals = value_fn(cand.reshape(-1, d)).reshape(count, -1)
-        pick = np.argmin(vals, axis=1)
-        low = vals[np.arange(count), pick]
-        better = np.flatnonzero(low < best)
-        taken = int(better[0]) if better.size else count
-        h *= 0.5 ** taken
-        used += taken
-        if taken < count:
-            used += 1
-            x = cand[taken, pick[taken]]
-            best = float(low[taken])
-            ring = _offset_ring(x)
-    return x, best

@@ -31,8 +31,8 @@ from .geometry import (
     _check_mesh,
     _net_antipodes,
     _net_levels,
+    kind_normalize,
     radius_profile,
-    refine_minimum,
     sphere_net,
     vector_norms,
 )
@@ -48,10 +48,11 @@ class ChiEstimate(Record):
     """Sampled irreducibility measure plus its certified lower bound.
 
     ``sampled_inf`` is the smallest hull radius found on the sphere net
-    (after deterministic local refinement), hence always an upper bound of
-    the true infimum.  ``certified_lower`` subtracts the Lipschitz slack
-    L * mesh and is a rigorous lower bound; 0 means the mesh was too
-    coarse to certify positivity, not an error.
+    and at a few points of possible invariant subspaces, attained at
+    ``argmin``, hence an upper bound of the true infimum.
+    ``certified_lower`` subtracts the Lipschitz slack lipschitz * mesh and
+    is a rigorous lower bound; 0 means the mesh was too coarse to certify
+    positivity, not an error.
     """
 
     p: int
@@ -189,6 +190,32 @@ def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
     return vals
 
 
+def _invariant_points(mset: MatrixSet, kind: NormKind) -> np.ndarray:
+    """Kind-unit points in a common invariant subspace of the set, if it
+    has one: there every G x lies in it, and the radius is 0 but for
+    rounding.  A common invariant line is spanned by a real eigenvector of
+    every member and of their sum; a common invariant plane in 3-d is
+    normal to a real eigenvector of every transpose.  The points are the
+    nonzero real and imaginary parts of the eigenvectors of the members /
+    2^e (``core._binary_scale``) and of their sum, and in 3-d those of the
+    transposes crossed with the axis of their smallest |component|.
+    """
+    mats = _binary_scale(mset)[1]
+    mats = np.concatenate([mats, np.sum(mats, axis=0, keepdims=True)])
+    d = mats.shape[-1]
+    vecs = np.linalg.eig(mats)[1].transpose(0, 2, 1).reshape(-1, d)
+    points = [vecs.real, vecs.imag]
+    if d == 3:
+        normals = np.linalg.eig(mats.transpose(0, 2, 1))[1]
+        normals = normals.transpose(0, 2, 1).reshape(-1, d)
+        for part in (normals.real, normals.imag):
+            axes = np.eye(d)[np.argmin(np.abs(part), axis=1)]
+            points.append(np.cross(part, axes))
+    points = np.concatenate(points)
+    top = np.max(np.abs(points), axis=1)
+    return kind_normalize(points[top > 0] / top[top > 0, None], kind)
+
+
 def chi_measure(
     mset: MatrixSet,
     p: int,
@@ -207,13 +234,17 @@ def chi_measure(
 
         certified_lower = max(0, sampled_inf - lipschitz * mesh).
 
-    Local refinement only lowers sampled_inf by evaluating the radius at
-    genuine sphere points, so both bounds stay valid.  One pattern search
-    (``geometry.refine_minimum``) runs from the net minimum, the first
-    net point of least value, and sampled_inf and argmin are where it
-    ends.  Only d in {1, 2, 3} has a sphere net and an exact hull sweep;
-    any other d raises UnsupportedDimensionError before a reach product
-    is formed.
+    sampled_inf is the least radius at the net points and at the points
+    of ``_invariant_points`` (one radius_profile call), argmin the first
+    net point of least value unless a candidate is strictly lower.  Those
+    are genuine sphere points, so sampled_inf stays an upper estimate and
+    they can only lower the certificate, which holds from the net alone:
+    a net value is at most 2^-31 L above the exact radius (below), which
+    the doubled constant's extra L * mesh covers, as a net of d >= 2 needs
+    mesh above 2^-31 to fit ``geometry.MAX_NET_POINTS`` (the 1-d net is
+    the sphere).  Only d in {1, 2, 3} has a sphere net and an exact hull
+    sweep; any other d raises UnsupportedDimensionError before a reach
+    product is formed.
 
     A net that one radius_profile block holds, or any net when lipschitz
     overflows, is swept whole.  A larger one is walked once, level by
@@ -276,17 +307,15 @@ def chi_measure(
     to the bit.
     """
     _check_mesh(mesh)
-    d = mset.dim
-    xs = sphere_net(d, kind, mesh)
+    xs = sphere_net(mset.dim, kind, mesh)
     prods = reach_products(mset, p, max_words)
     norm = float(np.max(operator_norms(prods, kind)))
-    vals = _net_profile(prods, xs, kind, mesh, norm)
+    cands = _invariant_points(mset, kind)
+    vals = np.concatenate([_net_profile(prods, xs, kind, mesh, norm),
+                           radius_profile(prods, cands, kind)])
     best = int(np.argmin(vals))
-    argmin, sampled = xs[best], float(vals[best])
-    if d > 1:
-        argmin, sampled = refine_minimum(
-            lambda block: radius_profile(prods, block, kind), argmin,
-            sampled, kind, mesh)
+    argmin = xs[best] if best < xs.shape[0] else cands[best - xs.shape[0]]
+    sampled = float(vals[best])
     lipschitz = 2.0 * norm
     certified = max(0.0, sampled - lipschitz * mesh)
     return ChiEstimate(
@@ -439,7 +468,8 @@ def lemma1_crosscheck(
 
     For p >= d - 1 the measure is positive exactly on irreducible sets, so
     the two routes must agree: "consistent" when they do (a positive
-    certificate on irreducible sets, a sample at most ``tolerance`` on
+    certificate on irreducible sets, a sample at most ``tolerance`` times
+    max_G ||G|| = lipschitz / 2 >= 1, capped at the largest float, on
     reducible ones), "inconclusive" when the mesh was too coarse to
     certify, "inconsistent" otherwise.  A smaller p raises ValueError.
     """
@@ -454,7 +484,8 @@ def lemma1_crosscheck(
         agrees = chi.certified_lower > 0.0
         coarse = chi.sampled_inf > 0.0
     else:
-        agrees = chi.sampled_inf <= tolerance
+        scale = min(chi.lipschitz / 2.0, np.finfo(float).max)
+        agrees = chi.sampled_inf / scale <= tolerance
         coarse = chi.certified_lower == 0.0
     agreement = ("consistent" if agrees
                  else "inconclusive" if coarse else "inconsistent")

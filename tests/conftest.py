@@ -5,7 +5,6 @@ import pytest
 
 from jsrbound import MatrixSet
 import jsrbound.geometry as geometry_module
-from jsrbound.geometry import _offset_ring, kind_normalize
 
 
 @pytest.fixture
@@ -30,31 +29,6 @@ DIAGONAL_PAIR = MatrixSet.from_arrays(
 )
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-def one_scale_search(value_fn, x0: np.ndarray, v0: float, kind,
-                     step: float):
-    """The reference for ``geometry.refine_minimum``: the same pattern
-    search from the (d,) start x0, one ring scale per value_fn call.
-    Reads _MIN_STEP and _MAX_ROUNDS at call time.  Returns the end point,
-    its value and whether each round moved."""
-    x = np.array(x0, dtype=float)
-    best = float(v0)
-    ring = _offset_ring(x)
-    moves: list[bool] = []
-    for _ in range(geometry_module._MAX_ROUNDS):
-        if step < geometry_module._MIN_STEP:
-            break
-        cand = kind_normalize(x + step * ring, kind)
-        vals = value_fn(cand)
-        pick = int(np.argmin(vals))
-        moves.append(bool(vals[pick] < best))
-        if moves[-1]:
-            x, best = cand[pick], float(vals[pick])
-            ring = _offset_ring(x)
-        else:
-            step *= 0.5
-    return x, best, moves
 
 
 @pytest.fixture

@@ -26,11 +26,8 @@ from jsrbound.geometry import (
     dual_kind,
     kind_normalize,
     radius_profile,
-    refine_minimum,
     vector_norms,
 )
-
-from .conftest import one_scale_search
 
 DIAMOND = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -799,100 +796,3 @@ class TestSphereNet:
         # the finest that fits.
         assert 10 * 4 ** 9 + 2 <= MAX_NET_POINTS < 10 * 4 ** 10 + 2
 
-
-class TestRefinement:
-    def test_finds_quadratic_minimum_on_circle(self):
-        d = np.diag([1.0, 4.0])
-
-        def f(xs: np.ndarray) -> np.ndarray:
-            return np.einsum("sa,ab,sb->s", xs, d, xs)
-
-        x0 = kind_normalize(np.array([[np.cos(0.3), np.sin(0.3)]]),
-                            NormKind.L2)
-        v0 = f(x0)
-        x, v = refine_minimum(f, x0[0], v0[0], NormKind.L2, 0.05)
-        assert v == pytest.approx(1.0, abs=1e-9)
-        assert abs(x[0]) == pytest.approx(1.0, abs=1e-6)
-
-    def test_never_increases(self, rng):
-        prods = rng.normal(size=(3, 3, 3))
-
-        def f(xs: np.ndarray) -> np.ndarray:
-            return radius_profile(prods, xs, NormKind.L2)
-
-        x0 = kind_normalize(rng.normal(size=(1, 3)), NormKind.L2)
-        v0 = f(x0)
-        x, v = refine_minimum(f, x0[0], v0[0], NormKind.L2, 0.02)
-        assert v <= v0[0] + 1e-15
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-
-
-class _CountingProfile:
-    """radius_profile of a fixed stack that records every block size."""
-
-    def __init__(self, prods: np.ndarray, kind: NormKind) -> None:
-        self.prods, self.kind, self.sizes = prods, kind, []
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        self.sizes.append(xs.shape[0])
-        return radius_profile(self.prods, xs, self.kind)
-
-
-def _call_sizes(moves: list[bool], d: int, step: float) -> list[int]:
-    """value_fn call sizes of refine_minimum, from whether each round of
-    its one-scale search moved: a call takes the ring at the next scales
-    h, h/2, ... up to _HALVINGS's, within the rounds left and _MIN_STEP,
-    and its first scale that moves ends it."""
-    depth, ring = geometry._HALVINGS.size, 2 if d == 2 else 8
-    sizes, used, h = [], 0, step
-    while used < len(moves):
-        n = min(depth, geometry._MAX_ROUNDS - used,
-                sum(h * 0.5 ** i >= geometry._MIN_STEP for i in range(depth)))
-        sizes.append(ring * n)
-        window = moves[used:used + n]
-        i = window.index(True) if True in window else n
-        h *= 0.5 ** i
-        used += i + (i < n)
-    return sizes
-
-
-class TestBatchedRefinement:
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("kind", list(NormKind))
-    @pytest.mark.parametrize("max_rounds", [200, 6])
-    def test_matches_one_scale_search(self, d, kind, max_rounds, rng,
-                                      monkeypatch):
-        """Four ring scales per call end where one scale per call ends, to
-        the bit, in 2-d and 3-d; random sets at scales 2^-400, 1, 2^400."""
-        monkeypatch.setattr("jsrbound.geometry._MAX_ROUNDS", max_rounds)
-        rounds, calls = [], []
-        for k in (-400, 0, 400):
-            prods = rng.normal(size=(4, d, d)) * 2.0 ** k
-            x0 = kind_normalize(rng.normal(size=(4, d)), kind)
-            v0 = radius_profile(prods, x0, kind)
-            for i in range(4):
-                batched = _CountingProfile(prods, kind)
-                x, v = refine_minimum(batched, x0[i], v0[i], kind, 0.05)
-                ref_x, ref_v, moves = one_scale_search(
-                    _CountingProfile(prods, kind), x0[i], v0[i], kind, 0.05)
-                assert x.tobytes() == ref_x.tobytes()
-                assert np.float64(v).tobytes() == np.float64(ref_v).tobytes()
-                assert batched.sizes == _call_sizes(moves, d, 0.05)
-                rounds.append(len(moves))
-                calls.append(len(batched.sizes))
-        if max_rounds == 200:
-            assert sum(calls) < 0.75 * sum(rounds)  # calls of several scales
-        else:
-            assert rounds == [max_rounds] * 12  # every search is cut off
-
-    def test_values_never_increase(self, rng):
-        prods = rng.normal(size=(3, 3, 3))
-        x0 = kind_normalize(rng.normal(size=(4, 3)), NormKind.L1)
-        v0 = radius_profile(prods, x0, NormKind.L1)
-        for start, value in zip(x0, v0):
-            x, v = refine_minimum(_CountingProfile(prods, NormKind.L1), start,
-                                  value, NormKind.L1, 0.05)
-            assert v <= value
-            assert radius_profile(prods, x[None], NormKind.L1)[0] == v
-            assert vector_norms(x, NormKind.L1) == pytest.approx(1.0,
-                                                                 abs=1e-12)

@@ -32,7 +32,6 @@ from .conftest import (
     DIAGONAL_PAIR,
     GOLDEN_PAIR,
     QUARTER_TURN,
-    one_scale_search,
     random_set,
 )
 
@@ -176,8 +175,8 @@ class TestChiMeasure:
         assert est.sampled_inf <= 1e-9
 
     def test_reducible_after_similarity(self, rng):
-        # conjugated common-triangular pair: true measure is zero and the
-        # refinement stage must actually find it
+        # conjugated common-triangular pair: true measure is zero, and a
+        # candidate point on the common invariant line must find it
         s = np.array([[1.0, 0.7], [-0.4, 1.2]])
         sinv = np.linalg.inv(s)
         mats = [s @ np.triu(rng.uniform(-1, 1, (2, 2))) @ sinv for _ in range(2)]
@@ -286,8 +285,6 @@ class TestTinyScales:
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_golden_pair_tends_to_half_the_scale(self, kind):
         for k in _TINY_SCALES:
-            if kind is NormKind.L2 and k == 41:
-                continue  # test_l2_edge_rounding_at_2_to_the_minus_41
             c = 2.0 ** -k
             est = chi_measure(GOLDEN_PAIR.scaled(c), 1, kind, 0.01)
             assert abs(est.sampled_inf / c - 0.5) <= 1e-9, k
@@ -295,12 +292,14 @@ class TestTinyScales:
     @pytest.mark.xfail(strict=True, reason=(
         "the 2-d edge normal of x and a product 2^-41 times smaller "
         "rounds, and its support at x cancels: radius_profile reads "
-        "2^-13 high within 2.5e-5 of the minimum, and the descent stops "
-        "there"))
-    def test_l2_edge_rounding_at_2_to_the_minus_41(self):
-        c = 2.0 ** -41
-        est = chi_measure(GOLDEN_PAIR.scaled(c), 1, NormKind.L2, 0.01)
-        assert abs(est.sampled_inf / c - 0.5) <= 1e-9
+        "0.50012207 c against 0.500001 c"))
+    def test_l2_radius_rounds_high_at_2_to_the_minus_41(self):
+        tiny = GOLDEN_PAIR.scaled(2.0 ** -41)
+        t = np.pi / 4.0 + 1e-6
+        x = np.array([np.cos(t), np.sin(t)])
+        got = radius_profile(reach_products(tiny, 1), x[None], NormKind.L2)
+        want = inscribed_radius(_reach_points(tiny, 1, x), NormKind.L2)
+        assert got[0] == pytest.approx(want, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_golden_pair_times_1e_13(self, kind):
@@ -311,16 +310,20 @@ class TestTinyScales:
 
 
 def _full_sweep(mset: MatrixSet, p: int, kind: NormKind, mesh: float):
-    """chi_measure from a sweep of every net point: sphere_profile, then
-    one_scale_search from the first point of least value.  Returns
-    sampled_inf, certified_lower, argmin and the net values."""
+    """chi_measure from a sweep of every net point: sphere_profile's first
+    point of least value, replaced by the first candidate point of least
+    value (``_invariant_points``) only when that is strictly lower.
+    Returns sampled_inf, certified_lower, argmin and the net values."""
     prods = reach_products(mset, p)
     lipschitz = 2.0 * float(np.max(operator_norms(prods, kind)))
     xs, vals = sphere_profile(mset, p, kind, mesh)
     best = int(np.argmin(vals))
-    argmin, sampled, _ = one_scale_search(
-        lambda block: radius_profile(prods, block, kind), xs[best],
-        vals[best], kind, mesh)
+    argmin, sampled = xs[best], float(vals[best])
+    cands = irreducibility_module._invariant_points(mset, kind)
+    cand_vals = radius_profile(prods, cands, kind)
+    low = int(np.argmin(cand_vals))
+    if cand_vals[low] < sampled:
+        argmin, sampled = cands[low], float(cand_vals[low])
     return sampled, max(0.0, sampled - lipschitz * mesh), argmin, vals
 
 
@@ -330,6 +333,59 @@ def _triangular_pair(rng: np.random.Generator, d: int) -> MatrixSet:
     return MatrixSet.from_arrays(
         [s @ np.triu(rng.uniform(-1.0, 1.0, (d, d))) @ np.linalg.inv(s)
          for _ in range(2)])
+
+
+def _plane_set(rng: np.random.Generator) -> MatrixSet:
+    """Two members with a common invariant plane and no common invariant
+    line, under a similarity: block-triangular, each a scaled rotation
+    (by 0.7 and 1.9 rad) on the plane."""
+    s = np.eye(3) + 0.5 * rng.uniform(-1.0, 1.0, (3, 3))
+    mats = []
+    for t in (0.7, 1.9):
+        block = np.zeros((3, 3))
+        block[:2, :2] = rng.uniform(0.5, 1.5) * np.array(
+            [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        block[:2, 2] = rng.uniform(-1.0, 1.0, 2)
+        block[2, 2] = rng.uniform(-1.0, 1.0)
+        mats.append(s @ block @ np.linalg.inv(s))
+    return MatrixSet.from_arrays(mats)
+
+
+# The hidden reducible pair S T_i S^-1 of the CI job, S = [[1, 1], [1, 2]],
+# T_1 = [[1, 2], [0, 3]], T_2 = [[2, -1], [0, 1]]: integer entries.
+_HIDDEN_PAIR = MatrixSet.from_arrays([[[-3.0, 4.0], [-6.0, 7.0]],
+                                      [[4.0, -2.0], [3.0, -1.0]]])
+
+
+class TestInvariantPoints:
+    """chi_measure evaluates the radius at points of possible common
+    invariant subspaces, besides the net: on reducible sets it reads 0
+    up to rounding, at any scale."""
+
+    @pytest.mark.parametrize("k", [-400, 0, 400])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_reducible_spatial_sets_read_zero(self, kind, k):
+        rng = np.random.default_rng(26)
+        planes = [_plane_set(rng) for _ in range(3)]
+        for mset in planes:
+            (w, v), b = np.linalg.eig(mset.members[0]), mset.members[1]
+            (line,) = v[:, w.imag == 0].real.T
+            assert np.linalg.norm(np.cross(b @ line, line)) > 0.01
+        mesh = 0.1 if kind is NormKind.L2 else 0.2
+        for mset in planes + [_triangular_pair(rng, 3) for _ in range(3)]:
+            report = lemma1_crosscheck(mset.scaled(2.0 ** k), 2, kind, mesh)
+            assert report.chi.sampled_inf <= 1e-12 * report.chi.lipschitz / 2
+            assert report.status == "reducible"
+            assert report.agreement == "consistent"
+
+    def test_a_tying_candidate_keeps_the_net_point(self, monkeypatch):
+        """DIAGONAL_PAIR reads 0 at the net point (1, 0), its first; the
+        candidate (0, 1) ties it and does not replace it."""
+        monkeypatch.setattr(irreducibility_module, "_invariant_points",
+                            lambda mset, kind: np.array([[0.0, 1.0]]))
+        est = chi_measure(DIAGONAL_PAIR, 1, NormKind.L2, 0.01)
+        assert est.sampled_inf == 0.0
+        assert est.argmin.tolist() == [1.0, 0.0]
 
 
 @pytest.fixture
@@ -580,17 +636,23 @@ class TestNetWork:
     @pytest.fixture
     def net_calls(self, monkeypatch) -> list[int]:
         """Point counts of the radius_profile calls of chi_measure's net
-        sweep; refinement is switched off."""
-        sizes = []
+        sweep, leaving out its call on the candidate points."""
+        sizes, cands = [], []
         profile = irreducibility_module.radius_profile
+        points = irreducibility_module._invariant_points
+
+        def recorded(mset, kind):
+            cands.append(points(mset, kind))
+            return cands[-1]
 
         def counted(prods, xs, kind):
-            sizes.append(xs.shape[0])
+            if not any(xs is c for c in cands):
+                sizes.append(xs.shape[0])
             return profile(prods, xs, kind)
 
         monkeypatch.setattr(irreducibility_module, "radius_profile", counted)
-        monkeypatch.setattr(irreducibility_module, "refine_minimum",
-                            lambda fn, x0, v0, kind, step: (x0, v0))
+        monkeypatch.setattr(irreducibility_module, "_invariant_points",
+                            recorded)
         return sizes
 
     @pytest.mark.parametrize("mset", [QUARTER_TURNS_3D, SKEW_ROTATIONS_3D])
@@ -639,55 +701,6 @@ class TestNetWork:
         est = chi_measure(MatrixSet.from_arrays(mats), 2, kind, 0.04)
         assert est.samples == (10_002 if kind is NormKind.L1 else 15_002)
         assert sum(net_calls) < 0.5 * rows
-
-
-class TestRefinementWork:
-    """How many value_fn calls chi_measure's descent makes, against the
-    search that takes one ring scale per call."""
-
-    @pytest.fixture
-    def searches(self, monkeypatch) -> list:
-        """(calls, rows) of each descent of chi_measure and of
-        one_scale_search from the same start; the two must end at the same
-        point and value, to the bit."""
-        record = []
-        refine = irreducibility_module.refine_minimum
-
-        def counted(fn, x0, v0, kind, step):
-            work = [[0, 0], [0, 0]]
-
-            def count(k):
-                def value_fn(block):
-                    work[k][0] += 1
-                    work[k][1] += block.shape[0]
-                    return fn(block)
-                return value_fn
-
-            x, v = refine(count(0), x0, v0, kind, step)
-            ref_x, ref_v, _ = one_scale_search(count(1), x0, v0, kind, step)
-            assert x.tobytes() == ref_x.tobytes()
-            assert np.float64(v).tobytes() == np.float64(ref_v).tobytes()
-            record.append(work)
-            return x, v
-
-        monkeypatch.setattr(irreducibility_module, "refine_minimum", counted)
-        return record
-
-    def test_batched_halvings_save_calls_in_2d(self, searches):
-        """Three members at p = 3, about 40 reach products, like the
-        benchmark's chi task: 50 calls of one scale, 19 of up to four."""
-        mset = random_set(np.random.default_rng(0), 2, 3)
-        chi_measure(mset, 3, NormKind.L2, 0.005)
-        (work, reference), = searches
-        assert work[0] <= 0.5 * reference[0]
-
-    def test_batched_halvings_save_calls_in_3d(self, searches):
-        """A 3-d pair in linf at mesh 0.2, like the benchmark's calls
-        tasks: 84 calls of one scale, 44 of up to four."""
-        mset = random_set(np.random.default_rng(0), 3, 2)
-        chi_measure(mset, 2, NormKind.LINF, 0.2)
-        (work, reference), = searches
-        assert work[0] <= 0.6 * reference[0]
 
 
 def _antipodal_pairs(xs: np.ndarray) -> int:
@@ -842,6 +855,27 @@ class TestCrosscheck:
                            f"and finite, got {tolerance}"):
             lemma1_crosscheck(QUARTER_TURN, 1, NormKind.L2, 0.05,
                               tolerance=tolerance)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_tolerance_is_relative_to_the_largest_norm(self, kind):
+        """A reducible pair times 2^100 samples far above 1e-6 in l2, but
+        not above 1e-6 max||G||."""
+        rep = lemma1_crosscheck(_HIDDEN_PAIR.scaled(2.0 ** 100), 1, kind,
+                                0.01)
+        assert rep.status == "reducible"
+        assert rep.chi.sampled_inf <= 1e-12 * rep.chi.lipschitz / 2
+        assert rep.agreement == "consistent"
+
+    def test_overflowing_lipschitz_leaves_the_tolerance_finite(self):
+        """At 2^1020 the l2 lipschitz overflows; the sample, about 1.9e291,
+        is then measured against the largest float, not against inf."""
+        huge = _HIDDEN_PAIR.scaled(2.0 ** 1020)
+        rep = lemma1_crosscheck(huge, 1, NormKind.L2, 0.01, tolerance=0.0)
+        assert rep.chi.lipschitz == np.inf
+        assert rep.chi.sampled_inf > 0.0
+        assert rep.agreement == "inconclusive"
+        assert lemma1_crosscheck(huge, 1, NormKind.L2,
+                                 0.01).agreement == "consistent"
 
     def test_report_dict(self):
         doc = lemma1_crosscheck(QUARTER_TURN, 1, NormKind.L2, 0.05).to_dict()
