@@ -387,6 +387,40 @@ class TestInvariantPoints:
         assert est.sampled_inf == 0.0
         assert est.argmin.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_points_are_kind_unit_at_any_scale(self, kind):
+        """The points are finite and kind-unit in 1-d, 2-d and 3-d, and
+        bit for bit the same for the set times 2^-600 and 2^600."""
+        rng = np.random.default_rng(27)
+        for d in (1, 2, 3):
+            mset = random_set(rng, d, 3)
+            points = irreducibility_module._invariant_points(mset, kind)
+            assert points.shape[0] > 0 and points.shape[1] == d
+            assert np.all(np.isfinite(points))
+            assert vector_norms(points, kind) == pytest.approx(1.0,
+                                                               abs=1e-12)
+            for k in (-600, 600):
+                scaled = irreducibility_module._invariant_points(
+                    mset.scaled(2.0 ** k), kind)
+                assert scaled.tobytes() == points.tobytes(), (d, k)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_argmin_is_a_sphere_point_of_value_sampled_inf(self, kind):
+        """Whether a net point or a candidate gives the minimum, argmin is
+        kind-unit and its radius is sampled_inf, bit for bit, so
+        sampled_inf is a value the radius takes on the sphere."""
+        rng = np.random.default_rng(28)
+        sets = [random_set(rng, 2, 2), _HIDDEN_PAIR, random_set(rng, 3, 2),
+                _plane_set(rng), _triangular_pair(rng, 3)]
+        for mset in sets:
+            mesh = 0.1 if mset.dim == 3 else 0.02
+            est = chi_measure(mset, 2, kind, mesh)
+            value = radius_profile(reach_products(mset, 2), est.argmin[None],
+                                   kind)[0]
+            assert value == est.sampled_inf
+            assert vector_norms(est.argmin, kind) == pytest.approx(1.0,
+                                                                   abs=1e-12)
+
 
 @pytest.fixture
 def net_profiles(monkeypatch) -> list:
