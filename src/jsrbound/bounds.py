@@ -42,7 +42,8 @@ class BoundReport(Record):
 
     ``witness_lower`` and ``witness_upper`` are the words attaining the
     step-n spectral-radius and norm maxima (first in lexicographic order
-    on ties).
+    on ties); the radius is maximized over the necklaces, so
+    ``witness_lower`` is a least rotation (see ``max_over_products``).
     """
 
     n: int

@@ -17,6 +17,10 @@ product has the same bits.  In a pass over several lengths
 (``max_over_products`` with ``first``), a prefix is dropped once a bound
 on every product under it falls below a value its length is known to
 reach, so most words of a long pass are never formed (see ``_Pass``).
+Since rho(XY) = rho(YX), the spectral radius is maximized over the
+necklaces alone, the words least among their rotations; the walk
+carries each word's prenecklace period to find them and to drop, for
+the radius, the prefixes of no necklace.
 
 Scale is kept in exact powers of two: the engine divides the members by
 2^e, e the binary exponent of the largest entry, and each block carries
@@ -78,6 +82,12 @@ _CHUNK_FLOATS = 1 << 22
 # arrays of this size stay in a 2 MB cache.
 _MULTIPLY_FLOATS = 1 << 15
 
+# Blocks of at most this many rows are multiplied by ``np.einsum``, which
+# costs less than the multiply-add loop of ``_left_multiply`` up to 32
+# rows at d = 2..8 and r = 2..4 (1.3 to 10 times less) and more from 64
+# rows on at d = 2, 128 at d = 3..6 (2-core Xeon, numpy 2.4).
+_EINSUM_ROWS = 32
+
 # Blocks of fewer entries run their exact kernels on every row: below
 # this size the screen's fixed cost, about 0.1 ms a block, exceeds the
 # kernel time it saves.  Measured on a 2-core Xeon with numpy 2.4, the
@@ -98,6 +108,14 @@ _SCREEN_FLOOR = 2.0 ** -480
 # below about 250 entries (30 rows of 3x3: 146 against 149 us), and less
 # from there on (10 rows of 8x8: 85 against 131 us).
 _POWER_MIN_FLOATS = 256
+
+# Chains of the radius seeds kept in a pass (see ``_Pass``).
+_CHAINS = 6
+
+# Blocks of at most this many rows grow their prenecklace periods in a
+# Python loop (``_grow_periods``): numpy's dozen calls cost about 11 us
+# whatever the size, the loop about 1.5 us a row (2-core Xeon, numpy 2.4).
+_PERIOD_LOOP_ROWS = 8
 
 # d = 2 stacks of at least this many matrices take their l2 norms from
 # the closed form of ``_top_eigenvalues_2x2``, _L2_CHUNK_ROWS at a time;
@@ -520,10 +538,13 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
     entry is summed over b in increasing order from +0, as einsum's is,
     so a first term of -0 gives +0.  The entries are laid out (d, d, m)
     as in ``_cheap_norms``, _MULTIPLY_FLOATS at a time, so each step is a
-    multiply-add over whole arrays held in cache.
+    multiply-add over whole arrays held in cache.  Blocks of at most
+    _EINSUM_ROWS rows, whose cost is the per-call one, go to einsum.
     """
     r, d, _ = mats.shape
     m = block.shape[0]
+    if m <= _EINSUM_ROWS:
+        return np.einsum("tab,jbc->jtac", mats, block).reshape(-1, d, d)
     out = np.empty((m, r, d, d))
     cols = max(1, _MULTIPLY_FLOATS // (d * d))
     acc, term = np.empty((2, d, d, min(cols, m)))
@@ -575,33 +596,110 @@ def _rescale(block: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
 @dataclass
 class _Table:
     """The longest complete product table of a pass: the r^depth products
-    of length ``depth`` in word order, as block * 2^exponent."""
+    of length ``depth`` in word order, as block * 2^exponent, and, in a
+    walk that tracks necklaces, the prenecklace period of each word (see
+    ``_grow_periods``)."""
 
     block: np.ndarray
     exponent: int
     depth: int
+    periods: np.ndarray | None = None
+
+
+def _grow_periods(periods: np.ndarray, index: np.ndarray, depth: int,
+                  r: int, powers: np.ndarray) -> np.ndarray:
+    """The prenecklace periods of the r one-factor extensions of each row,
+    row j and factor t landing at j * r + t as in ``_extend``.
+
+    A prenecklace is a prefix of a necklace, a word that is least among
+    its rotations.  ``periods[j]`` is the period p of the length-``depth``
+    word at ``index[j]`` (the length of its longest prefix that is a
+    Lyndon word), 0 when it is no prenecklace; the empty word has p = 1.
+    ``powers[k]`` is r^k.  By the theorem of Fredricksen and Maiorana
+    (Cattell et al., J. Algorithms 37 (2000)), appending b to a
+    prenecklace a_1 .. a_depth gives one iff b >= a_(depth + 1 - p), the
+    digit (index // r^(p - 1)) % r; the period stays p when they are
+    equal and becomes depth + 1 when b is greater.  A word of length n is
+    a necklace iff p > 0 divides n.  Python-int indices (an object array)
+    work at any length.
+    """
+    if periods.shape[0] <= _PERIOD_LOOP_ROWS:
+        grown = []
+        for p, i in zip(periods.tolist(), index.tolist()):
+            digit = i // int(powers[p - 1]) % r if p else r
+            grown += ([0] * digit + [p] * (digit < r)
+                      + [depth + 1] * (r - 1 - digit))
+        return np.array(grown, dtype=np.intp)
+    digit = index // powers[periods - 1] % r
+    # no factor reaches r: the extensions of a non-prenecklace get 0
+    digit[periods == 0] = r
+    ahead = np.arange(r) - digit.astype(np.intp, copy=False)[:, None]
+    return np.where(ahead > 0, depth + 1,
+                    periods[:, None] * (ahead == 0)).ravel()
+
+
+def _necklace_rows(periods: np.ndarray, n: int) -> np.ndarray:
+    """The rows whose length-n word is a necklace: p > 0 divides n."""
+    return np.flatnonzero((periods > 0) & (n % np.maximum(periods, 1) == 0))
+
+
+@dataclass
+class _Chain:
+    """The word of the first ``length`` letters of w w w ..., w = ``root``
+    a primitive necklace (letters from 0): its index and its product
+    row * 2^exponent, formed one factor at a time as the walk forms
+    products.  Every prefix of w w w ... is a prenecklace of period |w|."""
+
+    root: tuple[int, ...]
+    index: int
+    row: np.ndarray
+    exponent: int
+    length: int
+    rate: float
+
+    def rebase(self, table: _Table, r: int) -> None:
+        """Take the row from the table when the table is longer: it has the
+        walk's bits, and no product is formed."""
+        if self.length < table.depth:
+            self.length, self.index = table.depth, 0
+            for k in range(table.depth):
+                self.index = self.index * r + self.root[k % len(self.root)]
+            self.row = table.block[self.index].copy()
+            self.exponent = table.exponent
+
+    def advance(self, products: np.ndarray, exponent: int) -> None:
+        """One more letter, from the r products of the row's extensions,
+        which are products * 2^exponent."""
+        letter = self.root[self.length % len(self.root)]
+        self.index = self.index * products.shape[0] + letter
+        self.row, self.exponent = products[letter].copy(), exponent
+        self.length += 1
 
 
 def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
           formed: dict | None = None
-          ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, int]]:
-    """Yield (start, rows, block, exponent) over the length-n words in
-    lexicographic order, the products being block * 2^exponent.
+          ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, int,
+                              np.ndarray | None]]:
+    """Yield (start, rows, block, exponent, periods) over the length-n
+    words in lexicographic order, the products being block * 2^exponent.
 
     The walk starts from ``table`` and extends blocks one factor at a
-    time, breadth first.  ``prune(block, exponent, depth)``, when given,
-    returns a mask of the prefixes to keep, or None to keep them all;
-    the words under a dropped prefix are never formed.  ``rows`` is None
-    when a block holds the consecutive words start, start + 1, ...; else
-    ``rows[i]`` is the index of row i.  A complete block (every word of
-    its length) is extended whole while its extension fits, up to length
-    t, the largest whose r^t products fit _CHUNK_FLOATS entries; that
-    block becomes the table, so the next level starts from it, and a
-    walk from the identity forms the same table as a pass over several
-    lengths.  Below it, a block of several prefixes whose r^(n - depth)
-    extensions would exceed _CHUNK_FLOATS entries is split into groups
-    of r^(t - n + depth) rows (one row when t < n - depth), each walked
-    to the end before the next and rescaled on its own.  So memory stays
+    time, breadth first.  ``prune(block, exponent, depth, periods)``,
+    when given, returns a mask of the prefixes to keep, or None to keep
+    them all; the words under a dropped prefix are never formed.  ``rows``
+    is None when a block holds the consecutive words start, start + 1,
+    ...; else ``rows[i]`` is the index of row i.  When the table carries
+    periods, ``periods[i]`` is the prenecklace period of row i's word,
+    grown factor by factor (``_grow_periods``); else it is None.  A
+    complete block (every word of its length) is extended whole while
+    its extension fits, up to length t, the largest whose r^t products
+    fit _CHUNK_FLOATS entries; that block becomes the table, so the next
+    level starts from it, and a walk from the identity forms the same
+    table as a pass over several lengths.  Below it, a block of several
+    prefixes whose r^(n - depth) extensions would exceed _CHUNK_FLOATS
+    entries is split into groups of r^(t - n + depth) rows (one row when
+    t < n - depth), each walked to the end before the next and rescaled
+    on its own.  So memory stays
     at a few blocks, and unpruned, the length-n blocks are the r^t words
     under each prefix of n - t factors.
 
@@ -616,11 +714,14 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
         fit *= r
     # word indices past 2^62 are kept as Python ints
     big = r ** n >= 1 << 62
+    if table.periods is not None:
+        powers = np.array([r ** k for k in range(n)],
+                          dtype=object if big else np.int64)
 
-    def visit(start, rows, block, exponent, depth, tested=False):
+    def visit(start, rows, periods, block, exponent, depth, tested=False):
         while depth < n:
             keep = None if prune is None or tested else prune(
-                block, exponent, depth)
+                block, exponent, depth, periods)
             tested = False
             if keep is not None:
                 kept = np.flatnonzero(keep)
@@ -629,6 +730,8 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
                 else:
                     rows = rows[kept]
                 block = block[kept]
+                if periods is not None:
+                    periods = periods[kept]
             m = block.shape[0]
             if m == 0:
                 return
@@ -640,9 +743,15 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
                 for lo in range(0, m, group):
                     yield from visit(start + lo, None if rows is None
                                      else rows[lo:lo + group],
+                                     None if periods is None
+                                     else periods[lo:lo + group],
                                      block[lo:lo + group], exponent, depth,
                                      True)
                 return
+            if periods is not None:
+                index = rows if rows is not None else start + np.arange(
+                    m, dtype=object if big else np.int64)
+                periods = _grow_periods(periods, index, depth, r, powers)
             known = None
             if formed and depth == n - 1:
                 known = _formed_rows(formed, start, rows, block, exponent)
@@ -651,28 +760,32 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
             if rows is not None:
                 rows = (rows[:, None] * r + np.arange(r)).ravel()
             elif complete:
-                table.block, table.exponent, table.depth = \
-                    block, exponent, depth
-        yield start, rows, block, exponent
+                table.block, table.exponent, table.depth, table.periods = \
+                    block, exponent, depth, periods
+        yield start, rows, block, exponent, periods
 
-    yield from visit(0, None, table.block, table.exponent, table.depth)
+    yield from visit(0, None, table.periods, table.block, table.exponent,
+                     table.depth)
 
 
 def _formed_rows(formed: dict, start: int, rows: np.ndarray | None,
                  block: np.ndarray, exponent: int) -> dict:
     """{position: products} for the rows of ``block`` whose extensions
     ``formed`` holds from the same bits at the same exponent."""
+    keys = list(formed)
+    if rows is None:
+        hits = [(index - start, index) for index in keys
+                if 0 <= index - start < len(block)]
+    else:
+        # the walk keeps rows in increasing order
+        hits = [(j, index) for j, index in
+                zip(np.searchsorted(rows, keys).tolist(), keys)
+                if j < len(rows) and rows[j] == index]
     found = {}
-    for index, (bits, at, products) in formed.items():
-        if at != exponent:
-            continue
-        if rows is None:
-            hits = [index - start] if 0 <= index - start < len(block) else []
-        else:
-            hits = np.flatnonzero(rows == index)
-        for j in hits:
-            if block[j].tobytes() == bits:
-                found[int(j)] = products
+    for j, index in hits:
+        bits, at, products = formed[index]
+        if at == exponent and block[j].tobytes() == bits:
+            found[int(j)] = products
     return found
 
 
@@ -700,7 +813,7 @@ def _product_chunks(
     _level_budget(mset.r, n, max_words)
     step, mats = _binary_scale(mset)
     table = _Table(np.eye(mset.dim)[None], 0, 0)
-    for start, _, block, exponent in _walk(mats, step, table, n):
+    for start, _, block, exponent, _ in _walk(mats, step, table, n):
         yield start, block, exponent
 
 
@@ -924,26 +1037,52 @@ class _Pass:
     """One ``max_over_products`` pass over the lengths first..n: the table,
     the level maxima so far, and the pruning of each level's walk.
 
+    Necklaces.  rho(XY) = rho(YX), so in exact arithmetic a word's product
+    has the spectral radius of each of its rotations, and the radius is
+    maximized over the necklaces of a level, the words that are least
+    among their rotations: the witness is the first such word in
+    lexicographic order, the least rotation of its class.  The computed
+    radii of a word's rotations differ in the last bits, so this maximum
+    can be a few ulps under the one over every word (on defective
+    products by far more, which is why no radius of another word is used
+    below).  The walk carries each row's prenecklace period
+    (``_grow_periods``), and the radius kernel runs only on the leaves
+    whose period divides L, at every level, so a level of a pass is that
+    of a call for its length.  The norms and |trace| take every word.
+
     Pruning.  Let K be the first operator norm among the metrics, ub the
     bound of ``_metric_bound(K)`` on a block (the column or row sums, or
     min(sqrt(c r), F) in l2), so ub(P) >= || |P| ||_K >= ||P||_K, M the
     largest ub of a member, N_k the K maximum of level k as computed, and
     u = 2^-53; all in true scale.  At depth j < L of the walk of level L,
-    L - j being a level of this pass, a prefix P of j factors is dropped
-    when
+    L - j being a level of this pass, the metric m drops a prefix P of j
+    factors when
 
-        (1 + 2 mu) (ub(P) F_j + U) < t,   F_j = N_{L-j} + R_j,
+        (1 + 2 mu) (ub(P) F_j + U) < t_m,   F_j = N_{L-j} + R_j,
 
     with mu = _SCREEN_MARGIN, R_j = 4 (L - j) d u M^(L-j) and
-    U = L d^3 2^-568 M^L.  The threshold t is the least over the metrics m
-    of max(seed_m / c_m - 2 U, best_m / c_m), where c_m is 1 for K and the
-    radius and d for |trace| and the other norms (|tr X| <= d rho(X) and
-    ||X||_m <= d ||X||_K); seed_m is the largest value of m on the r
-    one-factor extensions of the previous level's witnesses, formed from
-    their rows as the walk formed them, and best_m the largest value of m
-    on the leaves walked so far.  Every leaf Q under a dropped prefix has
-    a computed value v_m < c_m t <= the level's computed maximum of m, so
-    it can neither hold nor tie a maximum:
+    U = L d^3 2^-568 M^L.  Its threshold is
+    t_m = max(seed_m / c_m - 2 U, best_m / c_m), where c_m is 1 for K and
+    the radius and d for |trace| and the other norms (|tr X| <= d rho(X)
+    and ||X||_m <= d ||X||_K).  The candidates of m are the words its
+    maximum is taken over, the necklaces for the radius and every word
+    for the others; seed_m is the largest value of m on its candidates
+    among the one-factor extensions of the seed rows (below), formed from
+    those rows as the walk forms products, and best_m the largest on its
+    candidates among the leaves walked so far.  The radius also drops
+    every prefix that is not a prenecklace.  The walk drops a prefix
+    when every metric drops it.  No metric loses a candidate that holds
+    or ties its maximum:
+    - A prefix of a necklace is a prenecklace, by definition, so no
+      necklace lies under a prefix that is not one.
+    - Every leaf Q under a prefix that m drops has a computed value
+      v_m < c_m t_m <= the computed maximum of m over its candidates, as
+      seed_m and best_m are values of candidates, so Q can neither hold
+      nor tie that maximum.  A radius seed from another word could stand
+      above every necklace's computed radius, and drop the maximum.
+    - Leaves that another metric keeps are words of the level too, so
+      scanning them leaves each maximum and its first witness as they are.
+    The bound on v_m:
     - Rounding.  Q = fl(A_{i_L} ... fl(A_{i_(j+1)} P)) with each sum
       started from +0, so |Q - T P| <= gamma_{(L-j) d} |A_{i_L}| ...
       |A_{i_(j+1)}| |P| for the exact tail product T (Higham, Accuracy
@@ -971,15 +1110,29 @@ class _Pass:
     screen may start from seed_m - 2 c_m U: no leaf below it holds or ties
     the maximum of m.
 
+    Seed rows.  They are the previous level's witnesses and the chains:
+    for the radius witnesses w of earlier levels, the prefix of w w w ...
+    of L - 1 letters, a prenecklace of period |w| (w taken primitive).
+    Its necklace extensions are Lyndon words, and w^(L / |w|) when |w|
+    divides L, with radii near rho(w)^(L / |w|).  The witnesses' own
+    extensions seldom come near the radius maximum, which lies near
+    powers of short words: on the 3x3 triple of the ``enum`` benchmark
+    they reach 0.29-0.58 of it.  A chain grows one factor a level, from
+    the products its seeds formed, and starts from the table when that is
+    longer, so it forms nothing of its own while seeds are formed at every
+    level.  The _CHAINS chains whose w has the largest rho(w)^(1 / |w|)
+    are kept.
+
     Levels of fewer than _SCREEN_MIN_FLOATS entries are formed whole:
     below that size the tests cost more than the products they save.
 
-    A block is tested only when it could lose a row: t is at most the
-    computed level maximum of K, which is at most
-    (1 + mu) (N_j G_j + U) with G_j = N_{L-j} + sqrt(d) R_j by the same
-    argument on the maximizing word's prefix (||P|| <= (1 + kappa) N_j and
-    ub(P) <= sqrt(d) ||P||), so when no row's bound is below that, the
-    block is kept whole and the seeds are not formed.  On sets whose
+    A block is tested only when it could lose a row: the least threshold
+    t over the metrics but the radius is at most the computed level
+    maximum of K, which is at most (1 + mu) (N_j G_j + U) with
+    G_j = N_{L-j} + sqrt(d) R_j by the same argument on the maximizing
+    word's prefix (||P|| <= (1 + kappa) N_j and ub(P) <= sqrt(d) ||P||),
+    so when no row's bound is below that, those metrics keep every row,
+    the block is kept whole and the seeds are not formed.  On sets whose
     products tie in the norm, such as rotations in l2, every level then
     forms the products of the unpruned walk and no more.
 
@@ -998,7 +1151,10 @@ class _Pass:
         self.step, self.mats = _binary_scale(mset)
         self.r, self.d = mset.r, mset.dim
         self.metrics, self.first = metrics, first
-        self.table = _Table(np.eye(self.d)[None], 0, 0)
+        # the radius is taken over necklaces: the walk carries periods
+        self.table = _Table(np.eye(self.d)[None], 0, 0,
+                            np.ones(1, dtype=np.intp) if RADIUS in metrics
+                            else None)
         self.bounds = [_metric_bound(metric) for metric in metrics]
         kinds = [m for m in metrics if isinstance(m, NormKind)]
         # a level of one word has nothing to prune
@@ -1011,6 +1167,7 @@ class _Pass:
             self.powers: list[tuple[float, int]] = []
         self.norm_max: list[tuple[float, int]] = []
         self.witnesses: list = []
+        self.chains: dict[tuple[int, ...], _Chain] = {}
 
     def level(self, n: int) -> list[tuple[float, int, Word]]:
         """The (mantissa, exponent, witness word) of each metric over the
@@ -1027,12 +1184,13 @@ class _Pass:
             prune = self._keep
             self.underflow = self._scaled_power(
                 n, n * self.d ** 3 * 2.0 ** -568)
-        for start, rows, chunk, exponent in _walk(self.mats, self.step,
-                                                  self.table, n, prune,
-                                                  self.formed):
+        for start, rows, chunk, exponent, periods in _walk(
+                self.mats, self.step, self.table, n, prune, self.formed):
             norms = None
             if screened and chunk.size >= _SCREEN_MIN_FLOATS:
                 norms = _cheap_norms(chunk)
+            if periods is not None:
+                necklaces = _necklace_rows(periods, n)
             for k, (metric, bound) in enumerate(zip(self.metrics,
                                                     self.bounds)):
                 reach = _in_scale(*self.best[k][:2], exponent)
@@ -1040,18 +1198,49 @@ class _Pass:
                     seed = self.seeds[k]
                     reach = max(reach, _in_scale(seed[0] * self.c[k],
                                                  seed[1], exponent))
-                found = _screened_max(chunk, metric, bound, norms, reach)
+                block, block_norms, subset = chunk, norms, None
+                if metric == RADIUS and necklaces.size < chunk.shape[0]:
+                    if necklaces.size == 0:
+                        continue
+                    block, subset = chunk[necklaces], necklaces
+                    if norms is not None:
+                        block_norms = tuple(x[subset] for x in norms)
+                found = _screened_max(block, metric, bound, block_norms, reach)
                 if found is not None and _exceeds(found[0], exponent,
                                                   *self.best[k][:2]):
                     value, j = found
+                    if subset is not None:
+                        j = int(subset[j])
                     index = start + j if rows is None else int(rows[j])
                     self.best[k] = (value, exponent, index)
-                    witnesses[k] = (index, chunk[j].copy(), exponent)
+                    witnesses[k] = (index, chunk[j].copy(), exponent,
+                                    None if periods is None else periods[j])
         self.witnesses = witnesses
         if self.kind is not None:
             self.norm_max.append(_pair(*self.best[self.norm_index][:2]))
+            if RADIUS in self.metrics:
+                self._add_chain(n)
         return [(value, exponent, word_from_index(index, self.r, n))
                 for value, exponent, index in self.best]
+
+    def _add_chain(self, n: int) -> None:
+        """Start a chain from the radius witness w of level n, keeping the
+        _CHAINS chains whose root has the largest radius rate
+        rho(w)^(1 / n)."""
+        k = self.metrics.index(RADIUS)
+        index, row, exponent, _ = self.witnesses[k]
+        if any(chain.index == index and chain.length == n
+               for chain in self.chains.values()):
+            return
+        word = tuple(t - 1 for t in word_from_index(index, self.r, n))
+        root = next(word[:p] for p in range(1, n + 1)
+                    if n % p == 0 and word == word[:p] * (n // p))
+        rate = _root(*self.best[k][:2], n)
+        if root not in self.chains:
+            self.chains[root] = _Chain(root, index, row, exponent, n, rate)
+            if len(self.chains) > _CHAINS:
+                del self.chains[min(self.chains,
+                                    key=lambda w: self.chains[w].rate)]
 
     def _scaled_power(self, k: int, weight: float) -> tuple[float, int]:
         """weight * M^k in true scale, as a pair."""
@@ -1078,35 +1267,80 @@ class _Pass:
                                              math.sqrt(self.d)))
         return self.factors[depth]
 
-    def _threshold(self) -> tuple[float, int]:
-        """t as a pair; the seeds are formed at the first call."""
+    def _seed(self) -> None:
+        """Form the seeds: the largest value of each metric on the
+        one-factor extensions of the previous level's witnesses and of the
+        chains, the radius's on the extensions that are necklaces."""
+        rows = {}
+        for index, row, exponent, period in self.witnesses:
+            rows.setdefault(index, (row, exponent, period))
+        for chain in self.chains.values():
+            chain.rebase(self.table, self.r)
+            while chain.length < self.n - 1:
+                block, exponent = self._extended([chain.row], chain.exponent)
+                chain.advance(block, exponent)
+            rows.setdefault(chain.index, (chain.row, chain.exponent,
+                                          len(chain.root)))
+        values = [(0.0, 0)] * len(self.metrics)
+        groups: dict[int, list] = {}
+        for index, (row, exponent, period) in rows.items():
+            groups.setdefault(exponent, []).append((index, row, period))
+        ends = {}
+        powers = np.array([self.r ** k for k in range(self.n)], dtype=object)
+        for exponent, group in groups.items():
+            indices = [index for index, _, _ in group]
+            block, at = self._extended([row for _, row, _ in group],
+                                       exponent, indices)
+            for j, index in enumerate(indices):
+                ends[index] = (block[j * self.r:(j + 1) * self.r], at)
+            if RADIUS in self.metrics:
+                necklaces = _necklace_rows(_grow_periods(
+                    np.array([period for _, _, period in group]),
+                    np.array(indices, dtype=object), self.n - 1, self.r,
+                    powers), self.n)
+            for k, metric in enumerate(self.metrics):
+                scanned = block if metric != RADIUS else block[necklaces]
+                if scanned.shape[0] == 0:
+                    continue
+                seed = _pair(float(_metric_values(scanned, metric).max()), at)
+                if _exceeds(*seed, *values[k]):
+                    values[k] = seed
+        for chain in self.chains.values():
+            chain.advance(*ends[chain.index])
+        self.seeds = [_pair_sum(_pair(f / c, g), self.underflow, -2.0)
+                      for (f, g), c in zip(values, self.c)]
+
+    def _extended(self, rows: list, exponent: int,
+                  indices: list | None = None) -> tuple[np.ndarray, int]:
+        """(block, exponent): row j times factor t is block[j * r + t] *
+        2^exponent, for rows * 2^``exponent``.  With the rows' word
+        ``indices``, the products go to ``formed``, and the walk does not
+        form them again if it reaches the rows."""
+        products = _left_multiply(self.mats, np.array(rows))
+        for j, index in enumerate(indices or ()):
+            self.formed[index] = (rows[j].tobytes(), exponent,
+                                  products[j * self.r:(j + 1) * self.r])
+        return _rescale(products, exponent + self.step)
+
+    def _thresholds(self) -> tuple:
+        """(t, t_R) as pairs: t the least threshold over the metrics but
+        the radius, t_R the radius's, None without it.  The seeds are
+        formed at the first call."""
         if self.seeds is None:
-            values = [(0.0, 0)] * len(self.metrics)
-            extended = {}
-            for witness in self.witnesses:
-                extended.setdefault(witness[0], witness[1:])
-            for index, (row, exponent) in extended.items():
-                # the walk reuses these products if it reaches the row
-                products = _left_multiply(self.mats, row[None])
-                self.formed[index] = (row.tobytes(), exponent, products)
-                block, exponent = _rescale(products, exponent + self.step)
-                for k, metric in enumerate(self.metrics):
-                    seed = _pair(float(_metric_values(block, metric).max()),
-                                 exponent)
-                    if _exceeds(*seed, *values[k]):
-                        values[k] = seed
-            self.seeds = [_pair_sum(_pair(f / c, g), self.underflow, -2.0)
-                          for (f, g), c in zip(values, self.c)]
-        least = None
-        for seed, (value, exponent, _), c in zip(self.seeds, self.best,
-                                                 self.c):
+            self._seed()
+        least = radius = None
+        for metric, seed, (value, exponent, _), c in zip(
+                self.metrics, self.seeds, self.best, self.c):
             if value > 0.0 and _exceeds(value / c, exponent, *seed):
                 seed = _pair(value / c, exponent)
-            if least is None or _exceeds(*least, *seed):
+            if metric == RADIUS:
+                radius = seed
+            elif least is None or _exceeds(*least, *seed):
                 least = seed
-        return least
+        return least, radius
 
-    def _keep(self, block: np.ndarray, exponent: int, depth: int):
+    def _keep(self, block: np.ndarray, exponent: int, depth: int,
+              periods: np.ndarray | None):
         """The prefixes of a block to keep at ``depth``, or None for all."""
         if depth < 1 or self.n - depth < self.first:
             return None
@@ -1122,10 +1356,16 @@ class _Pass:
             if not _exceeds(highest[0] * (1.0 + _SCREEN_MARGIN), highest[1],
                             lowest[0] * grow, lowest[1]):
                 return None
-        t = self._threshold()
-        t = _pair_sum(_pair(t[0] / grow, t[1]), self.underflow, -1.0)
-        threshold = _in_scale(*t, exponent + g)
-        drop = (ub >= _SCREEN_FLOOR) & (ub * f < threshold)
+        reach = ub * f
+
+        def level_of(t):
+            t = _pair_sum(_pair(t[0] / grow, t[1]), self.underflow, -1.0)
+            return _in_scale(*t, exponent + g)
+
+        t, t_radius = self._thresholds()
+        drop = (ub >= _SCREEN_FLOOR) & (reach < level_of(t))
+        if t_radius is not None:
+            drop &= (periods == 0) | (reach < level_of(t_radius))
         m = block.shape[0]
         # a whole length that keeps half its prefixes is extended whole
         # if that fits a block, so later levels do not form them again
@@ -1148,23 +1388,28 @@ def max_over_products(
     A metric is a NormKind (its induced operator norm), ``RADIUS`` (the
     spectral radius) or ``TRACE`` (|trace|).  Returns (mantissa, exponent,
     witness word) per metric over the length-n products; ties keep the
-    first word in lexicographic order.  With ``first``, returns one such
-    list per length first..n, with the values and words of a call per
-    length.  The budget is checked for each level's r^k words before the
-    level, and a JsrError raised at a level carries the lists of the
-    levels before it in its ``partial`` attribute.
+    first word in lexicographic order.  The radius is maximized over the
+    necklaces, the words least among their rotations, which hold every
+    radius in exact arithmetic: its witness is a least rotation, and its
+    value can be a few ulps under the largest computed radius of all
+    words.  With ``first``, returns one such list per length first..n,
+    with the values and words of a call per length.  The budget is
+    checked for each level's r^k words before the level, and a JsrError
+    raised at a level carries the lists of the levels before it in its
+    ``partial`` attribute.
 
     Each level is a walk of its word tree (``_walk``) from the longest
     complete product table, so a level that grows by one factor from a
     table forms r^k products.  From the second length of the pass on, a
     prefix is dropped once its norm bound times the norm maximum of the
     remaining length, with a-priori rounding terms, falls below a value
-    the level is known to reach (see ``_Pass``); the words under it are
-    never formed.  At the leaves, the operator norms and the radius run
-    their exact kernels only on the rows whose cheap bound can still
-    reach the best value so far (see ``_screened_max``), from block norms
-    taken once for all metrics.  Values and witnesses are those of the
-    exact kernel on every product.
+    the level is known to reach (see ``_Pass``), or, for the radius, once
+    it is no prefix of a necklace; the words under it are never formed.
+    At the leaves, the operator norms and the radius run their exact
+    kernels only on the rows whose cheap bound can still reach the best
+    value so far (see ``_screened_max``), from block norms taken once for
+    all metrics.  Values and witnesses are those of the exact kernel on
+    every product, or every necklace for the radius.
     """
     lo = n if first is None else first
     _check_length(n, lo)

@@ -42,6 +42,13 @@ from .geometry import (
 # that.  chi_measure's docstring shows what it covers.
 _ROUNDING_MARGIN = 2.0 ** -19
 
+# A complex pair of eigenvalues of a planar matrix A whose imaginary parts
+# are within this multiple of A's largest entry is taken as the double
+# root tr(A) / 2: LAPACK splits the double eigenvalue of a defective
+# (Jordan) matrix into a pair about sqrt(eps) |A| apart.  It is 64
+# sqrt(eps).
+_JORDAN_SPLIT = 2.0 ** -20
+
 
 @dataclass(frozen=True, eq=False)
 class ChiEstimate(Record):
@@ -357,8 +364,12 @@ def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
 
     Candidate lines are the real eigendirections of the first member that
     is not a multiple of the identity (any line is invariant under a
-    scalar member).  Returns None when no common line exists.  It runs on
-    the members / 2^e (see ``core``), so its tolerances hold at any scale.
+    scalar member).  A complex pair within _JORDAN_SPLIT of that member's
+    largest entry stands for the real double root of a defective member,
+    whose one eigendirection is a candidate; whether a candidate is
+    invariant is left to the same test as the others.  Returns None when
+    no common line exists.  It runs on the members / 2^e (see ``core``),
+    so its tolerances hold at any scale.
     """
     if mset.dim != 2:
         raise ValueError("this search is specific to d = 2")
@@ -380,10 +391,14 @@ def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
     anchor = next((m for m in mats if not is_scalar(m)), None)
     if anchor is None:
         return np.array([1.0, 0.0])
+    size = float(np.max(np.abs(anchor)))
     for lam in np.linalg.eigvals(anchor):
+        root = lam.real
         if abs(lam.imag) > 1e-9 * (1.0 + abs(lam)):
-            continue
-        v = np.linalg.svd(anchor - lam.real * np.eye(2))[2][-1]
+            if abs(lam.imag) > _JORDAN_SPLIT * size:
+                continue
+            root = np.trace(anchor) / 2.0
+        v = np.linalg.svd(anchor - root * np.eye(2))[2][-1]
         if invariant_under_all(v):
             return v / np.hypot(v[0], v[1])
     return None

@@ -112,7 +112,8 @@ class TestSandwich:
         radii = core_module.spectral_radii
 
         def failing_at_level_3(stack):
-            if stack.shape[0] == 8:  # the one block of the 2^3 words
+            # the 4 necklaces of the 2^3 words, the radius's one block
+            if stack.shape[0] == 4:
                 raise ConvergenceError("eigenvalue iteration failed")
             return radii(stack)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import importlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -540,7 +542,7 @@ class TestChunkedEngine:
             for first in (1, 3):
                 table = core_module._Table(np.eye(ms.dim)[None], 0, 0)
                 for k in range(first, 7):
-                    got = [(s, b.tobytes(), e) for s, rows, b, e
+                    got = [(s, b.tobytes(), e) for s, rows, b, e, _
                            in core_module._walk(mats, step, table, k)]
                     assert got == [(s, b.tobytes(), e) for s, b, e
                                    in _product_chunks(ms, k, 1 << 20)]
@@ -828,17 +830,38 @@ ATTAINED = {
 }
 
 
-def _reference_max(ms: MatrixSet, n: int, kernel) -> tuple[float, int, tuple]:
+@functools.lru_cache(maxsize=None)
+def _necklace_mask(r: int, n: int) -> np.ndarray:
+    """Which length-n words over r letters, in lexicographic order, are
+    necklaces: least among their rotations."""
+    return np.array([min(w[i:] + w[:i] for i in range(n)) == w
+                     for w in itertools.product(range(r), repeat=n)])
+
+
+def _reference_max(ms: MatrixSet, n: int, kernel,
+                   necklaces: bool = False) -> tuple[float, int, tuple]:
     """Unscreened scan: the kernel on every block, compared exactly as
-    fractions; the first word wins ties."""
+    fractions; the first word wins ties.  With ``necklaces``, only the
+    words that are least among their rotations take part."""
     best = None
     for start, block, exponent in _product_chunks(ms, n, 1 << 24):
         vals = kernel(block)
+        if necklaces:
+            mask = _necklace_mask(ms.r, n)[start:start + len(block)]
+            if not mask.any():
+                continue
+            vals = np.where(mask, vals, -np.inf)
         j = int(np.argmax(vals))
         exact = Fraction(float(vals[j])) * Fraction(2) ** exponent
         if best is None or exact > best[0]:
             best = (exact, float(vals[j]), exponent, start + j)
     return best[1], best[2], word_from_index(best[3], ms.r, n)
+
+
+def _reference(ms: MatrixSet, n: int, metric) -> tuple[float, int, tuple]:
+    """``_reference_max`` of a metric: the radius over necklaces, the
+    others over every word."""
+    return _reference_max(ms, n, _kernel(metric), necklaces=metric == RADIUS)
 
 
 class _RowCounter:
@@ -885,10 +908,7 @@ def _check_screened(ms: MatrixSet, n: int,
     """Screened maxima of ``metrics`` (by default the l2 norm and the
     radius) against the reference."""
     got = max_over_products(ms, n, metrics)
-    assert got == [
-        _reference_max(ms, n, spectral_radii) if metric == RADIUS else
-        _reference_max(ms, n, lambda s, k=metric: operator_norms(s, k))
-        for metric in metrics]
+    assert got == [_reference(ms, n, metric) for metric in metrics]
     return got
 
 
@@ -1007,7 +1027,7 @@ class TestScreenedMaxima:
         got = max_over_products(ms, n, [NormKind.L2, RADIUS])
         assert got == [
             _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2)),
-            _reference_max(ms, n, spectral_radii)]
+            _reference_max(ms, n, spectral_radii, necklaces=True)]
         assert 0 < counter.rows["norms"] < 0.01 * 2 ** n
         assert max_over_products(ms, n, [TRACE, NormKind.L1, NormKind.LINF]) \
             == [_reference_max(ms, n, lambda s: np.abs(np.trace(
@@ -1025,7 +1045,7 @@ class TestScreenedMaxima:
         assert 0 < counter.rows["norms"] < 0.01 * 2 ** (n + 1)
         assert 0 < counter.rows["radii"] < 0.05 * 2 ** (n + 1)
         norm = _reference_max(ms, n, lambda s: operator_norms(s, NormKind.L2))
-        rho = _reference_max(ms, n, spectral_radii)
+        rho = _reference_max(ms, n, spectral_radii, necklaces=True)
         assert top.witness_upper == norm[2]
         assert top.witness_lower == rho[2]
         assert top.upper == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
@@ -1055,8 +1075,8 @@ def _check_levels(ms: MatrixSet, n: int, metrics: list) -> list:
     unpruned reference at every length, and from length 2 on, where the
     first length has no maxima to prune against."""
     got = max_over_products(ms, n, metrics, first=1)
-    assert got == [[_reference_max(ms, k, _kernel(metric))
-                     for metric in metrics] for k in range(1, n + 1)]
+    assert got == [[_reference(ms, k, metric) for metric in metrics]
+                   for k in range(1, n + 1)]
     if n > 1:
         assert max_over_products(ms, n, metrics, first=2) == got[1:]
     return got
@@ -1153,8 +1173,121 @@ class TestPrunedLevels:
                            ) as info:
             max_over_products(ms, 12, SCREENED, 4 ** 8, first=1)
         assert info.value.partial == [
-            [_reference_max(ms, k, _kernel(metric)) for metric in SCREENED]
+            [_reference(ms, k, metric) for metric in SCREENED]
             for k in range(1, 9)]
+
+
+def _least_rotation(word: tuple) -> tuple:
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def _walk_periods(r: int, n: int, prune=None) -> dict:
+    """{word index: period} over the leaves of a length-n walk of r 1x1
+    members, which carries periods from the empty word."""
+    table = core_module._Table(np.ones((1, 1, 1)), 0, 0, np.ones(1, int))
+    found = {}
+    for start, rows, block, _, periods in core_module._walk(
+            np.ones((r, 1, 1)), 0, table, n, prune):
+        indices = range(start, start + len(block)) if rows is None else rows
+        found.update(zip((int(i) for i in indices), periods.tolist()))
+    return found
+
+
+class TestNecklaceWalk:
+    """The prenecklace periods the walk carries (``_grow_periods``)
+    against rotations compared with ``itertools``.  A word w over r
+    letters is a prefix of a least rotation iff w z^|w| is one, z the
+    largest letter: appending z's to such a word makes it a Lyndon word,
+    or a power of one, within |w| letters, and keeps it so."""
+
+    @pytest.mark.parametrize("chunk_floats", [None, 16])
+    def test_periods_match_least_rotations(self, monkeypatch, chunk_floats):
+        """Every word with r <= 4 and n <= 8: the period is positive iff
+        the word is a prefix of a least rotation, and it divides n iff
+        the word is a least rotation, a necklace.  With 16-float blocks
+        the leaves come in groups of a few rows."""
+        if chunk_floats is not None:
+            monkeypatch.setattr(core_module, "_CHUNK_FLOATS", chunk_floats)
+        for r in range(1, 5):
+            for n in range(1, 9):
+                periods = _walk_periods(r, n)
+                assert len(periods) == r ** n
+                for index, word in enumerate(
+                        itertools.product(range(r), repeat=n)):
+                    padded = word + (r - 1,) * n
+                    p = periods[index]
+                    assert (p > 0) == (_least_rotation(padded) == padded)
+                    assert (p > 0 and n % p == 0) == \
+                        (_least_rotation(word) == word)
+
+    def test_pruned_walks_keep_the_periods_of_their_rows(self):
+        """Prefixes dropped at random leave the periods of the rows kept,
+        which the walk then carries as index arrays."""
+        rng = np.random.default_rng(14)
+
+        def prune(block, exponent, depth, periods):
+            return None if depth < 2 else rng.uniform(size=len(block)) < 0.8
+
+        for r, n in ((2, 8), (3, 6), (4, 5)):
+            full = _walk_periods(r, n)
+            kept = _walk_periods(r, n, prune)
+            assert 0 < len(kept) < len(full)
+            assert all(full[index] == p for index, p in kept.items())
+
+    @pytest.mark.parametrize("rows", [200, 1])
+    def test_python_int_indices(self, rows):
+        """Past 2^62 word indices are Python ints: the periods of 200
+        words of 70 letters over 2 and 3 letters, grown letter by letter
+        200 rows at a time and one row at a time, flag their necklace
+        prefixes."""
+        rng = np.random.default_rng(15)
+        for r in (2, 3):
+            powers = np.array([r ** k for k in range(70)], dtype=object)
+            words = rng.integers(0, r, (200, 70))
+            # long periodic stretches, whose prefixes are prenecklaces
+            # deep into the word
+            words[::2, 1:] = np.minimum(words[::2, 1:], words[::2, :1] + 1)
+            words[::4] = np.sort(words[::4], axis=1)
+            for batch in np.split(words, 200 // rows):
+                periods = np.ones(len(batch), int)
+                index = np.zeros(len(batch), dtype=object)
+                for t in range(70):
+                    grown = core_module._grow_periods(
+                        periods, index, t, r, powers).reshape(-1, r)
+                    periods = grown[np.arange(len(batch)), batch[:, t]]
+                    index = index * r + batch[:, t]
+                    for word, p in zip(batch.tolist(), periods.tolist()):
+                        prefix = tuple(word[:t + 1])
+                        assert (p > 0 and (t + 1) % p == 0) == \
+                            (_least_rotation(prefix) == prefix)
+
+
+class TestNecklaceMaxima:
+    """The radius maximum of a level is taken over its necklaces: the
+    same value in exact arithmetic, and as computed within rounding of
+    the maximum over every word."""
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("scale", [0, 600, -600])
+    def test_every_kind_and_scale(self, kind, scale, screen_mode):
+        rng = np.random.default_rng(16)
+        sets = [random_set(rng, 2, 3), random_set(rng, 3, 2),
+                random_set(rng, 4, 2), ATTAINED["planar rotations"][0],
+                ATTAINED["permutations"][0],
+                MatrixSet.from_arrays(np.zeros((2, 2, 2))),
+                MatrixSet.from_arrays(np.triu(rng.uniform(-1, 1, (3, 3, 3)),
+                                              k=1))]
+        for ms in sets:
+            got = _check_levels(ms.scaled(2.0 ** scale), 6, [kind, RADIUS])
+            for n, (_, (value, exponent, word)) in enumerate(got, start=1):
+                assert _least_rotation(word) == word
+                top, top_exponent, _ = _reference_max(
+                    ms.scaled(2.0 ** scale), n, spectral_radii)
+                if top == 0.0:
+                    assert value == 0.0
+                else:
+                    assert math.ldexp(value / top, exponent - top_exponent) \
+                        == pytest.approx(1.0, rel=1e-13)
 
 
 class TestPrunedWork:
@@ -1184,9 +1317,9 @@ class TestPrunedWork:
         tested = set()
         keep = core_module._Pass._keep
 
-        def spy(scan, block, exponent, depth):
+        def spy(scan, *args):
             tested.add(scan.n)
-            return keep(scan, block, exponent, depth)
+            return keep(scan, *args)
 
         monkeypatch.setattr(core_module._Pass, "_keep", spy)
         ms, n = ATTAINED[name]
@@ -1272,20 +1405,28 @@ class TestPowerScreen:
                 [[(v, w) for v, _, w in level] for level in plain]
 
     def test_eigensolver_sees_few_rows(self, monkeypatch):
-        """``sandwich`` at n = 12 on a random 6x6 pair: the power bounds
-        send at most a quarter of the rows to the eigensolver that the
-        cheap bound alone sends (333 against 2,036 with numpy 2.4)."""
+        """The length-12 level of a random 6x6 pair: the power bounds send
+        at most a quarter of the rows to the eigensolver that the cheap
+        bound alone sends (18 against 124 of its 352 necklaces with numpy
+        2.4).  ``sandwich`` to n = 12 reads the same either way, and sends
+        fewer rows with them (93 against 251): its pruned levels leave few
+        necklace rows a block, many under _POWER_MIN_FLOATS."""
         ms = random_set(np.random.default_rng(3), 6, 2)
         counts = []
         for gate in (core_module._POWER_MIN_FLOATS, math.inf):
             monkeypatch.setattr(core_module, "_POWER_MIN_FLOATS", gate)
             counter = _RowCounter(monkeypatch)
+            level = max_over_products(ms, 12, SCREENED)
+            rows = counter.rows["radii"]
             reports = [report.to_dict()
                        for report in sandwich(ms, 12, NormKind.L2)]
-            counts.append((counter.rows["radii"], reports))
-        (powers, reports), (cheap, cheap_reports) = counts
-        assert reports == cheap_reports
+            counts.append((rows, level, counter.rows["radii"] - rows,
+                           reports))
+        (powers, level, pass_powers, reports), \
+            (cheap, cheap_level, pass_cheap, cheap_reports) = counts
+        assert level == cheap_level and reports == cheap_reports
         assert 0 < 4 * powers <= cheap
+        assert 0 < pass_powers < pass_cheap
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_low_dimensions_skip_the_powers(self, d, monkeypatch):

@@ -837,6 +837,44 @@ class TestInvariantLineSearch:
             assert cross == pytest.approx(0.0, abs=1e-9)
 
 
+def _jordan_pairs() -> list[MatrixSet]:
+    """S [[a, 1], [0, a]] S^-1 and S [[b, t], [0, b]] S^-1, S = I + 0.5 U:
+    defective pairs with the common line S e1.  LAPACK gives the first
+    member's double eigenvalue of the third and fourth as a complex pair
+    +-8e-9 i and +-2.3e-9 i."""
+    rng = np.random.default_rng(7)
+    sets = []
+    for _ in range(6):
+        a, b, t = rng.uniform(-1.0, 1.0, 3)
+        s = np.eye(2) + 0.5 * rng.uniform(-1.0, 1.0, (2, 2))
+        inv = np.linalg.inv(s)
+        sets.append(MatrixSet.from_arrays(
+            [s @ np.array([[a, 1.0], [0.0, a]]) @ inv,
+             s @ np.array([[b, t], [0.0, b]]) @ inv]))
+    return sets
+
+
+class TestJordanPairs:
+    """A defective member's double eigenvalue may come back as a complex
+    pair a few 1e-9 apart; its eigendirection is still a candidate line."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_verdict_is_reducible(self, k):
+        ms = _jordan_pairs()[k]
+        assert burnside_detail(ms) == BurnsideReport(False, 2, "reducible")
+        line = invariant_subspace_search_2d(ms)
+        for m in ms.members:
+            image = np.asarray(m) @ line
+            assert abs(image[0] * line[1] - image[1] * line[0]) <= 1e-8
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_crosscheck_is_consistent(self, kind):
+        for ms in _jordan_pairs():
+            rep = lemma1_crosscheck(ms, 1, kind, 0.05)
+            assert rep.status == "reducible"
+            assert rep.agreement == "consistent"
+
+
 class TestCrosscheck:
     def test_identity_consistent(self):
         rep = lemma1_crosscheck(IDENTITY_ONLY, 1, NormKind.L2, 0.05)
