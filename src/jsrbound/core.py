@@ -82,12 +82,6 @@ _CHUNK_FLOATS = 1 << 22
 # arrays of this size stay in a 2 MB cache.
 _MULTIPLY_FLOATS = 1 << 15
 
-# Blocks of at most this many rows are multiplied by ``np.einsum``, which
-# costs less than the multiply-add loop of ``_left_multiply`` up to 32
-# rows at d = 2..8 and r = 2..4 (1.3 to 10 times less) and more from 64
-# rows on at d = 2, 128 at d = 3..6 (2-core Xeon, numpy 2.4).
-_EINSUM_ROWS = 32
-
 # Blocks of fewer entries run their exact kernels on every row: below
 # this size the screen's fixed cost, about 0.1 ms a block, exceeds the
 # kernel time it saves.  Measured on a 2-core Xeon with numpy 2.4, the
@@ -109,13 +103,13 @@ _SCREEN_FLOOR = 2.0 ** -480
 # from there on (10 rows of 8x8: 85 against 131 us).
 _POWER_MIN_FLOATS = 256
 
-# Chains of the radius seeds kept in a pass (see ``_Pass``).
-_CHAINS = 6
-
-# Blocks of at most this many rows grow their prenecklace periods in a
-# Python loop (``_grow_periods``): numpy's dozen calls cost about 11 us
-# whatever the size, the loop about 1.5 us a row (2-core Xeon, numpy 2.4).
-_PERIOD_LOOP_ROWS = 8
+# Chains of the radius seeds kept in a pass (see ``_Pass``).  On the
+# ``enum`` benchmark's bound tasks at seeds 1-3, 1, 2 and 6 chains take
+# the same time (their summed medians within 1%, 2-core Xeon, numpy
+# 2.4); 2 form 1,010-1,052 products on the d = 2, r = 2 task, where 1
+# forms up to 1,582, and 6 form 7,566-9,408 on the d = 3, r = 3 task,
+# where 2 form 9,747-9,897.
+_CHAINS = 2
 
 # d = 2 stacks of at least this many matrices take their l2 norms from
 # the closed form of ``_top_eigenvalues_2x2``, _L2_CHUNK_ROWS at a time;
@@ -538,13 +532,10 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
     entry is summed over b in increasing order from +0, as einsum's is,
     so a first term of -0 gives +0.  The entries are laid out (d, d, m)
     as in ``_cheap_norms``, _MULTIPLY_FLOATS at a time, so each step is a
-    multiply-add over whole arrays held in cache.  Blocks of at most
-    _EINSUM_ROWS rows, whose cost is the per-call one, go to einsum.
+    multiply-add over whole arrays held in cache.
     """
     r, d, _ = mats.shape
     m = block.shape[0]
-    if m <= _EINSUM_ROWS:
-        return np.einsum("tab,jbc->jtac", mats, block).reshape(-1, d, d)
     out = np.empty((m, r, d, d))
     cols = max(1, _MULTIPLY_FLOATS // (d * d))
     acc, term = np.empty((2, d, d, min(cols, m)))
@@ -623,13 +614,6 @@ def _grow_periods(periods: np.ndarray, index: np.ndarray, depth: int,
     a necklace iff p > 0 divides n.  Python-int indices (an object array)
     work at any length.
     """
-    if periods.shape[0] <= _PERIOD_LOOP_ROWS:
-        grown = []
-        for p, i in zip(periods.tolist(), index.tolist()):
-            digit = i // int(powers[p - 1]) % r if p else r
-            grown += ([0] * digit + [p] * (digit < r)
-                      + [depth + 1] * (r - 1 - digit))
-        return np.array(grown, dtype=np.intp)
     digit = index // powers[periods - 1] % r
     # no factor reaches r: the extensions of a non-prenecklace get 0
     digit[periods == 0] = r
@@ -1229,9 +1213,6 @@ class _Pass:
         rho(w)^(1 / n)."""
         k = self.metrics.index(RADIUS)
         index, row, exponent, _ = self.witnesses[k]
-        if any(chain.index == index and chain.length == n
-               for chain in self.chains.values()):
-            return
         word = tuple(t - 1 for t in word_from_index(index, self.r, n))
         root = next(word[:p] for p in range(1, n + 1)
                     if n % p == 0 and word == word[:p] * (n // p))

@@ -874,6 +874,17 @@ class TestJordanPairs:
             assert rep.status == "reducible"
             assert rep.agreement == "consistent"
 
+    @pytest.mark.parametrize("c", [1e-14, 5e-13])
+    def test_near_rotation_anchor_stays_irreducible(self, c):
+        """[[0, 1], [-c, 0]] has the eigenvalues +-sqrt(c) i, 1e-7 i and
+        7.1e-7 i here, beyond the Jordan window (2^-24 of the largest
+        entry) but within 2^-20; it has no real invariant line, and its
+        line e1 has a residual c, far under the 1e-9 invariance test."""
+        ms = MatrixSet.from_arrays([[[0.0, 1.0], [-c, 0.0]],
+                                    np.diag([1.0, 2.0])])
+        assert invariant_subspace_search_2d(ms) is None
+        assert burnside_detail(ms).status == "irreducible"
+
 
 class TestCrosscheck:
     def test_identity_consistent(self):
