@@ -35,11 +35,12 @@ operator norm (a NormKind), the spectral radius (``RADIUS``) or |trace|
 where one exists, a cheap per-row upper bound taken from the block's
 column-sum, row-sum and Frobenius norms: every operator norm and the
 spectral radius have one at every d (the l1 and linf bounds are the
-column and row sums themselves).  ``max_over_products`` runs the exact
-kernel on the row with the largest bound, then only on the rows whose
-bound can still reach that value, the best of earlier blocks or, in a
-pruned level, the value the level is known to reach, so those kernels
-see a small share of the products.  At d >= 3 the radius rows left go
+column and row sums themselves; a pass that screens l2 alone takes the
+Frobenius norms alone).  ``max_over_products`` runs the exact kernel on
+the row with the largest bound, then only on the rows whose bound can
+still reach that value, the best of earlier blocks or, in a pruned
+level, the value the level is known to reach, so those kernels see a
+small share of the products.  At d >= 3 the radius rows left go
 through the sharper bounds ||P^2||^(1/2) and ||P^4||^(1/4) before the
 eigensolver sees them.  The kernels give the same
 bits on a subset of rows as on the whole block, and no row that holds or
@@ -78,8 +79,10 @@ _COUNT_BITS = 1024
 # Largest block of product entries held in memory at once.
 _CHUNK_FLOATS = 1 << 22
 
-# Entries of a block that ``_left_multiply`` takes at a time: three
-# arrays of this size stay in a 2 MB cache.
+# Entries of a block that ``_left_multiply`` takes at a time, into two
+# accumulators of r times as many (1.25 MB in all at r = 2).  Chunks cut
+# by r took 0.88-1.89 times as long at d = 2-8, r = 2-8, and over 1.7
+# times at d >= 6, r <= 4 (2-core Xeon, numpy 2.4).
 _MULTIPLY_FLOATS = 1 << 15
 
 # Blocks of fewer entries run their exact kernels on every row: below
@@ -448,16 +451,18 @@ def _metric_bound(metric):
     """The cheap upper bound of a metric from a block's column-sum, row-sum
     and Frobenius norms: ||P||_2 <= min(sqrt(||P||_1 ||P||_inf), ||P||_F)
     and rho(P) <= min(||P||_1, ||P||_inf, ||P||_F), at every d; the l1 and
-    linf norms are the column-sum and row-sum norms themselves.  At
-    d >= 3 the radius rows this bound keeps are screened again by
-    ||P^2||^(1/2) and ||P^4||^(1/4) (``_power_screen``).  None for
+    linf norms are the column-sum and row-sum norms themselves.  Where
+    the sums were not taken (c and r None), the l2 bound is ||P||_F
+    alone.  At d >= 3 the radius rows this bound keeps are screened again
+    by ||P^2||^(1/2) and ||P^4||^(1/4) (``_power_screen``).  None for
     |trace|, whose kernel costs less than the screen."""
     if metric is NormKind.L1:
         return lambda c, r, f: c
     if metric is NormKind.LINF:
         return lambda c, r, f: r
     if metric is NormKind.L2:
-        return lambda c, r, f: np.minimum(np.sqrt(c * r), f)
+        return lambda c, r, f: (f if c is None
+                                else np.minimum(np.sqrt(c * r), f))
     if metric == RADIUS:
         return lambda c, r, f: np.minimum(np.minimum(c, r), f)
     return None
@@ -530,26 +535,26 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
 
     The same bits as ``np.einsum("tab,jbc->jtac", mats, block)``: each
     entry is summed over b in increasing order from +0, as einsum's is,
-    so a first term of -0 gives +0.  The entries are laid out (d, d, m)
-    as in ``_cheap_norms``, _MULTIPLY_FLOATS at a time, so each step is a
-    multiply-add over whole arrays held in cache.
+    so a first term of -0 gives +0.  The entries are laid out (r, d, d, m),
+    _MULTIPLY_FLOATS / (d d) columns at a time, so each step is one
+    multiply-add over all members and whole arrays held in cache.
     """
     r, d, _ = mats.shape
     m = block.shape[0]
     out = np.empty((m, r, d, d))
     cols = max(1, _MULTIPLY_FLOATS // (d * d))
-    acc, term = np.empty((2, d, d, min(cols, m)))
+    # (b, t, a, 1, 1): column b of every member, against row b of x
+    left = mats.transpose(2, 0, 1)[..., None, None]
+    acc, term = np.empty((2, r, d, d, min(cols, m)))
     for lo in range(0, m, cols):
         x = block[lo:lo + cols].transpose(1, 2, 0).copy()
         k = x.shape[-1]
-        for t in range(r):
-            np.multiply(mats[t, :, 0, None, None], x[0], out=acc[..., :k])
-            acc[..., :k] += 0.0
-            for b in range(1, d):
-                np.multiply(mats[t, :, b, None, None], x[b],
-                            out=term[..., :k])
-                acc[..., :k] += term[..., :k]
-            out[lo:lo + k, t] = acc[..., :k].transpose(2, 0, 1)
+        np.multiply(left[0], x[0], out=acc[..., :k])
+        acc[..., :k] += 0.0
+        for b in range(1, d):
+            np.multiply(left[b], x[b], out=term[..., :k])
+            acc[..., :k] += term[..., :k]
+        out[lo:lo + k] = acc[..., :k].transpose(3, 0, 1, 2)
     return out.reshape(-1, d, d)
 
 
@@ -863,12 +868,13 @@ def _sum_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.sum(axis=0).max(axis=0), a.sum(axis=1).max(axis=0)
 
 
-def _cheap_norms(block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Column-sum, row-sum and Frobenius norms of every row of a block."""
+def _cheap_norms(block: np.ndarray, sums: bool = True) -> tuple:
+    """Column-sum, row-sum and Frobenius norms of every row of a block;
+    without ``sums``, the last alone (one einsum) after two Nones."""
     flat = block.reshape(block.shape[0], -1)
     with np.errstate(over="ignore"):
         frobenius = np.sqrt(np.einsum("mi,mi->m", flat, flat))
-    return *_sum_norms(block), frobenius
+    return *(_sum_norms(block) if sums else (None, None)), frobenius
 
 
 def _power_screen(block: np.ndarray, c: np.ndarray, r: np.ndarray,
@@ -898,7 +904,10 @@ def _screened_max(block: np.ndarray, metric, bound,
                   ) -> tuple[float, int] | None:
     """(value, row) of the first row holding the block's largest value of
     ``metric``, or None when no row can reach ``best`` (in block scale).
-    Every row is scanned when ``norms`` or ``bound`` is None.
+    Every row is scanned when ``norms`` or ``bound`` is None.  ``norms``
+    are ``_cheap_norms``' of the block: all three when a screened metric
+    of the pass reads the column or row sums (l1, linf or the radius),
+    else the Frobenius norms alone, which bound l2 by themselves.
 
     A row is pruned when bound * (1 + _SCREEN_MARGIN) < threshold, the
     threshold being the larger of ``best`` and the exact value of the row
@@ -910,11 +919,12 @@ def _screened_max(block: np.ndarray, metric, bound,
       a few roundings, the value of P + E with ||E|| <= c(d) eps ||P||,
       and at most ||P + E|| in the 1, inf and Frobenius norms (radii are
       below every norm, the 2-norm below the Frobenius norm and the
-      geometric mean of the 1 and inf norms).  The d = 2 closed form of
-      the 2-norm has ``eigvalsh``'s bits.  The d = 1 radius closed form is
-      exact; the d = 2 one is not stable near a double eigenvalue, but its
-      discriminant on P / |p| is off by at most about 40 eps, so v exceeds
-      rho(P) by at most sqrt(40 eps) / 2 |p|, about 5e-8 |p|.  The
+      geometric mean of the 1 and inf norms, so below either alone).
+      The d = 2 closed form of the 2-norm has ``eigvalsh``'s bits.  The
+      d = 1 radius closed form is exact; the d = 2 one is not stable near
+      a double eigenvalue, but its discriminant on P / |p| is off by at
+      most about 40 eps, so v exceeds rho(P) by at most
+      sqrt(40 eps) / 2 |p|, about 5e-8 |p|.  The
       computed sums lose at most d eps.  The l1 and linf bounds are the
       sums their kernels take.  The l1 kernel adds each column's terms
       row by row, as ``_cheap_norms`` does, so v is the bound's bits.  The
@@ -1156,7 +1166,10 @@ class _Pass:
     def level(self, n: int) -> list[tuple[float, int, Word]]:
         """The (mantissa, exponent, witness word) of each metric over the
         length-n words; the levels first..n - 1 must be done."""
-        screened = any(bound is not None for bound in self.bounds)
+        screened = [metric for metric, bound in zip(self.metrics,
+                                                    self.bounds) if bound]
+        # l2 alone reads only ||P||_F >= ||P||_2 at the leaves
+        sums = any(metric is not NormKind.L2 for metric in screened)
         self.n, self.seeds, self.factors, self.formed = n, None, {}, {}
         self.best: list[tuple[float, int, int]] = \
             [(-np.inf, 0, -1)] * len(self.metrics)
@@ -1172,7 +1185,7 @@ class _Pass:
                 self.mats, self.step, self.table, n, prune, self.formed):
             norms = None
             if screened and chunk.size >= _SCREEN_MIN_FLOATS:
-                norms = _cheap_norms(chunk)
+                norms = _cheap_norms(chunk, sums)
             if periods is not None:
                 necklaces = _necklace_rows(periods, n)
             for k, (metric, bound) in enumerate(zip(self.metrics,
@@ -1389,8 +1402,10 @@ def max_over_products(
     At the leaves, the operator norms and the radius run their exact
     kernels only on the rows whose cheap bound can still reach the best
     value so far (see ``_screened_max``), from block norms taken once for
-    all metrics.  Values and witnesses are those of the exact kernel on
-    every product, or every necklace for the radius.
+    all metrics: the column and row sums and the Frobenius norms, or,
+    when l2 is the only screened metric, the Frobenius norms alone.
+    Values and witnesses are those of the exact kernel on every product,
+    or every necklace for the radius.
     """
     lo = n if first is None else first
     _check_length(n, lo)

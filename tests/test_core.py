@@ -605,7 +605,7 @@ class TestLeftMultiply:
             monkeypatch.setattr("jsrbound.core._MULTIPLY_FLOATS",
                                 multiply_floats)
         with np.errstate(all="ignore"):
-            for r in range(1, 6):
+            for r in range(1, 9):
                 for m in (1, 2, 7, 40):
                     mats = _special_entries(rng, (r, d, d))
                     block = _special_entries(rng, (m, d, d))
@@ -613,6 +613,22 @@ class TestLeftMultiply:
                     got = _left_multiply(mats, block)
                     assert got.shape == (m * r, d, d)
                     assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_chunk_edges_at_default_size(self, d, rng):
+        """Blocks of cols - 1, cols and cols + 1 rows, cols the columns of
+        a chunk at the default _MULTIPLY_FLOATS: one short chunk, one full
+        chunk, and a full chunk with a one-row partial last chunk of the
+        (r, d, d, k) accumulators, up to r = 8."""
+        cols = core_module._MULTIPLY_FLOATS // (d * d)
+        with np.errstate(all="ignore"):
+            for r in (1, 2, 6, 7, 8):
+                mats = _special_entries(rng, (r, d, d))
+                for m in (cols - 1, cols, cols + 1):
+                    block = _special_entries(rng, (m, d, d))
+                    expect = np.einsum("tab,jbc->jtac", mats, block)
+                    assert _left_multiply(mats, block).tobytes() == \
+                        expect.tobytes()
 
     def test_sum_starts_from_plus_zero(self):
         # einsum gives +0 + 1 * -0 = +0, not the -0 of the product alone
@@ -1051,6 +1067,81 @@ class TestScreenedMaxima:
         assert top.upper == math.ldexp(norm[0], norm[1]) ** (1.0 / n)
         assert top.lower == math.ldexp(rho[0], rho[1]) ** (1.0 / n)
         assert gelfand_upper(ms, n, NormKind.L2) == top.upper
+
+
+class _SumSpy:
+    """Counts the calls of ``core._sum_norms``, the column and row sums of
+    the cheap pass, which ``core`` looks up in its own namespace."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        sums = core_module._sum_norms
+
+        def counted(block):
+            self.calls += 1
+            return sums(block)
+
+        monkeypatch.setattr(core_module, "_sum_norms", counted)
+
+
+class TestFrobeniusScreen:
+    """A single-length l2 call screens its leaves by ||P||_2 <= ||P||_F
+    alone: it never takes the column and row sums, and its maxima are the
+    reference's."""
+
+    @staticmethod
+    def _check(ms: MatrixSet, n: int, monkeypatch) -> tuple:
+        spy = _SumSpy(monkeypatch)
+        got = max_over_products(ms, n, [NormKind.L2])
+        assert spy.calls == 0
+        assert got == [_reference(ms, n, NormKind.L2)]
+        return got[0]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_random_sets(self, d, screen_mode, monkeypatch):
+        rng = np.random.default_rng([d, 28])
+        for r in (1, 2, 3, 4):
+            # blocks of at least 2^11 entries, past the screen's minimum
+            n = 4 if r == 1 else math.ceil(math.log(2 ** 11 / d ** 2, r))
+            ms = random_set(rng, d, r, scale=10.0 ** rng.uniform(-3.0, 3.0))
+            for k in sorted({1, n // 2, n}):
+                self._check(ms, k, monkeypatch)
+
+    @pytest.mark.parametrize("name, n", [("planar rotations", 11),
+                                         ("3d rotations", 9)])
+    def test_rotation_pairs(self, name, n, screen_mode, monkeypatch):
+        """Every product has norm 1 up to rounding, under its Frobenius
+        norm sqrt(d): the screen prunes nothing."""
+        ms = ATTAINED[name][0]
+        value, exponent, _ = self._check(ms, n, monkeypatch)
+        assert math.ldexp(value, exponent) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_far_from_unit_scale(self, k, screen_mode, monkeypatch):
+        rng = np.random.default_rng(29)
+        for ms in (random_set(rng, 2, 2), random_set(rng, 3, 3),
+                   ATTAINED["planar rotations"][0]):
+            value, _, word = self._check(ms.scaled(2.0 ** k), 10,
+                                         monkeypatch)
+            plain = max_over_products(ms, 10, [NormKind.L2])[0]
+            assert (value, word) == (plain[0], plain[2])
+
+    def test_zero_and_nilpotent_sets(self, screen_mode, monkeypatch):
+        rng = np.random.default_rng(30)
+        for ms in (MatrixSet.from_arrays(np.zeros((2, 2, 2))),
+                   MatrixSet.from_arrays(np.triu(rng.uniform(-1, 1, (3, 3, 3)),
+                                                 k=1))):
+            assert self._check(ms, 8, monkeypatch)[0] == 0.0
+
+    def test_l2_kernel_sees_few_rows(self, monkeypatch):
+        """On random sets at default blocks, the Frobenius screen alone
+        leaves the l2 kernel under 1% of the words."""
+        rng = np.random.default_rng(31)
+        for d, r, n in ((2, 2, 14), (3, 2, 14), (6, 2, 11)):
+            ms = random_set(rng, d, r)
+            counter = _RowCounter(monkeypatch)
+            self._check(ms, n, monkeypatch)
+            assert 0 < counter.rows[NormKind.L2] < 0.01 * r ** n
 
 
 # ---------------------------------------------------------------------------
