@@ -57,6 +57,7 @@ sweep runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, comb, frexp, inf
@@ -153,15 +154,15 @@ _PILOT_DIRECTIONS = {
 _PILOT_POINTS = 6
 
 # Rows are pruned when they have at least this many points (m, the reach
-# products), by dimension; fewer are swept whole.  Measured while chi ran
-# a descent after its net walk, on the chi workload's sets (one BLAS
-# thread, medians).  2-d, on its first m reach products: pruning broke
-# even on 120 rows at m = 13 and on the 1,257-point circle at m = 10, and
-# a chi net walk and descent at meshes 0.02 and 0.005 was faster pruned
-# on 4 of 4 sets at m = 18, on 2 of 4 at m = 17 and on 1 of 4 at m = 16.
-# 3-d, at m = 13: pruning took 24 against 95 ms on the 642-point
-# icosphere and 4.6 against 9.0 ms on 64 points; on 7 of its products it
-# was 1.4-5 times slower, and on 10 it broke even at 64.
+# products), by dimension; fewer are swept whole.  Measured on chi's net
+# walk alone, all rows pruned against all whole (a 2-core Xeon, one BLAS
+# thread, medians of 7), on the first m reach products of 3-member sets
+# of the benchmark.  2-d, four sets on the l2 circles at meshes 0.02 and
+# 0.005: pruning was faster on 0 of 4 at m = 18, on 2 of 4 at m = 19 and
+# 20 and on 4 of 4 from m = 22, 4.5-6.8 times at m = 40.  3-d, the chi
+# workload's set: at mesh 0.1 in l2 (642 points) pruning broke even at
+# m = 10, and at mesh 0.2 in linf it was faster from m = 9; at m = 13 it
+# was 3.1 and 3.7 times faster, at m = 7 2.6 and 1.6 times slower.
 _PRUNE_MIN_POINTS = {2: 18, 3: 10}
 
 # Relative margin mu of the drop test, and the least pilot inradius, as a
@@ -493,31 +494,19 @@ def kind_normalize(rows: np.ndarray, kind: NormKind) -> np.ndarray:
     return v / vector_norms(v, kind)[..., None]
 
 
-def circle_net(kind: NormKind, mesh: float) -> np.ndarray:
-    """Net on the planar unit sphere with covering radius <= mesh / 2.
-
-    The l2 circle is sampled by arc length; the l1 and linf spheres are
-    polygons whose edges are walked with steps of at most ``mesh`` in the
-    respective metric.
-    """
-    _check_mesh(mesh)
-    what = f"a circle net at mesh {mesh}"
+def _circle_net(kind: NormKind, size: int) -> np.ndarray:
+    """The planar net at ``size`` equal angles on the l2 circle, or
+    ``size`` points on each edge of the l1 or linf polygon."""
     if kind is NormKind.L2:
-        count = _net_size(2.0 * np.pi / mesh, what)
-        angles = np.arange(count) * (2.0 * np.pi / count)
+        angles = np.arange(size) * (2.0 * np.pi / size)
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if kind is NormKind.L1:
         verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     else:
         verts = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    # Each polygon edge has length 2 and gets ceil(2 / mesh) points.
-    per_edge = _net_size(4.0 * np.ceil(2.0 / mesh), what) // 4
-    t = np.arange(per_edge) / per_edge
-    chunks = []
-    for k in range(4):
-        a, b = verts[k], verts[(k + 1) % 4]
-        chunks.append(a[None, :] * (1.0 - t[:, None]) + b[None, :] * t[:, None])
-    return np.concatenate(chunks, axis=0)
+    t = np.arange(size) / size
+    return np.concatenate([verts[k] * (1.0 - t[:, None])
+                           + verts[(k + 1) % 4] * t[:, None] for k in range(4)])
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -595,10 +584,8 @@ def _antipodes(xs: np.ndarray) -> np.ndarray:
     return anti
 
 
-# The finest icosphere built so far, as _icosphere_levels returns it, and
-# the antipode table of the finest level that _net_antipodes asked for.
+# The finest icosphere built so far, as _icosphere_levels returns it.
 _icosphere_build: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
-_icosphere_antipodes: np.ndarray | None = None
 
 
 def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -607,9 +594,9 @@ def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
     Level k's vertices are the first 10 * 4^k + 2 of every finer level,
     and its subdivisions the first k of a finer level's.  The finest build
-    so far is kept, read-only, so sphere_net and _net_levels share it: a
-    level no finer than it is served as a prefix of it, with the same
-    bits as a fresh build, and only a finer level is built.
+    so far is kept, read-only, so the nets of _net and icosphere share
+    it: a level no finer than it is served as a prefix of it, with the
+    same bits as a fresh build, and only a finer level is built.
     """
     global _icosphere_build
     if _icosphere_build is None or len(_icosphere_build[1]) < level:
@@ -679,51 +666,49 @@ def _polyhedral_size(kind: NormKind, mesh: float) -> int:
     return q
 
 
-# A net's levels, as _net_levels returns them: the coarsest level's
-# indices and a (new, left, right) index triple for each finer level.
+# A net's levels, as _net_at builds them: the coarsest level's indices
+# and a (new, left, right) index triple for each finer level.
 _Levels = tuple[np.ndarray, list[tuple[np.ndarray, ...]]]
 
 
-@lru_cache(maxsize=2)
-def _polyhedral_net(kind: NormKind, q: int
-                    ) -> tuple[np.ndarray, np.ndarray, _Levels]:
+def _polyhedral_net(kind: NormKind, q: int) -> tuple[np.ndarray, _Levels]:
     """Barycentric grids of q divisions over the faces of the 3-d l1 or
-    linf sphere, deduplicated, their antipode table (_antipodes) and
-    their levels (``_polyhedral_levels``).
+    linf sphere, deduplicated, and their levels (``_polyhedral_levels``).
 
-    The last two builds are kept, read-only, so repeated calls at one
-    mesh share them with the same bits as a fresh build.
+    A grid point is (n_a a + n_b b + n_c c) / q for the corners a, b, c
+    of its face and integers n_a + n_b + n_c = q.  The numerators are
+    exact, so each coordinate is one rounding of an exact quotient, and
+    the net holds the negation of each of its points bit for bit, but
+    for the sign of a zero.
     """
     i = np.arange(q + 1)
     ii, jj = np.meshgrid(i, i, indexing="ij")
     keep = ii + jj <= q
     ii, jj = ii[keep], jj[keep]
-    bary = np.stack([ii, jj, q - ii - jj], axis=1) / q
+    bary = np.stack([ii, jj, q - ii - jj], axis=1)
     faces = _polyhedral_faces(kind)
-    xs, index = np.unique(np.concatenate([bary @ tri for tri in faces]),
+    xs, index = np.unique(np.concatenate([bary @ tri for tri in faces]) / q,
                           axis=0, return_inverse=True)
-    xs.flags.writeable = False
-    levels = _polyhedral_levels(q, ii, jj, index.reshape(len(faces), -1))
-    return xs, _antipodes(xs), levels
+    return xs, _polyhedral_levels(q, ii, jj, index.reshape(len(faces), -1))
 
 
 def _polyhedral_levels(q: int, ii: np.ndarray, jj: np.ndarray,
                        index: np.ndarray) -> _Levels:
-    """The levels of the polyhedral net at q, as ``_net_levels`` returns
-    them, from the net index (faces, g) of each face's grid point (ii,
-    jj), g = (q + 1)(q + 2) / 2 points a face in meshgrid order.
+    """The levels of the polyhedral net at q, from the net index (faces,
+    g) of each face's grid point (ii, jj), g = (q + 1)(q + 2) / 2 points
+    a face in meshgrid order.
 
     The grid at q / 2 is the points of the grid at q whose indices are
-    even, the same bits (i / (q/2) and 2i / q round alike), so the net
-    at q halves into the net at q / 2 while q is even: the coarsest level
-    is the grid at q / 2^K, q / 2^K odd, and the level of spacing s
-    (grid steps at q) adds the points whose indices i, j and k = q - i -
-    j have s as greatest common power of two.  Two of i / s, j / s and
-    k / s are odd; the parents move one of those up by s and the other
-    down, in the same face, both to points of spacing 2s.  A point on an
-    edge of two faces has the same spacing in both, and its parents come
-    from the first face that holds it.  Odd q is one level.  int32
-    indices, read-only.
+    even, the same bits (n / (q/2) and 2n / q round alike, n an integer
+    numerator), so the net at q halves into the net at q / 2 while q is
+    even: the coarsest level is the grid at q / 2^K, q / 2^K odd, and the
+    level of spacing s (grid steps at q) adds the points whose indices i,
+    j and k = q - i - j have s as greatest common power of two.  Two of
+    i / s, j / s and k / s are odd; the parents move one of those up by
+    s and the other down, in the same face, both to points of spacing
+    2s.  A point on an edge of two faces has the same spacing in both,
+    and its parents come from the first face that holds it.  Odd q is
+    one level.  int32 indices.
     """
     n = int(index.max()) + 1
     depth = (q & -q).bit_length() - 1
@@ -746,8 +731,6 @@ def _polyhedral_levels(q: int, ii: np.ndarray, jj: np.ndarray,
                                            b + sign * move_j)]
                    for sign in (1, -1)]
         steps.append(tuple(v.astype(np.int32) for v in (new, *parents)))
-    for array in (coarse, *(v for step in steps for v in step)):
-        array.flags.writeable = False
     return coarse, steps
 
 
@@ -761,78 +744,96 @@ def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
     """Deterministic net of the kind-unit sphere with covering radius <= mesh.
 
     The guarantee is in the kind metric itself: every point of the sphere
-    lies within mesh of some net point.
+    lies within mesh of some net point.  Returns a copy of _net's points.
     """
+    return _net(d, kind, mesh).points.copy()
+
+
+@dataclass(frozen=True, eq=False)
+class _Net:
+    """A sphere net and the read-only tables of chi's walk over it: the
+    points, their antipode table (``_antipodes``), the indices of the
+    coarsest level and, for each finer level in order, a step (new, left,
+    right, left_gap, right_gap): the points the level adds, two parents
+    of each (points of coarser levels next to it) and the kind distances
+    vector_norms(points[new] - points[parent], kind) to them."""
+
+    points: np.ndarray
+    antipodes: np.ndarray
+    coarse: np.ndarray
+    steps: tuple[tuple[np.ndarray, ...], ...]
+
+
+def _net(d: int, kind: NormKind, mesh: float) -> _Net:
+    """The net of sphere_net(d, kind, mesh), built once per process and
+    resolution (``_net_at``): the circle's point count, the polygon's
+    points per edge, the icosphere level or the grid divisions q.  The
+    resolution is resolved, and a net past MAX_NET_POINTS refused, before
+    any net is built; the 1-d net is the sphere at every mesh."""
     if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        return circle_net(kind, mesh)
+        return _net_at(1, kind, 1)
+    if d not in (2, 3):
+        raise UnsupportedDimensionError(
+            f"deterministic sphere nets are available for d in {{1, 2, 3}}, "
+            f"got d={d}")
+    _check_mesh(mesh)
     if d == 3:
-        if kind is NormKind.L2:
-            return icosphere(mesh)
-        return _polyhedral_net(kind, _polyhedral_size(kind, mesh))[0].copy()
-    raise UnsupportedDimensionError(
-        f"deterministic sphere nets are available for d in {{1, 2, 3}}, got d={d}"
-    )
+        size = (_icosphere_level(mesh) if kind is NormKind.L2
+                else _polyhedral_size(kind, mesh))
+    elif kind is NormKind.L2:
+        size = _net_size(2.0 * np.pi / mesh, f"a circle net at mesh {mesh}")
+    else:
+        # Each polygon edge has length 2 and gets ceil(2 / mesh) points.
+        size = _net_size(4.0 * np.ceil(2.0 / mesh),
+                         f"a circle net at mesh {mesh}") // 4
+    return _net_at(d, kind, size)
 
 
-def _net_antipodes(xs: np.ndarray, kind: NormKind, mesh: float) -> np.ndarray:
-    """Antipode table (_antipodes) of the net xs = sphere_net(d, kind,
-    mesh).  The 3-d tables are built once and kept with the cached nets.
-    Each icosphere level holds the antipodes of its points, so the table
-    of the finest level asked for so far serves every coarser one as a
-    prefix.  The cheaper 2-d tables are matched afresh."""
-    global _icosphere_antipodes
-    d = xs.shape[1]
-    if d == 3 and kind is NormKind.L2:
-        n = xs.shape[0]
-        if _icosphere_antipodes is None or _icosphere_antipodes.shape[0] < n:
-            _icosphere_antipodes = _antipodes(
-                _icosphere_levels(_icosphere_level(mesh))[0])
-        return _icosphere_antipodes[:n]
-    if d == 3:
-        return _polyhedral_net(kind, _polyhedral_size(kind, mesh))[1]
-    return _antipodes(xs)
+# Nets _net_at keeps: more than a pass of the benchmark's chi workload reads.
+_NETS_KEPT = 8
 
 
-def _net_levels(d: int, kind: NormKind, mesh: float, size: int) -> _Levels:
-    """The levels by which the net sphere_net(d, kind, mesh) of ``size``
-    points refines.
+@lru_cache(maxsize=_NETS_KEPT)
+def _net_at(d: int, kind: NormKind, size: int) -> _Net:
+    """The _Net of d dimensions at the resolution ``size`` (``_net``).
 
-    Returns the indices of the coarsest level and, for each finer level in
-    order, a triple (new, left, right): the indices of the points that
-    level adds and of two parents of each, points of coarser levels next
-    to it.  Icosphere level k + 1 adds the midpoints of level k's edges,
-    whose endpoints are the parents, on top of the icosahedron's 12
-    vertices.  The 3-d l1 and linf nets at q grid divisions halve into
-    the nets at q / 2 while q is even, each added point having two
-    opposite neighbours of the coarser grid in its own face as parents
+    Icosphere level k + 1 adds the midpoints of level k's edges, whose
+    endpoints are the parents, on top of the icosahedron's 12 vertices.
+    The 3-d l1 and linf nets at q grid divisions halve into the nets at
+    q / 2 while q is even, each added point having two opposite
+    neighbours of the coarser grid in its own face as parents
     (``_polyhedral_levels``); odd q is one level.  A circle net is
     cyclic: its coarsest level takes every stride-th point, stride the
     largest power of two that leaves at least 12 points, and each finer
     level halves the stride, the parents of a point being its neighbours
     at twice the stride (the last point's right neighbour is point 0).
-    d = 1 is one level.
+    The 1-d net is one level.
     """
-    if d == 3 and kind is NormKind.L2:
-        steps = []
-        start = 12
-        for left, right in _icosphere_levels(_icosphere_level(mesh))[1]:
-            steps.append((np.arange(start, start + left.size), left, right))
+    if d == 1:
+        points, coarse, levels = np.array([[1.0], [-1.0]]), np.arange(2), []
+    elif d == 2:
+        points = _circle_net(kind, size)
+        n = points.shape[0]
+        stride = 1 << max(0, (n // 12).bit_length() - 1)
+        coarse, levels = np.arange(0, n, stride), []
+        while stride > 1:
+            stride //= 2
+            new = np.arange(stride, n, 2 * stride)
+            right = new + stride
+            right[right >= n] = 0
+            levels.append((new, new - stride, right))
+    elif kind is NormKind.L2:
+        points, ends = _icosphere_levels(size)
+        coarse, levels, start = np.arange(12), [], 12
+        for left, right in ends:
+            levels.append((np.arange(start, start + left.size), left, right))
             start += left.size
-        return np.arange(12), steps
-    if d == 3:
-        return _polyhedral_net(kind, _polyhedral_size(kind, mesh))[2]
-    if d != 2:
-        return np.arange(size), []
-    stride = 1 << max(0, (size // 12).bit_length() - 1)
-    coarse = np.arange(0, size, stride)
-    steps = []
-    while stride > 1:
-        stride //= 2
-        new = np.arange(stride, size, 2 * stride)
-        right = new + stride
-        right[right >= size] = 0
-        steps.append((new, new - stride, right))
-    return coarse, steps
-
+    else:
+        points, (coarse, levels) = _polyhedral_net(kind, size)
+    steps = tuple((new, left, right,
+                   *(vector_norms(points[new] - points[q], kind)
+                     for q in (left, right)))
+                  for new, left, right in levels)
+    for array in (points, coarse, *(v for step in steps for v in step)):
+        array.flags.writeable = False
+    return _Net(points, _antipodes(points), coarse, steps)

@@ -29,12 +29,11 @@ from .errors import UnsupportedDimensionError
 from .geometry import (
     _block_rows,
     _check_mesh,
-    _net_antipodes,
-    _net_levels,
+    _Net,
+    _net,
     kind_normalize,
     radius_profile,
     sphere_net,
-    vector_norms,
 )
 
 # The net walk's margin for rounding, as a multiple of the true Lipschitz
@@ -135,66 +134,63 @@ def sphere_profile(
     return xs, radius_profile(prods, xs, kind)
 
 
-def _fill(prods: np.ndarray, xs: np.ndarray, anti: np.ndarray,
-          kind: NormKind, vals: np.ndarray, done: np.ndarray,
-          todo: np.ndarray) -> None:
+def _fill(prods: np.ndarray, net: _Net, kind: NormKind, vals: np.ndarray,
+          done: np.ndarray, todo: np.ndarray) -> None:
     """Hull radii of the net points ``todo`` into vals, marked done.
 
-    radius_profile runs on one point of each antipodal pair (anti, see
-    ``geometry._antipodes``): a point whose antipode is done, or comes
-    earlier in todo, copies its value.  The radius is even to the bit:
-    the planes of -x are those of x negated, and every value takes |.|
-    of them.
+    radius_profile runs on one point of each antipodal pair (the net's
+    antipode table, see ``geometry._antipodes``): a point whose antipode
+    is done, or comes earlier in todo, copies its value.  The radius is
+    even to the bit: the planes of -x are those of x negated, and every
+    value takes |.| of them.
     """
-    twin = anti[todo]
+    twin = net.antipodes[todo]
     paired = twin >= 0
     copy = paired & done[twin]
     done[todo] = True
     copy |= paired & (twin < todo) & done[twin]
     own = todo[~copy]
     if own.size:
-        vals[own] = radius_profile(prods, xs[own], kind)
+        vals[own] = radius_profile(prods, net.points[own], kind)
     vals[todo[copy]] = vals[twin[copy]]
 
 
-def _net_profile(prods: np.ndarray, xs: np.ndarray, kind: NormKind,
-                 mesh: float, lipschitz: float) -> np.ndarray:
-    """Hull radii on the net xs = sphere_net(d, kind, mesh), +inf at the
+def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
+                 lipschitz: float) -> np.ndarray:
+    """Hull radii on the points of ``net`` (``geometry._net``), +inf at the
     points skipped; their minimum and its first index are a full sweep's.
 
     ``lipschitz`` is the radius's Lipschitz constant in the kind norm:
     chi_measure passes the true one, max_G ||G||, half the constant it
-    reports.  A net that one radius_profile block holds, or any net when
-    2 * lipschitz overflows, is swept whole; a parent lies within kind
-    distance 2 of its point, so every product lipschitz * ||x - q|| of
-    the walk is finite.  Otherwise the levels are walked once, and a
-    point is evaluated only when its bound is at most the least value
-    evaluated so far; see ``chi_measure`` for why that changes no
-    minimum.  Either way one point of each antipodal pair is evaluated
-    (``_fill``).
+    reports.  A net of one level, a net that one radius_profile block
+    holds, or any net when 2 * lipschitz overflows, is swept whole; a
+    parent lies within kind distance 2 of its point, so every product
+    lipschitz * gap of the walk is finite.  Otherwise the levels are
+    walked once, and a point is evaluated only when its bound is at most
+    the least value evaluated so far; see ``chi_measure`` for why that
+    changes no minimum.  Either way one point of each antipodal pair is
+    evaluated (``_fill``).
     """
-    n, d = xs.shape
-    anti = _net_antipodes(xs, kind, mesh)
+    n, d = net.points.shape
     vals = np.full(n, np.inf)
     done = np.zeros(n, dtype=bool)
-    steps = []
-    if n > _block_rows(prods.shape[0], d) and math.isfinite(2.0 * lipschitz):
-        coarse, steps = _net_levels(d, kind, mesh, n)
-    if not steps:
-        _fill(prods, xs, anti, kind, vals, done, np.arange(n))
+    if (not net.steps or n <= _block_rows(prods.shape[0], d)
+            or not math.isfinite(2.0 * lipschitz)):
+        _fill(prods, net, kind, vals, done, np.arange(n))
         return vals
-    _fill(prods, xs, anti, kind, vals, done, coarse)
+    coarse = net.coarse
+    _fill(prods, net, kind, vals, done, coarse)
     best = float(np.min(vals[coarse]))
     margin = _ROUNDING_MARGIN * lipschitz
     lower = np.empty(n)
     lower[coarse] = vals[coarse] - margin
-    for new, left, right in steps:
-        bound = np.maximum(*(lower[q] - lipschitz * vector_norms(
-            xs[new] - xs[q], kind) for q in (left, right)))
+    for new, left, right, left_gap, right_gap in net.steps:
+        bound = np.maximum(lower[left] - lipschitz * left_gap,
+                           lower[right] - lipschitz * right_gap)
         todo = new[bound <= best]
         lower[new] = bound
         if todo.size:
-            _fill(prods, xs, anti, kind, vals, done, todo)
+            _fill(prods, net, kind, vals, done, todo)
             lower[todo] = vals[todo] - margin
             best = min(best, float(np.min(vals[todo])))
     return vals
@@ -256,9 +252,10 @@ def chi_measure(
     sweep; any other d raises UnsupportedDimensionError before a reach
     product is formed.
 
-    A net that one radius_profile block holds, or any net when lipschitz
-    overflows, is swept whole.  A larger one is walked once, level by
-    level (``geometry._net_levels``), in the manner of Piyavskii's
+    A net of one level, a net that one radius_profile block holds, or any
+    net when lipschitz overflows, is swept whole.  A larger one is walked
+    once, level by level (the steps of ``geometry._Net``, whose parent
+    gaps are built with the net), in the manner of Piyavskii's
     Lipschitz minimization, at the true constant L: the coarsest level
     is evaluated, and each point x of a finer level gets the lower bound
 
@@ -317,14 +314,15 @@ def chi_measure(
     to the bit.
     """
     _check_mesh(mesh)
-    xs = sphere_net(mset.dim, kind, mesh)
+    net = _net(mset.dim, kind, mesh)
     prods = reach_products(mset, p, max_words)
     norm = float(np.max(operator_norms(prods, kind)))
     cands = _invariant_points(mset, kind)
-    vals = np.concatenate([_net_profile(prods, xs, kind, mesh, norm),
+    vals = np.concatenate([_net_profile(prods, net, kind, norm),
                            radius_profile(prods, cands, kind)])
     best = int(np.argmin(vals))
-    argmin = xs[best] if best < xs.shape[0] else cands[best - xs.shape[0]]
+    n = net.points.shape[0]
+    argmin = (net.points[best] if best < n else cands[best - n]).copy()
     sampled = float(vals[best])
     lipschitz = 2.0 * norm
     certified = max(0.0, sampled - lipschitz * mesh)
@@ -336,7 +334,7 @@ def chi_measure(
         lipschitz=lipschitz,
         mesh=mesh,
         argmin=argmin,
-        samples=xs.shape[0],
+        samples=n,
     )
 
 

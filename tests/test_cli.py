@@ -18,6 +18,8 @@ from jsrbound import (
     bounds,
     cli,
     core,
+    geometry,
+    sphere_net,
     trace_estimate,
 )
 from jsrbound.cli import _build_parser, main
@@ -28,6 +30,9 @@ ROTATION = '{"dim": 2, "matrices": [[[0, -1], [1, 0]]]}'
 SWAP = '{"dim": 2, "matrices": [[[0, 1], [1, 0]]]}'
 NILPOTENT = '{"dim": 2, "matrices": [[[0, 1], [0, 0]]]}'
 DIAGONAL = '{"dim": 2, "matrices": [[[2, 0], [0, 3]], [[1, 0], [0, 5]]]}'
+TRIO3 = ('{"dim": 3, "matrices": [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], '
+         '[[1, 0, 0], [0, 0, -1], [0, 1, 0]], [[1, 2, 0], [0, 1, 1], '
+         '[1, 0, 1]]]}')
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -182,6 +187,28 @@ class TestDeterminism:
             second = run_cli(*args)
             assert first.stdout == second.stdout
             assert first.returncode == second.returncode == 0
+
+
+    def test_cached_nets_change_no_envelope(self, tmp_path):
+        """A chi envelope taken after other nets are cached, another mesh
+        of its icosphere level among them, equals the one taken after the
+        net cache is emptied, and a fresh process's."""
+        path = tmp_path / "trio3.json"
+        path.write_text(TRIO3)
+        chi = ("chi", "--input", str(path), "--p", "2", "--mesh")
+
+        def run(mesh: str) -> str:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*chi, mesh]) == 0
+            return out.getvalue()
+
+        for d, kind in ((2, NormKind.L1), (3, NormKind.LINF)):
+            sphere_net(d, kind, 0.1)
+        warm = [run(mesh) for mesh in ("0.12", "0.1", "0.1")]
+        geometry._net_at.cache_clear()
+        assert warm[1] == warm[2] == run("0.1") == run_cli(*chi, "0.1").stdout
+        assert warm[0] != warm[1]
 
 
 class TestCommands:

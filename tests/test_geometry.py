@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import warnings
 
@@ -12,6 +13,7 @@ from jsrbound import (
     MatrixSet,
     NormKind,
     UnsupportedDimensionError,
+    chi_measure,
     inscribed_radius,
     reach_products,
     sphere_net,
@@ -582,14 +584,14 @@ class TestEvenRadius:
 class TestAntipodes:
     @pytest.mark.parametrize("d, kind, mesh, pairs", [
         (3, NormKind.L2, 0.01, 162_312), (3, NormKind.L2, 0.1, 552),
-        (3, NormKind.L1, 0.04, 9_408), (3, NormKind.LINF, 0.04, 7_436),
+        (3, NormKind.L1, 0.04, 9_408), (3, NormKind.LINF, 0.04, 14_408),
         (2, NormKind.L1, 0.02, 396), (2, NormKind.L2, 0.005, 0),
         (1, NormKind.L2, 0.1, 2)])
     def test_tables_match_the_nets(self, d, kind, mesh, pairs):
         """Exact antipodes only: the points on the coordinate planes miss
         theirs by the sign of a zero."""
-        xs = sphere_net(d, kind, mesh)
-        anti = geometry._net_antipodes(xs, kind, mesh)
+        net = geometry._net(d, kind, mesh)
+        xs, anti = net.points, net.antipodes
         paired = np.flatnonzero(anti >= 0)
         assert paired.size == pairs
         assert (-xs[paired]).tobytes() == xs[anti[paired]].tobytes()
@@ -598,31 +600,32 @@ class TestAntipodes:
         assert not anti.flags.writeable
 
     def test_coarser_icosphere_levels_use_a_prefix(self):
-        fine = geometry._net_antipodes(sphere_net(3, NormKind.L2, 0.02),
-                                       NormKind.L2, 0.02)
-        xs = sphere_net(3, NormKind.L2, 0.1)
-        coarse = geometry._net_antipodes(xs, NormKind.L2, 0.1)
-        assert coarse.tobytes() == fine[:xs.shape[0]].tobytes()
-        assert coarse.tobytes() == geometry._antipodes(xs).tobytes()
+        fine = geometry._net(3, NormKind.L2, 0.02).antipodes
+        coarse = geometry._net(3, NormKind.L2, 0.1)
+        xs = coarse.points
+        assert coarse.antipodes.tobytes() == fine[:xs.shape[0]].tobytes()
+        assert coarse.antipodes.tobytes() == \
+            geometry._antipodes(xs).tobytes()
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     def test_polyhedral_nets_are_cached_with_fresh_bits(self, kind):
         """sphere_net serves the cached build as a copy; the build and
         its antipode table are read-only, with the bits of a fresh one."""
         q = geometry._polyhedral_size(kind, 0.04)
-        fresh = geometry._polyhedral_net.__wrapped__(kind, q)
-        geometry._polyhedral_net(kind, q)
-        before = geometry._polyhedral_net.cache_info()
+        fresh = geometry._net_at.__wrapped__(3, kind, q)
+        geometry._net_at(3, kind, q)
+        before = geometry._net_at.cache_info()
         for _ in range(2):
             xs = sphere_net(3, kind, 0.04)
-            assert xs.tobytes() == fresh[0].tobytes() and xs.flags.writeable
+            assert xs.tobytes() == fresh.points.tobytes()
+            assert xs.flags.writeable
             xs[0] = 0.0
-        after = geometry._polyhedral_net.cache_info()
+        after = geometry._net_at.cache_info()
         assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-        cached = geometry._polyhedral_net(kind, q)
-        assert cached[0].tobytes() == fresh[0].tobytes()
-        assert cached[1].tobytes() == fresh[1].tobytes()
-        assert not cached[0].flags.writeable
+        cached = geometry._net_at(3, kind, q)
+        assert cached.points.tobytes() == fresh.points.tobytes()
+        assert cached.antipodes.tobytes() == fresh.antipodes.tobytes()
+        assert not cached.points.flags.writeable
 
 
 class TestPolyhedralLevels:
@@ -636,17 +639,18 @@ class TestPolyhedralLevels:
         """Every point lies in one level; the levels up to each one are a
         fresh build at its q by bytes; each added point has two parents
         of coarser levels, opposite neighbours at its level's spacing."""
-        xs, _, (coarse, steps) = geometry._polyhedral_net(kind, q)
+        net = geometry._net_at(3, kind, q)
+        xs, coarse, steps = net.points, net.coarse, net.steps
         assert len(steps) == len(divisions) - 1
-        every = np.concatenate([coarse, *(new for new, _, _ in steps)])
+        every = np.concatenate([coarse, *(step[0] for step in steps)])
         assert np.array_equal(np.sort(every), np.arange(xs.shape[0]))
         assert all(a.dtype == np.int32 and not a.flags.writeable
-                   for a in (coarse, *(v for step in steps for v in step)))
+                   for a in (coarse, *(v for step in steps for v in step[:3])))
         seen = np.zeros(xs.shape[0], dtype=bool)
         seen[coarse] = True
         for k, division in enumerate(divisions):
             if k:
-                new, left, right = steps[k - 1]
+                new, left, right, *_ = steps[k - 1]
                 assert seen[left].all() and seen[right].all()
                 for parent in (left, right):
                     step = vector_norms(xs[new] - xs[parent], kind)
@@ -655,14 +659,66 @@ class TestPolyhedralLevels:
                 assert np.allclose(xs[left] + xs[right], 2.0 * xs[new],
                                    rtol=0, atol=1e-15)
                 seen[new] = True
-            fresh = geometry._polyhedral_net.__wrapped__(kind, division)[0]
+            fresh = geometry._polyhedral_net(kind, division)[0]
             assert xs[seen].tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     def test_net_levels_serve_the_cached_table(self, kind):
         q = geometry._polyhedral_size(kind, 0.04)
-        table = geometry._net_levels(3, kind, 0.04, 0)
-        assert table is geometry._polyhedral_net(kind, q)[2]
+        net = geometry._net(3, kind, 0.04)
+        assert net is geometry._net_at(3, kind, q)
+        _, (coarse, levels) = geometry._polyhedral_net(kind, q)
+        assert net.coarse.tobytes() == coarse.tobytes()
+        assert [[v.tobytes() for v in step[:3]] for step in net.steps] == \
+            [[v.tobytes() for v in level] for level in levels]
+
+
+# One net of each kind and dimension, walked by level in 2-d and 3-d.
+_RECORD_NETS = [(1, NormKind.L2, 0.1), (2, NormKind.L2, 0.01),
+                (2, NormKind.L1, 0.02), (2, NormKind.LINF, 0.02),
+                (3, NormKind.L2, 0.05), (3, NormKind.L1, 0.1),
+                (3, NormKind.LINF, 0.1)]
+
+
+class TestNetRecord:
+    """_net's record: read-only, cached, and its gaps the walk's."""
+
+    @pytest.mark.parametrize("d, kind, mesh", _RECORD_NETS)
+    def test_fields_are_read_only(self, d, kind, mesh):
+        net = geometry._net(d, kind, mesh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.points = net.points.copy()
+        arrays = [net.points, net.antipodes, net.coarse,
+                  *(v for step in net.steps for v in step)]
+        assert all(len(step) == 5 for step in net.steps)
+        assert bool(net.steps) == (d > 1)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("d, kind, mesh", _RECORD_NETS)
+    def test_results_are_writable_copies(self, d, kind, mesh):
+        """sphere_net's points have the record's bits, and neither they
+        nor chi_measure's argmin share memory with it."""
+        net = geometry._net(d, kind, mesh)
+        xs = sphere_net(d, kind, mesh)
+        assert xs.flags.writeable and not np.shares_memory(xs, net.points)
+        assert xs.dtype == net.points.dtype and xs.shape == net.points.shape
+        assert xs.tobytes() == net.points.tobytes()
+        mats = np.random.default_rng([29, d]).uniform(-1.0, 1.0, (2, d, d))
+        est = chi_measure(MatrixSet.from_arrays(mats), d - 1, kind, mesh)
+        assert est.argmin.flags.writeable
+        assert not np.shares_memory(est.argmin, net.points)
+
+    @pytest.mark.parametrize("d, kind, mesh", _RECORD_NETS)
+    def test_gaps_are_the_parent_distances(self, d, kind, mesh):
+        net = geometry._net(d, kind, mesh)
+        xs = net.points
+        for new, left, right, left_gap, right_gap in net.steps:
+            for parent, gap in ((left, left_gap), (right, right_gap)):
+                assert gap.tobytes() == \
+                    vector_norms(xs[new] - xs[parent], kind).tobytes()
 
 
 class TestPlaneNorms:

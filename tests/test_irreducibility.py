@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -20,7 +22,7 @@ from jsrbound import (
 from jsrbound.core import operator_norms
 from jsrbound.geometry import (
     _block_rows,
-    _net_levels,
+    _net,
     dual_kind,
     radius_profile,
     vector_norms,
@@ -498,22 +500,18 @@ class TestPrunedNet:
         (2, NormKind.L1, 0.001), (2, NormKind.LINF, 0.001),
         (3, NormKind.L2, 0.025), (3, NormKind.L1, 0.1),
         (3, NormKind.LINF, 0.1)])
-    def test_shared_antipodes_change_no_value(self, d, kind, mesh,
-                                              monkeypatch):
+    def test_shared_antipodes_change_no_value(self, d, kind, mesh):
         """The walk with one evaluation per antipodal pair gives every
         value and skipped point of the walk that evaluates both."""
         rng = np.random.default_rng([18, d, len(kind.value)])
-        xs = sphere_net(d, kind, mesh)
+        net = _net(d, kind, mesh)
         for _ in range(3):
             prods = reach_products(random_set(rng, d, 2), d - 1)
             lipschitz = float(np.max(operator_norms(prods, kind)))
-            shared = irreducibility_module._net_profile(prods, xs, kind, mesh,
+            shared = irreducibility_module._net_profile(prods, net, kind,
                                                         lipschitz)
-            with monkeypatch.context() as mp:
-                mp.setattr(irreducibility_module, "_net_antipodes",
-                           lambda xs, kind, mesh: np.full(xs.shape[0], -1))
-                both = irreducibility_module._net_profile(prods, xs, kind,
-                                                          mesh, lipschitz)
+            both = irreducibility_module._net_profile(prods, _unpaired(net),
+                                                      kind, lipschitz)
             assert shared.tobytes() == both.tobytes()
 
     def test_overflowing_lipschitz_constant(self, net_profiles):
@@ -546,10 +544,9 @@ class TestWalk:
         rng = np.random.default_rng([21, d, len(kind.value), seed])
         prods = reach_products(random_set(rng, d, 2), d - 1)
         lipschitz = float(np.max(operator_norms(prods, kind)))
-        xs = sphere_net(d, kind, mesh)
-        vals = irreducibility_module._net_profile(prods, xs, kind, mesh,
-                                                  lipschitz)
-        return prods, xs, vals
+        net = _net(d, kind, mesh)
+        vals = irreducibility_module._net_profile(prods, net, kind, lipschitz)
+        return prods, net.points, vals
 
     @pytest.mark.parametrize("d, kind, mesh", _WALKED_NETS)
     def test_skipped_points_lie_above_the_minimum(self, d, kind, mesh):
@@ -560,7 +557,7 @@ class TestWalk:
             prods, xs, vals = self._walk(d, kind, mesh, seed)
             full = radius_profile(prods, xs, kind)
             seen = np.isfinite(vals)
-            levels = bool(_net_levels(d, kind, mesh, xs.shape[0])[1])
+            levels = bool(_net(d, kind, mesh).steps)
             assert np.any(~seen) == levels
             assert vals[seen].tobytes() == full[seen].tobytes()
             assert np.all(full[~seen] > np.min(full))
@@ -592,9 +589,8 @@ class TestWalk:
         walk is forced on nets that one block would hold."""
         monkeypatch.setattr(irreducibility_module, "_block_rows",
                             lambda m, d: 1)
-        xs = sphere_net(d, kind, mesh)
-        vals = irreducibility_module._net_profile(np.zeros((1, d, d)), xs,
-                                                  kind, mesh, 0.0)
+        vals = irreducibility_module._net_profile(
+            np.zeros((1, d, d)), _net(d, kind, mesh), kind, 0.0)
         assert np.all(vals == 0.0)
         assert np.argmin(vals) == 0
 
@@ -642,21 +638,20 @@ class TestTrueConstant:
         one block would hold."""
         monkeypatch.setattr(irreducibility_module, "_block_rows",
                             lambda m, d: 1)
-        xs = sphere_net(d, kind, mesh)
-        steps = _net_levels(d, kind, mesh, xs.shape[0])[1]
+        net = _net(d, kind, mesh)
+        xs = net.points
         skipped = 0
         for mset, p in _walk_sets(d, kind):
             prods = reach_products(mset, p)
             norm = float(np.max(operator_norms(prods, kind)))
-            vals = irreducibility_module._net_profile(prods, xs, kind, mesh,
-                                                      norm)
+            vals = irreducibility_module._net_profile(prods, net, kind, norm)
             full = radius_profile(prods, xs, kind)
             seen = np.isfinite(vals)
             assert vals[seen].tobytes() == full[seen].tobytes()
             assert np.all(full[~seen] > np.min(full))
             assert np.argmin(vals) == np.argmin(full)
             skipped += int(np.count_nonzero(~seen))
-            for new, left, right in steps:
+            for new, left, right, *_ in net.steps:
                 for parent in (left, right):
                     gap = np.abs(full[new] - full[parent])
                     slope = norm * vector_norms(xs[new] - xs[parent], kind)
@@ -716,8 +711,8 @@ class TestNetWork:
         chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
         shared = sum(net_calls)
         net_calls.clear()
-        monkeypatch.setattr(irreducibility_module, "_net_antipodes",
-                            lambda xs, kind, mesh: np.full(xs.shape[0], -1))
+        monkeypatch.setattr(irreducibility_module, "_net",
+                            lambda *args: _unpaired(_net(*args)))
         chi_measure(QUARTER_TURNS_3D, 2, NormKind.L2, 0.01)
         assert sum(net_calls) == 5_542
         assert shared <= 0.55 * 5_542
@@ -735,6 +730,11 @@ class TestNetWork:
         est = chi_measure(MatrixSet.from_arrays(mats), 2, kind, 0.04)
         assert est.samples == (10_002 if kind is NormKind.L1 else 15_002)
         assert sum(net_calls) < 0.5 * rows
+
+
+def _unpaired(net):
+    """The net with an antipode table that pairs no point."""
+    return replace(net, antipodes=np.full(net.points.shape[0], -1))
 
 
 def _antipodal_pairs(xs: np.ndarray) -> int:
