@@ -156,14 +156,17 @@ _PILOT_POINTS = 6
 # Rows are pruned when they have at least this many points (m, the reach
 # products), by dimension; fewer are swept whole.  Measured on chi's net
 # walk alone, all rows pruned against all whole (a 2-core Xeon, one BLAS
-# thread, medians of 7), on the first m reach products of 3-member sets
-# of the benchmark.  2-d, four sets on the l2 circles at meshes 0.02 and
-# 0.005: pruning was faster on 0 of 4 at m = 18, on 2 of 4 at m = 19 and
-# 20 and on 4 of 4 from m = 22, 4.5-6.8 times at m = 40.  3-d, the chi
+# thread), on the first m reach products of 3-member sets of the
+# benchmark.  2-d, four sets (the chi workload's triple and the calls
+# workload's of rounds 0-2), each on the l2 circles at meshes 0.02 and
+# 0.005, 8 cases, medians of 15; the speed-up is the time swept whole
+# over the time pruned.  It was above 1 on 3 of 8 at m = 20 (0.90-1.29),
+# 0.99-1.47 at m = 21 and 1.09-1.46 at m = 22; at m = 18 it was
+# 0.74-0.96 (medians of 9), and at m = 40 4.5-6.8.  3-d, the chi
 # workload's set: at mesh 0.1 in l2 (642 points) pruning broke even at
 # m = 10, and at mesh 0.2 in linf it was faster from m = 9; at m = 13 it
 # was 3.1 and 3.7 times faster, at m = 7 2.6 and 1.6 times slower.
-_PRUNE_MIN_POINTS = {2: 18, 3: 10}
+_PRUNE_MIN_POINTS = {2: 21, 3: 10}
 
 # Relative margin mu of the drop test, and the least pilot inradius, as a
 # multiple of the row's largest |coordinate|, at which a row is pruned.

@@ -33,7 +33,6 @@ from .geometry import (
     _net,
     kind_normalize,
     radius_profile,
-    sphere_net,
 )
 
 # The net walk's margin for rounding, as a multiple of the true Lipschitz
@@ -128,10 +127,17 @@ def sphere_profile(
     mesh: float,
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Net points of the unit sphere and the hull radius at each of them."""
-    xs = sphere_net(mset.dim, kind, mesh)
+    """Net points of the unit sphere and the hull radius at each of them.
+
+    The points are a copy of sphere_net's; one point of each antipodal
+    pair is evaluated and the other copies its value (``_fill``).
+    """
+    net = _net(mset.dim, kind, mesh)
     prods = reach_products(mset, p, max_words)
-    return xs, radius_profile(prods, xs, kind)
+    n = net.points.shape[0]
+    vals = np.empty(n)
+    _fill(prods, net, kind, vals, np.zeros(n, dtype=bool), np.arange(n))
+    return net.points.copy(), vals
 
 
 def _fill(prods: np.ndarray, net: _Net, kind: NormKind, vals: np.ndarray,

@@ -2,12 +2,15 @@
 
 Each recomputes by a route of its own what the main modules compute, so
 agreement is meaningful evidence.  ``brute_force_interval`` materializes
-levels of products list-by-list (memory-heavy on purpose), takes norms
-from column/row sums or a full SVD and eigenvalues from the dense solver,
-sharing nothing with the chunked product engine; a level whose largest
-entry leaves [2^-500, 2^500] is divided by 2^s, s added to a running
-exponent.  ``inscribed_radius`` builds the hull with Qhull, the reference
-for the sweep ``geometry.radius_profile``; it imports scipy when called.
+levels of products list-by-list (memory-heavy on purpose), each product
+formed as member @ prod, and stacks each level into one (r^n, d, d)
+array: one dense eigenvalue call (geev) for its radii and one call for
+its norms, a full SVD in l2 and column/row sums in l1/linf.  It shares
+no kernel with the chunked product engine of ``core``: no closed form,
+no screen.  A level whose largest entry leaves [2^-500, 2^500] is
+divided by 2^s, s added to a running exponent.  ``inscribed_radius``
+builds the hull with Qhull, the reference for the sweep
+``geometry.radius_profile``; it imports scipy when called.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .errors import UnsupportedDimensionError
 from .geometry import dual_kind, vector_norms
 
 
+# Floats of the pairwise sums inscribed_radius holds at once.
+_SYMMETRY_BLOCK_FLOATS = 2 ** 16
+
+
 @dataclass(frozen=True, eq=False)
 class OracleInterval(Record):
     """Best lower/upper bounds over n = 1..n_max with witness words."""
@@ -41,16 +48,13 @@ class OracleInterval(Record):
     witness_upper: Word
 
 
-def _norm_of(matrix: np.ndarray, kind: NormKind) -> float:
+def _level_norms(stack: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Kind operator norms of a (k, d, d) stack, one value per matrix."""
     if kind is NormKind.L1:
-        return float(np.max(np.sum(np.abs(matrix), axis=0)))
+        return np.max(np.sum(np.abs(stack), axis=1), axis=-1)
     if kind is NormKind.LINF:
-        return float(np.max(np.sum(np.abs(matrix), axis=1)))
-    return float(np.max(np.linalg.svd(matrix, compute_uv=False)))
-
-
-def _rho_of(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+        return np.max(np.sum(np.abs(stack), axis=2), axis=-1)
+    return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1)
 
 
 def brute_force_interval(
@@ -59,7 +63,15 @@ def brute_force_interval(
     kind: NormKind,
     max_words: int = DEFAULT_WORD_BUDGET,
 ) -> OracleInterval:
-    """Exhaustive interval: materializes every product level in full."""
+    """Exhaustive interval: materializes every product level in full.
+
+    Each level is one stack with one eigenvalue call and one norm call;
+    the numpy linalg gufuncs run the same LAPACK routine on each matrix
+    of a stack as on that matrix alone.  The roots rho^(1/n) are taken
+    word by word in Python floats, a word replacing the lower witness
+    only when strictly above it, as two radii can round to one root; the
+    upper witness is the first word of the level's largest norm.
+    """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     _check_budget("brute force over n <= {n} requires {count} words, "
@@ -69,35 +81,32 @@ def brute_force_interval(
     best_upper = np.inf
     witness_lower: Word = ()
     witness_upper: Word = ()
-    level: list[tuple[Word, np.ndarray]] = [((), np.eye(mset.dim))]
+    words: list[Word] = [()]
+    prods: list[np.ndarray] = [np.eye(mset.dim)]
+    letters = range(1, mset.r + 1)
     exponent = 0
     for n in range(1, n_max + 1):
-        level = [
-            (word + (t,), member @ prod)
-            for word, prod in level
-            for t, member in enumerate(mset.members, start=1)
-        ]
-        shift = math.frexp(max(np.max(np.abs(p)) for _, p in level))[1]
+        words = [word + (t,) for word in words for t in letters]
+        prods = [member @ prod for prod in prods for member in mset.members]
+        stack = np.stack(prods)
+        shift = math.frexp(float(np.max(np.abs(stack))))[1]
         if abs(shift) > 500:
-            level = [(word, np.ldexp(prod, -shift)) for word, prod in level]
+            prods = [np.ldexp(prod, -shift) for prod in prods]
+            stack = np.stack(prods)
             exponent += shift
         scale = 2.0 ** (exponent / n)
-        for word, prod in level:
-            rho_root = _rho_of(prod) ** (1.0 / n) * scale
+        radii = np.max(np.abs(np.linalg.eigvals(stack)), axis=-1)
+        for word, rho in zip(words, radii.tolist()):
+            rho_root = rho ** (1.0 / n) * scale
             if rho_root > best_lower:
                 best_lower = rho_root
                 witness_lower = word
-        norm_best = None
-        norm_word: Word = ()
-        for word, prod in level:
-            value = _norm_of(prod, kind)
-            if norm_best is None or value > norm_best:
-                norm_best = value
-                norm_word = word
-        norm_root = norm_best ** (1.0 / n) * scale
+        norms = _level_norms(stack, kind)
+        top = int(np.argmax(norms))
+        norm_root = float(norms[top]) ** (1.0 / n) * scale
         if norm_root < best_upper:
             best_upper = norm_root
-            witness_upper = norm_word
+            witness_upper = words[top]
     return OracleInterval(
         n_max=n_max,
         kind=kind,
@@ -123,8 +132,13 @@ def inscribed_radius(points: np.ndarray, kind: NormKind) -> float:
     d = pts.shape[1]
     scale = float(np.max(np.abs(pts))) if pts.size else 0.0
     tol = 1e-9 * (1.0 + scale)
-    for p in pts:
-        if np.min(vector_norms(pts + p, NormKind.LINF)) > tol:
+    # Point i has its negation in the set when some |p_i + p_j| is small;
+    # the sums are taken for a block of rows i at a time.
+    k = pts.shape[0]
+    rows = max(1, _SYMMETRY_BLOCK_FLOATS // max(1, k * d))
+    for lo in range(0, k, rows):
+        sums = pts[lo:lo + rows, None] + pts[None]
+        if np.any(np.min(vector_norms(sums, NormKind.LINF), axis=1) > tol):
             raise ValueError("points must be centrally symmetric")
     if d == 1:
         return float(np.max(np.abs(pts)))

@@ -92,6 +92,30 @@ class TestInscribedRadius:
         with pytest.raises(ValueError, match="symmetric"):
             inscribed_radius(np.array([[1.0, 0.0], [0.0, 1.0]]), NormKind.L2)
 
+    @pytest.mark.parametrize("block_floats", [1, 24, 2 ** 16])
+    def test_symmetry_verdict_is_the_per_point_one(self, monkeypatch, rng,
+                                                   block_floats):
+        # Pairwise sums taken a block of rows at a time, blocks of one
+        # row up to all rows, against one check per point.
+        monkeypatch.setattr("jsrbound.oracle._SYMMETRY_BLOCK_FLOATS",
+                            block_floats)
+
+        def symmetric(pts):
+            tol = 1e-9 * (1.0 + float(np.max(np.abs(pts))))
+            return not any(np.min(vector_norms(pts + p, NormKind.LINF))
+                           > tol for p in pts)
+
+        for d in (1, 2, 3):
+            sym = _sym(rng.normal(size=(7, d)))
+            cases = [sym, sym[1:], np.vstack([sym, sym[:1] + 1e-3]),
+                     np.vstack([sym[:1] + 1e-3, sym])]
+            for pts in cases:
+                if symmetric(pts):
+                    inscribed_radius(pts, NormKind.L1)
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        inscribed_radius(pts, NormKind.L1)
+
     def test_dim_4_unsupported(self):
         pts = _sym(np.eye(4))
         with pytest.raises(UnsupportedDimensionError):

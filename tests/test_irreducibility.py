@@ -731,6 +731,26 @@ class TestNetWork:
         assert est.samples == (10_002 if kind is NormKind.L1 else 15_002)
         assert sum(net_calls) < 0.5 * rows
 
+    @pytest.mark.parametrize("d, kind, mesh", [
+        (1, NormKind.L2, 0.1), (2, NormKind.L2, 0.05),
+        (2, NormKind.LINF, 0.01), (3, NormKind.L2, 0.1),
+        (3, NormKind.L1, 0.1), (3, NormKind.LINF, 0.2)])
+    def test_sphere_profile_evaluates_one_point_per_antipodal_pair(
+            self, d, kind, mesh, net_calls):
+        """sphere_profile's values are radius_profile's on every net point,
+        bit for bit, from one row per antipodal pair and one per unpaired
+        point: 366 of the 642 icosphere points in 3-d l2."""
+        mset = random_set(np.random.default_rng([30, d]), d, 2)
+        p = max(1, d - 1)
+        xs, vals = sphere_profile(mset, p, kind, mesh)
+        assert xs.tobytes() == sphere_net(d, kind, mesh).tobytes()
+        assert not np.shares_memory(xs, _net(d, kind, mesh).points)
+        full = radius_profile(reach_products(mset, p), xs, kind)
+        assert vals.tobytes() == full.tobytes()
+        assert sum(net_calls) == xs.shape[0] - _antipodal_pairs(xs)
+        if (d, kind) == (3, NormKind.L2):
+            assert net_calls == [366]
+
 
 def _unpaired(net):
     """The net with an antipode table that pairs no point."""
