@@ -567,19 +567,21 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
 
 def _antipodes(xs: np.ndarray) -> np.ndarray:
     """Antipode table of the distinct rows of xs: anti[i] = j when xs[j]
-    is -xs[i] bit for bit (signed zeros included), else -1.  Read-only,
-    int32: a net holds at most MAX_NET_POINTS < 2^31 points.  The rows
-    are sorted as byte strings once, and the negated rows are looked up
-    in blocks of _BLOCK_FLOATS."""
+    is -xs[i] bit for bit but for the sign of a zero, else -1.  Both
+    sides are compared after x + 0.0, which maps -0.0 to +0.0: the radius
+    never reads the sign of a zero (``irreducibility._fill``), so a 3-d
+    net point on a coordinate plane still shares its value with its
+    antipode.  Read-only, int32: a net holds at most MAX_NET_POINTS <
+    2^31 points.  The rows are sorted as byte strings once, and the
+    negated rows are looked up in blocks of _BLOCK_FLOATS."""
     n, d = xs.shape
     row = np.dtype((np.void, xs.itemsize * d))
-    keys = np.ascontiguousarray(xs).view(row).ravel()
+    keys = (xs + 0.0).view(row).ravel()
     order = np.argsort(keys)
     ranked = keys[order]
     anti = np.empty(n, dtype=np.int32)
     for lo in range(0, n, _BLOCK_FLOATS):
-        wanted = np.ascontiguousarray(-xs[lo:lo + _BLOCK_FLOATS]).view(
-            row).ravel()
+        wanted = (-xs[lo:lo + _BLOCK_FLOATS] + 0.0).view(row).ravel()
         at = np.minimum(np.searchsorted(ranked, wanted), n - 1)
         anti[lo:lo + _BLOCK_FLOATS] = np.where(ranked[at] == wanted,
                                                order[at], -1)
@@ -755,7 +757,8 @@ def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Net:
     """A sphere net and the read-only tables of chi's walk over it: the
-    points, their antipode table (``_antipodes``), the indices of the
+    points, their antipode table (``_antipodes``, up to the sign of a
+    zero, so complete on the 3-d nets), the indices of the
     coarsest level and, for each finer level in order, a step (new, left,
     right, left_gap, right_gap): the points the level adds, two parents
     of each (points of coarser levels next to it) and the kind distances

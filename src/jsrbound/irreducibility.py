@@ -27,18 +27,25 @@ from .core import (
 )
 from .errors import UnsupportedDimensionError
 from .geometry import (
+    _BLOCK_FLOATS,
     _block_rows,
     _check_mesh,
     _Net,
     _net,
     kind_normalize,
     radius_profile,
+    vector_norms,
 )
 
 # The net walk's margin for rounding, as a multiple of the true Lipschitz
 # constant max_G ||G||: 2^-20 of chi_measure's reported constant, twice
 # that.  chi_measure's docstring shows what it covers.
 _ROUNDING_MARGIN = 2.0 ** -19
+
+# The rounding term of a displacement bound, as a multiple of max_G ||G||:
+# absolute, since a displacement can be far below that constant times
+# its gap.  chi_measure's docstring shows what it covers.
+_DISPLACEMENT_ROUNDING = 2.0 ** -47
 
 # A complex pair of eigenvalues of a planar matrix A whose imaginary parts
 # are within this multiple of A's largest entry is taken as the double
@@ -147,8 +154,9 @@ def _fill(prods: np.ndarray, net: _Net, kind: NormKind, vals: np.ndarray,
     radius_profile runs on one point of each antipodal pair (the net's
     antipode table, see ``geometry._antipodes``): a point whose antipode
     is done, or comes earlier in todo, copies its value.  The radius is
-    even to the bit: the planes of -x are those of x negated, and every
-    value takes |.| of them.
+    even to the bit up to the sign of zero: the planes of -x are those of
+    x negated, every value takes |.| of them, and a zero coordinate of x
+    enters only products and sums whose nonzero results ignore its sign.
     """
     twin = net.antipodes[todo]
     paired = twin >= 0
@@ -159,6 +167,24 @@ def _fill(prods: np.ndarray, net: _Net, kind: NormKind, vals: np.ndarray,
     if own.size:
         vals[own] = radius_profile(prods, net.points[own], kind)
     vals[todo[copy]] = vals[twin[copy]]
+
+
+def _displacements(prods: np.ndarray, vs: np.ndarray,
+                   kind: NormKind) -> np.ndarray:
+    """max_G ||G v|| in the kind norm for each row v of vs, G over the
+    (m, d, d) stack prods: one matmul per block of rows on the products
+    divided by 2^e, e the exponent of their largest entry, so that no
+    image overflows; the maxima are scaled back by 2^e."""
+    e = math.frexp(float(np.max(np.abs(prods), initial=0.0)))[1]
+    scaled = np.ldexp(prods, -e).transpose(0, 2, 1)
+    m, d = prods.shape[:2]
+    out = np.empty(vs.shape[0])
+    rows = max(1, _BLOCK_FLOATS // (m * d))
+    for lo in range(0, vs.shape[0], rows):
+        images = vs[lo:lo + rows] @ scaled
+        out[lo:lo + rows] = np.max(vector_norms(images, kind), axis=0)
+    with np.errstate(over="ignore"):
+        return np.ldexp(out, e)
 
 
 def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
@@ -174,7 +200,13 @@ def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
     lipschitz * gap of the walk is finite.  Otherwise the levels are
     walked once, and a point is evaluated only when its bound is at most
     the least value evaluated so far; see ``chi_measure`` for why that
-    changes no minimum.  Either way one point of each antipodal pair is
+    changes no minimum.  A point the Lipschitz bound would evaluate gets
+    the displacement bound of a parent q that clears that value by its
+    bare gap, B(q) - ||x - q|| above it: B(q) - max_G ||G (x - q)||
+    (``_displacements``) less the rounding term _DISPLACEMENT_ROUNDING *
+    lipschitz.  The identity is a reach product, so max_G ||G v|| >=
+    ||v||, and no other parent can lift a bound past that value.  Either
+    way one point of each antipodal pair, up to the sign of zero, is
     evaluated (``_fill``).
     """
     n, d = net.points.shape
@@ -188,13 +220,24 @@ def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
     _fill(prods, net, kind, vals, done, coarse)
     best = float(np.min(vals[coarse]))
     margin = _ROUNDING_MARGIN * lipschitz
+    slack = _DISPLACEMENT_ROUNDING * lipschitz
     lower = np.empty(n)
     lower[coarse] = vals[coarse] - margin
     for new, left, right, left_gap, right_gap in net.steps:
-        bound = np.maximum(lower[left] - lipschitz * left_gap,
-                           lower[right] - lipschitz * right_gap)
-        todo = new[bound <= best]
+        tops = lower[left], lower[right]
+        bound = np.maximum(tops[0] - lipschitz * left_gap,
+                           tops[1] - lipschitz * right_gap)
+        for parent, top, gap in zip((left, right), tops,
+                                    (left_gap, right_gap)):
+            near = np.flatnonzero((bound <= best) & (top - gap > best))
+            if near.size:
+                reach = _displacements(
+                    prods, net.points[new[near]] - net.points[parent[near]],
+                    kind)
+                bound[near] = np.maximum(bound[near],
+                                         top[near] - reach - slack)
         lower[new] = bound
+        todo = new[bound <= best]
         if todo.size:
             _fill(prods, net, kind, vals, done, todo)
             lower[todo] = vals[todo] - margin
@@ -271,7 +314,15 @@ def chi_measure(
     value minus the margin M = 2^-20 * lipschitz = 2^-19 L.  A point is
     evaluated only when its bound is at most the least value evaluated
     before its level, and otherwise reads +inf; ``samples`` stays the
-    net size.
+    net size.  Where B(x) is at most that value but B(q) - ||x - q||
+    exceeds it for a parent q, B(x) is raised to the displacement bound
+
+        B(q) - max_G ||G (x - q)|| - T,   T = 2^-47 L,
+
+    which holds by r(x) >= r(q) - max_G ||G (x - q)||, as r(x) = min_f
+    max_G |f(G x)|; it is far below L * ||x - q|| on sets that are not
+    isometries, and no lower than ||x - q||, as the identity is a reach
+    product.
 
     Why a skipped point lies strictly above the net minimum, so that the
     minimum and its first index (np.argmin) are those of a sweep of
@@ -307,6 +358,16 @@ def chi_measure(
       subtraction and a computed max ||G|| within a relative 2^-48 of the
       exact one, by at most 2^-46 L, as ||x - q|| <= 2 and |B| <= 44 L.
       A chain of skipped points takes one step a level, fewer than 22.
+      A displacement step keeps that budget.  Its computed max_G ||G v||
+      lies within 19 eps L < 2^-48 L of the exact one for the exact v =
+      x - q, |v| <= 2: the difference rounds by eps |v|, which moves the
+      maximum by at most 2 eps L; each image under G / 2^e by 3 eps
+      |G / 2^e| |v| entrywise, whose kind norm is at most sqrt(3)
+      ||G / 2^e|| |v|; its norm by 3 eps relative; and an underflow to a
+      subnormal or zero by far less than eps L, since ||G / 2^e|| >= 1/2
+      for the G of largest entry.  The term T, absolute since the
+      displacement can be far below L ||x - q||, covers that error, and
+      the two subtractions round by under 2^-46.4 L.
 
     So every bound satisfies B(x) <= r(x) - M + 2^-31 L + 2^-41 L: true
     for an evaluated point, and carried along each step by r(x) >= r(q)
@@ -315,9 +376,11 @@ def chi_measure(
     M - 2^-30 L > best, strictly above the net minimum.
 
     Whole or by levels, one point of each antipodal pair of the net (one
-    the exact negation of the other) is evaluated and the other copies
-    its value, the same bits (``_fill``): the radius is even, r(-x) = r(x)
-    to the bit.
+    the negation of the other but for the sign of a zero, which pairs
+    every point of the 3-d nets) is evaluated and the other copies its
+    value, the same bits (``_fill``): the radius is even up to the sign
+    of zero, r(-x) = r(x) to the bit, and no value reads the sign of a
+    zero coordinate.
     """
     _check_mesh(mesh)
     net = _net(mset.dim, kind, mesh)

@@ -57,6 +57,14 @@ def _level_norms(stack: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1)
 
 
+def _ldexp(x: float, whole: int) -> float:
+    """x * 2^whole, +inf past the float range; x itself for whole = 0."""
+    try:
+        return math.ldexp(x, whole)
+    except OverflowError:
+        return math.inf
+
+
 def brute_force_interval(
     mset: MatrixSet,
     n_max: int,
@@ -70,7 +78,12 @@ def brute_force_interval(
     of a stack as on that matrix alone.  The roots rho^(1/n) are taken
     word by word in Python floats, a word replacing the lower witness
     only when strictly above it, as two radii can round to one root; the
-    upper witness is the first word of the level's largest norm.
+    upper witness is the first word of the level's largest norm.  A
+    level's running exponent s enters a root as 2^(s / n), in two finite
+    steps where s / n lies outside [-1021, 1023]: 2^(s // n) by ldexp and
+    2^((s mod n) / n) as a float, so that a root near the top of the
+    float range stays finite, one near the bottom is rounded once, and
+    one past the range reads +inf.
     """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
@@ -94,16 +107,20 @@ def brute_force_interval(
             prods = [np.ldexp(prod, -shift) for prod in prods]
             stack = np.stack(prods)
             exponent += shift
-        scale = 2.0 ** (exponent / n)
+        # 2^(exponent / n) = 2^whole * scale, whole = 0 while it is a
+        # normal float, so that every root is taken in finite steps.
+        whole, rest = ((0, exponent) if -1021 <= exponent / n <= 1023
+                       else divmod(exponent, n))
+        scale = 2.0 ** (rest / n)
         radii = np.max(np.abs(np.linalg.eigvals(stack)), axis=-1)
         for word, rho in zip(words, radii.tolist()):
-            rho_root = rho ** (1.0 / n) * scale
+            rho_root = _ldexp(rho ** (1.0 / n) * scale, whole)
             if rho_root > best_lower:
                 best_lower = rho_root
                 witness_lower = word
         norms = _level_norms(stack, kind)
         top = int(np.argmax(norms))
-        norm_root = float(norms[top]) ** (1.0 / n) * scale
+        norm_root = _ldexp(float(norms[top]) ** (1.0 / n) * scale, whole)
         if norm_root < best_upper:
             best_upper = norm_root
             witness_upper = words[top]

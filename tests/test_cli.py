@@ -405,6 +405,21 @@ class TestScaleFree:
         assert _run_strict("zero-test", "--input", triangular) == \
             {"zero_radius": True}
 
+    @pytest.mark.parametrize("c", [1e-308, 1e308])
+    def test_oracle_roots_at_the_ends_of_the_float_range(self, tmp_path, c):
+        """The golden pair times 1e308 and 1e-308: the oracle's roots lie
+        outside [2^-1021, 2^1023], and it still prints an envelope whose
+        bounds are bound's within 1e-15."""
+        scaled = _scaled_file(tmp_path, GOLDEN, c)
+        for kind in ("l1", "l2", "linf"):
+            bound = _run_strict("bound", "--input", scaled, "--n-max", "4",
+                                "--norm", kind)
+            oracle = _run_strict("oracle", "--input", scaled, "--n-max", "4",
+                                 "--norm", kind)
+            for side in ("lower", "upper"):
+                assert oracle[side] == pytest.approx(bound["best_" + side],
+                                                     rel=1e-15, abs=0.0)
+
     def test_zero_test_at_moderate_scales(self, tmp_path):
         for c in (1e-20, 1e100):
             path = _scaled_file(tmp_path, GOLDEN, c)

@@ -604,23 +604,53 @@ class TestEvenRadius:
             assert radius_profile(prods, -xs, kind).tobytes() == \
                 radius_profile(prods, xs, kind).tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_signs_of_zero_coordinates_are_not_read(self, d, kind, rng):
+        """Points with zero coordinates, each zero flipped to -0.0, give
+        the same bits, and so does their negation with its zeros made
+        +0.0: chi_measure pairs antipodes up to the sign of zero.  The
+        products have zero entries too, so that planes hold zeros."""
+        cut = geometry._PRUNE_MIN_POINTS[d]
+        for k in range(60):
+            # m below the prune threshold in even rounds, above in odd.
+            m = int(rng.integers(*((2, cut) if k % 2 == 0
+                                   else (cut, 2 * cut + 1))))
+            prods = rng.uniform(-1.0, 1.0, size=(m, d, d))
+            if k % 3 == 1:
+                prods[rng.uniform(size=prods.shape) < 0.4] = 0.0
+            if k % 4 >= 2:
+                prods = np.ldexp(prods, 400 if k % 8 < 4 else -400)
+            xs = kind_normalize(rng.normal(size=(12, d)), kind)
+            for row, axes in enumerate(itertools.chain.from_iterable(
+                    itertools.combinations(range(d), j) for j in range(1, d))):
+                xs[row, list(axes)] = 0.0
+                xs[row] = kind_normalize(xs[row], kind)
+            flipped = np.where(xs == 0.0, -0.0, xs)
+            assert np.signbit(flipped[xs == 0.0]).all()
+            want = radius_profile(prods, xs, kind).tobytes()
+            assert radius_profile(prods, flipped, kind).tobytes() == want
+            assert radius_profile(prods, -xs + 0.0, kind).tobytes() == want
+
 
 class TestAntipodes:
     @pytest.mark.parametrize("d, kind, mesh, pairs", [
-        (3, NormKind.L2, 0.01, 162_312), (3, NormKind.L2, 0.1, 552),
-        (3, NormKind.L1, 0.04, 9_408), (3, NormKind.LINF, 0.04, 14_408),
-        (2, NormKind.L1, 0.02, 396), (2, NormKind.L2, 0.005, 0),
+        (3, NormKind.L2, 0.01, 163_842), (3, NormKind.L2, 0.1, 642),
+        (3, NormKind.L1, 0.04, 10_002), (3, NormKind.LINF, 0.04, 15_002),
+        (2, NormKind.L1, 0.02, 400), (2, NormKind.L2, 0.005, 0),
         (1, NormKind.L2, 0.1, 2)])
     def test_tables_match_the_nets(self, d, kind, mesh, pairs):
-        """Exact antipodes only: the points on the coordinate planes miss
-        theirs by the sign of a zero."""
+        """Antipodes up to the sign of zero: the points on the coordinate
+        planes, which miss theirs by the sign of a zero, are paired too,
+        so every point of the 3-d nets and the 2-d polygon is."""
         net = geometry._net(d, kind, mesh)
         xs, anti = net.points, net.antipodes
         paired = np.flatnonzero(anti >= 0)
         assert paired.size == pairs
-        assert (-xs[paired]).tobytes() == xs[anti[paired]].tobytes()
-        rows = {row.tobytes() for row in xs}
-        assert sum((-row).tobytes() in rows for row in xs) == pairs
+        assert (-xs[paired] + 0.0).tobytes() == \
+            (xs[anti[paired]] + 0.0).tobytes()
+        rows = {(row + 0.0).tobytes() for row in xs}
+        assert sum((-row + 0.0).tobytes() in rows for row in xs) == pairs
         assert not anti.flags.writeable
 
     def test_coarser_icosphere_levels_use_a_prefix(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -595,6 +596,52 @@ class TestWalk:
         assert np.argmin(vals) == 0
 
 
+class TestDisplacementBound:
+    """The walk's bound B(q) - max_G ||G (x - q)||, less its rounding term,
+    skips only points strictly above the full sweep's minimum."""
+
+    @pytest.mark.parametrize("d, kind, mesh", [
+        (2, NormKind.L2, 0.01), (2, NormKind.L1, 0.01),
+        (2, NormKind.LINF, 0.01), (3, NormKind.L2, 0.1),
+        (3, NormKind.L1, 0.2), (3, NormKind.LINF, 0.2)])
+    def test_minimum_and_argmin_are_a_full_sweeps(self, d, kind, mesh,
+                                                 monkeypatch):
+        """30 random sets, not isometries, a third times 2^400 and a third
+        times 2^-400: the walk's minimum and first argmin are those of a
+        radius_profile sweep of the whole net, with no RuntimeWarning,
+        and some displacement is formed.  The walk is forced on nets that
+        one block would hold."""
+        monkeypatch.setattr(irreducibility_module, "_block_rows",
+                            lambda m, d: 1)
+        formed = []
+        real = irreducibility_module._displacements
+
+        def spied(prods, vs, kind):
+            formed.append(vs.shape[0])
+            return real(prods, vs, kind)
+
+        monkeypatch.setattr(irreducibility_module, "_displacements", spied)
+        net = _net(d, kind, mesh)
+        rng = np.random.default_rng([31, d, len(kind.value)])
+        for k in range(30):
+            mset = random_set(rng, d, 2 + k % 2)
+            if k % 3:
+                mset = mset.scaled(2.0 ** (400 if k % 3 == 1 else -400))
+            prods = reach_products(mset, d - 1)
+            norm = float(np.max(operator_norms(prods, kind)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = irreducibility_module._net_profile(prods, net, kind,
+                                                          norm)
+            full = radius_profile(prods, net.points, kind)
+            seen = np.isfinite(vals)
+            assert vals[seen].tobytes() == full[seen].tobytes()
+            assert np.all(full[~seen] > np.min(full))
+            assert np.min(vals).tobytes() == np.min(full).tobytes()
+            assert np.argmin(vals) == np.argmin(full)
+        assert sum(formed) > 0
+
+
 def _walk_sets(d: int, kind: NormKind) -> list[tuple[MatrixSet, int]]:
     """18 d-dimensional sets and their p: random pairs at p = d - 1, a
     random triple whose reach products are pruned (40 in 2-d, 13 in 3-d),
@@ -695,13 +742,14 @@ class TestNetWork:
         (GOLDEN_PAIR, 1, 0.01), (ROTATION_PAIR_2D, 1, 0.02),
         (ROTATION_PAIR_3D, 1, 0.1)])
     def test_net_of_one_block_is_one_call(self, mset, p, mesh, net_calls):
-        """One call on the net, one point of each antipodal pair in it:
-        the 642-point icosphere has 276 pairs, the odd l2 circles none."""
+        """One call on the net, one point of each antipodal pair in it, up
+        to the sign of zero: the 642-point icosphere has 321 pairs, the
+        odd l2 circles none."""
         est = chi_measure(mset, p, NormKind.L2, mesh)
         assert est.samples <= _block_rows(len(reach_products(mset, p)),
                                           mset.dim)
         pairs = _antipodal_pairs(sphere_net(mset.dim, NormKind.L2, mesh))
-        assert pairs == (276 if mset.dim == 3 else 0)
+        assert pairs == (321 if mset.dim == 3 else 0)
         assert net_calls == [est.samples - pairs]
 
     def test_shared_antipodes_halve_the_rows(self, net_calls, monkeypatch):
@@ -731,6 +779,37 @@ class TestNetWork:
         assert est.samples == (10_002 if kind is NormKind.L1 else 15_002)
         assert sum(net_calls) < 0.5 * rows
 
+    @pytest.mark.parametrize("kind, tag, rows", [
+        (NormKind.L1, (2, 1), 1_800), (NormKind.LINF, (2, 2), 2_100)])
+    def test_displacement_bound_skips_more_points(self, kind, tag, rows,
+                                                  net_calls):
+        """The sets of test_polyhedral_nets_are_walked_by_level: with one
+        row per antipodal pair up to the sign of zero and the displacement
+        bound, the walk takes at most 1,800 and 2,100 rows, down from
+        2,456 and 2,622 with exact antipodes and the Lipschitz bound
+        alone."""
+        mats = np.random.default_rng([20260101, *tag]).uniform(
+            -1.0, 1.0, (2, 3, 3))
+        chi_measure(MatrixSet.from_arrays(mats), 2, kind, 0.04)
+        assert sum(net_calls) <= rows
+
+    @pytest.mark.parametrize("mset", [SKEW_ROTATIONS_3D, QUARTER_TURNS_3D])
+    def test_rotation_pair_forms_no_displacement(self, mset, monkeypatch):
+        """In l2 every product of a rotation pair has norm 1 = max||G||, so
+        no parent clears the least value by its bare gap when the
+        Lipschitz bound does not: no displacement is formed."""
+        formed = []
+        real = irreducibility_module._displacements
+
+        def spied(prods, vs, kind):
+            formed.append(vs.shape[0])
+            return real(prods, vs, kind)
+
+        monkeypatch.setattr(irreducibility_module, "_displacements", spied)
+        est = chi_measure(mset, 2, NormKind.L2, 0.01)
+        assert est.samples == 163_842
+        assert formed == []
+
     @pytest.mark.parametrize("d, kind, mesh", [
         (1, NormKind.L2, 0.1), (2, NormKind.L2, 0.05),
         (2, NormKind.LINF, 0.01), (3, NormKind.L2, 0.1),
@@ -739,7 +818,7 @@ class TestNetWork:
             self, d, kind, mesh, net_calls):
         """sphere_profile's values are radius_profile's on every net point,
         bit for bit, from one row per antipodal pair and one per unpaired
-        point: 366 of the 642 icosphere points in 3-d l2."""
+        point: 321 of the 642 icosphere points in 3-d l2."""
         mset = random_set(np.random.default_rng([30, d]), d, 2)
         p = max(1, d - 1)
         xs, vals = sphere_profile(mset, p, kind, mesh)
@@ -749,7 +828,7 @@ class TestNetWork:
         assert vals.tobytes() == full.tobytes()
         assert sum(net_calls) == xs.shape[0] - _antipodal_pairs(xs)
         if (d, kind) == (3, NormKind.L2):
-            assert net_calls == [366]
+            assert net_calls == [321]
 
 
 def _unpaired(net):
@@ -758,9 +837,10 @@ def _unpaired(net):
 
 
 def _antipodal_pairs(xs: np.ndarray) -> int:
-    """Pairs of rows of xs, one the negation of the other bit for bit."""
-    rows = {row.tobytes() for row in xs}
-    return sum((-row).tobytes() in rows for row in xs) // 2
+    """Pairs of rows of xs, one the negation of the other bit for bit but
+    for the sign of a zero."""
+    rows = {(row + 0.0).tobytes() for row in xs}
+    return sum((-row + 0.0).tobytes() in rows for row in xs) // 2
 
 
 class TestBurnside:

@@ -87,6 +87,16 @@ def _reference_interval(mset, n_max, kind):
     def rho_of(matrix):
         return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
+    def root(value, n, exponent):
+        # value^(1/n) 2^(exponent/n), by ldexp outside the normal range.
+        if -1021 <= exponent / n <= 1023:
+            return value ** (1.0 / n) * 2.0 ** (exponent / n)
+        whole, rest = divmod(exponent, n)
+        try:
+            return math.ldexp(value ** (1.0 / n) * 2.0 ** (rest / n), whole)
+        except OverflowError:
+            return math.inf
+
     best_lower = -np.inf
     best_upper = np.inf
     witness_lower = ()
@@ -103,9 +113,8 @@ def _reference_interval(mset, n_max, kind):
         if abs(shift) > 500:
             level = [(word, np.ldexp(prod, -shift)) for word, prod in level]
             exponent += shift
-        scale = 2.0 ** (exponent / n)
         for word, prod in level:
-            rho_root = rho_of(prod) ** (1.0 / n) * scale
+            rho_root = root(rho_of(prod), n, exponent)
             if rho_root > best_lower:
                 best_lower = rho_root
                 witness_lower = word
@@ -116,7 +125,7 @@ def _reference_interval(mset, n_max, kind):
             if norm_best is None or value > norm_best:
                 norm_best = value
                 norm_word = word
-        norm_root = norm_best ** (1.0 / n) * scale
+        norm_root = root(norm_best, n, exponent)
         if norm_root < best_upper:
             best_upper = norm_root
             witness_upper = norm_word
@@ -166,6 +175,33 @@ def _assert_matches_reference(mset, n_max, kind):
         lambda: _reference_interval(mset, n_max, kind))
 
 
+class TestRootsPastTheNormalRange:
+    """A root 2^(s / n) rho^(1/n) with s / n outside [-1021, 1023] is taken
+    by ldexp: finite near the top of the float range, and with every bit
+    of a normal float near the bottom of it."""
+
+    @pytest.mark.parametrize("factor", [1e308, 1e-308],
+                             ids=["1e308", "1e-308"])
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_golden_pair_matches_sandwich(self, kind, factor):
+        ms = GOLDEN_PAIR.scaled(factor)
+        for n_max in (4, 8):
+            interval = brute_force_interval(ms, n_max, kind)
+            report = sandwich(ms, n_max, kind)[-1]
+            assert interval.lower == pytest.approx(report.best_lower,
+                                                   rel=1e-15, abs=0.0)
+            assert interval.upper == pytest.approx(report.best_upper,
+                                                   rel=1e-15, abs=0.0)
+
+    def test_roots_past_the_float_range_read_inf(self):
+        """A radius of 2^1024 and more is +inf, not an error."""
+        ms = MatrixSet.from_arrays([np.diag([1.5e308, 1.0])])
+        interval = brute_force_interval(ms, 3, NormKind.L2)
+        assert interval.lower == interval.upper == 1.5e308
+        huge = MatrixSet.from_arrays([[[1e308, 1e308], [1e308, 1e308]]])
+        assert brute_force_interval(huge, 1, NormKind.L2).upper == math.inf
+
+
 class TestStackedLevels:
     """One eigvals call and one norm call per level, bit for bit the
     per-word values and witnesses."""
@@ -195,8 +231,9 @@ class TestStackedLevels:
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_extreme_sets_fail_or_match_as_the_per_word_loop(self, rng, kind,
                                                             factor):
-        # Times 1e308 the roots can leave the float range; then both
-        # raise the same error.
+        # Times 1e308 and 4.9e-319 the roots lie outside [2^-1021,
+        # 2^1023], where both take them by ldexp; should they raise,
+        # both raise the same error.
         for d in (1, 2, 3):
             ms = random_set(rng, d, 2).scaled(factor)
             _assert_matches_reference(ms, 6, kind)
