@@ -11,7 +11,9 @@ lists the subcommand's options in parser order, without --input and
 --output, with the norm and the default p resolved; "result" is the
 JSON form of the runner's result (``core._plain``).  Outputs contain no
 timestamps or other run-dependent fields, so repeated runs on identical
-inputs are byte-identical.
+inputs are byte-identical.  Every document is strict JSON: a float
+beyond the float range prints as null, and one that is not a number
+gives an error envelope.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 
 from . import bounds as _bounds
@@ -310,12 +313,26 @@ def _run(args) -> dict:
     }
 
 
+def _finite(value):
+    """A plain value with each float beyond the float range as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
+def _dumps(doc: dict) -> str:
+    """The strict JSON text of a document; ValueError on a NaN."""
+    return json.dumps(_finite(doc), indent=2, allow_nan=False)
+
+
 def _error_envelope(args, exc: Exception) -> str:
     """The error text, plus the steps completed before it (``partial``)."""
     doc = {"command": args.command, "error": str(exc)}
     if getattr(exc, "partial", None):
         doc["partial"] = _plain(exc.partial)
-    return json.dumps(doc, indent=2)
+    return _dumps(doc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     # Dumping stays inside the try: a result that cannot be printed gives
     # an error envelope too.
     try:
-        text, code = json.dumps(_run(args), indent=2), 0
+        text, code = _dumps(_run(args)), 0
     except (JsrError, OSError, ValueError) as exc:
         text, code = _error_envelope(args, exc), 1
     if args.output:

@@ -40,12 +40,9 @@ Frobenius norms alone).  ``max_over_products`` runs the exact kernel on
 the row with the largest bound, then only on the rows whose bound can
 still reach that value, the best of earlier blocks or, in a pruned
 level, the value the level is known to reach, so those kernels see a
-small share of the products.  At d >= 3 the radius rows left go
-through the sharper bounds ||P^2||^(1/2) and ||P^4||^(1/4) before the
-eigensolver sees them.  The kernels give the same
-bits on a subset of rows as on the whole block, and no row that holds or
-ties the maximum is pruned, so values and witnesses are those of the
-full scan.
+small share of the products.  The kernels give the same bits on a
+subset of rows as on the whole block, and no row that holds or ties the
+maximum is pruned, so values and witnesses are those of the full scan.
 
 The l2 kernel at d = 2 replays, on batches of rows, the steps LAPACK
 takes for a 2x2 symmetric eigenproblem (``_top_eigenvalues_2x2``), with
@@ -96,15 +93,6 @@ _SCREEN_MIN_FLOATS = 1 << 11
 # block scale) at which rows are pruned; see ``_screened_max``.
 _SCREEN_MARGIN = 2.0 ** -20
 _SCREEN_FLOOR = 2.0 ** -480
-
-# The d >= 3 radius rows that a screen keeps go on to the sharper bounds
-# of ``_power_screen`` when they hold at least this many entries.  On
-# the screened blocks of the benchmark's bound tasks and of random pairs
-# (d = 3..8, one BLAS thread, 2-core Xeon, numpy 2.4), the power bounds
-# and eigvals on the rows they keep cost more than eigvals on every row
-# below about 250 entries (30 rows of 3x3: 146 against 149 us), and less
-# from there on (10 rows of 8x8: 85 against 131 us).
-_POWER_MIN_FLOATS = 256
 
 # Chains of the radius seeds kept in a pass (see ``_Pass``).  On the
 # ``enum`` benchmark's bound tasks at seeds 1-3, 1, 2 and 6 chains take
@@ -453,9 +441,7 @@ def _metric_bound(metric):
     and rho(P) <= min(||P||_1, ||P||_inf, ||P||_F), at every d; the l1 and
     linf norms are the column-sum and row-sum norms themselves.  Where
     the sums were not taken (c and r None), the l2 bound is ||P||_F
-    alone.  At d >= 3 the radius rows this bound keeps are screened again
-    by ||P^2||^(1/2) and ||P^4||^(1/4) (``_power_screen``).  None for
-    |trace|, whose kernel costs less than the screen."""
+    alone.  None for |trace|, whose kernel costs less than the screen."""
     if metric is NormKind.L1:
         return lambda c, r, f: c
     if metric is NormKind.LINF:
@@ -877,28 +863,6 @@ def _cheap_norms(block: np.ndarray, sums: bool = True) -> tuple:
     return *(_sum_norms(block) if sums else (None, None)), frobenius
 
 
-def _power_screen(block: np.ndarray, c: np.ndarray, r: np.ndarray,
-                  threshold: float) -> np.ndarray:
-    """The rows of a block whose bounds on the computed spectral radius
-    (min(||P^k||_1, ||P^k||_inf) + _SCREEN_MARGIN (c r)^(k/2))^(1/k), for
-    k = 2 and then k = 4, can reach ``threshold`` (see ``_screened_max``);
-    c and r are the rows' column-sum and row-sum norms.  P^4 is formed
-    only for the rows P^2 keeps.  A third squaring measured no faster."""
-    rows = np.arange(block.shape[0])
-    # each row times 2^-e, which puts its column-sum norm in [1/2, 1)
-    e = np.frexp(c)[1]
-    power = np.ldexp(block, -e[:, None, None])
-    size = np.ldexp(c, -e) * np.ldexp(r, -e)
-    for k in (2, 4):
-        power = np.matmul(power, power)
-        ck, rk = _sum_norms(power)
-        root = (np.minimum(ck, rk) + _SCREEN_MARGIN * size ** (k // 2)) \
-            ** (1.0 / k)
-        reach = np.ldexp(root, e) * (1.0 + _SCREEN_MARGIN) >= threshold
-        rows, power, e, size = rows[reach], power[reach], e[reach], size[reach]
-    return rows
-
-
 def _screened_max(block: np.ndarray, metric, bound,
                   norms: tuple[np.ndarray, ...] | None, best: float
                   ) -> tuple[float, int] | None:
@@ -941,40 +905,6 @@ def _screened_max(block: np.ndarray, metric, bound,
     - Overflow.  Block entries stay below 2^500, so only the bounds can
       overflow, to inf, which prunes nothing.
 
-    Powers.  The radius bound min(||P||_1, ||P||_inf, ||P||_F) overstates
-    rho(P) several times over on non-normal products.  So at d >= 3, when
-    the radius rows it keeps hold at least _POWER_MIN_FLOATS entries,
-    ``_power_screen`` prunes them again by Gelfand's inequality at k = 2
-    and then 4: rho(P)^k = rho(P^k) <= ||P^k||_x for x in {1, inf}.  A row
-    goes when (1 + mu) b_k < threshold, with mu = _SCREEN_MARGIN,
-    b_k = (min(c_k, r_k) + mu (c r)^(k/2))^(1/k), c_k and r_k the computed
-    column-sum and row-sum norms of the computed P^k (P times P, and that
-    squared), and c and r those of P.  For every row, v <= (1 + mu) b_k:
-    - Rounding.  v <= (1 + 3 eps) rho(P + E) with ||E||_2 <= c(d) eps
-      ||P||_2, as above, and rho(P + E)^k <= ||(P + E)^k||_x
-      <= ||P^k||_x + sqrt(d) ((1 + c(d) eps)^k - 1) ||P||_2^k.  Forming
-      the power by k / 2 squarings leaves it within (k - 1) gamma_d
-      (1 + gamma_d) |P|^k of P^k entrywise (Higham, 3.5), and both
-      || |P|^k ||_x <= sqrt(d) || |P| ||_2^k and ||P||_2^k are at most
-      sqrt(d) (c r)^(k/2).  So rho(P + E)^k <= (1 + d eps) min(c_k, r_k)
-      + sqrt(d) (k c(d) + (k - 1) (d + 1)) eps (c r)^(k/2), and mu, or
-      2^32 eps, covers the last factor for any d whose products fit a
-      block (d^2 <= 2^22, c(d) of order d^2).  The term is relative to
-      ||P||^k, not to ||P^k||: on a non-normal row, P^k can be far below
-      ||P||^k, and its rounding is not.  (1 + mu) covers the rest.
-    - Range.  Each row is first multiplied by 2^-e, e the binary
-      exponent of c, which is exact and gives c in [1/2, 1) and r in
-      [1/(2 d), d) (||P||_1 <= d ||P||_inf); b_k is taken there and
-      multiplied back by 2^e, also exactly, as c >= threshold / (1 + mu).
-      Every entry of the scaled P^2 and P^4 is then at most about 1, so
-      nothing overflows, and mu (c r)^(k/2) >= 2^-24 / d^2, while
-      underflow moves c_k and r_k by at most 2 d^2 2^-1074.
-    The column and row sums square no entry.  The Frobenius norm of P^k
-    squares entries of size rho^k: in block scale these flush to zero for
-    rho under about 2^-268, far above the floor, and the maximum is
-    dropped (a copy that took ||P^2||_F so fails the "tiny radii" set of
-    the tests).
-
     Kept rows are scanned in order and the kernels give the same bits on
     a subset of rows as on the block, so the first maximal row is found.
     """
@@ -988,15 +918,8 @@ def _screened_max(block: np.ndarray, metric, bound,
         threshold = max(float(_metric_values(block[top:top + 1], metric)[0]),
                         best)
         kept = np.flatnonzero(bound >= threshold)
-        if threshold >= _SCREEN_FLOOR:
-            if (metric == RADIUS and block.shape[-1] >= 3 and
-                    kept.size * block.shape[-1] ** 2 >= _POWER_MIN_FLOATS):
-                kept = kept[_power_screen(block[kept], norms[0][kept],
-                                          norms[1][kept], threshold)]
-                if kept.size == 0:
-                    return None
-            if kept.size < block.shape[0]:
-                rows = kept
+        if threshold >= _SCREEN_FLOOR and kept.size < block.shape[0]:
+            rows = kept
     vals = _metric_values(block if rows is None else block[rows], metric)
     j = int(np.argmax(vals))
     return float(vals[j]), j if rows is None else int(rows[j])

@@ -104,11 +104,12 @@ def _reject(constant: str):
 
 
 def _run_doc(*args: str) -> tuple[int, dict]:
-    """Run the CLI in this process; the exit code and the JSON document."""
+    """Run the CLI in this process; the exit code and the JSON document,
+    which must be strict JSON."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(args))
-    return code, json.loads(out.getvalue())
+    return code, json.loads(out.getvalue(), parse_constant=_reject)
 
 
 class TestParams:
@@ -445,6 +446,51 @@ class TestScaleFree:
         result = _run_strict("bound", "--input", str(path), "--n-max", "600")
         assert len(result["reports"]) == 600
         assert result["best_lower"] == pytest.approx(2.0, rel=1e-12)
+
+
+class TestStrictJson:
+    """A float past the float range prints as null, and every envelope
+    parses with NaN and Infinity refused."""
+
+    def test_roots_past_the_float_range_are_null(self, tmp_path):
+        path = tmp_path / "ones.json"
+        path.write_text(
+            '{"dim": 2, "matrices": [[[1e308, 1e308], [1e308, 1e308]]]}')
+        code, doc = _run_doc("bound", "--input", str(path), "--n-max", "1")
+        assert code == 0
+        assert doc["result"] == {
+            "reports": [{"n": 1, "kind": "l2", "lower": None, "upper": None,
+                         "best_lower": None, "best_upper": None,
+                         "witness_lower": [1], "witness_upper": [1]}],
+            "best_lower": None, "best_upper": None}
+        code, doc = _run_doc("oracle", "--input", str(path), "--n-max", "1")
+        assert code == 0
+        assert doc["result"] == {"n_max": 1, "kind": "l2", "lower": None,
+                                 "upper": None, "witness_lower": [1],
+                                 "witness_upper": []}
+
+    def test_lipschitz_past_the_float_range_is_null(self, tmp_path):
+        """5 times the ones times 2^1020: the l2 norm 10 * 2^1020 is a
+        float, twice it is not."""
+        path = _scaled_file(tmp_path, '{"dim": 2, "matrices": [[[5, 5], '
+                            '[5, 5]]]}', 2.0 ** 1020)
+        code, doc = _run_doc("chi", "--input", path, "--mesh", "0.1")
+        assert code == 0
+        chi = doc["result"]
+        assert chi["lipschitz"] is None
+        assert chi["certified_lower"] == 0.0 and chi["samples"] == 63
+        code, doc = _run_doc("irreducible", "--input", path, "--mesh", "0.1")
+        assert code == 0 and doc["result"]["chi"] == chi
+
+    def test_nan_gives_an_error_envelope(self, golden_file, monkeypatch):
+        """A NaN has no strict JSON form: an error envelope replaces the
+        result."""
+        monkeypatch.setattr("jsrbound.oracle.brute_force_interval",
+                            lambda *args: {"lower": float("nan")})
+        code, doc = _run_doc("oracle", "--input", golden_file)
+        assert code == 1
+        assert doc == {"command": "oracle", "error": "Out of range float "
+                       "values are not JSON compliant: nan"}
 
 
 class TestParserOnce:

@@ -904,12 +904,10 @@ class _RowCounter:
 @pytest.fixture(params=["default blocks", "every block screened",
                         "small chunks"])
 def screen_mode(request, monkeypatch) -> str:
-    """Default blocks; every block screened, however small, the d >= 3
-    radius rows through the power bounds however few; and 64-float
+    """Default blocks; every block screened, however small; and 64-float
     blocks, all screened, so the best is carried across many blocks."""
     if request.param != "default blocks":
         monkeypatch.setattr("jsrbound.core._SCREEN_MIN_FLOATS", 1)
-        monkeypatch.setattr("jsrbound.core._POWER_MIN_FLOATS", 1)
     if request.param == "small chunks":
         monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", 64)
     return request.param
@@ -931,6 +929,27 @@ def _check_screened(ms: MatrixSet, n: int,
 # The norms screened by the column and row sums themselves, with the
 # radius, whose screen takes the same sums.
 SUM_NORMS = [NormKind.L1, NormKind.LINF, RADIUS]
+
+
+def _similar_square_zero(d: int, r: int, cond: float, diag: float,
+                         seed) -> MatrixSet:
+    """S (D_i + N_i) S^-1 for r members, cond(S) = cond, D_i diagonal with
+    entries up to ``diag`` and N_i = [[0, B_i], [0, 0]], B_i of d // 2
+    rows, so N_i N_j = 0.  Each member's norm is up to cond times its
+    radius, and at diag = 0 every exact product of two or more members
+    vanishes, so the computed radii are rounding."""
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    s = q1 @ np.diag(np.geomspace(1.0, 1.0 / cond, d)) @ q2
+    inv = np.linalg.inv(s)
+    members = []
+    for _ in range(r):
+        n = np.zeros((d, d))
+        n[:d // 2, d // 2:] = rng.uniform(-1.0, 1.0, (d // 2, d - d // 2))
+        members.append(s @ (np.diag(diag * rng.uniform(-1.0, 1.0, d)) + n)
+                       @ inv)
+    return MatrixSet.from_arrays(members)
 
 
 class TestScreenedMaxima:
@@ -1017,6 +1036,28 @@ class TestScreenedMaxima:
                 plain = max_over_products(ms, n, SCREENED)
                 assert [(v, w) for v, _, w in got] == \
                     [(v, w) for v, _, w in plain]
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_non_normal_sets(self, d, screen_mode):
+        """Sets whose computed radii are far below their norms and, near 0,
+        are rounding: the cheap bound keeps many rows there."""
+        for r in (2, 3):
+            n = min(5, int(math.log(4096 / d ** 2, r)))
+            for cond in (1e6, 1e10, 1e13):
+                for diag in (0.0, 1e-8, 1e-4):
+                    for seed in (1, 2):
+                        ms = _similar_square_zero(d, r, cond, diag,
+                                                  [d, r, seed])
+                        _check_levels(ms, n, [NormKind.L2, RADIUS])
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_non_normal_sets_far_from_unit_scale(self, k, screen_mode):
+        for d in (3, 4, 6):
+            ms = _similar_square_zero(d, 2, 1e10, 1e-8, [d, 7])
+            got = _check_levels(ms.scaled(2.0 ** k), 5, SCREENED)
+            plain = max_over_products(ms, 5, SCREENED, first=1)
+            assert [[(v, w) for v, _, w in level] for level in got] == \
+                [[(v, w) for v, _, w in level] for level in plain]
 
     def test_exact_kernels_see_few_rows(self, monkeypatch):
         """On random sets at default blocks the l2 kernel sees under 1% of
@@ -1419,115 +1460,6 @@ class TestPrunedWork:
         assert counter.rows <= sum(ms.r ** k for k in range(1, n + 1))
         # a set of one member has one word a length, nothing to drop
         assert tested == (set(range(2, n + 1)) if ms.r > 1 else set())
-
-
-# ---------------------------------------------------------------------------
-# Power bounds on the radius
-
-
-def _similar_square_zero(d: int, r: int, cond: float, diag: float,
-                         seed) -> MatrixSet:
-    """S (D_i + N_i) S^-1 for r members, cond(S) = cond, D_i diagonal with
-    entries up to ``diag`` and N_i = [[0, B_i], [0, 0]], B_i of d // 2
-    rows, so N_i N_j = 0.  Each member's norm is up to cond times its
-    radius, and at diag = 0 every exact product of two or more members
-    vanishes, so the computed radii, and the computed squares of the
-    members, are rounding."""
-    rng = np.random.default_rng(seed)
-    q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    s = q1 @ np.diag(np.geomspace(1.0, 1.0 / cond, d)) @ q2
-    inv = np.linalg.inv(s)
-    members = []
-    for _ in range(r):
-        n = np.zeros((d, d))
-        n[:d // 2, d // 2:] = rng.uniform(-1.0, 1.0, (d // 2, d - d // 2))
-        members.append(s @ (np.diag(diag * rng.uniform(-1.0, 1.0, d)) + n)
-                       @ inv)
-    return MatrixSet.from_arrays(members)
-
-
-class _PowerSpy:
-    """Counts the rows that reach ``_power_screen``."""
-
-    def __init__(self, monkeypatch):
-        self.rows = 0
-        screen = core_module._power_screen
-
-        def counted(block, c, r, threshold):
-            self.rows += block.shape[0]
-            return screen(block, c, r, threshold)
-
-        monkeypatch.setattr(core_module, "_power_screen", counted)
-
-
-class TestPowerScreen:
-    """The d >= 3 radius rows that the cheap bound keeps are pruned again
-    by ||P^2||^(1/2) and ||P^4||^(1/4) (``_power_screen``) before the
-    eigensolver.  The ``ATTAINED`` sets and the random sets of
-    ``TestScreenedMaxima`` and ``TestPrunedLevels`` run it in the screen
-    modes that screen every block; these tests add non-normal sets, whose
-    computed radii are far below their norms and, near 0, are rounding."""
-
-    @pytest.mark.parametrize("d", range(3, 9))
-    def test_non_normal_sets(self, d, screen_mode, monkeypatch):
-        """Without the rounding term mu (c r)^(k/2) of the bound, the
-        screen drops a maximum on 2 (d = 8) to 11 (d = 3) of these 36
-        sets, in both modes that screen every block."""
-        spy = _PowerSpy(monkeypatch)
-        for r in (2, 3):
-            n = min(5, int(math.log(4096 / d ** 2, r)))
-            for cond in (1e6, 1e10, 1e13):
-                for diag in (0.0, 1e-8, 1e-4):
-                    for seed in (1, 2):
-                        ms = _similar_square_zero(d, r, cond, diag,
-                                                  [d, r, seed])
-                        _check_levels(ms, n, [NormKind.L2, RADIUS])
-        if screen_mode != "default blocks":
-            assert spy.rows > 0
-
-    @pytest.mark.parametrize("k", [600, -600])
-    def test_far_from_unit_scale(self, k, screen_mode):
-        for d in (3, 4, 6):
-            ms = _similar_square_zero(d, 2, 1e10, 1e-8, [d, 7])
-            got = _check_levels(ms.scaled(2.0 ** k), 5, SCREENED)
-            plain = max_over_products(ms, 5, SCREENED, first=1)
-            assert [[(v, w) for v, _, w in level] for level in got] == \
-                [[(v, w) for v, _, w in level] for level in plain]
-
-    def test_eigensolver_sees_few_rows(self, monkeypatch):
-        """A random 6x6 pair: the power bounds send at most a quarter of
-        the rows to the eigensolver that the cheap bound alone sends, on
-        the length-12 level (18 against 124 of its 352 necklaces with
-        numpy 2.4) and on ``sandwich`` to n = 16 (111 against 747), which
-        reads the same either way."""
-        ms = random_set(np.random.default_rng(3), 6, 2)
-        counts = []
-        for gate in (core_module._POWER_MIN_FLOATS, math.inf):
-            monkeypatch.setattr(core_module, "_POWER_MIN_FLOATS", gate)
-            counter = _RowCounter(monkeypatch)
-            level = max_over_products(ms, 12, SCREENED)
-            rows = counter.rows["radii"]
-            reports = [report.to_dict()
-                       for report in sandwich(ms, 16, NormKind.L2)]
-            counts.append((rows, level, counter.rows["radii"] - rows,
-                           reports))
-        (powers, level, pass_powers, reports), \
-            (cheap, cheap_level, pass_cheap, cheap_reports) = counts
-        assert level == cheap_level and reports == cheap_reports
-        assert 0 < 4 * powers <= cheap
-        assert 0 < 4 * pass_powers <= pass_cheap
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_low_dimensions_skip_the_powers(self, d, monkeypatch):
-        """The d <= 2 radius has a cheap closed form, which is not
-        backward stable near a double eigenvalue."""
-        monkeypatch.setattr("jsrbound.core._SCREEN_MIN_FLOATS", 1)
-        monkeypatch.setattr("jsrbound.core._POWER_MIN_FLOATS", 1)
-        spy = _PowerSpy(monkeypatch)
-        _check_levels(random_set(np.random.default_rng(d), d, 3), 6,
-                      [NormKind.L2, RADIUS])
-        assert spy.rows == 0
 
 
 class TestExports:
