@@ -529,28 +529,31 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return verts, faces
 
 
-def _subdivide(verts: np.ndarray, faces: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next icosphere level: the vertices, the faces, and the (2, e)
-    endpoint indices of the edges whose normalized midpoints it appends."""
+def _subdivide(verts: np.ndarray, faces: np.ndarray, last: bool
+               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The next icosphere level: the vertices, the faces (None when
+    ``last``) and the (2, e) endpoints a < b of the edges whose normalized
+    midpoints it appends, by ascending key a n + b.  The faces are
+    consistently oriented: each edge is taken from the one of its two
+    faces that lists it in ascending order."""
     n = verts.shape[0]
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
-                            faces[:, [2, 0]]], axis=0)
-    edges = np.sort(edges, axis=1)
-    keys = edges[:, 0] * n + edges[:, 1]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    ends = np.stack([uniq // n, uniq % n])
+    heads = faces[:, [1, 2, 0]]
+    ascending = faces < heads
+    keys = np.sort(faces[ascending] * n + heads[ascending])
+    ends = np.stack(np.divmod(keys, n))
     mids = verts[ends[0]] + verts[ends[1]]
     mids /= np.linalg.norm(mids, axis=1)[:, None]
-    mid_idx = n + inverse.reshape(3, -1)
-    ab, bc, ca = mid_idx[0], mid_idx[1], mid_idx[2]
-    new_faces = np.concatenate([
+    verts = np.concatenate([verts, mids], axis=0)
+    if last:
+        return verts, None, ends
+    ab, bc, ca = (n + np.searchsorted(keys, np.minimum(faces, heads) * n
+                                      + np.maximum(faces, heads))).T
+    return verts, np.concatenate([
         np.stack([faces[:, 0], ab, ca], axis=1),
         np.stack([faces[:, 1], bc, ab], axis=1),
         np.stack([faces[:, 2], ca, bc], axis=1),
         np.stack([ab, bc, ca], axis=1),
-    ], axis=0)
-    return np.concatenate([verts, mids], axis=0), new_faces, ends
+    ], axis=0), ends
 
 
 def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
@@ -565,28 +568,30 @@ def _covering_radius(verts: np.ndarray, faces: np.ndarray) -> float:
     return float(np.max(np.arccos(cosr)))
 
 
-def _antipodes(xs: np.ndarray) -> np.ndarray:
-    """Antipode table of the distinct rows of xs: anti[i] = j when xs[j]
-    is -xs[i] bit for bit but for the sign of a zero, else -1.  Both
-    sides are compared after x + 0.0, which maps -0.0 to +0.0: the radius
-    never reads the sign of a zero (``irreducibility._fill``), so a 3-d
-    net point on a coordinate plane still shares its value with its
-    antipode.  Read-only, int32: a net holds at most MAX_NET_POINTS <
-    2^31 points.  The rows are sorted as byte strings once, and the
-    negated rows are looked up in blocks of _BLOCK_FLOATS."""
-    n, d = xs.shape
-    row = np.dtype((np.void, xs.itemsize * d))
-    keys = (xs + 0.0).view(row).ravel()
-    order = np.argsort(keys)
-    ranked = keys[order]
-    anti = np.empty(n, dtype=np.int32)
-    for lo in range(0, n, _BLOCK_FLOATS):
-        wanted = (-xs[lo:lo + _BLOCK_FLOATS] + 0.0).view(row).ravel()
-        at = np.minimum(np.searchsorted(ranked, wanted), n - 1)
-        anti[lo:lo + _BLOCK_FLOATS] = np.where(ranked[at] == wanted,
-                                               order[at], -1)
+def _checked_antipodes(xs: np.ndarray, twin: np.ndarray) -> np.ndarray:
+    """Antipode table of the distinct rows of xs: anti[i] = twin[i], the
+    candidate the net's construction names, where xs[twin[i]] == -xs[i]
+    as floats, else -1.  With no NaN in a net, that is bit for bit up to
+    the sign of a zero, which the radius never reads
+    (``irreducibility._fill``).  Read-only, int32 (MAX_NET_POINTS <
+    2^31); checked _BLOCK_FLOATS rows at a time."""
+    anti = np.empty(xs.shape[0], dtype=np.int32)
+    for lo in range(0, xs.shape[0], _BLOCK_FLOATS):
+        rows = slice(lo, lo + _BLOCK_FLOATS)
+        same = np.all(-xs[rows] == xs[twin[rows]], axis=1)
+        anti[rows] = np.where(same, twin[rows], -1)
     anti.flags.writeable = False
     return anti
+
+
+def _gaps(points: np.ndarray, new: np.ndarray, parent: np.ndarray,
+          kind: NormKind) -> np.ndarray:
+    """vector_norms(points[new] - points[parent], kind), blockwise."""
+    out = np.empty(new.size)
+    for lo in range(0, new.size, _BLOCK_FLOATS):
+        at = slice(lo, lo + _BLOCK_FLOATS)
+        out[at] = vector_norms(points[new[at]] - points[parent[at]], kind)
+    return out
 
 
 # The finest icosphere built so far, as _icosphere_levels returns it.
@@ -607,8 +612,8 @@ def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     if _icosphere_build is None or len(_icosphere_build[1]) < level:
         verts, faces = _icosahedron()
         ends = []
-        for _ in range(level):
-            verts, faces, edge_ends = _subdivide(verts, faces)
+        for k in range(level):
+            verts, faces, edge_ends = _subdivide(verts, faces, k == level - 1)
             ends.append(edge_ends)
         for array in (verts, *ends):
             array.flags.writeable = False
@@ -757,11 +762,11 @@ def sphere_net(d: int, kind: NormKind, mesh: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Net:
     """A sphere net and the read-only tables of chi's walk over it: the
-    points, their antipode table (``_antipodes``, up to the sign of a
-    zero, so complete on the 3-d nets), the indices of the
-    coarsest level and, for each finer level in order, a step (new, left,
-    right, left_gap, right_gap): the points the level adds, two parents
-    of each (points of coarser levels next to it) and the kind distances
+    points, their antipode table (``_checked_antipodes``, up to the sign
+    of a zero, so complete on the 3-d nets), the indices of the coarsest
+    level and, for each finer level in order, a step (new, left, right,
+    left_gap, right_gap): the points the level adds, two parents of each
+    (points of coarser levels next to it) and the kind distances
     vector_norms(points[new] - points[parent], kind) to them."""
 
     points: np.ndarray
@@ -814,12 +819,20 @@ def _net_at(d: int, kind: NormKind, size: int) -> _Net:
     level halves the stride, the parents of a point being its neighbours
     at twice the stride (the last point's right neighbour is point 0).
     The 1-d net is one level.
+
+    Antipode candidates (``_checked_antipodes``): the point n // 2 on
+    round a 1-d or 2-d net of n points (none passes on an odd circle);
+    row n - 1 - i of a 3-d grid, sorted and centrally symmetric; on the
+    icosphere, the vertex of least dot product, then the midpoint of the
+    edge (anti a, anti b) for that of (a, b), found in the level's keys.
     """
     if d == 1:
         points, coarse, levels = np.array([[1.0], [-1.0]]), np.arange(2), []
+        twin = np.array([1, 0])
     elif d == 2:
         points = _circle_net(kind, size)
         n = points.shape[0]
+        twin = (np.arange(n) + n // 2) % n
         stride = 1 << max(0, (n // 12).bit_length() - 1)
         coarse, levels = np.arange(0, n, stride), []
         while stride > 1:
@@ -831,15 +844,21 @@ def _net_at(d: int, kind: NormKind, size: int) -> _Net:
     elif kind is NormKind.L2:
         points, ends = _icosphere_levels(size)
         coarse, levels, start = np.arange(12), [], 12
+        twin = np.empty(points.shape[0], dtype=np.intp)
+        twin[:12] = np.argmin(points[:12] @ points[:12].T, axis=1)
         for left, right in ends:
-            levels.append((np.arange(start, start + left.size), left, right))
+            new = np.arange(start, start + left.size)
+            levels.append((new, left, right))
+            a, b = np.sort([twin[left], twin[right]], axis=0)
+            twin[new] = start + np.searchsorted(left * start + right,
+                                                a * start + b)
             start += left.size
     else:
         points, (coarse, levels) = _polyhedral_net(kind, size)
+        twin = np.arange(points.shape[0])[::-1]
     steps = tuple((new, left, right,
-                   *(vector_norms(points[new] - points[q], kind)
-                     for q in (left, right)))
+                   *(_gaps(points, new, q, kind) for q in (left, right)))
                   for new, left, right in levels)
     for array in (points, coarse, *(v for step in steps for v in step)):
         array.flags.writeable = False
-    return _Net(points, _antipodes(points), coarse, steps)
+    return _Net(points, _checked_antipodes(points, twin), coarse, steps)

@@ -152,7 +152,7 @@ def _fill(prods: np.ndarray, net: _Net, kind: NormKind, vals: np.ndarray,
     """Hull radii of the net points ``todo`` into vals, marked done.
 
     radius_profile runs on one point of each antipodal pair (the net's
-    antipode table, see ``geometry._antipodes``): a point whose antipode
+    antipode table, ``_Net.antipodes``): a point whose antipode
     is done, or comes earlier in todo, copies its value.  The radius is
     even to the bit up to the sign of zero: the planes of -x are those of
     x negated, every value takes |.| of them, and a zero coordinate of x

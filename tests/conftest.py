@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jsrbound import MatrixSet
+from jsrbound import MatrixSet, NormKind
 import jsrbound.geometry as geometry_module
 
 
@@ -44,19 +44,23 @@ def small_radius_blocks(monkeypatch) -> None:
 
 
 @pytest.fixture(scope="session")
-def level9_icosphere() -> tuple[np.ndarray, list[float]]:
+def level9_icosphere() -> tuple[np.ndarray, list[float],
+                                geometry_module._Net]:
     """The level-9 icosphere, built once per session by
-    ``icosphere(_LEVEL9_RADIUS)``, and the covering radius that
-    ``_covering_radius`` measures on each of levels 0..9 on the way."""
+    ``icosphere(_LEVEL9_RADIUS)``, the covering radius that
+    ``_covering_radius`` measures on each of levels 0..9 on the way, and
+    the level-9 _Net on that build."""
     radii: list[float] = []
     measure = geometry_module._covering_radius
     subdivide = geometry_module._subdivide
 
-    def recorded(verts, faces):
+    def recorded(verts, faces, last):
         if not radii:
             radii.append(measure(verts, faces))
-        out = subdivide(verts, faces)
-        radii.append(measure(out[0], out[1]))
+        out = subdivide(verts, faces, last)
+        # The last level is built without its faces: build them here.
+        built = subdivide(verts, faces, False)[1] if last else out[1]
+        radii.append(measure(out[0], built))
         return out
 
     # Build afresh, and put the build cache back as it was, so that it
@@ -65,4 +69,5 @@ def level9_icosphere() -> tuple[np.ndarray, list[float]]:
         mp.setattr(geometry_module, "_icosphere_build", None)
         mp.setattr(geometry_module, "_subdivide", recorded)
         verts = geometry_module.icosphere(geometry_module._LEVEL9_RADIUS)
-    return verts, radii
+        net = geometry_module._net_at.__wrapped__(3, NormKind.L2, 9)
+    return verts, radii, net

@@ -294,7 +294,7 @@ class TestSphereForSamples:
                                                      level9_icosphere):
         """One icosphere call, at the mesh where the halving loop stops,
         for sample counts around each level's 10 * 4^k + 2 vertices."""
-        level9, radii = level9_icosphere
+        level9, radii, _ = level9_icosphere
         mesh9 = 1.2 / 2 ** 9
         # icosphere(mesh9) subdivides past levels 0..8 and stops at level
         # 9, so it returns the session's level-9 build.

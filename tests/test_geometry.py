@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -633,6 +634,148 @@ class TestEvenRadius:
             assert radius_profile(prods, -xs + 0.0, kind).tobytes() == want
 
 
+def _sorted_antipodes(xs: np.ndarray) -> np.ndarray:
+    """The reference antipode table: the rows, after x + 0.0, sorted as
+    byte strings, and each negated row looked up among them."""
+    n, d = xs.shape
+    row = np.dtype((np.void, xs.itemsize * d))
+    keys = (xs + 0.0).view(row).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    wanted = (-xs + 0.0).view(row).ravel()
+    at = np.minimum(np.searchsorted(ranked, wanted), n - 1)
+    return np.where(ranked[at] == wanted, order[at], -1).astype(np.int32)
+
+
+def _unique_subdivide(verts: np.ndarray, faces: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reference icosphere subdivision: np.unique over the keys of
+    all 3F directed edges, and the faces of every level."""
+    n = verts.shape[0]
+    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                            faces[:, [2, 0]]], axis=0)
+    edges = np.sort(edges, axis=1)
+    keys = edges[:, 0] * n + edges[:, 1]
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    ends = np.stack([uniq // n, uniq % n])
+    mids = verts[ends[0]] + verts[ends[1]]
+    mids /= np.linalg.norm(mids, axis=1)[:, None]
+    ab, bc, ca = n + inverse.reshape(3, -1)
+    new_faces = np.concatenate([
+        np.stack([faces[:, 0], ab, ca], axis=1),
+        np.stack([faces[:, 1], bc, ab], axis=1),
+        np.stack([faces[:, 2], ca, bc], axis=1),
+        np.stack([ab, bc, ca], axis=1),
+    ], axis=0)
+    return np.concatenate([verts, mids], axis=0), new_faces, ends
+
+
+def _unique_icosphere(level: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Points, coarse level and (new, left, right) levels of icosphere
+    ``level`` by _unique_subdivide."""
+    verts, faces = _icosahedron()
+    levels = []
+    for _ in range(level):
+        start = verts.shape[0]
+        verts, faces, (left, right) = _unique_subdivide(verts, faces)
+        levels.append((np.arange(start, verts.shape[0]), left, right))
+    return verts, np.arange(12), levels
+
+
+def _circle_levels(n: int) -> tuple[np.ndarray, list]:
+    """Coarse level and levels of a cyclic net of n points: stride the
+    largest power of two leaving at least 12 points, halved a level, and
+    point 0 the right parent past the last point."""
+    stride = 1 << max(0, (n // 12).bit_length() - 1)
+    coarse, levels = np.arange(0, n, stride), []
+    while stride > 1:
+        stride //= 2
+        new = np.arange(stride, n, 2 * stride)
+        right = np.where(new + stride < n, new + stride, 0)
+        levels.append((new, new - stride, right))
+    return coarse, levels
+
+
+def _assert_net_is(net, kind: NormKind, points: np.ndarray,
+                   coarse: np.ndarray, levels: list) -> None:
+    """The net has these points and levels, the sorted antipode table and
+    the parent gaps taken on all of a level's rows at once, by bytes."""
+    assert net.points.tobytes() == points.tobytes()
+    assert net.antipodes.dtype == np.int32
+    assert net.antipodes.tobytes() == _sorted_antipodes(points).tobytes()
+    assert net.coarse.tobytes() == coarse.tobytes()
+    assert len(net.steps) == len(levels)
+    for step, (new, left, right) in zip(net.steps, levels):
+        want = (new, left, right, *(vector_norms(points[new] - points[q], kind)
+                                    for q in (left, right)))
+        assert [(a.dtype, a.tobytes()) for a in step] == \
+            [(a.dtype, a.tobytes()) for a in want]
+
+
+class TestNetsMatchTheSortedBuilds:
+    """Each net, built from its construction, has the bits of the build
+    that sorted its rows: np.unique over every directed icosphere edge,
+    and the antipodes looked up among the rows sorted as byte strings."""
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_icosphere_levels(self, level, monkeypatch):
+        monkeypatch.setattr(geometry, "_icosphere_build", None)
+        net = geometry._net_at.__wrapped__(3, NormKind.L2, level)
+        _assert_net_is(net, NormKind.L2, *_unique_icosphere(level))
+
+    def test_icosphere_level9(self, level9_icosphere):
+        _assert_net_is(level9_icosphere[2], NormKind.L2, *_unique_icosphere(9))
+
+    @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+    def test_polyhedral_grids(self, kind):
+        for q in [*range(1, 61), 67, 100, 400]:
+            net = geometry._net_at.__wrapped__(3, kind, q)
+            points, (coarse, levels) = geometry._polyhedral_net(kind, q)
+            _assert_net_is(net, kind, points, coarse, levels)
+
+    @pytest.mark.parametrize("kind, size", [
+        *((kind, size) for kind in (NormKind.L1, NormKind.LINF)
+          for size in (1, 3, 50)),
+        *((NormKind.L2, size) for size in (126, 315, 628, 629))])
+    def test_planar_nets(self, kind, size):
+        net = geometry._net_at.__wrapped__(2, kind, size)
+        points = geometry._circle_net(kind, size)
+        _assert_net_is(net, kind, points, *_circle_levels(points.shape[0]))
+
+    def test_one_dimensional_net(self):
+        net = geometry._net_at.__wrapped__(1, NormKind.L2, 1)
+        _assert_net_is(net, NormKind.L2, np.array([[1.0], [-1.0]]),
+                       np.arange(2), [])
+
+    def test_each_edge_is_ascending_in_exactly_one_face(self):
+        """The faces of levels 0..8 list each edge once in ascending
+        order and once in descending order, which _subdivide relies on."""
+        verts, faces = _icosahedron()
+        for level in range(9):
+            n = verts.shape[0]
+            heads = faces[:, [1, 2, 0]]
+            up = np.sort((faces * n + heads)[faces < heads])
+            down = np.sort((heads * n + faces)[faces > heads])
+            assert up.size == down.size == faces.size // 2
+            assert np.array_equal(up, down) and np.all(np.diff(up) > 0)
+            if level < 8:
+                verts, faces, _ = geometry._subdivide(verts, faces, False)
+
+    def test_icosphere_build_memory(self, monkeypatch):
+        """Building the level-7 net (163,842 points) afresh allocates
+        under 24 MiB at its peak: no last-level faces, no np.unique
+        temporaries over the directed edges, gaps and antipodes taken in
+        blocks."""
+        monkeypatch.setattr(geometry, "_icosphere_build", None)
+        tracemalloc.start()
+        try:
+            geometry._net_at.__wrapped__(3, NormKind.L2, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
+
 class TestAntipodes:
     @pytest.mark.parametrize("d, kind, mesh, pairs", [
         (3, NormKind.L2, 0.01, 163_842), (3, NormKind.L2, 0.1, 642),
@@ -658,8 +801,7 @@ class TestAntipodes:
         coarse = geometry._net(3, NormKind.L2, 0.1)
         xs = coarse.points
         assert coarse.antipodes.tobytes() == fine[:xs.shape[0]].tobytes()
-        assert coarse.antipodes.tobytes() == \
-            geometry._antipodes(xs).tobytes()
+        assert coarse.antipodes.tobytes() == _sorted_antipodes(xs).tobytes()
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     def test_polyhedral_nets_are_cached_with_fresh_bits(self, kind):
@@ -851,7 +993,7 @@ class TestSphereNet:
                                                           monkeypatch):
         """Below level 9's covering radius level 10 is needed, past the
         limit: no level is built."""
-        def no_levels(verts, faces):
+        def no_levels(verts, faces, last):
             raise AssertionError("an icosphere level was built")
 
         monkeypatch.setattr("jsrbound.geometry._subdivide", no_levels)
@@ -860,14 +1002,14 @@ class TestSphereNet:
             sphere_net(3, NormKind.L2, mesh)
 
     def test_level9_radius_is_the_built_one(self, level9_icosphere):
-        verts, radii = level9_icosphere
+        verts, radii, _ = level9_icosphere
         assert verts.shape == (2_621_442, 3)
         assert len(radii) == 10
         assert radii[-1] == _LEVEL9_RADIUS
 
     def test_level_radii_are_the_built_ones(self, level9_icosphere):
         """Each tabulated radius is _covering_radius of its built level."""
-        _, radii = level9_icosphere
+        _, radii, _ = level9_icosphere
         assert _LEVEL_RADII == tuple(radii)
 
     def test_coarser_levels_are_prefixes_of_the_cached_build(self,
@@ -879,15 +1021,16 @@ class TestSphereNet:
         for level in (3, 7):
             verts, faces = _icosahedron()
             ends = []
-            for _ in range(level):
-                verts, faces, edge_ends = subdivide(verts, faces)
+            for k in range(level):
+                verts, faces, edge_ends = subdivide(verts, faces,
+                                                    k == level - 1)
                 ends.append(edge_ends)
             fresh[level] = [verts, *ends]
         calls = []
 
-        def counted(verts, faces):
+        def counted(verts, faces, last):
             calls.append(verts.shape[0])
-            return subdivide(verts, faces)
+            return subdivide(verts, faces, last)
 
         monkeypatch.setattr(geometry, "_icosphere_build", None)
         monkeypatch.setattr(geometry, "_subdivide", counted)
