@@ -706,41 +706,53 @@ def _polyhedral_levels(q: int, ii: np.ndarray, jj: np.ndarray,
                        index: np.ndarray) -> _Levels:
     """The levels of the polyhedral net at q, from the net index (faces,
     g) of each face's grid point (ii, jj), g = (q + 1)(q + 2) / 2 points
-    a face in meshgrid order.
+    a face in meshgrid order; int32 indices.
 
-    The grid at q / 2 is the points of the grid at q whose indices are
-    even, the same bits (n / (q/2) and 2n / q round alike, n an integer
-    numerator), so the net at q halves into the net at q / 2 while q is
-    even: the coarsest level is the grid at q / 2^K, q / 2^K odd, and the
-    level of spacing s (grid steps at q) adds the points whose indices i,
-    j and k = q - i - j have s as greatest common power of two.  Two of
-    i / s, j / s and k / s are odd; the parents move one of those up by
-    s and the other down, in the same face, both to points of spacing
-    2s.  A point on an edge of two faces has the same spacing in both,
-    and its parents come from the first face that holds it.  Odd q is
-    one level.  int32 indices.
+    The grid at q' | q is the points of the grid at q whose indices are
+    multiples of q / q', the same bits (n / q' and n q / q' / q round
+    alike, n an integer numerator).  So the net is walked through the
+    grids at q_0 | q_1 | ... | q_K = q, found down from q: halve while
+    even, then divide the odd part by its least prime factor while it is
+    composite (50: 5, 25, 50; 45: 5, 15, 45; a prime q is one level).
+    The level of spacing s = q / q_k (grid steps at q) adds the points
+    whose indices i, j and k = q - i - j have s, not S = q / q_(k-1), as
+    a common divisor.  Corner m of the point's triangle of the grid at
+    q_(k-1) in its face has weight w_m (i, j, k mod S, or S less them,
+    summing to S) and lattice distance S - w_m; the parents are the two
+    nearest corners, nearest first, ties to the later of i, j and k.  At
+    a halving step, S = 2s, they are the opposite neighbours at spacing S.
+    Parents are found once per point of a face's grid (none read on the
+    coarsest level); a point on an edge of two faces has the same spacing
+    in both, its parents on that edge, from the first face that holds it.
     """
-    n = int(index.max()) + 1
-    depth = (q & -q).bit_length() - 1
-    # 2^min(nu(i), nu(j), K): the spacing of each grid point.
-    spacing = ii | jj | 1 << depth
-    spacing &= -spacing
-    net_spacing = np.empty(n, dtype=spacing.dtype)
-    net_spacing[index] = spacing
+    spacings, odd, p = [1], q, 2
+    while odd % 2 == 0 or p * p <= odd:
+        if odd % p:
+            p += 1
+        else:
+            odd //= p
+            spacings.insert(0, q // odd)
+    common = np.gcd(np.gcd(ii, jj), q)
+    level = np.sum([common % s != 0 for s in spacings], axis=0)
+    wide = np.array(spacings)[np.maximum(level - 1, 0)]
+    point = np.stack([ii, jj, q - ii - jj])
+    rest = point % wide
+    up = rest.sum(axis=0) == wide
+    key = 3 * np.where(up, rest, wide - rest) + np.arange(3)[:, None]
+    first, last = np.argmax(key, axis=0), np.argmin(key, axis=0)
+    corner = point[:2] - rest[:2] + np.where(up, 0, wide)
+    sign = np.where(up, wide, -wide)
+    near = [_grid_position(q, *(corner + sign * (m == [[0], [1]])))
+            for m in (first, 3 - first - last)]
     flat = np.unique(index.ravel(), return_index=True)[1]
     face, at = np.divmod(flat, ii.size)
-    i, j = ii[at], jj[at]
-    coarse = np.flatnonzero(net_spacing == 1 << depth).astype(np.int32)
+    net_level = level[at]
+    coarse = np.flatnonzero(net_level == 0).astype(np.int32)
     steps = []
-    for s in (1 << k for k in reversed(range(depth))):
-        new = np.flatnonzero(net_spacing == s)
-        f, a, b = face[new], i[new], j[new]
-        odd_i = (a // s) & 1
-        move_j = ((b // s) & 1) * (2 * odd_i - 1) * s
-        parents = [index[f, _grid_position(q, a - sign * odd_i * s,
-                                           b + sign * move_j)]
-                   for sign in (1, -1)]
-        steps.append(tuple(v.astype(np.int32) for v in (new, *parents)))
+    for k in range(1, len(spacings)):
+        new = np.flatnonzero(net_level == k)
+        steps.append(tuple(v.astype(np.int32) for v in (
+            new, *(index[face[new], pos[at[new]]] for pos in near))))
     return coarse, steps
 
 
@@ -810,10 +822,10 @@ def _net_at(d: int, kind: NormKind, size: int) -> _Net:
 
     Icosphere level k + 1 adds the midpoints of level k's edges, whose
     endpoints are the parents, on top of the icosahedron's 12 vertices.
-    The 3-d l1 and linf nets at q grid divisions halve into the nets at
-    q / 2 while q is even, each added point having two opposite
-    neighbours of the coarser grid in its own face as parents
-    (``_polyhedral_levels``); odd q is one level.  A circle net is
+    The 3-d l1 and linf nets at q grid divisions go through the grids at
+    a divisor chain of q, each added point having the two nearest corners
+    of its triangle of the coarser grid in its own face as parents
+    (``_polyhedral_levels``); a prime q is one level.  A circle net is
     cyclic: its coarsest level takes every stride-th point, stride the
     largest power of two that leaves at least 12 points, and each finer
     level halves the stride, the parents of a point being its neighbours

@@ -357,7 +357,10 @@ def chi_measure(
       L, and each step, with the difference, its norm, the product, the
       subtraction and a computed max ||G|| within a relative 2^-48 of the
       exact one, by at most 2^-46 L, as ||x - q|| <= 2 and |B| <= 44 L.
-      A chain of skipped points takes one step a level, fewer than 22.
+      A chain of skipped points takes one step a level: at most 18, on
+      a 2-d net of 2^22 points (its stride, under 2^22 / 12, halves 18
+      times); the icosphere and the divisor chains of the 3-d grids
+      (q <= 1022) take at most 9.
       A displacement step keeps that budget.  Its computed max_G ||G v||
       lies within 19 eps L < 2^-48 L of the exact one for the exact v =
       x - q, |v| <= 2: the difference rounds by eps |v|, which moves the

@@ -824,17 +824,52 @@ class TestAntipodes:
         assert not cached.points.flags.writeable
 
 
+def _assert_nearest_corners(xs: np.ndarray, kind: NormKind, q: int,
+                            wide: int, new: np.ndarray, left: np.ndarray,
+                            right: np.ndarray) -> None:
+    """Each point of xs[new] and its parents xs[left], xs[right] lie in a
+    face of the grid at q that holds all three, where the parents are
+    the two corners nearest to it in lattice distance (the largest
+    |difference| of numerators) of its triangle of the grid at q / wide,
+    in either order."""
+    placed = np.zeros(new.size, dtype=bool)
+    for tri in geometry._polyhedral_faces(kind):
+        exact = [q * xs[v] @ np.linalg.inv(tri) for v in (new, left, right)]
+        nums = [np.rint(a) for a in exact]
+        held = np.all([np.all((np.abs(a - n) < 1e-9) & (n >= 0), axis=1)
+                       for a, n in zip(exact, nums)], axis=0)
+        point, *parents = (n[held] for n in nums)
+        low = np.floor(point / wide) * wide
+        up = np.sum(point - low, axis=1) == wide
+        corners = np.where(up[:, None, None], low[:, None] + wide * np.eye(3),
+                           low[:, None] + wide - wide * np.eye(3))
+        far = np.max(np.abs(corners - point[:, None]), axis=2)
+        picked = [np.all(corners == parent[:, None], axis=2)
+                  for parent in parents]
+        assert all(np.all(np.sum(p, axis=1) == 1) for p in picked)
+        assert not np.any(picked[0] & picked[1])
+        near = np.sort(far, axis=1)[:, :2]
+        got = np.sort([far[p] for p in picked], axis=0).T
+        assert np.array_equal(got, near)
+        placed |= held
+    assert placed.all()
+
+
 class TestPolyhedralLevels:
-    """The 3-d l1 and linf nets at even q halve into the nets at q / 2."""
+    """The 3-d l1 and linf nets are walked through the grids at a divisor
+    chain of q: halvings, then the odd part's least prime factors."""
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     @pytest.mark.parametrize("q, divisions", [
-        (4, (1, 2, 4)), (10, (5, 10)), (50, (25, 50)), (100, (25, 50, 100)),
-        (25, (25,)), (67, (67,))])
+        (4, (1, 2, 4)), (10, (5, 10)), (50, (5, 25, 50)),
+        (100, (5, 25, 50, 100)), (25, (5, 25)), (67, (67,)),
+        (45, (5, 15, 45)), (75, (5, 25, 75))])
     def test_levels_are_the_coarser_nets(self, kind, q, divisions):
         """Every point lies in one level; the levels up to each one are a
         fresh build at its q by bytes; each added point has two parents
-        of coarser levels, opposite neighbours at its level's spacing."""
+        of coarser levels: at a halving step opposite neighbours at its
+        level's spacing, at an odd-factor step the two nearest corners of
+        its triangle of the coarser grid in a face that holds it."""
         net = geometry._net_at(3, kind, q)
         xs, coarse, steps = net.points, net.coarse, net.steps
         assert len(steps) == len(divisions) - 1
@@ -848,12 +883,17 @@ class TestPolyhedralLevels:
             if k:
                 new, left, right, *_ = steps[k - 1]
                 assert seen[left].all() and seen[right].all()
-                for parent in (left, right):
-                    step = vector_norms(xs[new] - xs[parent], kind)
-                    assert np.allclose(step, 2.0 / division, rtol=0,
-                                       atol=1e-15)
-                assert np.allclose(xs[left] + xs[right], 2.0 * xs[new],
-                                   rtol=0, atol=1e-15)
+                if division == 2 * divisions[k - 1]:
+                    for parent in (left, right):
+                        step = vector_norms(xs[new] - xs[parent], kind)
+                        assert np.allclose(step, 2.0 / division, rtol=0,
+                                           atol=1e-15)
+                    assert np.allclose(xs[left] + xs[right], 2.0 * xs[new],
+                                       rtol=0, atol=1e-15)
+                else:
+                    _assert_nearest_corners(xs, kind, q,
+                                            q // divisions[k - 1], new,
+                                            left, right)
                 seen[new] = True
             fresh = geometry._polyhedral_net(kind, division)[0]
             assert xs[seen].tobytes() == fresh.tobytes()

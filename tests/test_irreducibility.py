@@ -527,12 +527,15 @@ class TestPrunedNet:
 
 
 # Nets of every kind in 1-, 2- and 3-d: the 2-d and 3-d nets are walked
-# level by level (the l1 and linf ones at q = 20 through q = 10 and 5),
-# the 1-d net is one level.
+# level by level (the l1 and linf ones at q = 20 through q = 10 and 5,
+# and with odd-factor steps at q = 50 through 5 | 25 | 50, q = 75
+# through 5 | 25 | 75 and q = 45 through 5 | 15 | 45), the 1-d net is
+# one level.
 _WALKED_NETS = [(1, NormKind.L2, 0.1), (2, NormKind.L2, 0.001),
                 (2, NormKind.L1, 0.001), (2, NormKind.LINF, 0.001),
                 (3, NormKind.L2, 0.025), (3, NormKind.L1, 0.1),
-                (3, NormKind.LINF, 0.1)]
+                (3, NormKind.LINF, 0.1), (3, NormKind.L1, 0.04),
+                (3, NormKind.LINF, 0.0267), (3, NormKind.L1, 0.0445)]
 
 
 class TestWalk:
@@ -771,8 +774,8 @@ class TestNetWork:
                                                  net_calls):
         """The base sets of the benchmark's 3-d l1 and linf chi tasks
         (before their net isometry) at mesh 0.04, q = 50 walked through
-        q = 25, reach radius_profile with under half the rows of the walk
-        at twice the constant on one-level nets."""
+        q = 5 and 25, reach radius_profile with under half the rows of
+        the walk at twice the constant on one-level nets."""
         mats = np.random.default_rng([20260101, *tag]).uniform(
             -1.0, 1.0, (2, 3, 3))
         est = chi_measure(MatrixSet.from_arrays(mats), 2, kind, 0.04)
@@ -791,6 +794,24 @@ class TestNetWork:
         mats = np.random.default_rng([20260101, *tag]).uniform(
             -1.0, 1.0, (2, 3, 3))
         chi_measure(MatrixSet.from_arrays(mats), 2, kind, 0.04)
+        assert sum(net_calls) <= rows
+
+    @pytest.mark.parametrize("kind, tag, mesh, rows", [
+        (NormKind.L1, (2, 1), 0.04, 1_400),
+        (NormKind.LINF, (2, 2), 0.04, 1_350),
+        (NormKind.L1, (2, 1), 0.0267, 11_251 / 4),
+        (NormKind.LINF, (2, 2), 0.0267, 16_876 / 4)])
+    def test_odd_factor_levels_skip_more_points(self, kind, tag, mesh,
+                                                rows, net_calls):
+        """The sets of test_polyhedral_nets_are_walked_by_level, walked
+        with odd-factor steps: at mesh 0.04 (q = 50 through 5 | 25 | 50)
+        in at most 1,400 and 1,350 rows, down from 1,726 and 2,028 when
+        q = 25 was the coarsest level; at mesh 0.0267 (q = 75 through 5 |
+        25 | 75) in under a quarter of the 11,251 and 16,876 rows of a
+        one-level sweep of the net."""
+        mats = np.random.default_rng([20260101, *tag]).uniform(
+            -1.0, 1.0, (2, 3, 3))
+        chi_measure(MatrixSet.from_arrays(mats), 2, kind, mesh)
         assert sum(net_calls) <= rows
 
     @pytest.mark.parametrize("mset", [SKEW_ROTATIONS_3D, QUARTER_TURNS_3D])
