@@ -29,7 +29,7 @@ from .core import (
     operator_norms,
 )
 from .errors import NoCertificateError, UnsupportedDimensionError
-from .geometry import _net_size, icosphere
+from .geometry import _net, _net_size
 from .irreducibility import _require_lemma1_p
 
 _EUCLID = NormKind.L2
@@ -257,12 +257,13 @@ def protasov_gamma(
 
 
 def _sphere_for_samples(samples: int) -> np.ndarray:
-    """The coarsest icosphere with at least ``samples`` vertices.
+    """The coarsest icosphere with at least ``samples`` vertices, read-only.
 
     Level k has 10 * 4^k + 2 vertices and a covering radius between
-    0.652 / 2^k and 0.764 / 2^k, so mesh 1.2 / 2^k builds level k.
+    0.652 / 2^k and 0.764 / 2^k, so mesh 1.2 / 2^k gives level k, the net
+    chi_measure reads at that level (``geometry._net``).
     """
     k = 0
     while 10 * 4 ** k + 2 < samples:
         k += 1
-    return icosphere(1.2 / 2 ** k)
+    return _net(3, NormKind.L2, 1.2 / 2 ** k).points

@@ -94,12 +94,12 @@ _SCREEN_MIN_FLOATS = 1 << 11
 _SCREEN_MARGIN = 2.0 ** -20
 _SCREEN_FLOOR = 2.0 ** -480
 
-# Chains of the radius seeds kept in a pass (see ``_Pass``).  On the
-# ``enum`` benchmark's bound tasks at seeds 1-3, 1, 2 and 6 chains take
-# the same time (their summed medians within 1%, 2-core Xeon, numpy
-# 2.4); 2 form 1,010-1,052 products on the d = 2, r = 2 task, where 1
-# forms up to 1,582, and 6 form 7,566-9,408 on the d = 3, r = 3 task,
-# where 2 form 9,747-9,897.
+# Chains of the radius seeds kept in a pass (see ``_Pass``).  They act
+# past the n <= 19 of the benchmark's bound tasks.  [L2, RADIUS] passes
+# to n = 40 on random sets (2-core Xeon, one BLAS thread) took 0.27,
+# 0.70, 4.65 and 7.1 s with 2 chains, 0.82, 2.88, 5.84 and 8.3 s with
+# none ((d, r) = (3, 2), (3, 3), (2, 2), (4, 2)); on 15 other sets the
+# chains took 0.16 s against 0.75 s at best, 0.51 s against 0.33 at worst.
 _CHAINS = 2
 
 # d = 2 stacks of at least this many matrices take their l2 norms from

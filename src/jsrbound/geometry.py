@@ -594,32 +594,17 @@ def _gaps(points: np.ndarray, new: np.ndarray, parent: np.ndarray,
     return out
 
 
-# The finest icosphere built so far, as _icosphere_levels returns it.
-_icosphere_build: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
-
-
-def _icosphere_levels(level: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _icosphere_levels(level: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Vertices of icosphere ``level`` and, for each subdivision on the way,
-    the endpoints of the edges it splits (see _subdivide).
-
-    Level k's vertices are the first 10 * 4^k + 2 of every finer level,
-    and its subdivisions the first k of a finer level's.  The finest build
-    so far is kept, read-only, so the nets of _net and icosphere share
-    it: a level no finer than it is served as a prefix of it, with the
-    same bits as a fresh build, and only a finer level is built.
-    """
-    global _icosphere_build
-    if _icosphere_build is None or len(_icosphere_build[1]) < level:
-        verts, faces = _icosahedron()
-        ends = []
-        for k in range(level):
-            verts, faces, edge_ends = _subdivide(verts, faces, k == level - 1)
-            ends.append(edge_ends)
-        for array in (verts, *ends):
-            array.flags.writeable = False
-        _icosphere_build = verts, tuple(ends)
-    verts, ends = _icosphere_build
-    return verts[:10 * 4 ** level + 2], ends[:level]
+    the endpoints of the edges it splits (see _subdivide).  Level k's
+    vertices are the first 10 * 4^k + 2 of every finer level, and its
+    subdivisions the first k of a finer level's."""
+    verts, faces = _icosahedron()
+    ends = []
+    for k in range(level):
+        verts, faces, edge_ends = _subdivide(verts, faces, k == level - 1)
+        ends.append(edge_ends)
+    return verts, ends
 
 
 def _icosphere_level(mesh: float) -> int:
@@ -632,12 +617,6 @@ def _icosphere_level(mesh: float) -> int:
         _net_size(10 * 4 ** 10 + 2, f"an icosphere at mesh {mesh}")
     return next(level for level, radius in enumerate(_LEVEL_RADII)
                 if radius <= mesh)
-
-
-def icosphere(mesh: float) -> np.ndarray:
-    """Vertices of the coarsest icosphere with covering radius <= mesh
-    (ValueError below level 9's, see _icosphere_level)."""
-    return _icosphere_levels(_icosphere_level(mesh))[0].copy()
 
 
 def _polyhedral_faces(kind: NormKind) -> list[np.ndarray]:
@@ -697,16 +676,19 @@ def _polyhedral_net(kind: NormKind, q: int) -> tuple[np.ndarray, _Levels]:
     ii, jj = ii[keep], jj[keep]
     bary = np.stack([ii, jj, q - ii - jj], axis=1)
     faces = _polyhedral_faces(kind)
-    xs, index = np.unique(np.concatenate([bary @ tri for tri in faces]) / q,
-                          axis=0, return_inverse=True)
-    return xs, _polyhedral_levels(q, ii, jj, index.reshape(len(faces), -1))
+    xs, origin, index = np.unique(
+        np.concatenate([bary @ tri for tri in faces]) / q, axis=0,
+        return_index=True, return_inverse=True)
+    return xs, _polyhedral_levels(q, ii, jj, index.ravel(), origin)
 
 
 def _polyhedral_levels(q: int, ii: np.ndarray, jj: np.ndarray,
-                       index: np.ndarray) -> _Levels:
-    """The levels of the polyhedral net at q, from the net index (faces,
-    g) of each face's grid point (ii, jj), g = (q + 1)(q + 2) / 2 points
-    a face in meshgrid order; int32 indices.
+                       index: np.ndarray, origin: np.ndarray) -> _Levels:
+    """The levels of the polyhedral net at q, from the net ``index`` of
+    each face's grid point (ii, jj), at face * g + its position, g = (q +
+    1)(q + 2) / 2 points a face in meshgrid order, and ``origin``, each
+    net point's first place there (np.unique's sort is stable); int32
+    indices.
 
     The grid at q' | q is the points of the grid at q whose indices are
     multiples of q / q', the same bits (n / q' and n q / q' / q round
@@ -744,15 +726,15 @@ def _polyhedral_levels(q: int, ii: np.ndarray, jj: np.ndarray,
     sign = np.where(up, wide, -wide)
     near = [_grid_position(q, *(corner + sign * (m == [[0], [1]])))
             for m in (first, 3 - first - last)]
-    flat = np.unique(index.ravel(), return_index=True)[1]
-    face, at = np.divmod(flat, ii.size)
+    face, at = np.divmod(origin, ii.size)
     net_level = level[at]
     coarse = np.flatnonzero(net_level == 0).astype(np.int32)
     steps = []
     for k in range(1, len(spacings)):
         new = np.flatnonzero(net_level == k)
         steps.append(tuple(v.astype(np.int32) for v in (
-            new, *(index[face[new], pos[at[new]]] for pos in near))))
+            new, *(index[face[new] * ii.size + pos[at[new]]]
+                   for pos in near))))
     return coarse, steps
 
 
@@ -812,7 +794,8 @@ def _net(d: int, kind: NormKind, mesh: float) -> _Net:
     return _net_at(d, kind, size)
 
 
-# Nets _net_at keeps: more than a pass of the benchmark's chi workload reads.
+# Nets _net_at keeps: a process of the benchmark's chi workload reads 8
+# with its warm-ups, one of its calls workload 7 (gamma's among them).
 _NETS_KEPT = 8
 
 
@@ -829,8 +812,8 @@ def _net_at(d: int, kind: NormKind, size: int) -> _Net:
     cyclic: its coarsest level takes every stride-th point, stride the
     largest power of two that leaves at least 12 points, and each finer
     level halves the stride, the parents of a point being its neighbours
-    at twice the stride (the last point's right neighbour is point 0).
-    The 1-d net is one level.
+    at twice the stride (the last point's right neighbour is point 0);
+    the 1-d net, [1] and [-1], is such a net of one level.
 
     Antipode candidates (``_checked_antipodes``): the point n // 2 on
     round a 1-d or 2-d net of n points (none passes on an odd circle);
@@ -838,11 +821,9 @@ def _net_at(d: int, kind: NormKind, size: int) -> _Net:
     icosphere, the vertex of least dot product, then the midpoint of the
     edge (anti a, anti b) for that of (a, b), found in the level's keys.
     """
-    if d == 1:
-        points, coarse, levels = np.array([[1.0], [-1.0]]), np.arange(2), []
-        twin = np.array([1, 0])
-    elif d == 2:
-        points = _circle_net(kind, size)
+    if d < 3:
+        points = (np.array([[1.0], [-1.0]]) if d == 1
+                  else _circle_net(kind, size))
         n = points.shape[0]
         twin = (np.arange(n) + n // 2) % n
         stride = 1 << max(0, (n // 12).bit_length() - 1)

@@ -194,25 +194,25 @@ def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
 
     ``lipschitz`` is the radius's Lipschitz constant in the kind norm:
     chi_measure passes the true one, max_G ||G||, half the constant it
-    reports.  A net of one level, a net that one radius_profile block
-    holds, or any net when 2 * lipschitz overflows, is swept whole; a
-    parent lies within kind distance 2 of its point, so every product
-    lipschitz * gap of the walk is finite.  Otherwise the levels are
-    walked once, and a point is evaluated only when its bound is at most
-    the least value evaluated so far; see ``chi_measure`` for why that
-    changes no minimum.  A point the Lipschitz bound would evaluate gets
-    the displacement bound of a parent q that clears that value by its
-    bare gap, B(q) - ||x - q|| above it: B(q) - max_G ||G (x - q)||
-    (``_displacements``) less the rounding term _DISPLACEMENT_ROUNDING *
-    lipschitz.  The identity is a reach product, so max_G ||G v|| >=
-    ||v||, and no other parent can lift a bound past that value.  Either
-    way one point of each antipodal pair, up to the sign of zero, is
-    evaluated (``_fill``).
+    reports.  A net that one radius_profile block holds, or any net when
+    2 * lipschitz overflows, is swept whole; a parent lies within kind
+    distance 2 of its point, so every product lipschitz * gap of the walk
+    is finite.  Otherwise the levels are walked once (a net of one level
+    is its coarse level, evaluated whole), and a point is evaluated only
+    when its bound is at most the least value evaluated so far; see
+    ``chi_measure`` for why that changes no minimum.  A point the
+    Lipschitz bound would evaluate gets the displacement bound of a
+    parent q that clears that value by its bare gap, B(q) - ||x - q||
+    above it: B(q) - max_G ||G (x - q)|| (``_displacements``) less the
+    rounding term _DISPLACEMENT_ROUNDING * lipschitz.  The identity is a
+    reach product, so max_G ||G v|| >= ||v||, and no other parent can
+    lift a bound past that value.  Either way one point of each antipodal
+    pair, up to the sign of zero, is evaluated (``_fill``).
     """
     n, d = net.points.shape
     vals = np.full(n, np.inf)
     done = np.zeros(n, dtype=bool)
-    if (not net.steps or n <= _block_rows(prods.shape[0], d)
+    if (n <= _block_rows(prods.shape[0], d)
             or not math.isfinite(2.0 * lipschitz)):
         _fill(prods, net, kind, vals, done, np.arange(n))
         return vals

@@ -47,9 +47,9 @@ def small_radius_blocks(monkeypatch) -> None:
 def level9_icosphere() -> tuple[np.ndarray, list[float],
                                 geometry_module._Net]:
     """The level-9 icosphere, built once per session by
-    ``icosphere(_LEVEL9_RADIUS)``, the covering radius that
-    ``_covering_radius`` measures on each of levels 0..9 on the way, and
-    the level-9 _Net on that build."""
+    ``_net_at.__wrapped__(3, NormKind.L2, 9)`` outside the net cache:
+    its points, the covering radius that ``_covering_radius`` measures on
+    each of levels 0..9 on the way, and the level-9 _Net."""
     radii: list[float] = []
     measure = geometry_module._covering_radius
     subdivide = geometry_module._subdivide
@@ -63,11 +63,7 @@ def level9_icosphere() -> tuple[np.ndarray, list[float],
         radii.append(measure(out[0], built))
         return out
 
-    # Build afresh, and put the build cache back as it was, so that it
-    # keeps no second level-9 copy.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry_module, "_icosphere_build", None)
         mp.setattr(geometry_module, "_subdivide", recorded)
-        verts = geometry_module.icosphere(geometry_module._LEVEL9_RADIUS)
         net = geometry_module._net_at.__wrapped__(3, NormKind.L2, 9)
-    return verts, radii, net
+    return net.points, radii, net

@@ -21,10 +21,11 @@ from jsrbound import (
     nu_p,
     plan_steps,
     protasov_gamma,
+    sphere_net,
 )
 
 import jsrbound.certificates as certificates_module
-from jsrbound.geometry import icosphere
+import jsrbound.geometry as geometry
 
 from .conftest import DIAGONAL_PAIR, GOLDEN_PAIR, QUARTER_TURN
 
@@ -292,25 +293,26 @@ def _halving_loop(samples: int, build) -> np.ndarray:
 class TestSphereForSamples:
     def test_matches_the_halving_loop_at_every_level(self, monkeypatch,
                                                      level9_icosphere):
-        """One icosphere call, at the mesh where the halving loop stops,
-        for sample counts around each level's 10 * 4^k + 2 vertices."""
-        level9, radii, _ = level9_icosphere
+        """One _net call, at the mesh where the halving loop stops, for
+        sample counts around each level's 10 * 4^k + 2 vertices."""
+        level9, radii, net9 = level9_icosphere
         mesh9 = 1.2 / 2 ** 9
-        # icosphere(mesh9) subdivides past levels 0..8 and stops at level
-        # 9, so it returns the session's level-9 build.
+        # The net at mesh9 is past levels 0..8's radii and within level
+        # 9's, so it is the session's level-9 build.
         assert min(radii[:9]) > mesh9 >= radii[9]
 
         @functools.lru_cache(maxsize=None)
         def built(mesh):
-            return level9 if mesh == mesh9 else icosphere(mesh)
+            return (level9 if mesh == mesh9
+                    else sphere_net(3, NormKind.L2, mesh))
 
         calls = []
 
-        def counted(mesh):
-            calls.append(mesh)
-            return built(mesh)
+        def counted(d, kind, mesh):
+            calls.append((d, kind, mesh))
+            return net9 if mesh == mesh9 else geometry._net(d, kind, mesh)
 
-        monkeypatch.setattr(certificates_module, "icosphere", counted)
+        monkeypatch.setattr(certificates_module, "_net", counted)
         for k in range(10):
             count = 10 * 4 ** k + 2
             for samples in (count - 1, count, count + 1):
@@ -327,4 +329,19 @@ class TestSphereForSamples:
                     assert verts.shape[0] == 10 * 4 ** want_k + 2
                     assert np.array_equal(verts,
                                           _halving_loop(samples, built))
-                assert calls == [1.2 / 2 ** want_k]
+                assert calls == [(3, NormKind.L2, 1.2 / 2 ** want_k)]
+
+    def test_gamma_reads_the_net_chi_cached(self):
+        """In 3-d, gamma's directions are chi's net at the same level: after
+        chi at mesh 0.1 (icosphere level 3), gamma at 642 samples builds no
+        net of its own."""
+        ms = MatrixSet.from_arrays(
+            np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3)))
+        geometry._net_at.cache_clear()
+        chi_measure(ms, 2, NormKind.L2, 0.1)
+        before = geometry._net_at.cache_info()
+        protasov_gamma(ms, samples=642)
+        after = geometry._net_at.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert certificates_module._sphere_for_samples(642).tobytes() == \
+            geometry._net(3, NormKind.L2, 0.1).points.tobytes()

@@ -1266,6 +1266,18 @@ class TestPrunedLevels:
             for metrics in BOUND_METRICS:
                 _check_levels(ms, n, metrics)
 
+    @pytest.mark.parametrize("d, r, n", [(2, 2, 18), (3, 2, 18), (4, 2, 18),
+                                         (3, 3, 12)])
+    def test_deep_passes_match_single_lengths(self, d, r, n):
+        """At the depths where the seeds, the radius chains and the R_j
+        term act at default block sizes, each length of a pass has the
+        values, exponents and witnesses of a call at that length alone."""
+        ms = random_set(np.random.default_rng([d, r, n]), d, r)
+        for kind in NormKind:
+            metrics = [kind, RADIUS, TRACE]
+            assert max_over_products(ms, n, metrics, first=1) == \
+                [max_over_products(ms, k, metrics) for k in range(1, n + 1)]
+
     @pytest.mark.parametrize("k", [600, -600])
     def test_far_from_unit_scale(self, k, screen_mode):
         rng = np.random.default_rng(8)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from jsrbound.geometry import (
     MAX_NET_POINTS,
     _candidate_count,
     _icosahedron,
-    _icosphere_levels,
     dual_kind,
     kind_normalize,
     radius_profile,
@@ -718,8 +719,7 @@ class TestNetsMatchTheSortedBuilds:
     and the antipodes looked up among the rows sorted as byte strings."""
 
     @pytest.mark.parametrize("level", range(9))
-    def test_icosphere_levels(self, level, monkeypatch):
-        monkeypatch.setattr(geometry, "_icosphere_build", None)
+    def test_icosphere_levels(self, level):
         net = geometry._net_at.__wrapped__(3, NormKind.L2, level)
         _assert_net_is(net, NormKind.L2, *_unique_icosphere(level))
 
@@ -761,12 +761,11 @@ class TestNetsMatchTheSortedBuilds:
             if level < 8:
                 verts, faces, _ = geometry._subdivide(verts, faces, False)
 
-    def test_icosphere_build_memory(self, monkeypatch):
+    def test_icosphere_build_memory(self):
         """Building the level-7 net (163,842 points) afresh allocates
         under 24 MiB at its peak: no last-level faces, no np.unique
         temporaries over the directed edges, gaps and antipodes taken in
         blocks."""
-        monkeypatch.setattr(geometry, "_icosphere_build", None)
         tracemalloc.start()
         try:
             geometry._net_at.__wrapped__(3, NormKind.L2, 7)
@@ -774,6 +773,16 @@ class TestNetsMatchTheSortedBuilds:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
+
+    def test_no_module_state_keeps_a_net(self):
+        """A net built outside _net_at's cache, once dropped, is freed:
+        no module state holds its points or the array they view."""
+        net = geometry._net_at.__wrapped__(3, NormKind.L2, 5)
+        points = net.points
+        held = weakref.ref(points if points.base is None else points.base)
+        del net, points
+        gc.collect()
+        assert held() is None
 
 
 class TestAntipodes:
@@ -1052,37 +1061,28 @@ class TestSphereNet:
         _, radii, _ = level9_icosphere
         assert _LEVEL_RADII == tuple(radii)
 
-    def test_coarser_levels_are_prefixes_of_the_cached_build(self,
-                                                             monkeypatch):
-        """Levels 7, 3, 7 subdivide 7 times in all, and every level has
-        the bits of a fresh build."""
-        subdivide = geometry._subdivide
-        fresh = {}
+    def test_coarser_levels_are_prefixes_of_finer_ones(self):
+        """The nets at levels 3 and 7 hold the bits of a fresh build's
+        vertices and split edges, read-only, and level 3's are the first
+        of level 7's."""
+        built = {}
         for level in (3, 7):
             verts, faces = _icosahedron()
-            ends = []
+            want = []
             for k in range(level):
-                verts, faces, edge_ends = subdivide(verts, faces,
-                                                    k == level - 1)
-                ends.append(edge_ends)
-            fresh[level] = [verts, *ends]
-        calls = []
-
-        def counted(verts, faces, last):
-            calls.append(verts.shape[0])
-            return subdivide(verts, faces, last)
-
-        monkeypatch.setattr(geometry, "_icosphere_build", None)
-        monkeypatch.setattr(geometry, "_subdivide", counted)
-        for level in (7, 3, 7):
-            verts, ends = _icosphere_levels(level)
-            arrays = [verts, *ends]
-            assert len(arrays) == len(fresh[level])
-            for got, want in zip(arrays, fresh[level]):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                assert not got.flags.writeable
-        assert len(calls) == 7
+                verts, faces, edge_ends = geometry._subdivide(
+                    verts, faces, k == level - 1)
+                want.extend(edge_ends)
+            net = geometry._net_at.__wrapped__(3, NormKind.L2, level)
+            got = [net.points, *(v for step in net.steps for v in step[1:3])]
+            assert len(got) == len(want) + 1
+            for array, fresh in zip(got, [verts, *want]):
+                assert array.shape == fresh.shape
+                assert array.tobytes() == fresh.tobytes()
+                assert not array.flags.writeable
+            built[level] = got
+        for coarse, fine in zip(built[3], built[7]):
+            assert fine[:coarse.shape[0]].tobytes() == coarse.tobytes()
 
     def test_limit_admits_the_finest_icosphere(self):
         # Level k of the icosphere has 10 * 4^k + 2 vertices; level 9 is
