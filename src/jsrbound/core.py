@@ -11,9 +11,11 @@ numbers in the same lexicographic order.  It walks a length's word tree
 breadth first from the longest complete product table of its pass: a
 length whose products fit one block is the table times one more factor,
 and a longer one is formed in groups of prefixes, each walked to the end
-before the next.  A single length's walk forms the same table, so its
-blocks are those of the pass, rescaled at the same points, and every
-product has the same bits.  In a pass over several lengths
+before the next.  The length itself, which no later level reads, is
+formed, screened and dropped in cache-sized slices.  A single length's
+walk forms the same table, so its slices are those of the pass,
+rescaled at the same points, and every product has the same bits.  In
+a pass over several lengths
 (``max_over_products`` with ``first``), a prefix is dropped once a bound
 on every product under it falls below a value its length is known to
 reach, so most words of a long pass are never formed (see ``_Pass``).
@@ -37,7 +39,9 @@ column-sum, row-sum and Frobenius norms: every operator norm and the
 spectral radius have one at every d (the l1 and linf bounds are the
 column and row sums themselves; a pass that screens l2 alone takes the
 Frobenius norms alone).  ``max_over_products`` runs the exact kernel on
-the row with the largest bound, then only on the rows whose bound can
+the row with the largest bound (and, for the radius in a block with no
+value to reach yet, the row of largest |trace|), then only on the rows
+whose bound can
 still reach that value, the best of earlier blocks or, in a pruned
 level, the value the level is known to reach, so those kernels see a
 small share of the products.  The kernels give the same bits on a
@@ -73,7 +77,9 @@ _RANGE_BITS = 500
 # Word counts from 2^_COUNT_BITS on are not printed in full.
 _COUNT_BITS = 1024
 
-# Largest block of product entries held in memory at once.
+# Largest block of product entries a walk forms whole: its table and
+# the levels of the groups below it.  The length-n level itself is formed
+# in slices of at most r * _MULTIPLY_FLOATS entries (see ``_walk``).
 _CHUNK_FLOATS = 1 << 22
 
 # Entries of a block that ``_left_multiply`` takes at a time, into two
@@ -528,7 +534,7 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
     r, d, _ = mats.shape
     m = block.shape[0]
     out = np.empty((m, r, d, d))
-    cols = max(1, _MULTIPLY_FLOATS // (d * d))
+    cols = _chunk_rows(d)
     # (b, t, a, 1, 1): column b of every member, against row b of x
     left = mats.transpose(2, 0, 1)[..., None, None]
     acc, term = np.empty((2, r, d, d, min(cols, m)))
@@ -544,35 +550,101 @@ def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out.reshape(-1, d, d)
 
 
+def _chunk_rows(d: int) -> int:
+    """Rows of a d x d block that ``_left_multiply`` takes at a time."""
+    return max(1, _MULTIPLY_FLOATS // (d * d))
+
+
+def _products(mats: np.ndarray, block: np.ndarray,
+              formed: dict | None = None) -> np.ndarray:
+    """Every member times every product in ``block``: appending index t
+    to the product at position j lands at j * r + t, so word order is
+    kept.  ``formed`` maps positions j to the r products
+    ``_left_multiply`` gave for row j, which are not formed again."""
+    if not formed:
+        return _left_multiply(mats, block)
+    r, d, _ = mats.shape
+    out = np.empty((block.shape[0], r, d, d))
+    rest = np.ones(block.shape[0], dtype=bool)
+    rest[list(formed)] = False
+    out[rest] = _left_multiply(mats, block[rest]).reshape(-1, r, d, d)
+    out[list(formed)] = list(formed.values())
+    return out.reshape(-1, d, d)
+
+
 def _extend(mats: np.ndarray, block: np.ndarray, exponent: int,
             step: int, formed: dict | None = None) -> tuple[np.ndarray, int]:
-    """Left-multiply every product in ``block`` by one more factor.
+    """Left-multiply every product in ``block`` by one more factor
+    (``_products``) and rescale the whole; ``mats`` are the members /
+    2^step."""
+    return _rescale(_products(mats, block, formed), exponent + step)
 
-    Appending index t to the product at position j lands at j * r + t, so
-    word order is kept.  ``mats`` are the members / 2^step.  ``formed``
-    maps positions j to the r products ``_left_multiply`` gave for row j,
-    which are not formed again.
-    """
-    if formed:
-        r, d, _ = mats.shape
-        out = np.empty((block.shape[0], r, d, d))
-        rest = np.ones(block.shape[0], dtype=bool)
-        rest[list(formed)] = False
-        out[rest] = _left_multiply(mats, block[rest]).reshape(-1, r, d, d)
-        out[list(formed)] = list(formed.values())
-        block = out.reshape(-1, d, d)
-    else:
-        block = _left_multiply(mats, block)
-    return _rescale(block, exponent + step)
+
+def _shift(top: float) -> int:
+    """The binary exponent of ``top``, the largest |entry| of a block,
+    when that leaves [-_RANGE_BITS, _RANGE_BITS], else 0."""
+    shift = math.frexp(top)[1]
+    return shift if abs(shift) > _RANGE_BITS else 0
+
+
+def _top(block: np.ndarray) -> float:
+    """The largest |entry| of a block."""
+    return float(max(block.max(), -block.min()))
 
 
 def _rescale(block: np.ndarray, exponent: int) -> tuple[np.ndarray, int]:
-    """The block times 2^-s and exponent + s, s the binary exponent of its
-    largest entry, when that leaves [-_RANGE_BITS, _RANGE_BITS]."""
-    shift = math.frexp(float(max(block.max(), -block.min())))[1]
-    if abs(shift) > _RANGE_BITS:
+    """The block times 2^-s and exponent + s, s = ``_shift`` of its
+    largest entry."""
+    shift = _shift(_top(block))
+    if shift:
         block, exponent = np.ldexp(block, -shift), exponent + shift
     return block, exponent
+
+
+def _extend_slices(mats: np.ndarray, block: np.ndarray, exponent: int,
+                   step: int, formed: dict | None = None
+                   ) -> Iterator[tuple[int, np.ndarray, int]]:
+    """``_extend`` in slices: (lo, products, exponent) for the rows lo,
+    lo + 1, ... of ``block``, _chunk_rows(d) rows a slice, the r
+    products of each as products * 2^exponent.  Each slice is formed
+    from its rows alone and dropped once the caller moves on, and every
+    slice carries the exponent that ``_extend`` gives the whole, so its
+    products have ``_extend``'s bits.
+
+    That exponent is known before the whole is formed once (a) no entry
+    can reach 2^_RANGE_BITS: every entry of M_t P is at most the largest
+    row sum of |M_t| times the largest |entry| of P, plus d roundings,
+    which the factor 1 + 2^-40 covers for any d below 2^12; and (b) a
+    slice holds an entry of at least 2^(-_RANGE_BITS - 1): then the whole
+    is not rescaled.  Slices go out from the first slice that meets (b);
+    those before it are held until then.  An extension that meets (a)
+    but no slice (b), or not (a), is held whole and rescaled as a whole.
+    """
+    r, d, _ = mats.shape
+    rows = _chunk_rows(d)
+    exponent += step
+    cap = float(np.abs(mats).sum(axis=-1).max()) * _top(block)
+    bounded = cap * (1.0 + 2.0 ** -40) < 2.0 ** _RANGE_BITS
+    held: list | None = []
+    tops = []
+    for lo in range(0, block.shape[0], rows):
+        known = None if not formed else {
+            j - lo: products for j, products in formed.items()
+            if lo <= j < lo + rows}
+        part = _products(mats, block[lo:lo + rows], known)
+        if held is None:
+            yield lo, part, exponent
+            continue
+        held.append((lo, part))
+        tops.append(_top(part))
+        if bounded and tops[-1] >= 2.0 ** (-_RANGE_BITS - 1):
+            yield from ((at, kept, exponent) for at, kept in held)
+            held = None
+    if held:
+        shift = _shift(max(tops))
+        for lo, part in held:
+            yield (lo, np.ldexp(part, -shift) if shift else part,
+                   exponent + shift)
 
 
 @dataclass
@@ -652,7 +724,7 @@ class _Chain:
 
 
 def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
-          formed: dict | None = None
+          formed: dict | None = None, last: bool = False
           ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray, int,
                               np.ndarray | None]]:
     """Yield (start, rows, block, exponent, periods) over the length-n
@@ -674,9 +746,19 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
     prefixes whose r^(n - depth) extensions would exceed _CHUNK_FLOATS
     entries is split into groups of r^(t - n + depth) rows (one row when
     t < n - depth), each walked to the end before the next and rescaled
-    on its own.  So memory stays
-    at a few blocks, and unpruned, the length-n blocks are the r^t words
-    under each prefix of n - t factors.
+    on its own.  Unpruned, the length-n words of a group are the r^t
+    words under a prefix of n - t factors.
+
+    The length-n level is yielded in slices: the r products of each of
+    _chunk_rows(d) rows of the length-(n - 1) block, r * _MULTIPLY_FLOATS
+    entries at most.  Nothing extends that level, so it is formed, yielded
+    and dropped slice by slice (``_extend_slices``), and all slices of one
+    block share the exponent that block's extension would get as a whole.
+    The one exception is a complete length-n level in a walk that is not
+    ``last``: it becomes the table that the next walk of a pass starts
+    from, so it is formed whole and yielded as views, in the same slices.
+    So a walk holds its table, the length-(n - 1) block it extends, and
+    one slice of length n.
 
     ``formed`` maps indices of length-(n - 1) words to (bits, exponent,
     products): the r products ``_left_multiply`` gave for that row.  A
@@ -687,11 +769,23 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
     fit = 1  # r^t, t the largest length whose r^t products fit a block
     while r > 1 and fit * r * d * d <= _CHUNK_FLOATS:
         fit *= r
+    size = _chunk_rows(d)
     # word indices past 2^62 are kept as Python ints
     big = r ** n >= 1 << 62
     if table.periods is not None:
         powers = np.array([r ** k for k in range(n)],
                           dtype=object if big else np.int64)
+
+    def grown(start, rows, periods, depth):
+        """The rows and periods of the r extensions of each row of a block
+        whose first word is ``start``, as ``_extend`` lays them out."""
+        if periods is not None:
+            index = rows if rows is not None else start + np.arange(
+                periods.shape[0], dtype=object if big else np.int64)
+            periods = _grow_periods(periods, index, depth, r, powers)
+        if rows is not None:
+            rows = (rows[:, None] * r + np.arange(r)).ravel()
+        return rows, periods
 
     def visit(start, rows, periods, block, exponent, depth, tested=False):
         while depth < n:
@@ -723,21 +817,29 @@ def _walk(mats: np.ndarray, step: int, table: _Table, n: int, prune=None,
                                      block[lo:lo + group], exponent, depth,
                                      True)
                 return
-            if periods is not None:
-                index = rows if rows is not None else start + np.arange(
-                    m, dtype=object if big else np.int64)
-                periods = _grow_periods(periods, index, depth, r, powers)
             known = None
             if formed and depth == n - 1:
                 known = _formed_rows(formed, start, rows, block, exponent)
+            if depth == n - 1 and m > size and (last or not complete):
+                for lo, part, at in _extend_slices(mats, block, exponent,
+                                                   step, known):
+                    hi = lo + part.shape[0] // r
+                    part_rows, part_periods = grown(
+                        start + lo, None if rows is None else rows[lo:hi],
+                        None if periods is None else periods[lo:hi], depth)
+                    yield (start + lo) * r, part_rows, part, at, part_periods
+                return
+            rows, periods = grown(start, rows, periods, depth)
             block, exponent = _extend(mats, block, exponent, step, known)
             depth, start = depth + 1, start * r
-            if rows is not None:
-                rows = (rows[:, None] * r + np.arange(r)).ravel()
-            elif complete:
+            if complete:
                 table.block, table.exponent, table.depth, table.periods = \
                     block, exponent, depth, periods
-        yield start, rows, block, exponent, periods
+        for lo in range(0, block.shape[0], size * r):
+            hi = lo + size * r
+            yield (start + lo, None if rows is None else rows[lo:hi],
+                   block[lo:hi], exponent,
+                   None if periods is None else periods[lo:hi])
 
     yield from visit(0, None, table.periods, table.block, table.exponent,
                      table.depth)
@@ -783,12 +885,17 @@ def _product_chunks(
 ) -> Iterator[tuple[int, np.ndarray, int]]:
     """(start_index, block, exponent) covering the length-n words in order,
     the products being block * 2^exponent: the unpruned walk from the
-    identity, after the budget check."""
+    identity, after the budget check.  Each block is a slice of at most
+    r * _MULTIPLY_FLOATS entries, formed when it is asked for, so the walk
+    holds its table (up to _CHUNK_FLOATS entries), the length-(n - 1)
+    block it extends and one slice.  The slices from one length-(n - 1)
+    block, the table or a group below it, share one exponent."""
     _check_length(n, n)
     _level_budget(mset.r, n, max_words)
     step, mats = _binary_scale(mset)
     table = _Table(np.eye(mset.dim)[None], 0, 0)
-    for start, _, block, exponent, _ in _walk(mats, step, table, n):
+    for start, _, block, exponent, _ in _walk(mats, step, table, n,
+                                              last=True):
         yield start, block, exponent
 
 
@@ -797,8 +904,9 @@ def enumerate_products(
 ) -> Iterator[tuple[Word, np.ndarray]]:
     """Yield (word, product) for every length-n word in lexicographic order.
 
-    A per-word view of the chunked engine: memory stays at one block of
-    products regardless of r^n.  Entries beyond the float range read inf.
+    A per-word view of the chunked engine (``_product_chunks``): memory
+    stays at the walk's table and one slice of products, whatever r^n.
+    Entries beyond the float range read inf.
     """
     words = itertools.product(range(1, mset.r + 1), repeat=n)
     for _, block, exponent in _product_chunks(mset, n, max_words):
@@ -875,9 +983,14 @@ def _screened_max(block: np.ndarray, metric, bound,
 
     A row is pruned when bound * (1 + _SCREEN_MARGIN) < threshold, the
     threshold being the larger of ``best`` and the exact value of the row
-    with the largest bound.  Such a row can neither hold nor tie the
-    maximum, because for every row whose computed value v is at least
-    _SCREEN_FLOOR, v <= computed bound * (1 + _SCREEN_MARGIN):
+    with the largest bound.  For the radius, while ``best`` is under
+    _SCREEN_FLOOR (the first block of a scan, as a level's first slice
+    is), the row of largest |trace| is taken as well: |tr P| <= d rho(P),
+    and a radius far below its row's norms often shows in its trace.
+    Either value is a row's, so at most the maximum, and a pruned row can
+    neither hold nor tie the maximum, because for every row whose
+    computed value v is at least _SCREEN_FLOOR, v <= computed bound *
+    (1 + _SCREEN_MARGIN):
     - Rounding.  Each cheap norm is at least the largest entry |p| of P.
       The 2-norm and eigensolver kernels are backward stable: v is, up to
       a few roundings, the value of P + E with ||E|| <= c(d) eps ||P||,
@@ -912,10 +1025,14 @@ def _screened_max(block: np.ndarray, metric, bound,
     if norms is not None and bound is not None:
         with np.errstate(over="ignore"):
             bound = bound(*norms) * (1.0 + _SCREEN_MARGIN)
-        top = int(np.argmax(bound))
-        if best >= _SCREEN_FLOOR and bound[top] < best:
+        top = [int(np.argmax(bound))]
+        if best >= _SCREEN_FLOOR and bound[top[0]] < best:
             return None
-        threshold = max(float(_metric_values(block[top:top + 1], metric)[0]),
+        if metric == RADIUS and best < _SCREEN_FLOOR:
+            # nothing to reach yet: try the row of largest |trace| too
+            top.append(int(np.argmax(np.abs(np.trace(block, axis1=1,
+                                                      axis2=2)))))
+        threshold = max(float(_metric_values(block[top], metric).max()),
                         best)
         kept = np.flatnonzero(bound >= threshold)
         if threshold >= _SCREEN_FLOOR and kept.size < block.shape[0]:
@@ -1064,10 +1181,11 @@ class _Pass:
     unpruned one.
     """
 
-    def __init__(self, mset: MatrixSet, metrics: list, first: int):
+    def __init__(self, mset: MatrixSet, metrics: list, first: int,
+                 last: int):
         self.step, self.mats = _binary_scale(mset)
         self.r, self.d = mset.r, mset.dim
-        self.metrics, self.first = metrics, first
+        self.metrics, self.first, self.last = metrics, first, last
         # the radius is taken over necklaces: the walk carries periods
         self.table = _Table(np.eye(self.d)[None], 0, 0,
                             np.ones(1, dtype=np.intp) if RADIUS in metrics
@@ -1105,7 +1223,8 @@ class _Pass:
             self.underflow = self._scaled_power(
                 n, n * self.d ** 3 * 2.0 ** -568)
         for start, rows, chunk, exponent, periods in _walk(
-                self.mats, self.step, self.table, n, prune, self.formed):
+                self.mats, self.step, self.table, n, prune, self.formed,
+                n == self.last):
             norms = None
             if screened and chunk.size >= _SCREEN_MIN_FLOATS:
                 norms = _cheap_norms(chunk, sums)
@@ -1332,7 +1451,7 @@ def max_over_products(
     """
     lo = n if first is None else first
     _check_length(n, lo)
-    scan = _Pass(mset, metrics, lo)
+    scan = _Pass(mset, metrics, lo, n)
     levels: list[list[tuple[float, int, Word]]] = []
     try:
         for k in range(lo, n + 1):

@@ -199,8 +199,10 @@ def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
     distance 2 of its point, so every product lipschitz * gap of the walk
     is finite.  Otherwise the levels are walked once (a net of one level
     is its coarse level, evaluated whole), and a point is evaluated only
-    when its bound is at most the least value evaluated so far; see
-    ``chi_measure`` for why that changes no minimum.  A point the
+    when its bound is at most the least value evaluated before its level;
+    see ``chi_measure`` for why that changes no minimum.  A level's bounds
+    are taken _BLOCK_FLOATS rows at a time, every block against that one
+    value, and its points are evaluated after its last block.  A point the
     Lipschitz bound would evaluate gets the displacement bound of a
     parent q that clears that value by its bare gap, B(q) - ||x - q||
     above it: B(q) - max_G ||G (x - q)|| (``_displacements``) less the
@@ -223,21 +225,27 @@ def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
     slack = _DISPLACEMENT_ROUNDING * lipschitz
     lower = np.empty(n)
     lower[coarse] = vals[coarse] - margin
-    for new, left, right, left_gap, right_gap in net.steps:
-        tops = lower[left], lower[right]
-        bound = np.maximum(tops[0] - lipschitz * left_gap,
-                           tops[1] - lipschitz * right_gap)
-        for parent, top, gap in zip((left, right), tops,
-                                    (left_gap, right_gap)):
-            near = np.flatnonzero((bound <= best) & (top - gap > best))
-            if near.size:
-                reach = _displacements(
-                    prods, net.points[new[near]] - net.points[parent[near]],
-                    kind)
-                bound[near] = np.maximum(bound[near],
-                                         top[near] - reach - slack)
-        lower[new] = bound
-        todo = new[bound <= best]
+    for step in net.steps:
+        todo = []
+        for lo in range(0, step[0].size, _BLOCK_FLOATS):
+            new, left, right, left_gap, right_gap = (
+                x[lo:lo + _BLOCK_FLOATS] for x in step)
+            tops = lower[left], lower[right]
+            bound = np.maximum(tops[0] - lipschitz * left_gap,
+                               tops[1] - lipschitz * right_gap)
+            for parent, top, gap in zip((left, right), tops,
+                                        (left_gap, right_gap)):
+                near = np.flatnonzero((bound <= best) & (top - gap > best))
+                if near.size:
+                    reach = _displacements(
+                        prods,
+                        net.points[new[near]] - net.points[parent[near]],
+                        kind)
+                    bound[near] = np.maximum(bound[near],
+                                             top[near] - reach - slack)
+            lower[new] = bound
+            todo.append(new[bound <= best])
+        todo = np.concatenate(todo)
         if todo.size:
             _fill(prods, net, kind, vals, done, todo)
             lower[todo] = vals[todo] - margin

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,6 +77,14 @@ def _set_norm(ms: MatrixSet, n: int, kind: NormKind) -> float:
     maximum of ``max_over_products`` multiplied out."""
     [(value, exponent, _)] = max_over_products(ms, n, [kind])
     return math.ldexp(value, exponent)
+
+
+def _product_records(chunks) -> list[tuple[int, bytes, int]]:
+    """(word index, bits, exponent) of every product in (start, block,
+    exponent) chunks."""
+    return [(start + j, row.tobytes(), exponent)
+            for start, block, exponent in chunks
+            for j, row in enumerate(block)]
 
 
 def _chunk_stack(ms: MatrixSet, n: int) -> np.ndarray:
@@ -522,21 +531,30 @@ class TestChunkedEngine:
             assert rho ** (1.0 / len(word)) == pytest.approx(max(lowers),
                                                              rel=1e-12)
 
-    @pytest.mark.parametrize("chunk_floats", [None, 64])
+    @pytest.mark.parametrize("chunk_floats", [None, 64, "small slices"])
     def test_level_blocks_match_single_level_blocks(self, rng, monkeypatch,
                                                     chunk_floats):
         """Each length of one unpruned walk over several lengths, which
         carries its table from length to length, has the blocks (starts,
         exponents and bits) of a single-length walk, including lengths
-        grown from the table and lengths past the one that fits a block."""
-        if chunk_floats is not None:
-            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
+        grown from the table and lengths past the one that fits a block.
+        With slices of a few rows, the walks still agree block for block,
+        and every product keeps the start, bits and exponent it has at
+        the default sizes, where each level is one block."""
         sets = [random_set(rng, d, r) for d, r in ((1, 3), (2, 2), (3, 2))]
         # members 2^250 and 2^510 apart: products down to 2^-3060, so the
         # blocks are rescaled, and entries flushed to zero, at the same
         # points or the bits differ
         sets += [MatrixSet.from_arrays([np.eye(2), 2.0 ** -k * np.eye(2)])
                  for k in (250, 510)]
+        whole = {}
+        if chunk_floats == "small slices":
+            whole = {(id(ms), k): _product_records(_product_chunks(
+                ms, k, 1 << 20)) for ms in sets for k in range(1, 7)}
+            # 12 floats: 12 rows a slice at d = 1, 3 at d = 2, 1 at d = 3
+            monkeypatch.setattr("jsrbound.core._MULTIPLY_FLOATS", 12)
+        elif chunk_floats is not None:
+            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
         for ms in sets:
             step, mats = core_module._binary_scale(ms)
             for first in (1, 3):
@@ -546,24 +564,72 @@ class TestChunkedEngine:
                            in core_module._walk(mats, step, table, k)]
                     assert got == [(s, b.tobytes(), e) for s, b, e
                                    in _product_chunks(ms, k, 1 << 20)]
+                    if whole:
+                        assert _product_records(
+                            (s, np.frombuffer(b).reshape(-1, ms.dim,
+                                                         ms.dim), e)
+                            for s, b, e in got) == whole[(id(ms), k)]
 
-    @pytest.mark.parametrize("chunk_floats", [None, 64])
+    @pytest.mark.parametrize("chunk_floats", [None, 64, "small slices"])
     def test_multi_level_maxima_match_single_level_calls(self, rng,
                                                          monkeypatch,
                                                          chunk_floats):
-        if chunk_floats is not None:
-            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
         metrics = [NormKind.L2, RADIUS, TRACE, NormKind.L1]
         sets = [random_set(rng, d, r) for d, r in ((1, 2), (2, 3), (3, 2))]
         # products from 1 down to 2^-1250: with 64-float blocks, the
         # blocks of the small ones are rescaled
         sets.append(MatrixSet.from_arrays([np.eye(2),
                                            2.0 ** -250 * np.eye(2)]))
+        whole = {}
+        if chunk_floats == "small slices":
+            # the maxima and witnesses of the default sizes, where each
+            # level is one block
+            whole = {id(ms): [max_over_products(ms, n, metrics)
+                              for n in range(1, 6)] for ms in sets}
+            monkeypatch.setattr("jsrbound.core._MULTIPLY_FLOATS", 12)
+        elif chunk_floats is not None:
+            monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
         for ms in sets:
             for first in (1, 2, 3, 5):
                 assert max_over_products(ms, 5, metrics, first=first) == [
                     max_over_products(ms, n, metrics)
                     for n in range(first, 6)]
+                if whole:
+                    assert max_over_products(ms, 5, metrics, first=first) \
+                        == whole[id(ms)][first - 1:]
+
+    def test_final_level_is_formed_one_slice_at_a_time(self, monkeypatch):
+        """``gelfand_upper`` at n = 19 on a planar rotation pair, whose
+        products all tie in l2, so nothing is pruned: the walk forms
+        lengths 1..18 whole, then length 19 from the length-18 table in
+        slices.  No ``_left_multiply`` call of length 19 returns more than
+        one slice, r * _MULTIPLY_FLOATS entries, and when each starts, at
+        most the slice before it, which the caller still screens, is
+        alive."""
+        ms = MatrixSet.from_arrays([
+            [[0.5403023058681398, -0.8414709848078965],
+             [0.8414709848078965, 0.5403023058681398]],
+            [[-0.5885011172553458, -0.8084964038195901],
+             [0.8084964038195901, -0.5885011172553458]]])
+        multiply = core_module._left_multiply
+        formed, final, alive = [0], [], []
+
+        def watched(mats, block):
+            # lengths 1..18 form 2 + 4 + ... + 2^18 products
+            if formed[0] >= 2 ** 19 - 2:
+                alive.append(sum(ref() is not None for ref in final))
+            out = multiply(mats, block)
+            if formed[0] >= 2 ** 19 - 2:
+                # every view of the products shares this base array
+                final.append(weakref.ref(out.base))
+                assert out.size <= 2 * core_module._MULTIPLY_FLOATS
+            formed[0] += out.shape[0]
+            return out
+
+        monkeypatch.setattr(core_module, "_left_multiply", watched)
+        assert gelfand_upper(ms, 19, NormKind.L2) == pytest.approx(1.0)
+        assert formed[0] == 2 ** 20 - 2
+        assert len(final) > 1 and max(alive) <= 1
 
     def test_budget_is_checked_per_level_and_keeps_earlier_levels(self):
         with pytest.raises(BudgetExceededError,
@@ -634,6 +700,56 @@ class TestLeftMultiply:
         # einsum gives +0 + 1 * -0 = +0, not the -0 of the product alone
         got = _left_multiply(np.ones((1, 1, 1)), np.full((1, 1, 1), -0.0))
         assert not np.signbit(got).any()
+
+
+class TestExtendSlices:
+    """``_extend_slices`` against ``_extend`` on the whole block: the same
+    bits, and every slice at the exponent of the whole, on blocks rescaled
+    down, rescaled up, and left as they are."""
+
+    @staticmethod
+    def _blocks(rng):
+        d = 2
+        ones = np.ones((40, d, d))
+        tiny = np.full((40, d, d), 2.0 ** -600)
+        # leading zero slices, then slices under 2^-501 alone: rescaled up
+        tiny[:10] = 0.0
+        mixed = tiny.copy()
+        mixed[-1] = 0.75
+        return [
+            # entries up to 0.9 * 2 * 1.5 * 2^499 >= 2^500: rescaled down
+            ones * 1.5 * 2.0 ** 499,
+            # under the cap, 1.8 * 2^498: left as it is
+            ones * 2.0 ** 498,
+            # the cap, 1.8 * 1.2 * 2^499, reaches 2^500 and no entry, at
+            # most 1.4 * 1.2 * 2^499, does: held whole, left as it is
+            np.tile([[1.0, 1.0], [-1.0, -1.0]], (40, 1, 1)) * 1.2 * 2.0 ** 499,
+            tiny,
+            # in range only in the last slice
+            mixed,
+            np.zeros((40, d, d)),
+            rng.uniform(-1.0, 1.0, (41, d, d)),
+        ]
+
+    def test_slices_match_the_whole_extension(self, rng, monkeypatch):
+        # 12 floats: 3 rows of 2x2 a slice
+        monkeypatch.setattr("jsrbound.core._MULTIPLY_FLOATS", 12)
+        # row sums of |entries| 1.8 and 1.4, 1.8
+        mats = np.full((2, 2, 2), 0.9)
+        mats[1, 0, 1] = -0.5
+        for block in self._blocks(rng):
+            for formed in (None, {4: _left_multiply(mats, block[4:5]),
+                                  39: _left_multiply(mats, block[39:40])}):
+                whole, exponent = core_module._extend(mats, block, 7, 3,
+                                                      formed)
+                parts = list(core_module._extend_slices(mats, block, 7, 3,
+                                                        formed))
+                assert [lo for lo, _, _ in parts] == list(
+                    range(0, block.shape[0], 3))
+                assert all(part.shape[0] <= 6 for _, part, _ in parts)
+                assert {e for _, _, e in parts} == {exponent}
+                assert np.concatenate([part for _, part, _ in parts]
+                                      ).tobytes() == whole.tobytes()
 
 
 class TestSetNorm:

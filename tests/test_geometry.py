@@ -671,16 +671,33 @@ def _unique_subdivide(verts: np.ndarray, faces: np.ndarray
     return np.concatenate([verts, mids], axis=0), new_faces, ends
 
 
-def _unique_icosphere(level: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Points, coarse level and (new, left, right) levels of icosphere
-    ``level`` by _unique_subdivide."""
-    verts, faces = _icosahedron()
-    levels = []
-    for _ in range(level):
-        start = verts.shape[0]
-        verts, faces, (left, right) = _unique_subdivide(verts, faces)
-        levels.append((np.arange(start, verts.shape[0]), left, right))
-    return verts, np.arange(12), levels
+class _SortedIcosphere:
+    """The reference icosphere by _unique_subdivide, built once level by
+    level: ``reference(level)`` subdivides from the deepest level built so
+    far and returns the points, coarse level and (new, left, right)
+    levels of icosphere ``level``.  Each level's points are the first
+    points of the next, so a deeper build serves every level above it."""
+
+    def __init__(self):
+        self.verts, self.faces = _icosahedron()
+        self.sizes, self.levels = [self.verts.shape[0]], []
+
+    def __call__(self, level: int) -> tuple[np.ndarray, np.ndarray, list]:
+        while len(self.levels) < level:
+            start = self.verts.shape[0]
+            self.verts, self.faces, (left, right) = _unique_subdivide(
+                self.verts, self.faces)
+            self.sizes.append(self.verts.shape[0])
+            self.levels.append((np.arange(start, self.verts.shape[0]),
+                                left, right))
+        return (self.verts[:self.sizes[level]], np.arange(12),
+                self.levels[:level])
+
+
+@pytest.fixture(scope="module")
+def unique_icosphere() -> _SortedIcosphere:
+    """One reference build for the module's icosphere levels 0..9."""
+    return _SortedIcosphere()
 
 
 def _circle_levels(n: int) -> tuple[np.ndarray, list]:
@@ -719,12 +736,13 @@ class TestNetsMatchTheSortedBuilds:
     and the antipodes looked up among the rows sorted as byte strings."""
 
     @pytest.mark.parametrize("level", range(9))
-    def test_icosphere_levels(self, level):
+    def test_icosphere_levels(self, level, unique_icosphere):
         net = geometry._net_at.__wrapped__(3, NormKind.L2, level)
-        _assert_net_is(net, NormKind.L2, *_unique_icosphere(level))
+        _assert_net_is(net, NormKind.L2, *unique_icosphere(level))
 
-    def test_icosphere_level9(self, level9_icosphere):
-        _assert_net_is(level9_icosphere[2], NormKind.L2, *_unique_icosphere(9))
+    def test_icosphere_level9(self, level9_icosphere, unique_icosphere):
+        _assert_net_is(level9_icosphere[2], NormKind.L2,
+                       *unique_icosphere(9))
 
     @pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
     def test_polyhedral_grids(self, kind):
