@@ -25,13 +25,13 @@ from .core import (
     _binary_scale,
     _check_budget,
     _product_chunks,
-    _root,
     max_over_products,
     # Not called here: the tracer self-test in perfbench/ reads
     # bounds.operator_norms to check that every namespace is patched.
     operator_norms,  # noqa: F401
     spectral_radius,
 )
+from ._rounding import _root
 from .errors import JsrError
 
 DEFAULT_KRON_DIM_LIMIT = 4096
@@ -164,7 +164,7 @@ def kronecker_bounds(
     _check_budget("Kronecker power dimension {count} exceeds the limit "
                   "{budget}", mset.dim, n, "max_kron_dim", max_kron_dim)
     dim = mset.dim ** n
-    e, mats = _binary_scale(mset)
+    e, mats = _binary_scale(mset.stacked())
     total = np.zeros((dim, dim))
     for m in mats:
         total += reduce(np.kron, [m] * n)
@@ -184,7 +184,7 @@ def zero_radius_test(
     2^k multiples of a set get one verdict.  The scan stops at the first
     block holding a nonzero product.
     """
-    e, mats = _binary_scale(mset)
+    e, mats = _binary_scale(mset.stacked())
     tol = 1e-12 * (1.0 + float(np.max(np.abs(mats))))
     return not any(
         math.ldexp(np.max(np.abs(block)), exponent - mset.dim * e) > tol

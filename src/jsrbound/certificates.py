@@ -226,7 +226,7 @@ def protasov_gamma(
         raise ValueError(
             f"rho_upper must be non-negative and finite, got {rho_upper}")
     _net_size(samples, f"gamma with {samples} samples")
-    e, mats = _binary_scale(mset)
+    e, mats = _binary_scale(mset.stacked())
     set_norm = float(np.max(operator_norms(mats, _EUCLID)))
     denominator = (2.0 * set_norm if rho_upper is None
                    else math.ldexp(rho_upper, -e) + set_norm)

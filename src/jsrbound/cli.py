@@ -37,9 +37,9 @@ from .core import (
     MatrixSet,
     NormKind,
     _plain,
-    _root,
     parse_matrix_set,
 )
+from ._rounding import _root
 from .errors import InputFormatError, JsrError
 
 _DEF_NORM = "l2"

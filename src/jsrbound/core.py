@@ -6,23 +6,15 @@ over index words (i_1, ..., i_n); the word lists the factor applied first
 on the right, so word (1, 2) denotes the product A_2 A_1.
 
 One engine, ``_walk``, produces those products through one batched
-left-multiplication (``_left_multiply``), so every scan sees the same
-numbers in the same lexicographic order.  It walks a length's word tree
-breadth first from the longest complete product table of its pass: a
-length whose products fit one block is the table times one more factor,
-and a longer one is formed in groups of prefixes, each walked to the end
-before the next.  The length itself, which no later level reads, is
-formed, screened and dropped in cache-sized slices.  A single length's
-walk forms the same table, so its slices are those of the pass,
-rescaled at the same points, and every product has the same bits.  In
-a pass over several lengths
-(``max_over_products`` with ``first``), a prefix is dropped once a bound
-on every product under it falls below a value its length is known to
-reach, so most words of a long pass are never formed (see ``_Pass``).
-Since rho(XY) = rho(YX), the spectral radius is maximized over the
-necklaces alone, the words least among their rotations; the walk
-carries each word's prenecklace period to find them and to drop, for
-the radius, the prefixes of no necklace.
+left-multiplication (``_left_multiply``), breadth first from the longest
+complete product table, so every scan sees the same numbers in the same
+lexicographic order, and a single length's walk gives every product the
+bits it has in a pass over several lengths (``max_over_products`` with
+``first``).  A pass drops a prefix once a bound on every product under
+it falls below a value its length is known to reach, so most words of a
+long pass are never formed (``_Pass``).  Since rho(XY) = rho(YX), the
+spectral radius is maximized over the necklaces alone, the words least
+among their rotations.
 
 Scale is kept in exact powers of two: the engine divides the members by
 2^e, e the binary exponent of the largest entry, and each block carries
@@ -33,24 +25,10 @@ in-range results are the same bits as unscaled ones.
 
 A level maximum is taken of a metric named by the caller: an induced
 operator norm (a NormKind), the spectral radius (``RADIUS``) or |trace|
-(``TRACE``).  This module alone maps a name to its exact kernel and,
-where one exists, a cheap per-row upper bound taken from the block's
-column-sum, row-sum and Frobenius norms: every operator norm and the
-spectral radius have one at every d (the l1 and linf bounds are the
-column and row sums themselves; a pass that screens l2 alone takes the
-Frobenius norms alone).  ``max_over_products`` runs the exact kernel on
-the row with the largest bound (and, for the radius in a block with no
-value to reach yet, the row of largest |trace|), then only on the rows
-whose bound can
-still reach that value, the best of earlier blocks or, in a pruned
-level, the value the level is known to reach, so those kernels see a
-small share of the products.  The kernels give the same bits on a
-subset of rows as on the whole block, and no row that holds or ties the
-maximum is pruned, so values and witnesses are those of the full scan.
-
-The l2 kernel at d = 2 replays, on batches of rows, the steps LAPACK
-takes for a 2x2 symmetric eigenproblem (``_top_eigenvalues_2x2``), with
-``eigvalsh``'s bits and a tenth of its cost per row.
+(``TRACE``).  This module alone maps a name to its exact kernel and to a
+cheap per-row upper bound (``_metric_bound``), which keeps most rows from
+the kernel (``_screened_max``) with the values and witnesses of the full
+scan.  Its rounding margins and terms are those of ``_rounding``.
 """
 
 from __future__ import annotations
@@ -65,14 +43,14 @@ from typing import Iterator
 
 import numpy as np
 
+from ._rounding import (_RANGE_BITS, _SCREEN_FLOOR, _SCREEN_MARGIN,
+                        _exceeds, _in_scale, _pair, _pair_product, _pair_sum,
+                        _root, cap_factor, tail_term, underflow_term)
 from .errors import (BudgetExceededError, ConvergenceError,
                      InputFormatError, JsrError)
 
 # Default cap on the number of words enumerated in one call.
 DEFAULT_WORD_BUDGET = 1 << 24
-
-# Levels whose largest entry leaves [2^-500, 2^500] are rescaled.
-_RANGE_BITS = 500
 
 # Word counts from 2^_COUNT_BITS on are not printed in full.
 _COUNT_BITS = 1024
@@ -94,11 +72,6 @@ _MULTIPLY_FLOATS = 1 << 15
 # break-even is near 2000 entries at every d (2048 rows of 1x1, 200 of
 # 2x2, under 64 of 6x6), since the kernels' cost per row grows with d.
 _SCREEN_MIN_FLOATS = 1 << 11
-
-# Relative margin on the cheap bounds, and the smallest threshold (in
-# block scale) at which rows are pruned; see ``_screened_max``.
-_SCREEN_MARGIN = 2.0 ** -20
-_SCREEN_FLOOR = 2.0 ** -480
 
 # Chains of the radius seeds kept in a pass (see ``_Pass``).  They act
 # past the n <= 19 of the benchmark's bound tasks.  [L2, RADIUS] passes
@@ -360,19 +333,28 @@ def operator_norms(stack: np.ndarray, kind: NormKind) -> np.ndarray:
         return np.max(np.sum(np.abs(s), axis=-1), axis=-1)
     if s.shape[-1] == 2 and s.size >= 4 * _L2_CLOSED_MIN_ROWS:
         return _l2_norms_2x2(s).reshape(s.shape[:-2])
+
+    def top(hat):
+        gram = np.einsum("...ba,...bc->...ac", hat, hat)
+        try:
+            eigs = np.linalg.eigvalsh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"singular value iteration failed: {exc}") from None
+        return np.sqrt(np.clip(eigs[..., -1], 0.0, None))
+    return _normalized(s, top)
+
+
+def _normalized(s: np.ndarray, value) -> np.ndarray:
+    """scale * value(s / scale) per matrix, scale its largest |entry|; the
+    scale itself (0, inf or nan) where that is not positive and finite."""
     scale = np.max(np.abs(s), axis=(-2, -1))
     usable = (scale > 0.0) & (scale < np.inf)
     safe = np.where(usable, scale, 1.0)
     hat = s / safe[..., None, None]
     if not usable.all():
         hat[~usable] = 0.0
-    gram = np.einsum("...ba,...bc->...ac", hat, hat)
-    try:
-        eigs = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value iteration failed: {exc}") from None
-    top = np.clip(eigs[..., -1], 0.0, None)
-    return np.where(usable, safe * np.sqrt(top), scale)
+    return np.where(usable, safe * value(hat), scale)
 
 
 def operator_norm(matrix, kind: NormKind) -> float:
@@ -385,36 +367,28 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
     """Spectral radii of a (..., d, d) stack.
 
     Dimensions 1 and 2 use the closed form from the characteristic
-    polynomial; larger matrices go through the QR eigensolver.  Entries are
-    pre-normalized by the largest magnitude so the discriminant cannot
-    overflow.  A matrix holding NaN reads nan, and one holding inf but no
-    NaN reads inf, as in ``operator_norms``.
+    polynomial; larger matrices go through the QR eigensolver.  Each
+    matrix is divided by its largest |entry| (``_normalized``), so the
+    discriminant cannot overflow, and reads nan or inf as there.
     """
-    s = np.asarray(stack, dtype=float)
-    d = s.shape[-1]
-    scale = np.max(np.abs(s), axis=(-2, -1))
-    usable = (scale > 0.0) & (scale < np.inf)
-    safe = np.where(usable, scale, 1.0)
-    hat = s / safe[..., None, None]
-    if not usable.all():
-        hat[~usable] = 0.0
-    if d == 1:
-        rho = np.abs(hat[..., 0, 0])
-    elif d == 2:
-        tr = hat[..., 0, 0] + hat[..., 1, 1]
-        det = hat[..., 0, 0] * hat[..., 1, 1] - hat[..., 0, 1] * hat[..., 1, 0]
-        disc = tr * tr - 4.0 * det
-        real = (np.abs(tr) + np.sqrt(np.clip(disc, 0.0, None))) / 2.0
-        complex_pair = np.sqrt(np.clip(det, 0.0, None))
-        rho = np.where(disc >= 0.0, real, complex_pair)
-    else:
+    def radius(hat):
+        if hat.shape[-1] == 1:
+            return np.abs(hat[..., 0, 0])
+        if hat.shape[-1] == 2:
+            tr = hat[..., 0, 0] + hat[..., 1, 1]
+            det = (hat[..., 0, 0] * hat[..., 1, 1]
+                   - hat[..., 0, 1] * hat[..., 1, 0])
+            disc = tr * tr - 4.0 * det
+            real = (np.abs(tr) + np.sqrt(np.clip(disc, 0.0, None))) / 2.0
+            complex_pair = np.sqrt(np.clip(det, 0.0, None))
+            return np.where(disc >= 0.0, real, complex_pair)
         try:
             eigs = np.linalg.eigvals(hat)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"eigenvalue iteration failed: {exc}") from None
-        rho = np.max(np.abs(eigs), axis=-1)
-    return np.where(usable, safe * rho, scale)
+        return np.max(np.abs(eigs), axis=-1)
+    return _normalized(np.asarray(stack, dtype=float), radius)
 
 
 def spectral_radius(matrix) -> float:
@@ -515,11 +489,11 @@ def _check_budget(message: str, r: int, n: int, name: str, budget: int,
             required=count, budget=budget)
 
 
-def _binary_scale(mset: MatrixSet) -> tuple[int, np.ndarray]:
-    """e, the binary exponent of the largest entry, and the members / 2^e."""
-    mats = mset.stacked()
-    e = math.frexp(float(np.max(np.abs(mats))))[1]
-    return e, np.ldexp(mats, -e)
+def _binary_scale(stack: np.ndarray) -> tuple[int, np.ndarray]:
+    """e, the binary exponent of the largest |entry| (0 when there is
+    none), and the stack / 2^e."""
+    e = math.frexp(float(np.max(np.abs(stack), initial=0.0)))[1]
+    return e, np.ldexp(stack, -e)
 
 
 def _left_multiply(mats: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -612,9 +586,9 @@ def _extend_slices(mats: np.ndarray, block: np.ndarray, exponent: int,
     products have ``_extend``'s bits.
 
     That exponent is known before the whole is formed once (a) no entry
-    can reach 2^_RANGE_BITS: every entry of M_t P is at most the largest
-    row sum of |M_t| times the largest |entry| of P, plus d roundings,
-    which the factor 1 + 2^-40 covers for any d below 2^12; and (b) a
+    can reach 2^_RANGE_BITS: the largest row sum of |M_t| times the
+    largest |entry| of P, times ``cap_factor(d)``, is below it, and
+    bounds every computed entry (R1, R2 of ``_rounding``); and (b) a
     slice holds an entry of at least 2^(-_RANGE_BITS - 1): then the whole
     is not rescaled.  Slices go out from the first slice that meets (b);
     those before it are held until then.  An extension that meets (a)
@@ -624,7 +598,7 @@ def _extend_slices(mats: np.ndarray, block: np.ndarray, exponent: int,
     rows = _chunk_rows(d)
     exponent += step
     cap = float(np.abs(mats).sum(axis=-1).max()) * _top(block)
-    bounded = cap * (1.0 + 2.0 ** -40) < 2.0 ** _RANGE_BITS
+    bounded = cap * cap_factor(d) < 2.0 ** _RANGE_BITS
     held: list | None = []
     tops = []
     for lo in range(0, block.shape[0], rows):
@@ -885,14 +859,11 @@ def _product_chunks(
 ) -> Iterator[tuple[int, np.ndarray, int]]:
     """(start_index, block, exponent) covering the length-n words in order,
     the products being block * 2^exponent: the unpruned walk from the
-    identity, after the budget check.  Each block is a slice of at most
-    r * _MULTIPLY_FLOATS entries, formed when it is asked for, so the walk
-    holds its table (up to _CHUNK_FLOATS entries), the length-(n - 1)
-    block it extends and one slice.  The slices from one length-(n - 1)
-    block, the table or a group below it, share one exponent."""
+    identity, after the budget check, in the slices of ``_walk``, each
+    formed when it is asked for."""
     _check_length(n, n)
     _level_budget(mset.r, n, max_words)
-    step, mats = _binary_scale(mset)
+    step, mats = _binary_scale(mset.stacked())
     table = _Table(np.eye(mset.dim)[None], 0, 0)
     for start, _, block, exponent, _ in _walk(mats, step, table, n,
                                               last=True):
@@ -914,41 +885,6 @@ def enumerate_products(
             block = np.ldexp(block, exponent)
         for prod in block:
             yield next(words), prod
-
-
-def _exceeds(value: float, exponent: int, other: float,
-             other_exponent: int) -> bool:
-    """value * 2^exponent > other * 2^other_exponent for values >= 0."""
-    if exponent == other_exponent or value <= 0.0 or other <= 0.0:
-        return value > other
-    (f, g), (f_other, g_other) = math.frexp(value), math.frexp(other)
-    return (g + exponent, f) > (g_other + other_exponent, f_other)
-
-
-def _root(value: float, exponent: int, n: int) -> float:
-    """(value * 2^exponent) ** (1 / n) for value >= 0, at any exponent."""
-    f, g = math.frexp(value)
-    g += exponent
-    if value == 0.0 or -1021 <= g <= 1024:
-        return math.ldexp(f, g) ** (1.0 / n)
-    q, rem = divmod(g, n)
-    try:
-        return math.ldexp(f ** (1.0 / n) * 2.0 ** (rem / n), q)
-    except OverflowError:
-        return math.inf
-
-
-def _in_scale(value: float, exponent: int, target: int) -> float:
-    """value * 2^(exponent - target), exact when that is a normal float;
-    inf above the float range and 0 below it, where it is under
-    _SCREEN_FLOOR and prunes nothing."""
-    if value <= 0.0:
-        return 0.0
-    f, g = math.frexp(value)
-    g += exponent - target
-    if g > 1024:
-        return math.inf
-    return math.ldexp(f, g) if g >= -1021 else 0.0
 
 
 def _sum_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -988,35 +924,13 @@ def _screened_max(block: np.ndarray, metric, bound,
     is), the row of largest |trace| is taken as well: |tr P| <= d rho(P),
     and a radius far below its row's norms often shows in its trace.
     Either value is a row's, so at most the maximum, and a pruned row can
-    neither hold nor tie the maximum, because for every row whose
-    computed value v is at least _SCREEN_FLOOR, v <= computed bound *
-    (1 + _SCREEN_MARGIN):
-    - Rounding.  Each cheap norm is at least the largest entry |p| of P.
-      The 2-norm and eigensolver kernels are backward stable: v is, up to
-      a few roundings, the value of P + E with ||E|| <= c(d) eps ||P||,
-      and at most ||P + E|| in the 1, inf and Frobenius norms (radii are
-      below every norm, the 2-norm below the Frobenius norm and the
-      geometric mean of the 1 and inf norms, so below either alone).
-      The d = 2 closed form of the 2-norm has ``eigvalsh``'s bits.  The
-      d = 1 radius closed form is exact; the d = 2 one is not stable near
-      a double eigenvalue, but its discriminant on P / |p| is off by at
-      most about 40 eps, so v exceeds rho(P) by at most
-      sqrt(40 eps) / 2 |p|, about 5e-8 |p|.  The
-      computed sums lose at most d eps.  The l1 and linf bounds are the
-      sums their kernels take.  The l1 kernel adds each column's terms
-      row by row, as ``_cheap_norms`` does, so v is the bound's bits.  The
-      linf kernel sums each row along its contiguous axis, which numpy
-      adds pairwise from d = 8 on, against term by term in
-      ``_cheap_norms``; both orders of d terms >= 0 are within d eps of
-      the exact sum, so v <= r (1 + 2 d eps).  The margin, 2^-20 or
-      2^32 eps, covers c(d) + d and 2 d for any dimension whose products
-      can be enumerated, and 5e-8 19 times over.
-    - Underflow.  v >= 2^-480 forces an entry of P of at least 2^-482 / d,
-      whose square is a normal float; entries that underflow in the sums
-      or squares change them by a relative d^4 * 2^-115 at most.  Below
-      the floor nothing is pruned.
-    - Overflow.  Block entries stay below 2^500, so only the bounds can
-      overflow, to inf, which prunes nothing.
+    neither hold nor tie the maximum: each metric, and the largest |entry|,
+    is at most its bound in exact arithmetic (radii are below every norm,
+    the 2-norm below the Frobenius norm and the geometric mean of the 1
+    and inf norms), so a computed value of at least _SCREEN_FLOOR is at
+    most its computed bound times 1 + _SCREEN_MARGIN (``_rounding``: R5,
+    R6, A1).  Below the floor nothing is pruned.  Block entries stay below
+    2^500, so only a bound can overflow, to inf, which prunes nothing.
 
     Kept rows are scanned in order and the kernels give the same bits on
     a subset of rows as on the block, so the first maximal row is found.
@@ -1042,60 +956,31 @@ def _screened_max(block: np.ndarray, metric, bound,
     return float(vals[j]), j if rows is None else int(rows[j])
 
 
-def _pair(value: float, exponent: int) -> tuple[float, int]:
-    """value * 2^exponent as (f, g) with f in [0.5, 1), or f = 0."""
-    f, g = math.frexp(value)
-    return f, exponent + g
-
-
-def _pair_sum(a: tuple[float, int], b: tuple[float, int],
-              weight: float = 1.0) -> tuple[float, int]:
-    """a + weight * b for pairs, clamped at 0.  A term under 2^-1074 of the
-    other is dropped, a relative change the pruning margins cover."""
-    if b[0] == 0.0:
-        return a
-    if a[0] == 0.0:
-        return _pair(max(weight * b[0], 0.0), b[1])
-    top = max(a[1], b[1])
-    total = (math.ldexp(a[0], a[1] - top)
-             + weight * math.ldexp(b[0], b[1] - top))
-    return _pair(max(total, 0.0), top)
-
-
-def _pair_product(a: tuple[float, int], b: tuple[float, int]
-                  ) -> tuple[float, int]:
-    return _pair(a[0] * b[0], a[1] + b[1])
-
-
 class _Pass:
     """One ``max_over_products`` pass over the lengths first..n: the table,
     the level maxima so far, and the pruning of each level's walk.
 
-    Necklaces.  rho(XY) = rho(YX), so in exact arithmetic a word's product
-    has the spectral radius of each of its rotations, and the radius is
-    maximized over the necklaces of a level, the words that are least
-    among their rotations: the witness is the first such word in
-    lexicographic order, the least rotation of its class.  The computed
-    radii of a word's rotations differ in the last bits, so this maximum
-    can be a few ulps under the one over every word (on defective
-    products by far more, which is why no radius of another word is used
-    below).  The walk carries each row's prenecklace period
-    (``_grow_periods``), and the radius kernel runs only on the leaves
-    whose period divides L, at every level, so a level of a pass is that
-    of a call for its length.  The norms and |trace| take every word.
+    Necklaces.  The radius is maximized over the necklaces of a level, as
+    ``max_over_products`` says.  The computed radii of a word's rotations
+    differ in the last bits (on defective products by far more, which is
+    why no radius of another word is used below).  The walk carries each
+    row's prenecklace period (``_grow_periods``), and the radius kernel
+    runs only on the leaves whose period divides L, at every level, so a
+    level of a pass is that of a call for its length.  The norms and
+    |trace| take every word.
 
     Pruning.  Let K be the first operator norm among the metrics, ub the
     bound of ``_metric_bound(K)`` on a block (the column or row sums, or
     min(sqrt(c r), F) in l2), so ub(P) >= || |P| ||_K >= ||P||_K, M the
-    largest ub of a member, N_k the K maximum of level k as computed, and
-    u = 2^-53; all in true scale.  At depth j < L of the walk of level L,
+    largest ub of a member and N_k the K maximum of level k as computed,
+    all in true scale.  At depth j < L of the walk of level L,
     L - j being a level of this pass, the metric m drops a prefix P of j
     factors when
 
         (1 + 2 mu) (ub(P) F_j + U) < t_m,   F_j = N_{L-j} + R_j,
 
-    with mu = _SCREEN_MARGIN, R_j = 4 (L - j) d u M^(L-j) and
-    U = L d^3 2^-568 M^L.  Its threshold is
+    with mu = _SCREEN_MARGIN and the tail and underflow terms of
+    ``_rounding``, R_j = R_(L-j) (R3) and U for L (R4).  Its threshold is
     t_m = max(seed_m / c_m - 2 U, best_m / c_m), where c_m is 1 for K and
     the radius and d for |trace| and the other norms (|tr X| <= d rho(X)
     and ||X||_m <= d ||X||_K).  The candidates of m are the words its
@@ -1116,33 +1001,23 @@ class _Pass:
       above every necklace's computed radius, and drop the maximum.
     - Leaves that another metric keeps are words of the level too, so
       scanning them leaves each maximum and its first witness as they are.
-    The bound on v_m:
-    - Rounding.  Q = fl(A_{i_L} ... fl(A_{i_(j+1)} P)) with each sum
-      started from +0, so |Q - T P| <= gamma_{(L-j) d} |A_{i_L}| ...
-      |A_{i_(j+1)}| |P| for the exact tail product T (Higham, Accuracy
-      and Stability, 3.5), and ||Q||_K <= ||T||_K ||P||_K
-      + gamma M^(L-j) ub(P).  The computed tail obeys the same bound from
-      the identity, and its computed norm is at most N_{L-j}, so
-      ||T||_K <= N_{L-j} (1 + kappa) + gamma M^(L-j); R_j >= 2 gamma M^(L-j).
-      Here kappa < 2^-22 is the relative error of a kernel, as argued in
-      ``_screened_max``, which also bounds v_m by c_m (1 + kappa) ||Q||_K
-      (the d = 2 radius closed form's 5e-8 of the largest entry
-      included).  Without the R_j term the bound fails on sets such as
-      S U_i S^-1, U_i strictly upper triangular and cond(S) = 1e13, whose
-      computed products are rounding alone.
-    - The cheap bound.  ub(P) is within 2 d u of its exact value when it
-      is at least _SCREEN_FLOOR in block scale, where no square in it
-      underflows; rows below the floor are kept.
-    - Underflow.  A block's largest entry is at least 2^-501 of its scale
-      and every entry of a level-k product is below (1 + gamma) M^k, so an
-      underflowed multiply moves a level-L product by at most d^2 2^-572 M^L
-      in K norm.  The steps of a leaf and of its tail move it by at most
-      U / 2, and so do those of a seed formed in other blocks than the
-      walk's, which the 2 U taken off the seeds covers.
-    The margins 2 mu against mu leave room for (1 + kappa)^3, the 2 d u of
-    ub and the few roundings of the test.  For the same reason the leaf
-    screen may start from seed_m - 2 c_m U: no leaf below it holds or ties
-    the maximum of m.
+    The bound on v_m, from the lemmas of ``_rounding``.  Q =
+    fl(A_{i_L} ... fl(A_{i_(j+1)} P)) has ||Q||_K <= ||T||_K ||P||_K +
+    gamma M^(L-j) ub(P), gamma = gamma_((L-j) d), for the exact tail
+    product T (R3).  The computed tail obeys the same bound from the
+    identity, and its computed norm is at most N_{L-j}, so ||T||_K <=
+    N_{L-j} (1 + kappa) + gamma M^(L-j) (R6), within F_j as R_j >=
+    2 gamma M^(L-j); and v_m <= c_m (1 + kappa) ||Q||_K (R6, A1).
+    Without R_j the bound fails on sets such as S U_i S^-1, U_i strictly
+    upper triangular and cond(S) = 1e13, whose computed products are
+    rounding alone.  ub(P) is within R5 of exact at or above
+    _SCREEN_FLOOR in block scale; rows below it are kept.  Underflow
+    moves a leaf and its tail by at most U / 2 (R4), and so a seed formed
+    in other blocks than the walk's, which the 2 U taken off the seeds
+    covers.  The margins 2 mu against mu leave room for (1 + kappa)^3, R5
+    and the few roundings of the test.  For the same reason the leaf
+    screen may start from seed_m - 2 c_m U: no leaf below it holds or
+    ties the maximum of m.
 
     Seed rows.  They are the previous level's witnesses and the chains:
     for the radius witnesses w of earlier levels, the prefix of w w w ...
@@ -1183,7 +1058,7 @@ class _Pass:
 
     def __init__(self, mset: MatrixSet, metrics: list, first: int,
                  last: int):
-        self.step, self.mats = _binary_scale(mset)
+        self.step, self.mats = _binary_scale(mset.stacked())
         self.r, self.d = mset.r, mset.dim
         self.metrics, self.first, self.last = metrics, first, last
         # the radius is taken over necklaces: the walk carries periods
@@ -1221,7 +1096,7 @@ class _Pass:
                 and self.r ** n * self.d ** 2 >= _SCREEN_MIN_FLOATS):
             prune = self._keep
             self.underflow = self._scaled_power(
-                n, n * self.d ** 3 * 2.0 ** -568)
+                n, underflow_term(n, self.d))
         for start, rows, chunk, exponent, periods in _walk(
                 self.mats, self.step, self.table, n, prune, self.formed,
                 n == self.last):
@@ -1296,8 +1171,7 @@ class _Pass:
         if depth not in self.factors:
             tail = self.n - depth
             norm = self.norm_max[tail - self.first]
-            rounding = self._scaled_power(
-                tail, 4.0 * tail * self.d * 2.0 ** -53)
+            rounding = self._scaled_power(tail, tail_term(tail, self.d))
             self.factors[depth] = (_pair_sum(norm, rounding),
                                    _pair_sum(norm, rounding,
                                              math.sqrt(self.d)))

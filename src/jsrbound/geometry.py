@@ -40,19 +40,15 @@ inside the pilot's hull by a relative margin, tested against every usable
 candidate normal of the pilot (among which are all the facet normals of
 its hull), is dropped, and rows with a flat or thin pilot keep every
 point.  In reals the support of a polytope is attained at a vertex, so
-each kept candidate has the same support over the kept points as over
-all, and a candidate through a dropped point, no longer formed, bounds
-the radius from above like every other: the facet normals, spanned by
-vertices, are still there.  In floats the kept candidates get the full
-sweep's ratios to the bit, and the result can differ from the full
-sweep's only by a tie, by at most 2^-32 times the row's largest
-|coordinate| (the argument is in ``_kept_points``: in 3-d it assumes
-that no facet of the pilot's hull is too thin, in 2-d it needs no
-assumption).  The kept indices stay in ascending order, so each pair's
-or triple's normals are the full sweep's, and the rows of a block are
-grouped by their kept count, so each group is swept at one k.  Below
-_PRUNE_MIN_POINTS[d] the pilot costs more than it saves, and the full
-sweep runs.
+a kept candidate has the same support over the kept points as over all,
+and the facet normals, spanned by vertices, are still formed.  In floats
+the result can differ from the full sweep's only by a tie, by at most
+2^-32 times the row's largest |coordinate| (``_kept_points``; in 3-d it
+assumes A2 of ``_rounding``).  The kept indices stay in ascending order,
+so each pair's or triple's normals are the full sweep's, and the rows of
+a block are grouped by their kept count, so each group is swept at one
+k.  Below _PRUNE_MIN_POINTS[d] the pilot costs more than it saves, and
+the full sweep runs.
 """
 
 from __future__ import annotations
@@ -60,17 +56,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, frexp, inf
+from math import ceil, comb, inf
 
 import numpy as np
 
-from .core import NormKind
+from ._rounding import _DEGENERATE_REL, _PRUNE_INRADIUS, _PRUNE_MARGIN
+from .core import NormKind, _binary_scale
 from .errors import UnsupportedDimensionError
 
 _DUAL = {NormKind.L1: NormKind.LINF, NormKind.L2: NormKind.L2,
          NormKind.LINF: NormKind.L1}
-
-_DEGENERATE_REL = 1e-13
 
 # Most points a net or direction set may hold, checked before allocating;
 # the finest icosphere (level 9) has 2,621,442.
@@ -167,11 +162,6 @@ _PILOT_POINTS = 6
 # m = 10, and at mesh 0.2 in linf it was faster from m = 9; at m = 13 it
 # was 3.1 and 3.7 times faster, at m = 7 2.6 and 1.6 times slower.
 _PRUNE_MIN_POINTS = {2: 21, 3: 10}
-
-# Relative margin mu of the drop test, and the least pilot inradius, as a
-# multiple of the row's largest |coordinate|, at which a row is pruned.
-_PRUNE_MARGIN = 2.0 ** -20
-_PRUNE_INRADIUS = 2.0 ** -12
 
 
 @lru_cache(maxsize=None)
@@ -346,30 +336,25 @@ def _kept_points(planes: np.ndarray, kind: NormKind) -> np.ndarray:
     argument below).  The other points are tested in one broadcast per
     chunk of them, within _BLOCK_FLOATS dots.
 
-    Why the kept candidates get the full sweep's ratios to the bit.  Let
-    eps = 2^-53, R <= sqrt(d) s the largest |p| and r2 >= r_P / sqrt(d)
-    the pilot hull's l2 inradius.  A computed dot |w . p| is within
-    3.01 eps |w| R of the exact one.  Suppose every facet of conv(±P) has
-    a usable u within relative error rho of its exact normal n (in 3-d a
-    vertex triangle with smallest angle theta gives rho <= 8 eps /
-    sin theta); in 3-d this is assumed, not checked, and rho <= 2^-36
-    below holds when each facet has a vertex triangle with no angle under
-    2^-14 radians.  From |u . q| <= (1 - mu) h(u) + 6.1 eps |u| R,
-    h(u) <= h(n) + rho |n| R and h(n) >= r2 |n|, a dropped q has gauge
-    g <= (1 - mu + (rho + 6.1 eps) R / r2) / (1 - rho R / r2) in
-    conv(±P), and g <= 1 - mu/2 once (2 rho + 6.1 eps) R / r2 <= mu / 2,
-    which r_P > 2^-12 s and mu = 2^-20 give for rho <= 2^-36.  So each
-    dropped q lies in (1 - mu/2) conv(±P): no vertex, and the pilot
-    points, on the hull boundary, are kept.  For a kept candidate w,
-    |w . q| <= (1 - mu/2) h_K(w), h_K its support over the kept points,
-    and mu/2 h_K(w) >= mu/2 r2 |w| exceeds the rounding of both dots, so
-    the computed |w . q| stays below the computed maximum over the kept
-    points: the support, and so the ratio, is the full sweep's float.
-    The dual norms are the same, and so is the floor, since s is attained
-    at a kept point (the support along a coordinate axis).
+    Why the kept candidates get the full sweep's ratios to the bit, by the
+    lemmas of ``_rounding`` (u there, eps here).  Let R <= sqrt(d) s be
+    the largest |p| and r2 >= r_P / sqrt(d) the pilot hull's l2 inradius,
+    so R / r2 < d 2^12.  Suppose every facet of conv(±P) has a usable u
+    within relative error rho of its exact normal n (A2 in 3-d).  A
+    dropped q has |u . q| < (1 - mu) h(u) + 7.1 eps |u| R (R7), and
+    h(u) <= h(n) + rho |n| R, h(n) >= r2 |n|, so its gauge in conv(±P)
+    is g <= (1 - mu + (rho + 7.1 eps) R / r2) / (1 - rho R / r2), at most
+    1 - mu/2 as (2 rho + 7.1 eps) R / r2 <= mu / 2.  So each dropped q
+    lies in (1 - mu/2) conv(±P): no vertex, and the pilot points, on the
+    hull boundary, are kept.  For a kept candidate w, |w . q| <= (1 -
+    mu/2) h_K(w), h_K its support over the kept points, and mu/2 h_K(w) >=
+    mu/2 r2 |w| exceeds the rounding of both dots (R7), so the computed
+    |w . q| stays below the computed maximum over the kept points: the
+    support, and so the ratio, is the full sweep's float.  The dual norms
+    are the same, and so is the floor, since s is attained at a kept
+    point (the support along a coordinate axis).
 
-    In 2-d nothing is assumed.  A normal there is an edge turned by a
-    right angle, each coordinate one rounded sum, so rho <= eps whatever
+    In 2-d nothing is assumed: a normal is within rho = eps (R7) whatever
     the angles.  An edge of conv(±P) has no usable u only when its ends
     lie within 1.5e-13 s (the floor 1e-13 s on dual(u)); drop one end pair
     ±p of such an edge, and repeat.  At most four pairs go, each within
@@ -469,10 +454,8 @@ def radius_profile(products: np.ndarray, xs: np.ndarray,
     prods = np.asarray(products, dtype=float)
     pts_all = np.asarray(xs, dtype=float)
     m, d = prods.shape[0], prods.shape[-1]
-    # The radius is degree 1 in the products: sweep them divided by 2^e,
-    # e the exponent of the largest entry, so normals cannot overflow.
-    e = frexp(float(np.max(np.abs(prods), initial=0.0)))[1]
-    prods = np.ldexp(prods, -e)
+    # Degree 1 in the products: swept / 2^e, so no normal overflows.
+    e, prods = _binary_scale(prods)
     if d not in (1, 2, 3):
         raise UnsupportedDimensionError(
             f"exact radius profiles are available for d in {{1, 2, 3}}, got d={d}"

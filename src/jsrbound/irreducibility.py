@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._rounding import _DISPLACEMENT_ROUNDING, _ROUNDING_MARGIN
 from .core import (
     DEFAULT_WORD_BUDGET,
     MatrixSet,
@@ -36,16 +37,6 @@ from .geometry import (
     radius_profile,
     vector_norms,
 )
-
-# The net walk's margin for rounding, as a multiple of the true Lipschitz
-# constant max_G ||G||: 2^-20 of chi_measure's reported constant, twice
-# that.  chi_measure's docstring shows what it covers.
-_ROUNDING_MARGIN = 2.0 ** -19
-
-# The rounding term of a displacement bound, as a multiple of max_G ||G||:
-# absolute, since a displacement can be far below that constant times
-# its gap.  chi_measure's docstring shows what it covers.
-_DISPLACEMENT_ROUNDING = 2.0 ** -47
 
 # A complex pair of eigenvalues of a planar matrix A whose imaginary parts
 # are within this multiple of A's largest entry is taken as the double
@@ -173,10 +164,9 @@ def _displacements(prods: np.ndarray, vs: np.ndarray,
                    kind: NormKind) -> np.ndarray:
     """max_G ||G v|| in the kind norm for each row v of vs, G over the
     (m, d, d) stack prods: one matmul per block of rows on the products
-    divided by 2^e, e the exponent of their largest entry, so that no
-    image overflows; the maxima are scaled back by 2^e."""
-    e = math.frexp(float(np.max(np.abs(prods), initial=0.0)))[1]
-    scaled = np.ldexp(prods, -e).transpose(0, 2, 1)
+    / 2^e (``core._binary_scale``), so that no image overflows."""
+    e, scaled = _binary_scale(prods)
+    scaled = scaled.transpose(0, 2, 1)
     m, d = prods.shape[:2]
     out = np.empty(vs.shape[0])
     rows = max(1, _BLOCK_FLOATS // (m * d))
@@ -197,19 +187,16 @@ def _net_profile(prods: np.ndarray, net: _Net, kind: NormKind,
     reports.  A net that one radius_profile block holds, or any net when
     2 * lipschitz overflows, is swept whole; a parent lies within kind
     distance 2 of its point, so every product lipschitz * gap of the walk
-    is finite.  Otherwise the levels are walked once (a net of one level
-    is its coarse level, evaluated whole), and a point is evaluated only
-    when its bound is at most the least value evaluated before its level;
-    see ``chi_measure`` for why that changes no minimum.  A level's bounds
-    are taken _BLOCK_FLOATS rows at a time, every block against that one
-    value, and its points are evaluated after its last block.  A point the
-    Lipschitz bound would evaluate gets the displacement bound of a
-    parent q that clears that value by its bare gap, B(q) - ||x - q||
-    above it: B(q) - max_G ||G (x - q)|| (``_displacements``) less the
-    rounding term _DISPLACEMENT_ROUNDING * lipschitz.  The identity is a
-    reach product, so max_G ||G v|| >= ||v||, and no other parent can
-    lift a bound past that value.  Either way one point of each antipodal
-    pair, up to the sign of zero, is evaluated (``_fill``).
+    is finite.  Otherwise the levels are walked once, as ``chi_measure``
+    describes (a net of one level is its coarse level, evaluated whole).
+    A level's bounds are taken _BLOCK_FLOATS rows at a time, every block
+    against the least value evaluated before the level, and its points
+    are evaluated after its last block.  The displacement bound
+    (``_displacements``) is taken only from a parent q that clears that
+    value by its bare gap, B(q) - ||x - q||: the identity is a reach
+    product, so max_G ||G v|| >= ||v||, and no other parent can lift a
+    bound past that value.  Either way one point of each antipodal pair,
+    up to the sign of zero, is evaluated (``_fill``).
     """
     n, d = net.points.shape
     vals = np.full(n, np.inf)
@@ -263,7 +250,7 @@ def _invariant_points(mset: MatrixSet, kind: NormKind) -> np.ndarray:
     2^e (``core._binary_scale``) and of their sum, and in 3-d those of the
     transposes crossed with the axis of their smallest |component|.
     """
-    mats = _binary_scale(mset)[1]
+    mats = _binary_scale(mset.stacked())[1]
     mats = np.concatenate([mats, np.sum(mats, axis=0, keepdims=True)])
     d = mats.shape[-1]
     vecs = np.linalg.eig(mats)[1].transpose(0, 2, 1).reshape(-1, d)
@@ -334,24 +321,23 @@ def chi_measure(
 
     Why a skipped point lies strictly above the net minimum, so that the
     minimum and its first index (np.argmin) are those of a sweep of
-    every point, bit for bit.  Let r be the exact radius at a net point
-    (at its float coordinates), r^ the computed one, s <= L (1 + 2^-50)
-    the largest |coordinate| of its points G x, and eps = 2^-53.
+    every point, bit for bit, by the lemmas of ``_rounding``, which also
+    checks the constants.  Let r be the exact radius at a net point (at
+    its float coordinates), r^ the computed one and s <= L (1 + 2^-50)
+    the largest |coordinate| of its points G x.
 
     - Above at an evaluated point: r^ <= r + 2^-31 L.  The sweep forms a
       normal of the facet that the inscribed ball touches, from three of
       its vertices, with relative error rho, and its ratio is at most
-      r + (8 rho + 20 eps) s; pruning adds at most 2^-32 s
+      r + (8 rho + 20 u) s; pruning adds at most 2^-32 s
       (``geometry._kept_points``).  A normal whose dual norm is at most
       the _DEGENERATE_REL floor is dropped, which can only raise r^, so
-      this needs the assumption of ``_kept_points``: in 3-d the touching
-      facet has a vertex triangle with no angle under 2^-14 radians
-      (rho <= 2^-36); in 2-d, that fewer than 1000 edges too short for
-      a usable normal precede a usable one, j of them putting it at most
-      2.2e-13 j s above r.
+      this needs A2 in 3-d (rho <= 2^-36); in 2-d, that fewer than 1000
+      edges too short for a usable normal precede a usable one, j of them
+      putting it at most 2.2e-13 j s above r.
     - Below at a skipped point: r^ >= r - 0.45 M.  Every computed ratio
       is the exact support ratio of its computed normal but for the
-      rounding of its dots and dual norm, at least r - 20 eps s.  r^ is
+      rounding of its dots and dual norm (R7), at least r - 20 u s.  r^ is
       0 only where no normal is usable.  In 2-d, for m >= 2 points the
       point of largest |coordinate| gives an edge with a usable normal,
       and for m = 1 the hull is a segment, r = 0.  In 3-d, with fewer
@@ -359,26 +345,25 @@ def chi_measure(
       and points b, c of the hull's projection along a give a triple
       with |det| >= |a| r2^2, r2 >= r / sqrt(3) the l2 inradius, so a
       candidate normal of l2 norm at least r2^2.  Dropped with all the
-      others, it has dual norm under 1.25e-13 s^2 rounding included, so
-      r^2 <= 3 sqrt(3) 1.25e-13 s^2 and r <= 8.1e-7 s < 0.45 M.
-    - Rounding of the bounds: forming B from r^ rounds by at most 2 eps
-      L, and each step, with the difference, its norm, the product, the
+      others, it has dual norm under 1.25e-13 s^2, so
+      r^2 <= 3 sqrt(3) 1.25e-13 s^2 and r < 0.45 M.
+    - Rounding of the bounds: forming B from r^ rounds by at most 2 u L,
+      and each step, with the difference, its norm, the product, the
       subtraction and a computed max ||G|| within a relative 2^-48 of the
       exact one, by at most 2^-46 L, as ||x - q|| <= 2 and |B| <= 44 L.
       A chain of skipped points takes one step a level: at most 18, on
       a 2-d net of 2^22 points (its stride, under 2^22 / 12, halves 18
       times); the icosphere and the divisor chains of the 3-d grids
-      (q <= 1022) take at most 9.
+      (q <= 1022) take at most 9.  In all that is under 2^-41 L.
       A displacement step keeps that budget.  Its computed max_G ||G v||
-      lies within 19 eps L < 2^-48 L of the exact one for the exact v =
-      x - q, |v| <= 2: the difference rounds by eps |v|, which moves the
-      maximum by at most 2 eps L; each image under G / 2^e by 3 eps
-      |G / 2^e| |v| entrywise, whose kind norm is at most sqrt(3)
-      ||G / 2^e|| |v|; its norm by 3 eps relative; and an underflow to a
-      subnormal or zero by far less than eps L, since ||G / 2^e|| >= 1/2
-      for the G of largest entry.  The term T, absolute since the
-      displacement can be far below L ||x - q||, covers that error, and
-      the two subtractions round by under 2^-46.4 L.
+      lies within 19 u L of the exact one for the exact v = x - q,
+      |v| <= 2: the difference rounds by u |v|, which moves the maximum by
+      at most 2 u L; each image under G / 2^e by 3 u |G / 2^e| |v|
+      entrywise (R2), whose kind norm is at most sqrt(3) ||G / 2^e|| |v|;
+      its norm by 3 u relative; and an underflow by far less than u L,
+      since ||G / 2^e|| >= 1/2 for the G of largest entry.  T, absolute
+      since the displacement can be far below L ||x - q||, covers that
+      error, and the two subtractions round by under 2^-46.4 L.
 
     So every bound satisfies B(x) <= r(x) - M + 2^-31 L + 2^-41 L: true
     for an evaluated point, and carried along each step by r(x) >= r(q)
@@ -386,12 +371,8 @@ def chi_measure(
     evaluated before its level, so r^(x) >= r(x) - 0.45 M > best + 0.55
     M - 2^-30 L > best, strictly above the net minimum.
 
-    Whole or by levels, one point of each antipodal pair of the net (one
-    the negation of the other but for the sign of a zero, which pairs
-    every point of the 3-d nets) is evaluated and the other copies its
-    value, the same bits (``_fill``): the radius is even up to the sign
-    of zero, r(-x) = r(x) to the bit, and no value reads the sign of a
-    zero coordinate.
+    Whole or by levels, one point of each antipodal pair of the net is
+    evaluated and the other copies its bits (``_fill``).
     """
     _check_mesh(mesh)
     net = _net(mset.dim, kind, mesh)
@@ -454,7 +435,7 @@ def invariant_subspace_search_2d(mset: MatrixSet) -> np.ndarray | None:
     """
     if mset.dim != 2:
         raise ValueError("this search is specific to d = 2")
-    mats = _binary_scale(mset)[1]
+    mats = _binary_scale(mset.stacked())[1]
 
     def is_scalar(m: np.ndarray) -> bool:
         scale = float(np.max(np.abs(m))) or 1.0
@@ -516,7 +497,7 @@ def burnside_detail(mset: MatrixSet) -> BurnsideReport:
         rank += 1
         return True
 
-    _walk_products(_binary_scale(mset)[1], dd, try_add)
+    _walk_products(_binary_scale(mset.stacked())[1], dd, try_add)
     if rank == dd or (d == 2 and invariant_subspace_search_2d(mset) is None):
         status = "irreducible"
     else:

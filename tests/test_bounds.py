@@ -17,7 +17,8 @@ from jsrbound import (
     trace_estimate,
     zero_radius_test,
 )
-from jsrbound.core import RADIUS, _product_chunks, _root, max_over_products
+from jsrbound._rounding import _root
+from jsrbound.core import RADIUS, _product_chunks, max_over_products
 import jsrbound.core as core_module
 
 from .conftest import GOLDEN_PAIR, PHI, QUARTER_TURN, random_set
@@ -100,6 +101,15 @@ class TestSandwich:
                 for rep in reports:
                     assert rep.lower <= rep.upper + 1e-9
                 assert reports[-1].best_lower <= reports[-1].best_upper + 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="both l2 bounds are plain "
+                       "floats: best_lower crosses best_upper by an ulp or "
+                       "two until the upper bound takes a rounding term")
+    @pytest.mark.parametrize("factor", [3.0, 0.1, 1e-200, 1e200])
+    def test_scaled_golden_pair_lower_stays_under_upper(self, factor):
+        reports = sandwich(GOLDEN_PAIR.scaled(factor), 14, NormKind.L2)
+        assert [rep.n for rep in reports
+                if rep.best_lower > rep.best_upper] == []
 
     def test_budget_error_keeps_partial_reports(self):
         with pytest.raises(BudgetExceededError) as info:

@@ -556,7 +556,7 @@ class TestChunkedEngine:
         elif chunk_floats is not None:
             monkeypatch.setattr("jsrbound.core._CHUNK_FLOATS", chunk_floats)
         for ms in sets:
-            step, mats = core_module._binary_scale(ms)
+            step, mats = core_module._binary_scale(ms.stacked())
             for first in (1, 3):
                 table = core_module._Table(np.eye(ms.dim)[None], 0, 0)
                 for k in range(first, 7):
